@@ -71,9 +71,9 @@ class GradedBasisIndex(NamedTuple):
     form: tuple[int, ...]
 
 
-def _check_parity(parity: str):
-    if parity not in (EVEN, ODD):
-        raise ValueError(f"parity must be '{EVEN}' or '{ODD}', got {parity!r}")
+def _check_parity(value: str, name: str = "parity"):
+    if value not in (EVEN, ODD):
+        raise ValueError(f"{name} must be '{EVEN}' or '{ODD}', got {value!r}")
 
 
 @lru_cache(maxsize=None)
@@ -216,22 +216,18 @@ def dirac_plus(config: FockSpaceConfig) -> TruncatedOperator:
     return _operator(1j * total, 0, config)
 
 
-def _sector_projector(config: FockSpaceConfig, parity: str) -> sp.csr_matrix:
-    rem = 0 if parity == EVEN else 1
-    diag = (graded_form_degrees(config) % 2 == rem).astype(np.complex128)
-    return sp.diags(diag).tocsr()
-
-
 def dirac_plus_even(config: FockSpaceConfig) -> TruncatedOperator:
     """Restriction of dirac_plus mapping the even sector into the odd one.
 
     Returned as a square operator on the full graded space that vanishes
     outside the even-sector columns / odd-sector rows.
     """
-    d = dirac_plus(config).matrix
-    return _operator(
-        _sector_projector(config, ODD) @ d @ _sector_projector(config, EVEN), 0, config
+    d = dirac_plus(config).matrix.tocoo()
+    keep = np.isin(d.row, sector_indices(config, ODD)) & np.isin(
+        d.col, sector_indices(config, EVEN)
     )
+    m = sp.coo_matrix((d.data[keep], (d.row[keep], d.col[keep])), shape=d.shape)
+    return _operator(m, 0, config)
 
 
 def dirac_plus_odd(config: FockSpaceConfig) -> TruncatedOperator:
@@ -274,9 +270,16 @@ def deformed_szego(config: FockSpaceConfig, theta: float,
         raise PairingFloorError(
             f"vacuum pairing |cos(theta)| = {pairing:.3e} below floor {PAIRING_FLOOR}"
         )
-    vec = math.cos(theta) * basis_vector(config, vacuum_index(config))
-    vec = vec + math.sin(theta) * basis_vector(config, target)
-    return _operator(sp.csr_matrix(np.outer(vec, vec.conj())), 0, config)
+    # the projector's only nonzeros sit on the vacuum and target coordinates
+    coords = [graded_index(config, vacuum_index(config)), graded_index(config, target)]
+    amps = np.array([math.cos(theta), math.sin(theta)])
+    dim = graded_dimension(config)
+    m = sp.csr_matrix(
+        (np.outer(amps, amps).ravel(), (np.repeat(coords, 2), np.tile(coords, 2))),
+        shape=(dim, dim),
+    )
+    m.eliminate_zeros()
+    return _operator(m, 0, config)
 
 
 def square_identity_residual(config: FockSpaceConfig) -> float:

@@ -21,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import OffContactLineError, PoleOnContourError, ZeroCovectorError
-from .spinors import EVEN, ODD, contract_matrix, form_subsets, wedge_matrix
+from .spinors import EVEN, ODD, _check_parity, contract_matrix, form_subsets, wedge_matrix
 
 __all__ = [
     "Covector",
@@ -103,11 +103,6 @@ class SymbolMatrix:
         return ((m[:half, :half], m[:half, half:]), (m[half:, :half], m[half:, half:]))
 
 
-def _check_chirality(chirality):
-    if chirality not in (EVEN, ODD):
-        raise ValueError(f"chirality must be '{EVEN}' or '{ODD}', got {chirality!r}")
-
-
 def _check_side(side):
     if side not in (+1, -1):
         raise ValueError(f"side must be +1 or -1, got {side!r}")
@@ -176,7 +171,7 @@ def sd_matrix(n: int, xi_perp) -> np.ndarray:
 @lru_cache(maxsize=None)
 def d1_gradient(chirality: str, n: int) -> np.ndarray:
     """The 2n constant matrices of the (linear) first-order symbol factor."""
-    _check_chirality(chirality)
+    _check_parity(chirality, "chirality")
     dim = symbol_dimension(n)
     pi_e, pi_o = _parity_projectors(n)
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
@@ -204,7 +199,7 @@ def _evaluate_d1(chirality: str, n: int, components) -> np.ndarray:
 
 def d1(chirality: str, xi: Covector) -> SymbolMatrix:
     """First-order symbol factor: linear in the covector, parity-exchanging."""
-    _check_chirality(chirality)
+    _check_parity(chirality, "chirality")
     return SymbolMatrix(_evaluate_d1(chirality, xi.n, xi.components()), chirality)
 
 
@@ -214,7 +209,7 @@ def boundary_isomorphism(chirality: str, side: int, n: int) -> SymbolMatrix:
     Scales the leading parity block by ``side / sqrt(2)`` and the other block
     by the opposite sign; the roles swap between chiralities.
     """
-    _check_chirality(chirality)
+    _check_parity(chirality, "chirality")
     _check_side(side)
     pi_e, pi_o = _parity_projectors(n)
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
@@ -245,7 +240,7 @@ def calderon_symbol0(chirality: str, side: int, xi_prime: Covector) -> SymbolMat
     ``xi1 = side * i |xi'|``, scaled by ``1/|xi'|`` and composed with the
     boundary isomorphism.  Idempotent; the two sides sum to the identity.
     """
-    _check_chirality(chirality)
+    _check_parity(chirality, "chirality")
     _check_side(side)
     _require_boundary(xi_prime)
     n = xi_prime.n
@@ -262,7 +257,7 @@ def comparison_symbol0(chirality: str, xi_prime: Covector) -> SymbolMatrix:
     tangential part is zero and the contact component equals ``-|xi'|``
     (the positive contact direction), and is the identity at ``+|xi'|``.
     """
-    _check_chirality(chirality)
+    _check_parity(chirality, "chirality")
     _require_boundary(xi_prime)
     n = xi_prime.n
     ell = xi_prime.boundary_norm
@@ -425,7 +420,7 @@ def q_symbol(order: int, chirality: str, xi: Covector,
     ``order = -1`` gives ``2 d1 / |xi|^2``; ``order = -2`` the correction that
     is linear in the Hessian data.
     """
-    _check_chirality(chirality)
+    _check_parity(chirality, "chirality")
     return SymbolMatrix(
         _q_matrix(order, chirality, xi.n, xi.components(), hess), chirality
     )
@@ -434,7 +429,7 @@ def q_symbol(order: int, chirality: str, xi: Covector,
 def q_symbol_integrand(order: int, chirality: str, xi_prime: Covector,
                        hess: HessianData | None = None):
     """Callable ``xi1 -> matrix`` for contour integration in the first slot."""
-    _check_chirality(chirality)
+    _check_parity(chirality, "chirality")
     _require_boundary(xi_prime)
     n = xi_prime.n
     base = xi_prime.components().astype(complex)
@@ -457,7 +452,7 @@ def trace_term_integrand(chirality: str, xi_prime: Covector, hess: HessianData):
     contour integral has the closed form returned by
     :func:`closed_form_trace_contour`.
     """
-    _check_chirality(chirality)
+    _check_parity(chirality, "chirality")
     _require_boundary(xi_prime)
     n = xi_prime.n
     base = xi_prime.components().astype(complex)
@@ -516,7 +511,7 @@ def closed_form_trace_contour(chirality: str, hess: HessianData,
     Equals ``i alpha tr(A) / (2 |xi'|)`` times the first gradient matrix of
     ``d1`` — the same value for both contours.
     """
-    _check_chirality(chirality)
+    _check_parity(chirality, "chirality")
     _require_boundary(xi_prime)
     ell = xi_prime.boundary_norm
     trace_a = float(np.trace(hess.matrix_a))
@@ -530,7 +525,7 @@ def closed_form_contact_contour(chirality: str, hess: HessianData,
     Equals ``-i alpha beta / |xi'|`` times the first gradient matrix of
     ``d1``; exact as a full matrix for contact-adapted Hessian data.
     """
-    _check_chirality(chirality)
+    _check_parity(chirality, "chirality")
     if xi_prime.perp_norm != 0.0:
         raise OffContactLineError("closed form only valid on the contact line")
     ell = abs(xi_prime.xi_contact)
@@ -546,7 +541,7 @@ def calderon_symbol_minus1(chirality: str, side: int, hess: HessianData,
     The opposite-chirality contour value composed with the boundary
     isomorphism; its matrix is a multiple of the identity.
     """
-    _check_chirality(chirality)
+    _check_parity(chirality, "chirality")
     _check_side(side)
     core = closed_form_contact_contour(_other(chirality), hess, xi_prime)
     n = xi_prime.n

@@ -121,6 +121,13 @@ def test_usage_errors_exit_one(capsys):
     assert code == 1 and "bogus" in err
 
 
+def test_model_invert_without_rhs_is_a_usage_error(capsys):
+    code, out, err = _invoke(["model-invert", "--n", "2", "--num-rhs", "0"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error:") and "num_rhs" in err
+
+
 def test_admissibility_exits_two(capsys):
     code, out, _ = _invoke(["toeplitz", "--window", "10", "--k", "6"], capsys)
     assert code == 2

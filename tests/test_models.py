@@ -3,12 +3,20 @@
 The graded block identity and the explicit inverse formulas are checked
 against independently assembled matrices: a hand-built closed-form inverse
 at zero deformation angle, direct residuals through the assembled model,
-and rank counts of the deformation difference.
+and rank counts of the deformation difference.  The label-block route is
+cross-checked against the dense one: dense pseudo-inverses of the sector
+blocks, a dense SVD of the guarded columns, and ranks of the whole
+deformation difference.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fockindex import models
 from fockindex.errors import GuardViolationError, PairingFloorError
 from fockindex.models import (
     COMPARISON_ORDERS,
@@ -26,6 +34,8 @@ from fockindex.spinors import (
     EVEN,
     ODD,
     GradedBasisIndex,
+    dirac_plus,
+    graded_basis,
     graded_form_degrees,
     graded_index,
     graded_osc_degrees,
@@ -34,6 +44,7 @@ from fockindex.spinors import (
 )
 
 CHIRALITIES = (EVEN, ODD)
+ORACLE_SIZES = ((2, 12), (3, 12), (4, 5))
 
 
 def _sector_helpers(cfg):
@@ -341,3 +352,90 @@ def test_invalid_chirality_rejected():
         build_comparison_model("sideways", cfg)
     with pytest.raises(ValueError):
         build_boundary_model("sideways", cfg)
+
+
+@pytest.mark.parametrize("num_rhs", [0, -3])
+def test_certificate_without_rhs_is_rejected(num_rhs):
+    with pytest.raises(ValueError, match="num_rhs"):
+        certify_invertibility(EVEN, ModelConfig(n=2, cutoff=8), num_rhs=num_rhs)
+
+
+def _merged_labels(cfg):
+    """Label of each model row (even sector, then odd), straight from the basis.
+
+    The label of ``(k, s)`` is ``k_j + [j in s]``; the target's label is
+    renamed to the vacuum's.
+    """
+    config, even_idx, odd_idx, _ = _sector_helpers(cfg)
+    labels = [
+        tuple(k + (j + 1 in state.form) for j, k in enumerate(state.osc))
+        for state in graded_basis(config)
+    ]
+    vacuum = labels[graded_index(config, vacuum_index(config))]
+    target = labels[graded_index(config, cfg.target)]
+    labels = [vacuum if label == target else label for label in labels]
+    return [labels[i] for i in np.concatenate([even_idx, odd_idx])]
+
+
+@pytest.mark.parametrize("target", [None, GradedBasisIndex((0, 1), (1, 2))])
+@pytest.mark.parametrize("chirality", CHIRALITIES)
+def test_comparison_model_stays_in_merged_label_blocks(chirality, target):
+    cfg = ModelConfig(n=3, cutoff=8, theta=0.3, target=target)
+    labels = _merged_labels(cfg)
+    matrix = build_comparison_model(chirality, cfg).matrix()
+    rows, cols = matrix.nonzero()
+    assert all(labels[r] == labels[c] for r, c in zip(rows, cols))
+    # the deformed vacuum couples the vacuum to the target, so the merge is needed
+    config, even_idx, _, _ = _sector_helpers(cfg)
+    vac = int(np.searchsorted(even_idx, graded_index(config, vacuum_index(config))))
+    tgt = int(np.searchsorted(even_idx, graded_index(config, cfg.target)))
+    assert matrix[vac, tgt] != 0.0
+
+
+@pytest.mark.parametrize("n,cutoff", ORACLE_SIZES)
+def test_block_pseudo_inverses_match_dense_oracle(n, cutoff):
+    cfg = ModelConfig(n=n, cutoff=cutoff)
+    config, even_idx, odd_idx, _ = _sector_helpers(cfg)
+    dirac = dirac_plus(config).matrix.toarray()
+    sec = models._sectors(cfg)
+    for block, pinv in (
+        (dirac[np.ix_(even_idx, odd_idx)], sec.lower_pinv),
+        (dirac[np.ix_(odd_idx, even_idx)], sec.raise_pinv),
+    ):
+        dense = np.linalg.pinv(block, rcond=1e-10)
+        assert np.abs(pinv.toarray() - dense).max() <= 1e-12
+
+
+def _whole_difference_ranks(chirality, cfg):
+    """Deformation ranks from the inverse on every guarded unit vector."""
+    config, even_idx, odd_idx, osc = _sector_helpers(cfg)
+    guard_even = np.flatnonzero(osc[even_idx] <= cfg.cutoff - 2)
+    guard_odd = np.flatnonzero(osc[odd_idx] <= cfg.cutoff - 2)
+    ne, cols = len(guard_even), len(guard_even) + len(guard_odd)
+    a = np.zeros((len(even_idx), cols), dtype=complex)
+    b = np.zeros((len(odd_idx), cols), dtype=complex)
+    a[guard_even, np.arange(ne)] = 1.0
+    b[guard_odd, np.arange(ne, cols)] = 1.0
+    deformed = np.vstack(models._solve_columns(chirality, cfg, a, b))
+    plain = np.vstack(models._solve_columns(chirality, replace(cfg, theta=0.0), a, b))
+    diff = deformed - plain
+    rows = len(even_idx)
+    return [
+        [models._block_rank(diff[:rows, :ne]), models._block_rank(diff[:rows, ne:])],
+        [models._block_rank(diff[rows:, :ne]), models._block_rank(diff[rows:, ne:])],
+    ]
+
+
+@settings(max_examples=4, deadline=None)
+@given(theta=st.floats(0.05, 0.6))
+@pytest.mark.parametrize("n,cutoff", ORACLE_SIZES)
+@pytest.mark.parametrize("chirality", CHIRALITIES)
+def test_certificate_matches_dense_oracle(chirality, n, cutoff, theta):
+    cfg = ModelConfig(n=n, cutoff=cutoff, theta=theta)
+    report = certify_invertibility(chirality, cfg, num_rhs=1)
+    config, even_idx, odd_idx, osc = _sector_helpers(cfg)
+    guard = np.concatenate([osc[even_idx], osc[odd_idx]]) <= cfg.cutoff - 2
+    full = build_comparison_model(chirality, cfg).matrix().toarray()
+    smallest = np.linalg.svd(full[:, guard], compute_uv=False)[-1]
+    assert abs(report["smallest_singular_value"] - smallest) <= 1e-12 * smallest
+    assert report["deformation_block_ranks"] == _whole_difference_ranks(chirality, cfg)

@@ -222,6 +222,16 @@ def test_deformed_szego_properties():
     deformed_szego(config, 0.2, GradedBasisIndex((0, 0), (1, 2)))
 
 
+def test_deformed_szego_matches_dense_outer_product():
+    config = FockSpaceConfig(2, 5)
+    vacuum = basis_vector(config, vacuum_index(config))
+    for target in (GradedBasisIndex((1, 0), ()), GradedBasisIndex((0, 1), (1, 2))):
+        for theta in (0.0, 0.3, -1.2):
+            vec = np.cos(theta) * vacuum + np.sin(theta) * basis_vector(config, target)
+            p = deformed_szego(config, theta, target).dense()
+            assert np.array_equal(p, np.outer(vec, vec.conj()))
+
+
 def test_deformed_szego_admissibility():
     config = FockSpaceConfig(2, 5)
     target = GradedBasisIndex((1, 0), ())
