@@ -163,6 +163,13 @@ def _rejected(name, anchor, exc) -> dict:
     )
 
 
+def _require_positive(params: dict, *names) -> None:
+    """Reject counts below one: a check that runs nothing must not pass."""
+    for name in names:
+        if params[name] < 1:
+            raise ValueError(f"{name} must be at least 1, got {params[name]}")
+
+
 def _child_seeds(seed: int, count: int) -> list:
     """Integer seeds split off a root sequence in a fixed order."""
     children = np.random.SeedSequence(seed).spawn(count)
@@ -178,10 +185,13 @@ def _run_verify_algebra(params: dict, seed: int) -> list:
     checks = []
 
     eye = identity(config)
+    labels = range(1, config.num_vars + 1)
+    raising = {j: creation(config, j) for j in labels}
+    lowering = {j: annihilation(config, j) for j in labels}
     worst = 0.0
-    for j in range(1, config.num_vars + 1):
-        for k in range(1, config.num_vars + 1):
-            comm = commutator(creation(config, j), annihilation(config, k))
+    for j in labels:
+        for k in labels:
+            comm = commutator(raising[j], lowering[k])
             expected = -2.0 if j == k else 0.0
             diff = comm.matrix - expected * eye.matrix
             worst = max(worst, max_abs_on_guard(diff, config))
@@ -196,8 +206,8 @@ def _run_verify_algebra(params: dict, seed: int) -> list:
     )
 
     worst = 0.0
-    for j in range(1, config.num_vars + 1):
-        diff = creation(config, j).matrix.conj().T - annihilation(config, j).matrix
+    for j in labels:
+        diff = raising[j].matrix.conj().T - lowering[j].matrix
         if diff.nnz:
             worst = max(worst, float(np.abs(diff.data).max()))
     checks.append(
@@ -251,6 +261,7 @@ def _run_verify_algebra(params: dict, seed: int) -> list:
 
 
 def _run_verify_symbols(params: dict, seed: int) -> list:
+    _require_positive(params, "samples", "quadrature_samples")
     n, samples = params["n"], params["samples"]
     seeds = _child_seeds(seed, 4)
     checks = []
@@ -437,6 +448,7 @@ def _draw_rank(rng, dim: int, fixed) -> int:
 
 
 def _run_relindex(params: dict, seed: int) -> list:
+    _require_positive(params, "dim", "trials")
     dim, trials = params["dim"], params["trials"]
     seeds = _child_seeds(seed, 3)
     checks = []

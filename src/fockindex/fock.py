@@ -88,6 +88,35 @@ def _index_map(num_vars: int, cutoff: int) -> dict:
     return {k: i for i, k in enumerate(_basis(num_vars, cutoff))}
 
 
+@lru_cache(maxsize=None)
+def _basis_array(num_vars: int, cutoff: int) -> np.ndarray:
+    """The basis as a read-only ``(dimension, num_vars)`` integer array."""
+    out = np.array(_basis(num_vars, cutoff), dtype=np.int64).reshape(-1, num_vars)
+    out.setflags(write=False)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _basis_codes(num_vars: int, cutoff: int) -> np.ndarray:
+    """Strictly increasing integer codes of the graded-lex basis (read-only).
+
+    The state ``k`` of degree ``d`` gets the base-``cutoff + 1`` number with
+    digits ``(d, k_1, ..., k_num_vars)``.  Every digit is at most the cutoff,
+    so numeric order is graded-lex order.  Codes that would overflow int64
+    are kept as Python integers.
+    """
+    radix = cutoff + 1
+    fits = radix ** (num_vars + 1) <= np.iinfo(np.int64).max
+    dtype = np.int64 if fits else object
+    basis = _basis_array(num_vars, cutoff)
+    digits = np.column_stack([basis.sum(axis=1), basis]).astype(dtype)
+    weights = np.array([radix**p for p in range(num_vars, -1, -1)], dtype=dtype)
+    codes = digits @ weights
+    assert np.all(codes[1:] > codes[:-1]), "basis codes must increase"
+    codes.setflags(write=False)
+    return codes
+
+
 def multi_indices(config: FockSpaceConfig) -> tuple[tuple[int, ...], ...]:
     """Basis enumeration (graded lexicographic) for the given truncation."""
     return _basis(config.num_vars, config.cutoff)
@@ -108,7 +137,7 @@ def basis_index(config: FockSpaceConfig, index: tuple[int, ...]) -> int:
 
 def degrees(config: FockSpaceConfig) -> np.ndarray:
     """Total degree |k| of each basis element, in enumeration order."""
-    return np.array([sum(k) for k in multi_indices(config)], dtype=int)
+    return _basis_array(config.num_vars, config.cutoff).sum(axis=1)
 
 
 def guard_mask(config: FockSpaceConfig, margin: int | None = None) -> np.ndarray:
@@ -154,16 +183,15 @@ def creation(config: FockSpaceConfig, j: int) -> TruncatedOperator:
     """
     if not 1 <= j <= config.num_vars:
         raise ValueError(f"variable index {j} out of range 1..{config.num_vars}")
-    basis = multi_indices(config)
-    index_map = _index_map(config.num_vars, config.cutoff)
-    rows, cols, vals = [], [], []
-    for col, k in enumerate(basis):
-        if sum(k) + 1 > config.cutoff:
-            continue
-        target = k[: j - 1] + (k[j - 1] + 1,) + k[j:]
-        rows.append(index_map[target])
-        cols.append(col)
-        vals.append(math.sqrt(2.0 * (k[j - 1] + 1)))
+    nv, cutoff = config.num_vars, config.cutoff
+    basis = _basis_array(nv, cutoff)
+    codes = _basis_codes(nv, cutoff)
+    cols = np.nonzero(degrees(config) < cutoff)[0]
+    # one more in the degree digit and in the digit of variable j
+    radix = cutoff + 1
+    targets = codes[cols] + (radix**nv + radix ** (nv - j))
+    rows = np.searchsorted(codes, targets)
+    vals = np.sqrt(2.0 * (basis[cols, j - 1] + 1))
     dim = config.dimension
     m = sp.coo_matrix((vals, (rows, cols)), shape=(dim, dim))
     return _operator(m, +1, config)

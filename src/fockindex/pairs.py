@@ -52,11 +52,11 @@ _INTEGRALITY_TOL = 1e-6
 _NEUMANN_RADIUS = 0.5
 
 
-def _rank_with_gap(matrix: np.ndarray, context: str) -> int:
-    """Numerical rank; refuses to answer when a singular value is ambiguous."""
-    if matrix.size == 0:
-        return 0
-    svals = np.linalg.svd(matrix, compute_uv=False)
+def _gap_checked_rank(svals: np.ndarray, context: str) -> int:
+    """Count of singular values above the rank threshold.
+
+    Refuses to answer when a singular value is ambiguous.
+    """
     ambiguous = svals[(svals >= _GAP[0]) & (svals <= _GAP[1])]
     if ambiguous.size:
         raise IllConditionedKernelError(
@@ -66,11 +66,17 @@ def _rank_with_gap(matrix: np.ndarray, context: str) -> int:
     return int((svals > _RANK_THRESHOLD).sum())
 
 
+def _rank_with_gap(matrix: np.ndarray, context: str) -> int:
+    """Numerical rank; refuses to answer when a singular value is ambiguous."""
+    if matrix.size == 0:
+        return 0
+    return _gap_checked_rank(np.linalg.svd(matrix, compute_uv=False), context)
+
+
 def _range_basis(matrix: np.ndarray, context: str) -> np.ndarray:
-    """Orthonormal basis of the column space."""
+    """Orthonormal basis of the column space, from one SVD."""
     u, svals, _ = np.linalg.svd(matrix)
-    rank = _rank_with_gap(matrix, context)
-    return u[:, :rank]
+    return u[:, :_gap_checked_rank(svals, context)]
 
 
 def _truncated_pinv(matrix: np.ndarray) -> np.ndarray:
@@ -117,6 +123,17 @@ class Projector:
 
     @property
     def rank(self) -> int:
+        """Rank: the rounded trace when self-adjoint, else the SVD rank.
+
+        An orthogonal projector's eigenvalues are 0 and 1, so its trace is
+        its rank; a trace farther than the integrality tolerance from an
+        integer falls back to the gap-checked SVD.
+        """
+        if self.self_adjoint:
+            trace = float(np.trace(self.matrix).real)
+            nearest = round(trace)
+            if abs(trace - nearest) <= _INTEGRALITY_TOL:
+                return int(nearest)
         return _rank_with_gap(self.matrix, "projector")
 
     def complement(self) -> "Projector":
@@ -204,33 +221,38 @@ class ProjectorPair:
 
 
 def _restricted_kernel_dims(p: Projector, r: Projector) -> tuple:
-    """Kernel dimensions of RP: range P -> range R and of its adjoint."""
+    """Kernel dimensions of RP: range P -> range R and of its adjoint.
+
+    Four SVDs: one range basis per projector and one rank per direction.
+    P = U U* P for the range basis U of P, so rank(RP) = rank(RPU) and the
+    forward rank also decides whether RP vanishes.
+    """
     basis_p = _range_basis(p.matrix, "first projector")
     basis_r_star = _range_basis(r.matrix.conj().T, "second projector adjoint")
-    forward = r.matrix @ p.matrix @ basis_p
-    backward = (r.matrix @ p.matrix).conj().T @ basis_r_star
-    ker_forward = basis_p.shape[1] - _rank_with_gap(forward, "restricted comparison")
+    rp = r.matrix @ p.matrix
+    rank_forward = _rank_with_gap(rp @ basis_p, "restricted comparison")
+    ker_forward = basis_p.shape[1] - rank_forward
     ker_backward = basis_r_star.shape[1] - _rank_with_gap(
-        backward, "adjoint restricted comparison"
+        rp.conj().T @ basis_r_star, "adjoint restricted comparison"
     )
-    if (
-        basis_p.shape[1] > 0
-        and basis_r_star.shape[1] > 0
-        and _rank_with_gap(r.matrix @ p.matrix, "comparison product") == 0
-    ):
+    if basis_p.shape[1] > 0 and basis_r_star.shape[1] > 0 and rank_forward == 0:
         warnings.warn(
             "comparison product RP vanishes although both projectors are "
             "nonzero; the pair is maximally degenerate and the relative "
             "index is a difference of full kernel dimensions",
-            stacklevel=3,
+            stacklevel=4,
         )
     return ker_forward, ker_backward
 
 
+def _kernel_index(p: Projector, r: Projector) -> int:
+    ker_forward, ker_backward = _restricted_kernel_dims(p, r)
+    return ker_forward - ker_backward
+
+
 def relative_index_kernel(pair: ProjectorPair) -> int:
     """Relative index as a difference of restricted kernel dimensions."""
-    ker_forward, ker_backward = _restricted_kernel_dims(pair.p, pair.r)
-    return ker_forward - ker_backward
+    return _kernel_index(pair.p, pair.r)
 
 
 def relative_index_trace(pair: ProjectorPair) -> TraceIndex:
@@ -271,8 +293,8 @@ def logarithmic_property(p: Projector, q: Projector, r: Projector) -> dict:
         through.conj().T @ basis_r_star, "adjoint composite comparison"
     )
     composite = ker_forward - ker_backward
-    first = relative_index_kernel(ProjectorPair.from_projectors(p, q))
-    second = relative_index_kernel(ProjectorPair.from_projectors(q, r))
+    first = _kernel_index(p, q)
+    second = _kernel_index(q, r)
     return {
         "composite_index": composite,
         "first_step": first,
@@ -342,7 +364,7 @@ def toeplitz_winding(window: int, k: int) -> int:
     offset = window  # frequency f lives at position f + offset
     hardy = coordinate_projector(dim, [f + offset for f in range(0, window + 1)])
     shifted = coordinate_projector(dim, [f + offset for f in range(k, window + 1)])
-    return relative_index_kernel(ProjectorPair.from_projectors(hardy, shifted))
+    return _kernel_index(hardy, shifted)
 
 
 def agranovich_dynin_shadow(s1: Projector, s2: Projector, frame=None) -> dict:

@@ -380,17 +380,18 @@ def random_hessian(rng, n: int, contact_adapted: bool = True) -> HessianData:
     return HessianData.from_complex(alpha, a, b)
 
 
-def _xi_square(components) -> complex:
+def _xi_square(components) -> np.ndarray:
     # analytic continuation of |xi|^2: a plain sum of squares, no conjugation
     comps = np.asarray(components)
-    return complex(np.sum(comps * comps))
+    return np.sum(comps * comps, axis=-1)
 
 
 def _q_matrix(order: int, chirality: str, n: int, components,
               hess: HessianData | None) -> np.ndarray:
+    """q-symbol matrices at covectors stacked along the leading axes."""
     comps = np.asarray(components, dtype=complex)
-    norm_sq = _xi_square(comps)
-    if norm_sq == 0:
+    norm_sq = _xi_square(comps)[..., None, None]
+    if np.any(norm_sq == 0):
         raise ZeroCovectorError("q-symbol undefined at the zero covector")
     d1m = _evaluate_d1(chirality, n, comps)
     if order == -1:
@@ -400,16 +401,17 @@ def _q_matrix(order: int, chirality: str, n: int, components,
             raise ValueError("order -2 requires Hessian data")
         if hess.n != n:
             raise ValueError(f"Hessian is for n = {hess.n}, covector for n = {n}")
-        a_xi = hess.matrix_a @ comps
+        a_xi = comps @ hess.matrix_a.T
         trace_a = float(np.trace(hess.matrix_a))
         grad = d1_gradient(chirality, n)
         pairing = np.tensordot(a_xi, grad, axes=1)
+        a_xi_xi = np.sum(a_xi * comps, axis=-1)[..., None, None]
         term = (
             -trace_a * d1m / norm_sq**2
-            + 4.0 * d1m * np.dot(a_xi, comps) / norm_sq**3
+            + 4.0 * d1m * a_xi_xi / norm_sq**3
             - 2.0 * pairing / norm_sq**2
         )
-        return 2j * comps[0] * hess.alpha * term
+        return 2j * comps[..., 0, None, None] * hess.alpha * term
     raise ValueError(f"order must be -1 or -2, got {order}")
 
 
@@ -426,17 +428,28 @@ def q_symbol(order: int, chirality: str, xi: Covector,
     )
 
 
+def _first_slot_covectors(xi_prime: Covector, xi1) -> np.ndarray:
+    """Covector components with ``xi1`` (an array of values) in the first slot."""
+    xi1 = np.asarray(xi1, dtype=complex)
+    base = xi_prime.components().astype(complex)
+    comps = np.broadcast_to(base, xi1.shape + base.shape).copy()
+    comps[..., 0] = xi1
+    return comps
+
+
 def q_symbol_integrand(order: int, chirality: str, xi_prime: Covector,
                        hess: HessianData | None = None):
-    """Callable ``xi1 -> matrix`` for contour integration in the first slot."""
+    """Callable ``xi1 -> matrices`` for contour integration in the first slot.
+
+    ``xi1`` is an array of first-slot values; the result stacks one matrix
+    per value along the leading axes.
+    """
     _check_parity(chirality, "chirality")
     _require_boundary(xi_prime)
     n = xi_prime.n
-    base = xi_prime.components().astype(complex)
 
     def integrand(xi1):
-        comps = base.copy()
-        comps[0] = xi1
+        comps = _first_slot_covectors(xi_prime, xi1)
         return _q_matrix(order, chirality, n, comps, hess)
 
     ell = xi_prime.boundary_norm
@@ -450,20 +463,19 @@ def trace_term_integrand(chirality: str, xi_prime: Covector, hess: HessianData):
 
     The Hessian-trace-weighted piece of the second-order expansion; its
     contour integral has the closed form returned by
-    :func:`closed_form_trace_contour`.
+    :func:`closed_form_trace_contour`.  Like :func:`q_symbol_integrand`, it
+    takes an array of ``xi1`` values and returns a stack of matrices.
     """
     _check_parity(chirality, "chirality")
     _require_boundary(xi_prime)
     n = xi_prime.n
-    base = xi_prime.components().astype(complex)
     trace_a = float(np.trace(hess.matrix_a))
     alpha = hess.alpha
 
     def integrand(xi1):
-        comps = base.copy()
-        comps[0] = xi1
-        norm_sq = _xi_square(comps)
-        return (2j * xi1 * alpha * trace_a / norm_sq**2) * _evaluate_d1(chirality, n, comps)
+        comps = _first_slot_covectors(xi_prime, xi1)
+        weight = 2j * comps[..., 0] * alpha * trace_a / _xi_square(comps) ** 2
+        return weight[..., None, None] * _evaluate_d1(chirality, n, comps)
 
     ell = xi_prime.boundary_norm
     integrand.chirality = chirality
@@ -477,11 +489,14 @@ def contour_integral(integrand, side: int, xi_prime: Covector,
 
     Integrates over a circle of radius ``|xi'|/2`` around ``side * i |xi'|``,
     positively oriented for the upper circle and negatively for the lower
-    one.  The integrand must be meromorphic with its poles away from the
-    circle; poles it declares through a ``poles`` attribute (the integrand
-    factories in this module do) are checked against the quadrature nodes.
-    Returns a :class:`SymbolMatrix` when the integrand declares its
-    ``chirality``, otherwise the bare matrix.
+    one, by the trapezoid rule on ``num_points`` equally spaced nodes.  The
+    integrand is called once, with the 1-D array of all nodes, and must
+    return the stack of its matrices at those nodes, shape
+    ``(num_points, d, d)``.  It must be meromorphic with its poles away from
+    the circle; poles it declares through a ``poles`` attribute (the
+    integrand factories in this module do) are checked against the
+    quadrature nodes.  Returns a :class:`SymbolMatrix` when the integrand
+    declares its ``chirality``, otherwise the bare matrix.
     """
     _check_side(side)
     ell = xi_prime.boundary_norm
@@ -494,7 +509,12 @@ def contour_integral(integrand, side: int, xi_prime: Covector,
     for pole in getattr(integrand, "poles", (1j * ell, -1j * ell)):
         if np.min(np.abs(nodes - pole)) / ell < 1e-6:
             raise PoleOnContourError(f"pole {pole} sits on the quadrature contour")
-    values = np.array([integrand(z) for z in nodes])
+    values = np.asarray(integrand(nodes))
+    if values.ndim != 3 or values.shape[0] != num_points:
+        raise ValueError(
+            f"integrand must return a ({num_points}, d, d) stack, got shape "
+            f"{values.shape}"
+        )
     if not np.all(np.isfinite(values)):
         raise PoleOnContourError("integrand is singular on the quadrature contour")
     orientation = 1.0 if side > 0 else -1.0

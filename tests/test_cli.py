@@ -128,6 +128,23 @@ def test_model_invert_without_rhs_is_a_usage_error(capsys):
     assert err.count("\n") == 1 and err.startswith("error:") and "num_rhs" in err
 
 
+@pytest.mark.parametrize(
+    "args, name",
+    [
+        (["relindex", "--trials", "0"], "trials"),
+        (["relindex", "--dim", "0"], "dim"),
+        (["relindex", "--dim", "-3"], "dim"),
+        (["verify-symbols", "--samples", "0"], "samples"),
+        (["verify-symbols", "--quadrature-samples", "0"], "quadrature_samples"),
+    ],
+)
+def test_empty_sample_counts_are_usage_errors(args, name, capsys):
+    code, out, err = _invoke(args, capsys)
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith(f"error: {name} must be at least 1")
+
+
 def test_admissibility_exits_two(capsys):
     code, out, _ = _invoke(["toeplitz", "--window", "10", "--k", "6"], capsys)
     assert code == 2
@@ -233,6 +250,20 @@ def test_subprocess_entry_point_is_deterministic():
     second = subprocess.run(args, capture_output=True, check=True)
     assert first.stdout == second.stdout
     assert json.loads(first.stdout)["passed"] is True
+
+
+def test_module_entry_point_keeps_stderr_empty():
+    args = [
+        sys.executable,
+        "-m",
+        "fockindex.cli",
+        "topo",
+        "--x0",
+        '{"signature": 1, "euler": 2, "stein": true}',
+    ]
+    result = subprocess.run(args, capture_output=True, check=True)
+    assert result.stderr == b""
+    assert json.loads(result.stdout)["passed"] is True
 
 
 def test_run_request_validation():

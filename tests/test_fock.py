@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import hermite as herm
@@ -141,6 +142,40 @@ def test_canonical_commutation_relations(nv, cutoff):
             expected = -2.0 if j == k else 0.0
             diff = comm.matrix - expected * eye.matrix
             assert max_abs_on_guard(diff, config) <= 1e-12
+
+
+def _creation_by_dict(config, j):
+    """Reference raising matrix: one dict lookup per basis state."""
+    basis = multi_indices(config)
+    index = {k: i for i, k in enumerate(basis)}
+    rows, cols, vals = [], [], []
+    for col, k in enumerate(basis):
+        if sum(k) < config.cutoff:
+            rows.append(index[k[: j - 1] + (k[j - 1] + 1,) + k[j:]])
+            cols.append(col)
+            vals.append(math.sqrt(2.0 * (k[j - 1] + 1)))
+    dim = config.dimension
+    m = sp.csr_matrix(
+        sp.coo_matrix((vals, (rows, cols)), shape=(dim, dim)), dtype=np.complex128
+    )
+    m.sum_duplicates()
+    m.sort_indices()
+    return m
+
+
+@pytest.mark.parametrize(
+    "nv, cutoff",
+    [(1, 4), (1, 11), (2, 4), (2, 9), (3, 7), (3, 20), (4, 9), (5, 6), (30, 4)],
+)
+def test_creation_matches_dict_construction(nv, cutoff):
+    # (30, 4): codes in base 5 with 31 digits exceed int64
+    config = FockSpaceConfig(nv, cutoff)
+    for j in sorted({1, (nv + 1) // 2, nv}):
+        fast = creation(config, j).matrix
+        slow = _creation_by_dict(config, j)
+        assert np.array_equal(fast.data, slow.data)
+        assert np.array_equal(fast.indices, slow.indices)
+        assert np.array_equal(fast.indptr, slow.indptr)
 
 
 def test_oscillator_ladder_factorizations():

@@ -36,6 +36,7 @@ from fockindex.pairs import (
     toeplitz_winding,
     weighted_trace,
 )
+from fockindex.pairs import _rank_with_gap, _restricted_kernel_dims
 
 
 def test_projector_validation():
@@ -148,6 +149,54 @@ def test_degenerate_orthogonal_rank_ones_warn_and_give_zero():
     pair = ProjectorPair.from_projectors(e0, e1)
     with pytest.warns(UserWarning, match="degenerate"):
         assert relative_index_kernel(pair) == 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(dim=st.integers(1, 64), data=st.data())
+def test_rank_by_trace_matches_gap_checked_svd(dim, data):
+    rank = data.draw(st.integers(0, dim))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    p = random_projector(np.random.default_rng(seed), dim, rank)
+    assert p.self_adjoint
+    assert p.rank == _rank_with_gap(p.matrix, "projector") == rank
+
+
+def test_rank_off_an_integral_trace_falls_back_to_svd():
+    # validated projectors keep their trace integral, so emulate a drifted
+    # matrix on a bare instance
+    drifted = object.__new__(Projector)
+    object.__setattr__(drifted, "matrix", np.diag([1.0, 0.5]).astype(complex))
+    object.__setattr__(drifted, "self_adjoint", True)
+    assert drifted.rank == 2
+
+
+def _count_svds(monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+
+    def counting(*args, **kwargs):
+        calls.append(np.shape(args[0]))
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    return calls
+
+
+def test_restricted_kernel_dims_takes_four_svds(monkeypatch):
+    rng = np.random.default_rng(53)
+    p = random_projector(rng, 12, 5)
+    r = random_projector(rng, 12, 8)
+    calls = _count_svds(monkeypatch)
+    assert _restricted_kernel_dims(p, r) == (0, 3)
+    assert len(calls) == 4
+
+
+def test_toeplitz_winding_builds_no_parametrix(monkeypatch):
+    calls = _count_svds(monkeypatch)
+    assert toeplitz_winding(16, 3) == 3
+    # the four SVDs of the restricted kernels; the 33 x 33 comparison
+    # operator is never pseudo-inverted
+    assert len(calls) == 4
 
 
 def test_ill_conditioned_kernel_is_refused():

@@ -362,6 +362,42 @@ def test_minus1_scales_linearly_in_beta():
     assert np.abs(doubled - 2.0 * single).max() < 1e-15
 
 
+def _contour_by_node(integrand, side, xi_prime, num_points=512):
+    """Reference trapezoid rule: one scalar integrand call per node."""
+    ell = xi_prime.boundary_norm
+    radius = 0.5 * ell
+    angles = 2.0 * np.pi * np.arange(num_points) / num_points
+    nodes = side * 1j * ell + radius * np.exp(1j * angles)
+    values = np.array([integrand(complex(z)) for z in nodes])
+    weighted = np.tensordot(np.exp(1j * angles), values, axes=1)
+    return side * (1j * radius / num_points) * weighted
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_batched_contour_matches_per_node_loop(n):
+    rng = np.random.default_rng(79 + n)
+    xp = random_covector(rng, n, boundary=True)
+    hess = random_hessian(rng, n, contact_adapted=False)
+    for ch in CHIRALITIES:
+        integrands = (
+            q_symbol_integrand(-1, ch, xp),
+            q_symbol_integrand(-2, ch, xp, hess),
+            trace_term_integrand(ch, xp, hess),
+        )
+        for integrand in integrands:
+            for side in SIDES:
+                batched = contour_integral(integrand, side, xp).matrix
+                looped = _contour_by_node(integrand, side, xp)
+                scale = np.abs(looped).max()
+                assert np.abs(batched - looped).max() <= 1e-13 * scale
+
+
+def test_contour_rejects_integrand_without_a_stack():
+    xp = Covector(0.0, 1.0, (0.0, 0.0))
+    with pytest.raises(ValueError, match="stack"):
+        contour_integral(lambda z: np.eye(2), +1, xp)
+
+
 def test_contour_rejects_declared_pole_on_the_nodes():
     xp = Covector(0.0, 1.0, (0.0, 0.0))
 
