@@ -1,9 +1,11 @@
 """Truncated oscillator/spinor models, boundary symbol calculus, and
-relative index arithmetic on finite graded bases."""
+relative index arithmetic on finite graded bases.
 
-# ``cli`` is left to load on first use: importing it here would make
-# ``python -m fockindex.cli`` find it already loaded and warn.
-from . import errors, fock, matrixio, models, pairs, spinors, symbols, topo
+Submodules load on first attribute access (PEP 562), so a command that needs
+only the integer formulas never imports numpy or scipy.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
@@ -19,3 +21,13 @@ __all__ = [
     "topo",
     "__version__",
 ]
+
+
+def __getattr__(name):
+    if name in __all__:
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -9,6 +9,10 @@ requests, including the seed — or as a human-readable text summary
 (``--format text``; wall time appears only there, so the JSON bytes stay
 reproducible).
 
+Each runner imports the library layers it uses when it first runs, so
+``topo`` loads neither numpy nor scipy, and only ``verify-algebra`` and
+``model-invert`` load scipy.
+
 Exit codes: 0 all checks pass, 1 usage error, 2 admissibility rejection,
 3 check failure.
 """
@@ -21,43 +25,8 @@ import sys
 import time
 from dataclasses import dataclass
 
-import numpy as np
-
-from . import models, pairs, topo
+from . import topo
 from .errors import AdmissibilityError
-from .fock import (
-    FockSpaceConfig,
-    annihilation,
-    commutator,
-    creation,
-    identity,
-    max_abs_on_guard,
-    oscillator_identity_residuals,
-)
-from .spinors import (
-    dirac_plus_even,
-    dirac_plus_odd,
-    square_identity_residual,
-    vacuum_szego,
-)
-from .symbols import (
-    EVEN,
-    ODD,
-    Covector,
-    HessianData,
-    boundary_isomorphism,
-    calderon_symbol0,
-    closed_form_contact_contour,
-    closed_form_trace_contour,
-    comparison_symbol0,
-    contour_integral,
-    d1,
-    q_symbol_integrand,
-    random_covector,
-    random_hessian,
-    symbol_dimension,
-    trace_term_integrand,
-)
 
 __all__ = ["RunRequest", "Report", "run", "main"]
 
@@ -69,7 +38,8 @@ _SUBCOMMANDS = (
     "toeplitz",
     "topo",
 )
-_CHIRALITIES = (EVEN, ODD)
+# spinors.EVEN and spinors.ODD, spelled out so importing the CLI loads no numpy
+_CHIRALITIES = ("even", "odd")
 _TIGHT = 1e-12
 _QUADRATURE_RTOL = 1e-8
 
@@ -172,6 +142,8 @@ def _require_positive(params: dict, *names) -> None:
 
 def _child_seeds(seed: int, count: int) -> list:
     """Integer seeds split off a root sequence in a fixed order."""
+    import numpy as np
+
     children = np.random.SeedSequence(seed).spawn(count)
     return [int(child.generate_state(1)[0]) for child in children]
 
@@ -181,6 +153,24 @@ def _child_seeds(seed: int, count: int) -> list:
 
 
 def _run_verify_algebra(params: dict, seed: int) -> list:
+    import numpy as np
+
+    from .fock import (
+        FockSpaceConfig,
+        annihilation,
+        commutator,
+        creation,
+        identity,
+        max_abs_on_guard,
+        oscillator_identity_residuals,
+    )
+    from .spinors import (
+        dirac_plus_even,
+        dirac_plus_odd,
+        square_identity_residual,
+        vacuum_szego,
+    )
+
     config = FockSpaceConfig(params["n"], params["cutoff"])
     checks = []
 
@@ -261,6 +251,27 @@ def _run_verify_algebra(params: dict, seed: int) -> list:
 
 
 def _run_verify_symbols(params: dict, seed: int) -> list:
+    import numpy as np
+
+    from .symbols import (
+        EVEN,
+        ODD,
+        Covector,
+        HessianData,
+        boundary_isomorphism,
+        calderon_symbol0,
+        closed_form_contact_contour,
+        closed_form_trace_contour,
+        comparison_symbol0,
+        contour_integral,
+        d1,
+        q_symbol_integrand,
+        random_covector,
+        random_hessian,
+        symbol_dimension,
+        trace_term_integrand,
+    )
+
     _require_positive(params, "samples", "quadrature_samples")
     n, samples = params["n"], params["samples"]
     seeds = _child_seeds(seed, 4)
@@ -273,8 +284,9 @@ def _run_verify_symbols(params: dict, seed: int) -> list:
     for _ in range(samples):
         xi = random_covector(rng, n)
         half_sq = 0.5 * xi.norm**2
-        oe = d1(ODD, xi).matrix @ d1(EVEN, xi).matrix
-        eo = d1(EVEN, xi).matrix @ d1(ODD, xi).matrix
+        odd, even = d1(ODD, xi).matrix, d1(EVEN, xi).matrix
+        oe = odd @ even
+        eo = even @ odd
         worst = max(
             worst,
             float(np.abs(oe - half_sq * eye).max()),
@@ -394,6 +406,8 @@ def _run_verify_symbols(params: dict, seed: int) -> list:
 
 
 def _run_model_invert(params: dict, seed: int) -> list:
+    from . import models
+
     chiralities = (
         _CHIRALITIES if params["chirality"] == "both" else (params["chirality"],)
     )
@@ -448,6 +462,10 @@ def _draw_rank(rng, dim: int, fixed) -> int:
 
 
 def _run_relindex(params: dict, seed: int) -> list:
+    import numpy as np
+
+    from . import pairs
+
     _require_positive(params, "dim", "trials")
     dim, trials = params["dim"], params["trials"]
     seeds = _child_seeds(seed, 3)
@@ -524,6 +542,8 @@ def _run_relindex(params: dict, seed: int) -> list:
 
 
 def _run_toeplitz(params: dict, seed: int) -> list:
+    from . import pairs
+
     window, k = params["window"], params["k"]
     name, anchor = (
         "winding-recovery",

@@ -12,11 +12,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import ConfigMismatchError
+
+# scipy.sparse is imported inside the functions that build sparse matrices,
+# so importing this module (as spinors and symbols do) loads numpy only.
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = [
     "FockSpaceConfig",
@@ -169,6 +174,8 @@ class TruncatedOperator:
 
 
 def _operator(matrix, degree_shift, config) -> TruncatedOperator:
+    import scipy.sparse as sp
+
     m = sp.csr_matrix(matrix, dtype=np.complex128)
     m.sum_duplicates()
     m.sort_indices()
@@ -181,6 +188,8 @@ def creation(config: FockSpaceConfig, j: int) -> TruncatedOperator:
     Maps the basis state ``k`` to ``sqrt(2 (k_j + 1))`` times the state with
     ``k_j`` incremented; transitions beyond the cutoff are dropped.
     """
+    import scipy.sparse as sp
+
     if not 1 <= j <= config.num_vars:
         raise ValueError(f"variable index {j} out of range 1..{config.num_vars}")
     nv, cutoff = config.num_vars, config.cutoff
@@ -204,11 +213,15 @@ def annihilation(config: FockSpaceConfig, j: int) -> TruncatedOperator:
 
 def harmonic_oscillator(config: FockSpaceConfig) -> TruncatedOperator:
     """Diagonal operator with entry 2|k| + num_vars on each basis state."""
+    import scipy.sparse as sp
+
     diag = 2.0 * degrees(config) + config.num_vars
     return _operator(sp.diags(diag.astype(np.complex128)), 0, config)
 
 
 def identity(config: FockSpaceConfig) -> TruncatedOperator:
+    import scipy.sparse as sp
+
     return _operator(sp.identity(config.dimension, dtype=np.complex128), 0, config)
 
 
@@ -249,6 +262,8 @@ def oscillator_identity_residuals(config: FockSpaceConfig) -> tuple[float, float
     Returns the residuals of ``sum_j C_j^* C_j - num_vars`` and
     ``sum_j C_j C_j^* + num_vars`` against the oscillator Hamiltonian.
     """
+    import scipy.sparse as sp
+
     h = harmonic_oscillator(config).matrix
     dim = config.dimension
     lower = sp.csr_matrix((dim, dim), dtype=np.complex128)
@@ -272,6 +287,8 @@ def max_abs_on_guard(matrix, config: FockSpaceConfig, margin: int | None = None,
     ``mask`` overrides the default oscillator-degree mask (used by graded
     spaces whose column layout differs from the plain oscillator basis).
     """
+    import scipy.sparse as sp
+
     if mask is None:
         mask = guard_mask(config, margin)
     cols = np.nonzero(mask)[0]

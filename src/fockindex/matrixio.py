@@ -1,8 +1,9 @@
-"""Shared JSON debug format for matrices.
+"""JSON debug format for matrices.
 
 A matrix is stored as an array of rows, each entry a two-element
-``[real, imag]`` pair.  The same schema is used everywhere in the package
-(operator dumps, projector-pair imports, CLI payloads).
+``[real, imag]`` pair.  The module is a standalone aid for dumping an
+operator (dense or sparse) to disk and reading it back; no other module of
+the package, and no CLI subcommand, reads or writes this format.
 """
 
 from __future__ import annotations

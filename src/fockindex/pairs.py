@@ -186,16 +186,25 @@ def comparison_operator(p: Projector, r: Projector, smoothing=None):
 
 @dataclass(frozen=True)
 class ProjectorPair:
-    """A projector pair with a parametrix for its comparison operator."""
+    """A projector pair with a parametrix for its comparison operator.
+
+    ``comparison`` is T = RP + (I-R)(I-P); it is formed from ``p`` and ``r``
+    unless the caller passes the T it already built.  The remainders are
+    checked against it on construction.
+    """
 
     p: Projector
     r: Projector
     parametrix: np.ndarray
     k1: np.ndarray
     k2: np.ndarray
+    comparison: np.ndarray | None = None
 
     def __post_init__(self):
         t = self.comparison
+        if t is None:
+            t = _comparison_matrix(self.p.matrix, self.r.matrix)
+            object.__setattr__(self, "comparison", t)
         eye = np.eye(t.shape[0])
         defect = max(
             np.abs(t @ self.parametrix + self.k1 - eye).max(),
@@ -208,12 +217,8 @@ class ProjectorPair:
 
     @classmethod
     def from_projectors(cls, p: Projector, r: Projector, smoothing=None):
-        _, u, k1, k2 = comparison_operator(p, r, smoothing)
-        return cls(p, r, u, k1, k2)
-
-    @property
-    def comparison(self) -> np.ndarray:
-        return _comparison_matrix(self.p.matrix, self.r.matrix)
+        t, u, k1, k2 = comparison_operator(p, r, smoothing)
+        return cls(p, r, u, k1, k2, t)
 
     @property
     def dimension(self) -> int:

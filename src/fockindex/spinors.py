@@ -12,10 +12,9 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from itertools import chain, combinations
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import PairingFloorError
 from .fock import (
@@ -24,10 +23,17 @@ from .fock import (
     _operator,
     adjoint,
     annihilation,
+    basis_index,
     creation,
     degrees,
+    max_abs_on_guard,
     multi_indices,
 )
+
+# scipy.sparse is imported inside the functions that build sparse matrices,
+# so importing this module (as symbols does) loads numpy only.
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = [
     "EVEN",
@@ -140,8 +146,6 @@ def graded_index(config: FockSpaceConfig, index: GradedBasisIndex) -> int:
     target = GradedBasisIndex(tuple(index.osc), tuple(index.form))
     try:
         # oscillator-major layout: locate directly instead of scanning
-        from .fock import basis_index
-
         osc_pos = basis_index(config, target.osc)
         forms = form_subsets(config.num_vars)
         form_pos = forms.index(target.form)
@@ -176,6 +180,8 @@ def sector_indices(config: FockSpaceConfig, parity: str) -> np.ndarray:
 
 
 def _lift_form(config: FockSpaceConfig, form_op: np.ndarray) -> sp.csr_matrix:
+    import scipy.sparse as sp
+
     eye = sp.identity(config.dimension, dtype=np.complex128)
     return sp.kron(eye, sp.csr_matrix(form_op)).tocsr()
 
@@ -192,6 +198,8 @@ def contract(config: FockSpaceConfig, j: int) -> TruncatedOperator:
 
 def degree_projection(config: FockSpaceConfig, q: int) -> TruncatedOperator:
     """Orthogonal projection onto form degree ``q``."""
+    import scipy.sparse as sp
+
     if not 0 <= q <= config.num_vars:
         raise ValueError(f"form degree {q} out of range 0..{config.num_vars}")
     diag = (graded_form_degrees(config) == q).astype(np.complex128)
@@ -204,6 +212,8 @@ def dirac_plus(config: FockSpaceConfig) -> TruncatedOperator:
     Exchanges the even/odd form sectors while preserving total degree; its
     matrix is exactly self-adjoint under the hard truncation.
     """
+    import scipy.sparse as sp
+
     nv = config.num_vars
     total = None
     for j in range(1, nv + 1):
@@ -222,6 +232,8 @@ def dirac_plus_even(config: FockSpaceConfig) -> TruncatedOperator:
     Returned as a square operator on the full graded space that vanishes
     outside the even-sector columns / odd-sector rows.
     """
+    import scipy.sparse as sp
+
     d = dirac_plus(config).matrix.tocoo()
     keep = np.isin(d.row, sector_indices(config, ODD)) & np.isin(
         d.col, sector_indices(config, EVEN)
@@ -247,6 +259,8 @@ def basis_vector(config: FockSpaceConfig, index: GradedBasisIndex) -> np.ndarray
 
 def vacuum_szego(config: FockSpaceConfig) -> TruncatedOperator:
     """Rank-one orthogonal projection onto the vacuum state."""
+    import scipy.sparse as sp
+
     pos = graded_index(config, vacuum_index(config))
     dim = graded_dimension(config)
     m = sp.coo_matrix(([1.0], ([pos], [pos])), shape=(dim, dim))
@@ -261,6 +275,8 @@ def deformed_szego(config: FockSpaceConfig, theta: float,
     vacuum; the deformation is admissible only while the overlap with the
     vacuum stays above ``PAIRING_FLOOR``.
     """
+    import scipy.sparse as sp
+
     if len(target.form) % 2 != 0:
         raise ValueError(f"deformation target must have even form degree, got {target}")
     if tuple(target.osc) == (0,) * config.num_vars and tuple(target.form) == ():
@@ -288,11 +304,11 @@ def square_identity_residual(config: FockSpaceConfig) -> float:
     The square must act diagonally as twice the oscillator degree plus twice
     the form degree; computed sparsely so large truncations stay cheap.
     """
+    import scipy.sparse as sp
+
     d = dirac_plus(config).matrix
     expected = 2.0 * graded_osc_degrees(config) + 2.0 * graded_form_degrees(config)
     diff = (d @ d - sp.diags(expected.astype(np.complex128))).tocsr()
-    from .fock import max_abs_on_guard
-
     return max_abs_on_guard(diff, config, mask=graded_guard_mask(config))
 
 

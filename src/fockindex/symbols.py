@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -72,16 +72,18 @@ class Covector:
             dtype=float,
         )
 
-    @property
+    # The norms are computed once per instance; cached_property writes to the
+    # instance dict, which the frozen dataclass leaves writable.
+    @cached_property
     def norm(self) -> float:
         return float(np.linalg.norm(self.components()))
 
-    @property
+    @cached_property
     def boundary_norm(self) -> float:
         """|xi'|: the norm of the components tangent to the boundary."""
-        return math.hypot(self.xi_contact, float(np.linalg.norm(self.xi_perp)))
+        return math.hypot(self.xi_contact, self.perp_norm)
 
-    @property
+    @cached_property
     def perp_norm(self) -> float:
         return float(np.linalg.norm(self.xi_perp))
 

@@ -1,0 +1,110 @@
+"""Import hygiene: each subcommand loads only the layers it uses.
+
+Every test runs a fresh interpreter, so the modules this test session has
+already imported do not hide what a cold ``fockindex`` process loads.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import fockindex
+
+SRC = str(Path(fockindex.__file__).resolve().parents[1])
+
+X0 = '{"signature": 1, "euler": 2, "stein": true}'
+X1 = '{"signature": 1, "euler": -2, "h02": 1}'
+TOPO_ARGS = ["topo", "--x0", X0, "--x1", X1]
+
+_REPORT_LOADED = """
+import json, sys
+print(json.dumps(sorted({name.split(".")[0] for name in sys.modules})))
+"""
+
+
+def _python(*args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [SRC] + [p for p in [env.get("PYTHONPATH")] if p]
+    )
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env,
+        check=True,
+    )
+
+
+def _loaded_after(code):
+    """Top-level packages loaded once ``code`` has run in a fresh process."""
+    out = _python("-c", code + _REPORT_LOADED).stdout
+    return set(json.loads(out.splitlines()[-1]))
+
+
+def _loaded_after_main(argv):
+    code = (
+        "import contextlib, io\n"
+        "from fockindex.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main({argv!r}) == 0\n"
+    )
+    return _loaded_after(code)
+
+
+def test_importing_the_cli_loads_neither_numpy_nor_scipy():
+    loaded = _loaded_after("import fockindex.cli")
+    assert "fockindex" in loaded
+    assert not loaded & {"numpy", "scipy"}
+
+
+def test_topo_loads_neither_numpy_nor_scipy():
+    assert not _loaded_after_main(TOPO_ARGS) & {"numpy", "scipy"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["relindex", "--dim", "8", "--trials", "2", "--seed", "9"],
+        ["toeplitz", "--window", "16", "--k", "3"],
+        ["verify-symbols", "--n", "2", "--samples", "4",
+         "--quadrature-samples", "1", "--seed", "3"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_numpy_only_subcommands_load_no_scipy(argv):
+    loaded = _loaded_after_main(argv)
+    assert "numpy" in loaded
+    assert "scipy" not in loaded
+
+
+def test_submodules_resolve_on_attribute_access():
+    code = (
+        "import sys, fockindex\n"
+        "assert 'fockindex.models' not in sys.modules\n"
+        "assert fockindex.models is sys.modules['fockindex.models']\n"
+        "assert 'models' in dir(fockindex)\n"
+    )
+    _python("-c", code)
+
+
+def test_star_import_binds_every_public_name():
+    code = (
+        "from fockindex import *\n"
+        "import fockindex\n"
+        "missing = [n for n in fockindex.__all__ if n not in globals()]\n"
+        "assert not missing, missing\n"
+    )
+    _python("-c", code)
+
+
+def test_unknown_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="nope"):
+        getattr(fockindex, "nope")
+
+
+def test_cli_chirality_names_match_the_spinor_sectors():
+    from fockindex import cli, spinors
+
+    assert cli._CHIRALITIES == (spinors.EVEN, spinors.ODD)

@@ -229,6 +229,31 @@ def test_inconsistent_parametrix_is_refused_at_construction():
         ProjectorPair(p, r, good.parametrix, good.k1 + 0.01, good.k2)
 
 
+def test_comparison_is_formed_once_per_pair(monkeypatch):
+    import fockindex.pairs as pairs
+
+    calls = []
+    original = pairs._comparison_matrix
+
+    def counting(p, r):
+        calls.append(1)
+        return original(p, r)
+
+    monkeypatch.setattr(pairs, "_comparison_matrix", counting)
+    rng = np.random.default_rng(19)
+    p = random_projector(rng, 8, 3)
+    r = random_projector(rng, 8, 5)
+    built = ProjectorPair.from_projectors(p, r)
+    assert len(calls) == 1
+    hand = ProjectorPair(p, r, built.parametrix, built.k1, built.k2)
+    assert len(calls) == 2
+    assert np.array_equal(hand.comparison, built.comparison)
+    assert np.array_equal(built.comparison, original(p.matrix, r.matrix))
+    with pytest.raises(AdmissibilityError, match="inconsistent"):
+        ProjectorPair(p, r, built.parametrix, built.k1, built.k2 + 0.01,
+                      built.comparison)
+
+
 def test_non_integer_trace_is_refused():
     """The integrality rail on the trace route.
 

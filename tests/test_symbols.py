@@ -63,6 +63,23 @@ def test_covector_layout_and_norms():
         Covector(0.0, 1.0, (1.0,))
 
 
+def test_covector_norms_are_computed_once(monkeypatch):
+    xi = Covector(1.0, 3.0, (2.0, 4.0))
+    calls = []
+    original = np.linalg.norm
+
+    def counting(x, *args, **kwargs):
+        calls.append(1)
+        return original(x, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", counting)
+    for _ in range(3):
+        assert xi.norm == original(xi.components())
+        assert xi.boundary_norm == np.hypot(3.0, original([2.0, 4.0]))
+        assert xi.perp_norm == original([2.0, 4.0])
+    assert len(calls) == 2
+
+
 def test_symbol_dimension_and_sector_split():
     assert symbol_dimension(2) == 2
     assert symbol_dimension(3) == 4
