@@ -13,7 +13,6 @@ __all__ = [
     "cli",
     "errors",
     "fock",
-    "matrixio",
     "models",
     "pairs",
     "spinors",

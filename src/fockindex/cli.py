@@ -9,6 +9,12 @@ requests, including the seed — or as a human-readable text summary
 (``--format text``; wall time appears only there, so the JSON bytes stay
 reproducible).
 
+Two tables define the front-end: ``_PARAMS`` holds each subcommand's
+parameters (the flags, the defaults and the checks on ``--input`` values
+are generated from it), and ``_CHECKS`` holds each check's name, anchor and
+tolerance.  A runner only computes errors and details; ``run`` judges them
+against the check table.
+
 Each runner imports the library layers it uses when it first runs, so
 ``topo`` loads neither numpy nor scipy, and only ``verify-algebra`` and
 ``model-invert`` load scipy.
@@ -20,32 +26,173 @@ Exit codes: 0 all checks pass, 1 usage error, 2 admissibility rejection,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import topo
 from .errors import AdmissibilityError
 
 __all__ = ["RunRequest", "Report", "run", "main"]
 
-_SUBCOMMANDS = (
-    "verify-algebra",
-    "verify-symbols",
-    "model-invert",
-    "relindex",
-    "toeplitz",
-    "topo",
-)
 # spinors.EVEN and spinors.ODD, spelled out so importing the CLI loads no numpy
 _CHIRALITIES = ("even", "odd")
-_TIGHT = 1e-12
-_QUADRATURE_RTOL = 1e-8
 
 
 class UsageError(Exception):
     """Malformed request parameters (CLI exit code 1)."""
+
+
+class _Param(NamedTuple):
+    """One parameter of a subcommand, and the values it admits."""
+
+    name: str
+    type: type  # int, float, dict (a JSON object), or str with choices
+    default: object = None  # None also admits None as a value
+    minimum: int | None = None
+    choices: tuple = ()
+    help: str | None = None
+
+
+# A sample count below one is refused: a check that ran nothing must not pass.
+_PARAMS = {
+    "verify-algebra": (
+        _Param("n", int, 2, help="number of oscillator variables"),
+        _Param("cutoff", int, 16),
+    ),
+    "verify-symbols": (
+        _Param("n", int, 2, help="complex dimension"),
+        _Param("samples", int, 100, minimum=1),
+        _Param("quadrature_samples", int, 5, minimum=1),
+    ),
+    "model-invert": (
+        _Param("chirality", str, "both", choices=_CHIRALITIES + ("both",)),
+        _Param("n", int, 2, help="complex dimension"),
+        _Param("alpha", float, 1.0),
+        _Param("beta", float),
+        _Param("cutoff", int, 12),
+        _Param("theta", float, 0.0),
+        _Param("num_rhs", int, 16, minimum=1),
+        _Param("tol", float, 1e-9),
+    ),
+    "relindex": (
+        _Param("dim", int, 24, minimum=1),
+        _Param("trials", int, 20, minimum=1),
+        _Param("rank_p", int),
+        _Param("rank_r", int),
+    ),
+    "toeplitz": (
+        _Param("window", int, 64),
+        _Param("k", int, 3),
+    ),
+    "topo": (
+        _Param("x0", dict, help="filling descriptor as inline JSON"),
+        _Param("x1", dict, help="filling descriptor as inline JSON"),
+        _Param("spinc", dict, help="characteristic numbers as inline JSON"),
+        _Param("ind_glued", int, 0),
+    ),
+}
+
+# accepted Python types and the name an error message gives them
+_KINDS = {
+    int: ((int,), "an integer"),
+    float: ((int, float), "a number"),
+    dict: ((dict,), "a JSON object"),
+}
+
+
+class _Check(NamedTuple):
+    """One check of a subcommand: how it is reported and judged."""
+
+    subcommand: str
+    name: str
+    anchor: str
+    tolerance: float | str  # bound on the error, or the param that holds it
+    sampled: bool = False  # draws from its own child of the request seed
+
+
+_INVERSE = (
+    "closed-form inverse of the comparison model on guarded data, "
+    "with finite-rank deformation bookkeeping"
+)
+_FILLING = "descriptor admissibility"
+
+_CHECKS = (
+    _Check("verify-algebra", "ladder-commutators",
+           "pairwise commutators of raising and lowering maps are scalar", 1e-12),
+    _Check("verify-algebra", "ladder-adjointness",
+           "lowering map is the exact adjoint of the raising map", 0.0),
+    _Check("verify-algebra", "oscillator-factorization",
+           "oscillator from ladder products in both orders", 1e-12),
+    _Check("verify-algebra", "square-diagonal",
+           "squared chiral operator is diagonal in the total degree", 1e-12),
+    _Check("verify-algebra", "vacuum-annihilation",
+           "vacuum row and column of the chiral blocks vanish identically", 0.0),
+    _Check("verify-symbols", "gradient-factorization",
+           "chiral gradient symbols compose to half the squared norm",
+           1e-12, sampled=True),
+    _Check("verify-symbols", "boundary-projector-algebra",
+           "order-zero boundary symbols are complementary idempotents",
+           1e-12, sampled=True),
+    _Check("verify-symbols", "comparison-degeneration",
+           "comparison symbol has scalar singular values, vanishing "
+           "exactly on the negative contact ray", 1e-12, sampled=True),
+    _Check("verify-symbols", "quadrature-closed-forms",
+           "contour quadrature matches the residue closed forms",
+           1e-8, sampled=True),
+    _Check("model-invert", "inverse-certificate-even", _INVERSE, "tol",
+           sampled=True),
+    _Check("model-invert", "inverse-certificate-odd", _INVERSE, "tol",
+           sampled=True),
+    _Check("relindex", "triple-agreement",
+           "kernel, trace, and rank routes agree, with antisymmetry "
+           "under complementation", 0.0, sampled=True),
+    _Check("relindex", "logarithmic-property",
+           "composite relative index splits as the sum of the two steps",
+           0.0, sampled=True),
+    _Check("relindex", "parametrix-invariance",
+           "trace-formula integer survives arbitrary smoothing "
+           "perturbations of the parametrix", 0.0, sampled=True),
+    _Check("toeplitz", "winding-recovery",
+           "relative index of the clipped shift recovers the winding number",
+           0.0),
+    _Check("topo", "filling-x0", _FILLING, 0.0),
+    _Check("topo", "moduli-dimension-reversed",
+           "formal moduli dimension after orientation reversal", 0.0),
+    _Check("topo", "filling-x1", _FILLING, 0.0),
+    _Check("topo", "moduli-dimension",
+           "formal moduli dimension of the glued double", 0.0),
+    _Check("topo", "glued-double-index",
+           "signature/Euler quarter-sum with its divisibility gate", 0.0),
+    _Check("topo", "relative-index-3d",
+           "boundary relative index from filling data", 0.0),
+    _Check("topo", "relative-index-glued",
+           "glued index corrected by the boundary terms", 0.0),
+    _Check("topo", "characteristic-numbers", "four-manifold relation", 0.0),
+    _Check("topo", "index-from-canonical-class",
+           "eighth of the canonical-class excess, gated to an integer", 0.0),
+    _Check("topo", "index-from-second-chern",
+           "quarter-sum through the second Chern number, gated", 0.0),
+)
+
+
+def _check_param(param: _Param, value, label: str) -> None:
+    if value is None and param.default is None:
+        return
+    if param.choices:
+        admitted, kind = value in param.choices, "one of " + ", ".join(param.choices)
+    else:
+        accepted, kind = _KINDS[param.type]
+        admitted = isinstance(value, accepted) and not isinstance(value, bool)
+    if not admitted:
+        raise UsageError(
+            f"{label} must be {kind}, got {json.dumps(value, default=repr)}"
+        )
+    if param.minimum is not None and value < param.minimum:
+        raise UsageError(f"{label} must be at least {param.minimum}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -58,10 +205,13 @@ class RunRequest:
     format: str = "json"
 
     def __post_init__(self):
-        if self.subcommand not in _SUBCOMMANDS:
+        if self.subcommand not in _PARAMS:
             raise UsageError(f"unknown subcommand {self.subcommand!r}")
         if self.format not in ("json", "text"):
             raise UsageError(f"unknown format {self.format!r}")
+        for param in _PARAMS[self.subcommand]:
+            if param.name in self.params:
+                _check_param(param, self.params[param.name], param.name)
 
 
 @dataclass(frozen=True)
@@ -115,29 +265,27 @@ def _fixed(value) -> float:
     return float(f"{float(value):.12e}")
 
 
-def _record(name, anchor, max_error=None, tolerance=None, details=None, status=None):
-    if status is None:
-        status = "pass" if max_error <= tolerance else "fail"
+def _record(params: dict, check: _Check, error, details=None, verdict=True) -> dict:
+    """Judge one emitted check against its table row.
+
+    ``error`` is the measured error, or the ``AdmissibilityError`` that
+    rejected the check.  A runner may add a ``verdict`` of its own (a
+    library certificate) that must hold besides the tolerance.
+    """
+    if isinstance(error, AdmissibilityError):
+        status, error, details = "rejected", None, {"error": str(error)}
+    else:
+        tolerance = check.tolerance
+        if isinstance(tolerance, str):
+            tolerance = params[tolerance]
+        status = "pass" if verdict and error <= tolerance else "fail"
     return {
-        "name": name,
-        "anchor": anchor,
+        "name": check.name,
+        "anchor": check.anchor,
         "status": status,
-        "max_error": None if max_error is None else _fixed(max_error),
+        "max_error": None if error is None else _fixed(error),
         "details": details or {},
     }
-
-
-def _rejected(name, anchor, exc) -> dict:
-    return _record(
-        name, anchor, status="rejected", details={"error": str(exc)}
-    )
-
-
-def _require_positive(params: dict, *names) -> None:
-    """Reject counts below one: a check that runs nothing must not pass."""
-    for name in names:
-        if params[name] < 1:
-            raise ValueError(f"{name} must be at least 1, got {params[name]}")
 
 
 def _child_seeds(seed: int, count: int) -> list:
@@ -149,263 +297,154 @@ def _child_seeds(seed: int, count: int) -> list:
 
 
 # --------------------------------------------------------------------------
-# verify-algebra
+# runners: each gets its subcommand's table rows and one child seed per
+# sampled row, and yields (row, error, details) per check that applies
 
 
-def _run_verify_algebra(params: dict, seed: int) -> list:
-    import numpy as np
+def _max_abs(values) -> float:
+    return float(abs(values).max())
 
-    from .fock import (
-        FockSpaceConfig,
-        annihilation,
-        commutator,
-        creation,
-        identity,
-        max_abs_on_guard,
-        oscillator_identity_residuals,
-    )
-    from .spinors import (
-        dirac_plus_even,
-        dirac_plus_odd,
-        square_identity_residual,
-        vacuum_szego,
-    )
 
-    config = FockSpaceConfig(params["n"], params["cutoff"])
-    checks = []
+def _run_verify_algebra(params: dict, seeds: list, checks: tuple):
+    """ladder and vacuum identities"""
+    from . import fock, spinors
 
-    eye = identity(config)
+    commutators, adjointness, factorization, square, vacuum = checks
+    config = fock.FockSpaceConfig(params["n"], params["cutoff"])
+
+    eye = fock.identity(config)
     labels = range(1, config.num_vars + 1)
-    raising = {j: creation(config, j) for j in labels}
-    lowering = {j: annihilation(config, j) for j in labels}
+    raising = {j: fock.creation(config, j) for j in labels}
+    lowering = {j: fock.annihilation(config, j) for j in labels}
     worst = 0.0
     for j in labels:
         for k in labels:
-            comm = commutator(raising[j], lowering[k])
+            comm = fock.commutator(raising[j], lowering[k])
             expected = -2.0 if j == k else 0.0
             diff = comm.matrix - expected * eye.matrix
-            worst = max(worst, max_abs_on_guard(diff, config))
-    checks.append(
-        _record(
-            "ladder-commutators",
-            "pairwise commutators of raising and lowering maps are scalar",
-            worst,
-            _TIGHT,
-            {"num_vars": config.num_vars, "cutoff": config.cutoff},
-        )
-    )
+            worst = max(worst, fock.max_abs_on_guard(diff, config))
+    details = {"num_vars": config.num_vars, "cutoff": config.cutoff}
+    yield commutators, worst, details
 
     worst = 0.0
     for j in labels:
         diff = raising[j].matrix.conj().T - lowering[j].matrix
         if diff.nnz:
-            worst = max(worst, float(np.abs(diff.data).max()))
-    checks.append(
-        _record(
-            "ladder-adjointness",
-            "lowering map is the exact adjoint of the raising map",
-            worst,
-            0.0,
-        )
-    )
+            worst = max(worst, _max_abs(diff.data))
+    yield adjointness, worst
 
-    res_lower, res_upper = oscillator_identity_residuals(config)
-    checks.append(
-        _record(
-            "oscillator-factorization",
-            "oscillator from ladder products in both orders",
-            max(res_lower, res_upper),
-            _TIGHT,
-        )
-    )
+    yield factorization, max(fock.oscillator_identity_residuals(config))
 
-    checks.append(
-        _record(
-            "square-diagonal",
-            "squared chiral operator is diagonal in the total degree",
-            square_identity_residual(config),
-            _TIGHT,
-        )
-    )
+    yield square, spinors.square_identity_residual(config)
 
-    pi0 = vacuum_szego(config).matrix
-    lower_prod = pi0 @ dirac_plus_odd(config).matrix
-    raise_prod = dirac_plus_even(config).matrix @ pi0
+    pi0 = spinors.vacuum_szego(config).matrix
+    lower_prod = pi0 @ spinors.dirac_plus_odd(config).matrix
+    raise_prod = spinors.dirac_plus_even(config).matrix @ pi0
     worst = max(
-        float(np.abs(lower_prod.data).max()) if lower_prod.nnz else 0.0,
-        float(np.abs(raise_prod.data).max()) if raise_prod.nnz else 0.0,
+        _max_abs(lower_prod.data) if lower_prod.nnz else 0.0,
+        _max_abs(raise_prod.data) if raise_prod.nnz else 0.0,
     )
-    checks.append(
-        _record(
-            "vacuum-annihilation",
-            "vacuum row and column of the chiral blocks vanish identically",
-            worst,
-            0.0,
-        )
-    )
-    return checks
+    yield vacuum, worst
 
 
-# --------------------------------------------------------------------------
-# verify-symbols
-
-
-def _run_verify_symbols(params: dict, seed: int) -> list:
+def _run_verify_symbols(params: dict, seeds: list, checks: tuple):
+    """boundary symbol identities"""
     import numpy as np
 
-    from .symbols import (
-        EVEN,
-        ODD,
-        Covector,
-        HessianData,
-        boundary_isomorphism,
-        calderon_symbol0,
-        closed_form_contact_contour,
-        closed_form_trace_contour,
-        comparison_symbol0,
-        contour_integral,
-        d1,
-        q_symbol_integrand,
-        random_covector,
-        random_hessian,
-        symbol_dimension,
-        trace_term_integrand,
-    )
+    from . import symbols
 
-    _require_positive(params, "samples", "quadrature_samples")
+    gradient, projectors, degeneration, quadrature = checks
     n, samples = params["n"], params["samples"]
-    seeds = _child_seeds(seed, 4)
-    checks = []
-    dim = symbol_dimension(n)
-    eye = np.eye(dim)
+    eye = np.eye(symbols.symbol_dimension(n))
 
     rng = np.random.default_rng(seeds[0])
     worst = 0.0
     for _ in range(samples):
-        xi = random_covector(rng, n)
+        xi = symbols.random_covector(rng, n)
         half_sq = 0.5 * xi.norm**2
-        odd, even = d1(ODD, xi).matrix, d1(EVEN, xi).matrix
-        oe = odd @ even
-        eo = even @ odd
+        odd = symbols.d1(symbols.ODD, xi).matrix
+        even = symbols.d1(symbols.EVEN, xi).matrix
         worst = max(
             worst,
-            float(np.abs(oe - half_sq * eye).max()),
-            float(np.abs(eo - half_sq * eye).max()),
+            _max_abs(odd @ even - half_sq * eye),
+            _max_abs(even @ odd - half_sq * eye),
         )
-    checks.append(
-        _record(
-            "gradient-factorization",
-            "chiral gradient symbols compose to half the squared norm",
-            worst,
-            _TIGHT,
-            {"samples": samples, "n": n},
-        )
-    )
+    yield gradient, worst, {"samples": samples, "n": n}
 
     rng = np.random.default_rng(seeds[1])
     worst = 0.0
     for _ in range(samples):
-        xp = random_covector(rng, n, boundary=True)
+        xp = symbols.random_covector(rng, n, boundary=True)
         for ch in _CHIRALITIES:
-            plus = calderon_symbol0(ch, +1, xp).matrix
-            minus = calderon_symbol0(ch, -1, xp).matrix
+            plus = symbols.calderon_symbol0(ch, +1, xp).matrix
+            minus = symbols.calderon_symbol0(ch, -1, xp).matrix
             worst = max(
                 worst,
-                float(np.abs(plus @ plus - plus).max()),
-                float(np.abs(minus @ minus - minus).max()),
-                float(np.abs(plus + minus - eye).max()),
+                _max_abs(plus @ plus - plus),
+                _max_abs(minus @ minus - minus),
+                _max_abs(plus + minus - eye),
             )
-    checks.append(
-        _record(
-            "boundary-projector-algebra",
-            "order-zero boundary symbols are complementary idempotents",
-            worst,
-            _TIGHT,
-            {"samples": samples},
-        )
-    )
+    yield projectors, worst, {"samples": samples}
 
     rng = np.random.default_rng(seeds[2])
     worst = 0.0
     for _ in range(samples):
-        xp = random_covector(rng, n, boundary=True)
+        xp = symbols.random_covector(rng, n, boundary=True)
         ell = xp.boundary_norm
         expected = np.sqrt((ell + xp.xi_contact) ** 2 + xp.perp_norm**2) / (2 * ell)
         for ch in _CHIRALITIES:
-            sv = np.linalg.svd(comparison_symbol0(ch, xp).matrix, compute_uv=False)
-            worst = max(worst, float(np.abs(sv - expected).max()))
-    ray = Covector(0.0, -1.5, (0.0,) * (2 * (n - 1)))
-    anti_ray = Covector(0.0, 1.5, (0.0,) * (2 * (n - 1)))
+            symbol = symbols.comparison_symbol0(ch, xp).matrix
+            sv = np.linalg.svd(symbol, compute_uv=False)
+            worst = max(worst, _max_abs(sv - expected))
+    ray = symbols.Covector(0.0, -1.5, (0.0,) * (2 * (n - 1)))
+    anti_ray = symbols.Covector(0.0, 1.5, (0.0,) * (2 * (n - 1)))
     for ch in _CHIRALITIES:
-        worst = max(worst, float(np.abs(comparison_symbol0(ch, ray).matrix).max()))
         worst = max(
             worst,
-            float(np.abs(comparison_symbol0(ch, anti_ray).matrix - eye).max()),
+            _max_abs(symbols.comparison_symbol0(ch, ray).matrix),
+            _max_abs(symbols.comparison_symbol0(ch, anti_ray).matrix - eye),
         )
-    checks.append(
-        _record(
-            "comparison-degeneration",
-            "comparison symbol has scalar singular values, vanishing "
-            "exactly on the negative contact ray",
-            worst,
-            _TIGHT,
-            {"samples": samples},
-        )
-    )
+    yield degeneration, worst, {"samples": samples}
 
     rng = np.random.default_rng(seeds[3])
     quad_samples = params["quadrature_samples"]
     worst_rel = 0.0
     for instance in range(quad_samples):
-        xp = random_covector(rng, n, boundary=True)
+        xp = symbols.random_covector(rng, n, boundary=True)
         hess = (
-            HessianData.kahler(n)
+            symbols.HessianData.kahler(n)
             if instance == 0
-            else random_hessian(rng, n, contact_adapted=False)
+            else symbols.random_hessian(rng, n, contact_adapted=False)
         )
         for ch in _CHIRALITIES:
-            closed = closed_form_trace_contour(ch, hess, xp)
-            scale = float(np.abs(closed).max())
+            closed = symbols.closed_form_trace_contour(ch, hess, xp)
+            scale = _max_abs(closed)
             for side in (+1, -1):
-                quad = contour_integral(trace_term_integrand(ch, xp, hess), side, xp)
-                worst_rel = max(
-                    worst_rel, float(np.abs(quad.matrix - closed).max()) / scale
-                )
-        source = ODD
-        quad = contour_integral(q_symbol_integrand(-1, source, xp), +1, xp)
-        composed = quad.matrix @ boundary_isomorphism(EVEN, +1, n).matrix
-        direct = calderon_symbol0(EVEN, +1, xp).matrix
-        worst_rel = max(worst_rel, float(np.abs(composed - direct).max()))
-        contact = Covector(
+                integrand = symbols.trace_term_integrand(ch, xp, hess)
+                quad = symbols.contour_integral(integrand, side, xp)
+                worst_rel = max(worst_rel, _max_abs(quad.matrix - closed) / scale)
+        integrand = symbols.q_symbol_integrand(-1, symbols.ODD, xp)
+        quad = symbols.contour_integral(integrand, +1, xp)
+        iso = symbols.boundary_isomorphism(symbols.EVEN, +1, n).matrix
+        composed = quad.matrix @ iso
+        direct = symbols.calderon_symbol0(symbols.EVEN, +1, xp).matrix
+        worst_rel = max(worst_rel, _max_abs(composed - direct))
+        contact = symbols.Covector(
             0.0, float(rng.uniform(0.5, 2.0)), (0.0,) * (2 * (n - 1))
         )
-        hess_contact = random_hessian(rng, n)
+        hess_contact = symbols.random_hessian(rng, n)
         for ch in _CHIRALITIES:
-            closed = closed_form_contact_contour(ch, hess_contact, contact)
-            scale = float(np.abs(closed).max())
-            quad = contour_integral(
-                q_symbol_integrand(-2, ch, contact, hess_contact), -1, contact
-            )
-            worst_rel = max(
-                worst_rel, float(np.abs(quad.matrix - closed).max()) / scale
-            )
-    checks.append(
-        _record(
-            "quadrature-closed-forms",
-            "contour quadrature matches the residue closed forms",
-            worst_rel,
-            _QUADRATURE_RTOL,
-            {"instances": quad_samples, "includes_kahler": True},
-        )
-    )
-    return checks
+            closed = symbols.closed_form_contact_contour(ch, hess_contact, contact)
+            scale = _max_abs(closed)
+            integrand = symbols.q_symbol_integrand(-2, ch, contact, hess_contact)
+            quad = symbols.contour_integral(integrand, -1, contact)
+            worst_rel = max(worst_rel, _max_abs(quad.matrix - closed) / scale)
+    details = {"instances": quad_samples, "includes_kahler": True}
+    yield quadrature, worst_rel, details
 
 
-# --------------------------------------------------------------------------
-# model-invert
-
-
-def _run_model_invert(params: dict, seed: int) -> list:
+def _run_model_invert(params: dict, seeds: list, checks: tuple):
+    """model inverse certificates"""
     from . import models
 
     chiralities = (
@@ -419,18 +458,13 @@ def _run_model_invert(params: dict, seed: int) -> list:
         theta=params["theta"],
         tol=params["tol"],
     )
-    checks = []
-    for chirality, child in zip(chiralities, _child_seeds(seed, len(chiralities))):
+    rows = dict(zip(_CHIRALITIES, checks))
+    for chirality, child in zip(chiralities, seeds):
         report = models.certify_invertibility(
             chirality, config, num_rhs=params["num_rhs"], seed=child
         )
-        name = f"inverse-certificate-{chirality}"
-        anchor = (
-            "closed-form inverse of the comparison model on guarded data, "
-            "with finite-rank deformation bookkeeping"
-        )
         if report["error"] is not None:
-            checks.append(_rejected(name, anchor, report["error"]))
+            yield rows[chirality], AdmissibilityError(report["error"])
             continue
         details = {
             "chirality": chirality,
@@ -438,21 +472,7 @@ def _run_model_invert(params: dict, seed: int) -> list:
             "deformation_block_ranks": report["deformation_block_ranks"],
             "num_rhs": report["num_rhs"],
         }
-        checks.append(
-            _record(
-                name,
-                anchor,
-                report["residual_max"],
-                config.tol,
-                details,
-                status="pass" if report["passed"] else "fail",
-            )
-        )
-    return checks
-
-
-# --------------------------------------------------------------------------
-# relindex
+        yield rows[chirality], report["residual_max"], details, report["passed"]
 
 
 def _draw_rank(rng, dim: int, fixed) -> int:
@@ -461,15 +481,15 @@ def _draw_rank(rng, dim: int, fixed) -> int:
     return int(rng.integers(0, dim + 1))
 
 
-def _run_relindex(params: dict, seed: int) -> list:
+def _run_relindex(params: dict, seeds: list, checks: tuple):
+    """relative index cross-checks"""
     import numpy as np
 
     from . import pairs
 
-    _require_positive(params, "dim", "trials")
+    agreement, logarithmic, invariance = checks
     dim, trials = params["dim"], params["trials"]
-    seeds = _child_seeds(seed, 3)
-    checks = []
+    details = {"trials": trials, "dimension": dim}
 
     rng = np.random.default_rng(seeds[0])
     mismatches = 0
@@ -485,16 +505,7 @@ def _run_relindex(params: dict, seed: int) -> list:
             and pairs.relative_index_kernel(flipped) == -expected
         )
         mismatches += 0 if agree else 1
-    checks.append(
-        _record(
-            "triple-agreement",
-            "kernel, trace, and rank routes agree, with antisymmetry "
-            "under complementation",
-            float(mismatches),
-            0.0,
-            {"trials": trials, "dimension": dim},
-        )
-    )
+    yield agreement, float(mismatches), details
 
     rng = np.random.default_rng(seeds[1])
     mismatches = 0
@@ -504,15 +515,7 @@ def _run_relindex(params: dict, seed: int) -> list:
         r = pairs.random_projector(rng, dim, _draw_rank(rng, dim, None))
         if not pairs.logarithmic_property(p, q, r)["consistent"]:
             mismatches += 1
-    checks.append(
-        _record(
-            "logarithmic-property",
-            "composite relative index splits as the sum of the two steps",
-            float(mismatches),
-            0.0,
-            {"trials": trials, "dimension": dim},
-        )
-    )
+    yield logarithmic, float(mismatches), details
 
     rng = np.random.default_rng(seeds[2])
     mismatches = 0
@@ -524,161 +527,76 @@ def _run_relindex(params: dict, seed: int) -> list:
         pert = pairs.ProjectorPair.from_projectors(p, r, smoothing=noise)
         if pairs.relative_index_trace(pert).index != base.index:
             mismatches += 1
-    checks.append(
-        _record(
-            "parametrix-invariance",
-            "trace-formula integer survives arbitrary smoothing "
-            "perturbations of the parametrix",
-            float(mismatches),
-            0.0,
-            {"trials": trials, "dimension": dim},
-        )
-    )
-    return checks
+    yield invariance, float(mismatches), details
 
 
-# --------------------------------------------------------------------------
-# toeplitz
-
-
-def _run_toeplitz(params: dict, seed: int) -> list:
+def _run_toeplitz(params: dict, seeds: list, checks: tuple):
+    """winding number recovery"""
     from . import pairs
 
+    (winding,) = checks
     window, k = params["window"], params["k"]
-    name, anchor = (
-        "winding-recovery",
-        "relative index of the clipped shift recovers the winding number",
-    )
     try:
         value = pairs.toeplitz_winding(window, k)
     except AdmissibilityError as exc:
-        return [_rejected(name, anchor, exc)]
-    return [
-        _record(
-            name,
-            anchor,
-            float(abs(value - k)),
-            0.0,
-            {"window": window, "k": k, "value": value},
-        )
-    ]
+        yield winding, exc
+        return
+    details = {"window": window, "k": k, "value": value}
+    yield winding, float(abs(value - k)), details
 
 
-# --------------------------------------------------------------------------
-# topo
-
-
-def _descriptor(payload: dict) -> topo.FillingDescriptor:
-    allowed = {"signature", "euler", "h01", "stein", "h02", "chi_prime"}
-    unknown = set(payload) - allowed
+def _build(kind, payload: dict, what: str):
+    """A topo dataclass from a JSON object whose field names are checked."""
+    fields = dataclasses.fields(kind)
+    unknown = set(payload) - {field.name for field in fields}
     if unknown:
-        raise UsageError(f"unknown filling fields: {sorted(unknown)}")
-    if not {"signature", "euler"} <= set(payload):
-        raise UsageError("a filling needs at least 'signature' and 'euler'")
-    return topo.FillingDescriptor(**payload)
+        raise UsageError(f"unknown {what} fields: {sorted(unknown)}")
+    required = [f.name for f in fields if f.default is dataclasses.MISSING]
+    if not set(required) <= set(payload):
+        needed = " and ".join(map(repr, required))
+        raise UsageError(f"a {what} needs at least {needed}")
+    return kind(**payload)
 
 
-def _spinc(payload: dict) -> topo.SpinCNumbers:
-    allowed = {"c1_squared", "c2", "signature", "euler"}
-    unknown = set(payload) - allowed
-    if unknown:
-        raise UsageError(f"unknown characteristic fields: {sorted(unknown)}")
-    return topo.SpinCNumbers(**payload)
-
-
-def _topo_quantity(checks: list, name: str, anchor: str, compute) -> None:
+def _quantity(check: _Check, formula, *args) -> tuple:
     try:
-        value = compute()
+        return check, 0.0, {"value": int(formula(*args))}
     except AdmissibilityError as exc:
-        checks.append(_rejected(name, anchor, exc))
-    else:
-        checks.append(_record(name, anchor, 0.0, 0.0, {"value": int(value)}))
+        return check, exc
 
 
-def _run_topo(params: dict, seed: int) -> list:
-    checks = []
+def _run_topo(params: dict, seeds: list, checks: tuple):
+    """glued-boundary integer formulas"""
+    (filling_x0, reversed_dim, filling_x1, glued_dim, glued_index, rind_3d,
+     rind_glued, characteristic, from_c1, from_c2) = checks
     try:
-        x0 = _descriptor(params["x0"])
+        x0 = _build(topo.FillingDescriptor, params["x0"], "filling")
     except AdmissibilityError as exc:
-        return [_rejected("filling-x0", "descriptor admissibility", exc)]
-    checks.append(
-        _record(
-            "filling-x0",
-            "descriptor admissibility",
-            0.0,
-            0.0,
-            {"chi_prime": x0.chi_prime, "stein": x0.stein},
-        )
-    )
-    _topo_quantity(
-        checks,
-        "moduli-dimension-reversed",
-        "formal moduli dimension after orientation reversal",
-        lambda: topo.seiberg_witten_dim_reversed(x0.euler),
-    )
+        yield filling_x0, exc
+        return
+    yield filling_x0, 0.0, {"chi_prime": x0.chi_prime, "stein": x0.stein}
+    yield _quantity(reversed_dim, topo.seiberg_witten_dim_reversed, x0.euler)
 
-    x1 = None
     if params["x1"] is not None:
         try:
-            x1 = _descriptor(params["x1"])
+            x1 = _build(topo.FillingDescriptor, params["x1"], "filling")
         except AdmissibilityError as exc:
-            checks.append(_rejected("filling-x1", "descriptor admissibility", exc))
-            return checks
-        checks.append(
-            _record(
-                "filling-x1",
-                "descriptor admissibility",
-                0.0,
-                0.0,
-                {"chi_prime": x1.chi_prime, "stein": x1.stein},
-            )
-        )
-        _topo_quantity(
-            checks,
-            "moduli-dimension",
-            "formal moduli dimension of the glued double",
-            lambda: topo.seiberg_witten_dim(x1.euler),
-        )
-        _topo_quantity(
-            checks,
-            "glued-double-index",
-            "signature/Euler quarter-sum with its divisibility gate",
-            lambda: topo.glued_double_index(x0, x1),
-        )
-        _topo_quantity(
-            checks,
-            "relative-index-3d",
-            "boundary relative index from filling data",
-            lambda: topo.rind_3d(x0, x1),
-        )
-        _topo_quantity(
-            checks,
-            "relative-index-glued",
-            "glued index corrected by the boundary terms",
-            lambda: topo.rind_weinstein(params["ind_glued"], x0, x1),
-        )
+            yield filling_x1, exc
+            return
+        yield filling_x1, 0.0, {"chi_prime": x1.chi_prime, "stein": x1.stein}
+        yield _quantity(glued_dim, topo.seiberg_witten_dim, x1.euler)
+        yield _quantity(glued_index, topo.glued_double_index, x0, x1)
+        yield _quantity(rind_3d, topo.rind_3d, x0, x1)
+        yield _quantity(rind_glued, topo.rind_weinstein, params["ind_glued"], x0, x1)
 
     if params["spinc"] is not None:
         try:
-            nums = _spinc(params["spinc"])
+            nums = _build(topo.SpinCNumbers, params["spinc"], "characteristic")
         except AdmissibilityError as exc:
-            checks.append(
-                _rejected("characteristic-numbers", "four-manifold relation", exc)
-            )
-            return checks
-        _topo_quantity(
-            checks,
-            "index-from-canonical-class",
-            "eighth of the canonical-class excess, gated to an integer",
-            lambda: topo.ind_from_c1(nums),
-        )
-        _topo_quantity(
-            checks,
-            "index-from-second-chern",
-            "quarter-sum through the second Chern number, gated",
-            lambda: topo.ind_from_c2(nums),
-        )
-    return checks
+            yield characteristic, exc
+            return
+        yield _quantity(from_c1, topo.ind_from_c1, nums)
+        yield _quantity(from_c2, topo.ind_from_c2, nums)
 
 
 # --------------------------------------------------------------------------
@@ -695,16 +613,25 @@ _RUNNERS = {
 
 
 def run(request: RunRequest) -> Report:
-    """Dispatch a request to its owning module and assemble the report."""
+    """Run a request's checks and judge each against the check table."""
     started = time.perf_counter()
-    checks = _RUNNERS[request.subcommand](request.params, request.seed)
-    passed = all(check["status"] == "pass" for check in checks)
+    rows = tuple(c for c in _CHECKS if c.subcommand == request.subcommand)
+    sampled = sum(row.sampled for row in rows)
+    seeds = _child_seeds(request.seed, sampled) if sampled else []
+    checks = tuple(
+        _record(request.params, *emitted)
+        for emitted in _RUNNERS[request.subcommand](request.params, seeds, rows)
+    )
     return Report(
         request=request,
-        checks=tuple(checks),
-        passed=passed,
+        checks=checks,
+        passed=all(check["status"] == "pass" for check in checks),
         wall_time=time.perf_counter() - started,
     )
+
+
+def _flag(param: _Param) -> str:
+    return "--" + param.name.replace("_", "-")
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -713,84 +640,26 @@ def _parser() -> argparse.ArgumentParser:
         description="reproducible verification runs over the fockindex library",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def common(p):
+    for subcommand, params in _PARAMS.items():
+        p = sub.add_parser(subcommand, help=_RUNNERS[subcommand].__doc__)
+        for param in params:
+            p.add_argument(
+                _flag(param),
+                type=str if param.type is dict else param.type,
+                choices=param.choices or None,
+                help=param.help,
+            )
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--format", choices=("json", "text"), default="json")
         p.add_argument(
-            "--input",
-            default=None,
-            help="JSON file supplying params (explicit flags override it)",
+            "--input", help="JSON file supplying params (explicit flags override it)"
         )
-
-    p = sub.add_parser("verify-algebra", help="ladder and vacuum identities")
-    p.add_argument("--n", type=int, default=None, help="number of oscillator variables")
-    p.add_argument("--cutoff", type=int, default=None)
-    common(p)
-
-    p = sub.add_parser("verify-symbols", help="boundary symbol identities")
-    p.add_argument("--n", type=int, default=None, help="complex dimension")
-    p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--quadrature-samples", type=int, default=None)
-    common(p)
-
-    p = sub.add_parser("model-invert", help="model inverse certificates")
-    p.add_argument("--chirality", choices=("even", "odd", "both"), default=None)
-    p.add_argument("--n", type=int, default=None, help="complex dimension")
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--cutoff", type=int, default=None)
-    p.add_argument("--theta", type=float, default=None)
-    p.add_argument("--num-rhs", type=int, default=None)
-    p.add_argument("--tol", type=float, default=None)
-    common(p)
-
-    p = sub.add_parser("relindex", help="relative index cross-checks")
-    p.add_argument("--dim", type=int, default=None)
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--rank-p", type=int, default=None)
-    p.add_argument("--rank-r", type=int, default=None)
-    common(p)
-
-    p = sub.add_parser("toeplitz", help="winding number recovery")
-    p.add_argument("--window", type=int, default=None)
-    p.add_argument("--k", type=int, default=None)
-    common(p)
-
-    p = sub.add_parser("topo", help="glued-boundary integer formulas")
-    p.add_argument("--x0", default=None, help="filling descriptor as inline JSON")
-    p.add_argument("--x1", default=None, help="filling descriptor as inline JSON")
-    p.add_argument("--spinc", default=None, help="characteristic numbers as inline JSON")
-    p.add_argument("--ind-glued", type=int, default=None)
-    common(p)
-
     return parser
-
-
-_DEFAULTS = {
-    "verify-algebra": {"n": 2, "cutoff": 16},
-    "verify-symbols": {"n": 2, "samples": 100, "quadrature_samples": 5},
-    "model-invert": {
-        "chirality": "both",
-        "n": 2,
-        "alpha": 1.0,
-        "beta": None,
-        "cutoff": 12,
-        "theta": 0.0,
-        "num_rhs": 16,
-        "tol": 1e-9,
-    },
-    "relindex": {"dim": 24, "trials": 20, "rank_p": None, "rank_r": None},
-    "toeplitz": {"window": 64, "k": 3},
-    "topo": {"x0": None, "x1": None, "spinc": None, "ind_glued": 0},
-}
-
-_JSON_PARAMS = {"topo": ("x0", "x1", "spinc")}
 
 
 def _request_from_args(args: argparse.Namespace) -> RunRequest:
     subcommand = args.subcommand
-    params = dict(_DEFAULTS[subcommand])
+    params = {param.name: param.default for param in _PARAMS[subcommand]}
     if args.input is not None:
         try:
             with open(args.input) as handle:
@@ -803,16 +672,17 @@ def _request_from_args(args: argparse.Namespace) -> RunRequest:
         if unknown:
             raise UsageError(f"unknown params in --input: {sorted(unknown)}")
         params.update(supplied)
-    for key in params:
-        flag_value = getattr(args, key, None)
-        if flag_value is not None:
-            params[key] = flag_value
-    for key in _JSON_PARAMS.get(subcommand, ()):
-        if isinstance(params[key], str):
+    for param in _PARAMS[subcommand]:
+        value = getattr(args, param.name)
+        if value is None:
+            continue
+        if param.type is dict:
             try:
-                params[key] = json.loads(params[key])
+                value = json.loads(value)
             except json.JSONDecodeError as exc:
-                raise UsageError(f"--{key} is not valid JSON: {exc}") from exc
+                raise UsageError(f"{_flag(param)} is not valid JSON: {exc}") from exc
+            _check_param(param, value, _flag(param))
+        params[param.name] = value
     if subcommand == "topo" and params["x0"] is None:
         raise UsageError("topo needs at least --x0 (or an --input file)")
     return RunRequest(
@@ -831,13 +701,10 @@ def main(argv=None) -> int:
     try:
         request = _request_from_args(args)
         report = run(request)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except AdmissibilityError as exc:
         print(f"rejected: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(report.to_json() if request.format == "json" else report.to_text())

@@ -40,14 +40,6 @@ class PoleOnContourError(AdmissibilityError):
     """Integrand is singular on (or too near) the quadrature contour."""
 
 
-class SmallnessError(AdmissibilityError):
-    """Contraction-norm precondition failed; carries a refinement hint."""
-
-    def __init__(self, message: str, hint: str):
-        super().__init__(f"{message} ({hint})")
-        self.hint = hint
-
-
 class IllConditionedKernelError(AdmissibilityError):
     """Singular values fall in the undecidable gap between rank and kernel."""
 

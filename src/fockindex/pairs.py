@@ -11,7 +11,6 @@ perturbations of the parametrix change nothing.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -23,33 +22,27 @@ from .errors import (
     DimensionMismatchError,
     IllConditionedKernelError,
     NonIntegerTraceError,
-    SmallnessError,
 )
 
 __all__ = [
     "Projector",
     "ProjectorPair",
-    "WeightedScale",
     "TraceIndex",
-    "NeumannInverse",
     "comparison_operator",
     "relative_index_kernel",
     "relative_index_trace",
     "relative_index_rank",
     "logarithmic_property",
-    "neumann_continuation",
     "toeplitz_winding",
     "agranovich_dynin_shadow",
     "random_projector",
     "coordinate_projector",
-    "weighted_trace",
 ]
 
 _IDEMPOTENT_TOL = 1e-12
 _RANK_THRESHOLD = 1e-10
 _GAP = (1e-12, 1e-8)
 _INTEGRALITY_TOL = 1e-6
-_NEUMANN_RADIUS = 0.5
 
 
 def _gap_checked_rank(svals: np.ndarray, context: str) -> int:
@@ -145,14 +138,6 @@ class TraceIndex(NamedTuple):
 
     index: int
     raw: float
-
-
-class NeumannInverse(NamedTuple):
-    """Partial geometric-series inverse with its convergence bookkeeping."""
-
-    matrix: np.ndarray
-    order: int
-    contraction_norm: float
 
 
 def _comparison_matrix(p: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -309,39 +294,6 @@ def logarithmic_property(p: Projector, q: Projector, r: Projector) -> dict:
     }
 
 
-def neumann_continuation(family, tau0: float, tau: float, tol: float = 1e-10):
-    """Continue the inverse of a matrix family from ``tau0`` to ``tau``.
-
-    Writes A_tau = A_tau0 (I - E) and sums the geometric series in E as
-    long as the contraction norm stays below 1/2; the series order is
-    chosen so the operator-norm tail bound is below ``tol``.
-    """
-    a0 = np.asarray(family(tau0), dtype=complex)
-    a1 = np.asarray(family(tau), dtype=complex)
-    a0_inv = np.linalg.inv(a0)
-    e = a0_inv @ (a0 - a1)
-    norm = float(np.linalg.norm(e, 2))
-    if norm >= _NEUMANN_RADIUS:
-        midpoint = 0.5 * (tau0 + tau)
-        raise SmallnessError(
-            f"contraction norm {norm:.3f} is not below {_NEUMANN_RADIUS}",
-            hint=f"continue in two steps via tau = {midpoint!r}",
-        )
-    if norm == 0.0:
-        order = 0
-    else:
-        scale = float(np.linalg.norm(a0_inv, 2)) / (1.0 - norm)
-        order = 0
-        while scale * norm ** (order + 1) >= tol:
-            order += 1
-    total = np.eye(a0.shape[0], dtype=complex)
-    power = np.eye(a0.shape[0], dtype=complex)
-    for _ in range(order):
-        power = power @ e
-        total = total + power
-    return NeumannInverse(total @ a0_inv, order, norm)
-
-
 def coordinate_projector(dimension: int, positions) -> Projector:
     """Orthogonal projection onto a set of coordinate axes."""
     diag = np.zeros(dimension)
@@ -416,39 +368,6 @@ def agranovich_dynin_shadow(s1: Projector, s2: Projector, frame=None) -> dict:
         report["difference"] == report["rank_difference"] == report["corner_index"]
     )
     return report
-
-
-@dataclass(frozen=True)
-class WeightedScale:
-    """Diagonal weight profile standing in for a nested family of norms."""
-
-    dimension: int
-    weights: tuple
-
-    def __post_init__(self):
-        weights = tuple(float(w) for w in self.weights)
-        if len(weights) != self.dimension:
-            raise DimensionMismatchError(
-                f"need {self.dimension} weights, got {len(weights)}"
-            )
-        if any(w < 1.0 for w in weights):
-            raise AdmissibilityError("scale weights must all be >= 1")
-        object.__setattr__(self, "weights", weights)
-
-    def norm(self, x, s: float = 0.0) -> float:
-        """The s-weighted norm; nondecreasing in s because weights >= 1."""
-        scaled = np.asarray(self.weights) ** s * np.asarray(x)
-        return float(np.linalg.norm(scaled))
-
-    def transform(self, matrix, s: float = 1.0) -> np.ndarray:
-        """Similarity transform of a matrix into the s-weighted coordinates."""
-        w = np.asarray(self.weights) ** s
-        return (w[:, None] * np.asarray(matrix, dtype=complex)) / w[None, :]
-
-
-def weighted_trace(scale: WeightedScale, matrix, s: float = 1.0) -> float:
-    """Trace evaluated in weighted coordinates (similarity-invariant)."""
-    return float(np.trace(scale.transform(matrix, s)).real)
 
 
 def random_projector(rng, dimension: int, rank: int, *, self_adjoint: bool = True) -> Projector:

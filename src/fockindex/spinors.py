@@ -52,7 +52,6 @@ __all__ = [
     "sector_indices",
     "wedge",
     "contract",
-    "degree_projection",
     "dirac_plus",
     "dirac_plus_even",
     "dirac_plus_odd",
@@ -196,16 +195,6 @@ def contract(config: FockSpaceConfig, j: int) -> TruncatedOperator:
     return _operator(_lift_form(config, contract_matrix(config.num_vars, j)), -1, config)
 
 
-def degree_projection(config: FockSpaceConfig, q: int) -> TruncatedOperator:
-    """Orthogonal projection onto form degree ``q``."""
-    import scipy.sparse as sp
-
-    if not 0 <= q <= config.num_vars:
-        raise ValueError(f"form degree {q} out of range 0..{config.num_vars}")
-    diag = (graded_form_degrees(config) == q).astype(np.complex128)
-    return _operator(sp.diags(diag), 0, config)
-
-
 def dirac_plus(config: FockSpaceConfig) -> TruncatedOperator:
     """The coupled operator i * sum_j (C_j contract_j - C_j^* wedge_j).
 
@@ -310,5 +299,3 @@ def square_identity_residual(config: FockSpaceConfig) -> float:
     expected = 2.0 * graded_osc_degrees(config) + 2.0 * graded_form_degrees(config)
     diff = (d @ d - sp.diags(expected.astype(np.complex128))).tocsr()
     return max_abs_on_guard(diff, config, mask=graded_guard_mask(config))
-
-

@@ -423,6 +423,7 @@ def q_symbol(order: int, chirality: str, xi: Covector,
 
     ``order = -1`` gives ``2 d1 / |xi|^2``; ``order = -2`` the correction that
     is linear in the Hessian data.
+    Kept as the interior parametrix: ``d1(ODD) @ q_symbol(-1, EVEN) = I``.
     """
     _check_parity(chirality, "chirality")
     return SymbolMatrix(
@@ -562,6 +563,7 @@ def calderon_symbol_minus1(chirality: str, side: int, hess: HessianData,
 
     The opposite-chirality contour value composed with the boundary
     isomorphism; its matrix is a multiple of the identity.
+    Kept as the order -1 term of the Calderon projector, whose two sides cancel.
     """
     _check_parity(chirality, "chirality")
     _check_side(side)

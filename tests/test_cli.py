@@ -4,15 +4,50 @@ Byte-level determinism is the load-bearing property here: the same request
 (including the seed) must print the same JSON, and the exit code must
 separate passing runs, usage errors, admissibility rejections, and genuine
 check failures.
+
+``tests/golden/*.json`` pins the reports of the README invocations and a
+few more; regenerate them, only when a change alters a report on purpose,
+with ``PYTHONPATH=src python3 tests/test_cli.py``.
 """
 
+import contextlib
+import io
 import json
+import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+from fockindex import cli
 from fockindex.cli import Report, RunRequest, UsageError, main, run
+
+GOLDEN = Path(__file__).with_name("golden")
+X0 = json.dumps({"signature": 1, "euler": 2, "stein": True})
+X1 = json.dumps({"signature": 1, "euler": -2, "h02": 1})
+SPINC = json.dumps({"c1_squared": 9, "c2": -1, "signature": 1, "euler": 5})
+SPINC_OFF = json.dumps({"c1_squared": 9, "c2": 0, "signature": 1, "euler": 5})
+
+# (golden file stem, argv, exit code)
+GOLDEN_RUNS = [
+    ("readme-verify-algebra",
+     ["verify-algebra", "--n", "2", "--cutoff", "16", "--seed", "7"], 0),
+    ("readme-verify-symbols",
+     ["verify-symbols", "--n", "2", "--samples", "100", "--seed", "3"], 0),
+    ("readme-model-invert",
+     ["model-invert", "--chirality", "both", "--n", "2", "--theta", "0.3",
+      "--seed", "5"], 0),
+    ("readme-relindex",
+     ["relindex", "--dim", "24", "--trials", "20", "--seed", "9"], 0),
+    ("readme-toeplitz", ["toeplitz", "--window", "64", "--k", "3"], 0),
+    ("readme-topo", ["topo", "--x0", X0, "--x1", X1], 0),
+    ("verify-symbols-n3", ["verify-symbols", "--n", "3"], 0),
+    ("relindex-ranks", ["relindex", "--rank-p", "5", "--rank-r", "9"], 0),
+    ("model-invert-n3", ["model-invert", "--chirality", "both", "--n", "3"], 0),
+    ("topo-spinc", ["topo", "--x0", X0, "--spinc", SPINC], 0),
+    ("topo-spinc-rejected", ["topo", "--x0", X0, "--spinc", SPINC_OFF], 2),
+]
 
 
 def _invoke(args, capsys):
@@ -157,18 +192,70 @@ def test_admissibility_exits_two(capsys):
 
 
 def test_check_failure_exits_three(capsys, monkeypatch):
-    from fockindex import cli as cli_module
-
+    # the runner reports an error above the tolerance of its table row
     monkeypatch.setitem(
-        cli_module._RUNNERS,
+        cli._RUNNERS,
         "toeplitz",
-        lambda params, seed: [
-            cli_module._record("forced", "synthetic failing check", 1.0, 0.0)
-        ],
+        lambda params, seeds, checks: [(checks[0], 1.0, {"forced": True})],
     )
     code, out, _ = _invoke(["toeplitz"], capsys)
     assert code == 3
-    assert json.loads(out)["passed"] is False
+    payload = json.loads(out)
+    assert payload["passed"] is False
+    assert [c["status"] for c in payload["checks"]] == ["fail"]
+
+
+@pytest.mark.parametrize(
+    "subcommand, supplied, message",
+    [
+        ("verify-algebra", {"n": "2"}, 'n must be an integer, got "2"'),
+        ("relindex", {"dim": 2.5}, "dim must be an integer, got 2.5"),
+        ("relindex", {"trials": True}, "trials must be an integer, got true"),
+        ("model-invert", {"theta": "x"}, 'theta must be a number, got "x"'),
+        ("model-invert", {"chirality": "left"},
+         'chirality must be one of even, odd, both, got "left"'),
+        ("verify-symbols", {"samples": None}, "samples must be an integer, got null"),
+        ("topo", {"x0": [1, 2]}, "x0 must be a JSON object, got [1, 2]"),
+    ],
+)
+def test_input_values_are_type_checked(subcommand, supplied, message, tmp_path,
+                                       capsys):
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps(supplied))
+    code, out, err = _invoke([subcommand, "--input", str(path)], capsys)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "args, flag",
+    [
+        (["--x0", "5"], "--x0"),
+        (["--x0", "[1,2]"], "--x0"),
+        (["--x0", X0, "--x1", '"text"'], "--x1"),
+        (["--x0", X0, "--spinc", "7"], "--spinc"),
+    ],
+)
+def test_topo_json_flags_must_be_objects(args, flag, capsys):
+    code, out, err = _invoke(["topo", *args], capsys)
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1
+    assert err.startswith(f"error: {flag} must be a JSON object, got ")
+
+
+def test_check_and_param_tables_cover_the_golden_reports(capsys):
+    emitted = set()
+    for stem, _, _ in GOLDEN_RUNS:
+        payload = json.loads((GOLDEN / f"{stem}.json").read_text())
+        subcommand = payload["request"]["subcommand"]
+        emitted |= {(subcommand, c["name"]) for c in payload["checks"]}
+    rows = [(check.subcommand, check.name) for check in cli._CHECKS]
+    assert len(rows) == len({name for _, name in rows})
+    assert set(rows) == emitted
+    for subcommand, params in cli._PARAMS.items():
+        code, out, _ = _invoke([subcommand, "--help"], capsys)
+        assert code == 0
+        for param in params:
+            assert f"--{param.name.replace('_', '-')} " in out, (subcommand, param)
 
 
 def test_input_file_with_flag_override(tmp_path, capsys):
@@ -271,8 +358,49 @@ def test_run_request_validation():
         RunRequest("no-such", {}, 0, "json")
     with pytest.raises(UsageError):
         RunRequest("toeplitz", {}, 0, "yaml")
+    with pytest.raises(UsageError, match="dim must be at least 1"):
+        RunRequest("relindex", {"dim": 0, "trials": 3})
     report = run(RunRequest("toeplitz", {"window": 16, "k": 2}, seed=0))
     assert isinstance(report, Report)
     assert report.passed and not report.rejected
     assert report.wall_time >= 0.0
     assert "wall" not in report.to_json()
+
+
+def _assert_matches(actual, expected, where="report"):
+    """Equal payloads: same keys in the same order, floats to 1e-12."""
+    if isinstance(expected, float) and isinstance(actual, float):
+        assert math.isclose(actual, expected, rel_tol=1e-12, abs_tol=1e-12), where
+    elif isinstance(expected, dict):
+        assert isinstance(actual, dict) and list(actual) == list(expected), where
+        for key in expected:
+            _assert_matches(actual[key], expected[key], f"{where}.{key}")
+    elif isinstance(expected, list):
+        assert isinstance(actual, list) and len(actual) == len(expected), where
+        for index, (a, e) in enumerate(zip(actual, expected)):
+            _assert_matches(a, e, f"{where}[{index}]")
+    else:
+        assert type(actual) is type(expected) and actual == expected, where
+
+
+@pytest.mark.parametrize(
+    "stem, argv, exit_code", GOLDEN_RUNS, ids=[run[0] for run in GOLDEN_RUNS]
+)
+def test_reports_match_the_golden_files(stem, argv, exit_code, capsys):
+    code, out, err = _invoke(argv, capsys)
+    assert (code, err) == (exit_code, "")
+    expected = json.loads((GOLDEN / f"{stem}.json").read_text())
+    _assert_matches(json.loads(out), expected)
+
+
+def _write_golden():
+    GOLDEN.mkdir(exist_ok=True)
+    for stem, argv, _ in GOLDEN_RUNS:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            main(argv)
+        (GOLDEN / f"{stem}.json").write_text(out.getvalue())
+
+
+if __name__ == "__main__":
+    _write_golden()

@@ -15,7 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import hermite as herm
 
-from fockindex import matrixio
 from fockindex.errors import ConfigMismatchError
 from fockindex.fock import (
     FockSpaceConfig,
@@ -253,17 +252,3 @@ def test_guard_mask_margins():
     assert guard_mask(config).tolist() == [True, True, True, True, False, False]
     assert guard_mask(config, margin=0).all()
     assert degrees(config).tolist() == [0, 1, 2, 3, 4, 5]
-
-
-def test_matrix_json_roundtrip(tmp_path):
-    rng = np.random.default_rng(7)
-    m = rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3))
-    assert np.array_equal(matrixio.matrix_from_json(matrixio.matrix_to_json(m)), m)
-
-    op = creation(FockSpaceConfig(1, 4), 1)
-    path = tmp_path / "op.json"
-    matrixio.dump_matrix(path, op.matrix)
-    assert np.array_equal(matrixio.load_matrix(path), op.dense())
-
-    with pytest.raises(ValueError):
-        matrixio.matrix_from_json([[1.0, 2.0]])

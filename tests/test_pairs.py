@@ -18,23 +18,19 @@ from fockindex.errors import (
     DimensionMismatchError,
     IllConditionedKernelError,
     NonIntegerTraceError,
-    SmallnessError,
 )
 from fockindex.pairs import (
     Projector,
     ProjectorPair,
-    WeightedScale,
     agranovich_dynin_shadow,
     comparison_operator,
     coordinate_projector,
     logarithmic_property,
-    neumann_continuation,
     random_projector,
     relative_index_kernel,
     relative_index_rank,
     relative_index_trace,
     toeplitz_winding,
-    weighted_trace,
 )
 from fockindex.pairs import _rank_with_gap, _restricted_kernel_dims
 
@@ -304,35 +300,6 @@ def test_logarithmic_property_specific_ranks():
     assert closed["composite_index"] == 0
 
 
-def test_neumann_continuation_constant_family():
-    a = np.array([[2.0, 1.0], [0.0, 3.0]])
-    result = neumann_continuation(lambda tau: a, 0.0, 5.0)
-    assert result.order == 0
-    assert result.contraction_norm == 0.0
-    assert np.abs(result.matrix - np.linalg.inv(a)).max() < 1e-14
-
-
-def test_neumann_continuation_nilpotent_direction():
-    nil = np.zeros((5, 5))
-    nil[0, 1] = nil[1, 2] = nil[2, 3] = 0.4
-    assert abs(np.linalg.norm(nil, 2) - 0.4) < 1e-12
-    result = neumann_continuation(lambda tau: np.eye(5) + tau * nil, 0.0, 1.0)
-    exact = np.linalg.inv(np.eye(5) + nil)
-    assert np.abs(result.matrix - exact).max() < 1e-10
-    assert abs(result.contraction_norm - 0.4) < 1e-12
-
-
-def test_neumann_smallness_violation_hints_midpoint():
-    big = np.zeros((4, 4))
-    big[0, 1] = 0.6
-    with pytest.raises(SmallnessError) as excinfo:
-        neumann_continuation(lambda tau: np.eye(4) + tau * big, 0.0, 1.0)
-    assert excinfo.value.hint == "continue in two steps via tau = 0.5"
-    # following the hint succeeds
-    half = neumann_continuation(lambda tau: np.eye(4) + tau * big, 0.0, 0.5)
-    assert np.abs(half.matrix - np.linalg.inv(np.eye(4) + 0.5 * big)).max() < 1e-10
-
-
 @pytest.mark.parametrize("k", range(-5, 6))
 def test_toeplitz_winding_window64(k):
     assert toeplitz_winding(64, k) == k
@@ -382,24 +349,3 @@ def test_agranovich_dynin_seeded_family():
         s2 = random_projector(rng, dim, int(rng.integers(0, dim + 1)))
         report = agranovich_dynin_shadow(s1, s2)
         assert report["consistent"]
-
-
-def test_weighted_scale_validation_and_norms():
-    with pytest.raises(AdmissibilityError):
-        WeightedScale(2, (0.5, 2.0))
-    with pytest.raises(DimensionMismatchError):
-        WeightedScale(3, (1.0, 2.0))
-    scale = WeightedScale(4, (1.0, 2.0, 4.0, 8.0))
-    x = np.array([1.0, 1.0, 1.0, 1.0])
-    assert scale.norm(x, 0.0) <= scale.norm(x, 1.0) <= scale.norm(x, 2.0)
-
-
-def test_weighted_trace_is_similarity_invariant():
-    rng = np.random.default_rng(47)
-    scale = WeightedScale(12, tuple(1.0 + 3.0 * rng.random(12)))
-    p = random_projector(rng, 12, 5)
-    r = random_projector(rng, 12, 7)
-    _, _, k1, k2 = comparison_operator(p, r)
-    inner = p.matrix @ k2 @ p.matrix
-    for s in (0.0, 1.0, 2.5):
-        assert abs(weighted_trace(scale, inner, s) - np.trace(inner).real) < 1e-8

@@ -21,14 +21,12 @@ from fockindex.spinors import (
     contract,
     contract_matrix,
     deformed_szego,
-    degree_projection,
     dirac_plus,
     dirac_plus_even,
     dirac_plus_odd,
     form_subsets,
     graded_basis,
     graded_dimension,
-    graded_form_degrees,
     graded_guard_mask,
     graded_index,
     graded_osc_degrees,
@@ -118,16 +116,6 @@ def test_graded_enumeration_is_oscillator_major():
         assert basis[graded_index(config, idx)] == idx
     with pytest.raises(ValueError):
         graded_index(config, GradedBasisIndex((9, 0), ()))
-
-
-def test_degree_projections_resolve_identity():
-    config = FockSpaceConfig(2, 4)
-    total = sum(degree_projection(config, q).dense() for q in range(3))
-    assert np.array_equal(total, np.eye(graded_dimension(config)))
-    pick = degree_projection(config, 1).matrix.diagonal()
-    assert np.array_equal(np.real(pick), graded_form_degrees(config) == 1)
-    with pytest.raises(ValueError):
-        degree_projection(config, 5)
 
 
 def test_sector_indices_partition():
