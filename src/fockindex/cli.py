@@ -19,8 +19,14 @@ Each runner imports the library layers it uses when it first runs, so
 ``topo`` loads neither numpy nor scipy, and only ``verify-algebra`` and
 ``model-invert`` load scipy.
 
-Exit codes: 0 all checks pass, 1 usage error, 2 admissibility rejection,
-3 check failure.
+Parameters are checked before anything is built: a value below its row's
+minimum, or a float that is not finite, is a usage error; a value above its
+row's maximum, or a graded Fock space above ``_MAX_STATES`` states, is
+rejected as too large for the memory budget of a run (about 0.5 GB).
+
+Exit codes: 0 all checks pass, 1 usage error, 2 admissibility rejection
+(including a request too large to run, or a linear-algebra routine that
+does not converge), 3 check failure.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -52,40 +59,46 @@ class _Param(NamedTuple):
     name: str
     type: type  # int, float, dict (a JSON object), or str with choices
     default: object = None  # None also admits None as a value
-    minimum: int | None = None
+    minimum: int | None = None  # below it: a usage error
+    maximum: int | None = None  # above it: rejected as too large
     choices: tuple = ()
     help: str | None = None
 
 
-# A sample count below one is refused: a check that ran nothing must not pass.
+# A sample count below one is refused: a check that ran nothing must not
+# pass.  The other minimums are the library's own preconditions (a cutoff
+# leaves room for the two-level guard band); each maximum keeps a request
+# within about 0.5 GB, measured: verify-symbols at n = 7 peaks at 0.2 GB
+# (n = 8: 0.7 GB), toeplitz at window 1024 at 0.5 GB, and relindex at
+# dim 1024 holds about a dozen 16 MB dense matrices.
 _PARAMS = {
     "verify-algebra": (
-        _Param("n", int, 2, help="number of oscillator variables"),
-        _Param("cutoff", int, 16),
+        _Param("n", int, 2, minimum=1, help="number of oscillator variables"),
+        _Param("cutoff", int, 16, minimum=4),
     ),
     "verify-symbols": (
-        _Param("n", int, 2, help="complex dimension"),
+        _Param("n", int, 2, minimum=2, maximum=7, help="complex dimension"),
         _Param("samples", int, 100, minimum=1),
         _Param("quadrature_samples", int, 5, minimum=1),
     ),
     "model-invert": (
         _Param("chirality", str, "both", choices=_CHIRALITIES + ("both",)),
-        _Param("n", int, 2, help="complex dimension"),
+        _Param("n", int, 2, minimum=2, help="complex dimension"),
         _Param("alpha", float, 1.0),
         _Param("beta", float),
-        _Param("cutoff", int, 12),
+        _Param("cutoff", int, 12, minimum=4),
         _Param("theta", float, 0.0),
         _Param("num_rhs", int, 16, minimum=1),
         _Param("tol", float, 1e-9),
     ),
     "relindex": (
-        _Param("dim", int, 24, minimum=1),
+        _Param("dim", int, 24, minimum=1, maximum=1024),
         _Param("trials", int, 20, minimum=1),
-        _Param("rank_p", int),
-        _Param("rank_r", int),
+        _Param("rank_p", int, minimum=0),
+        _Param("rank_r", int, minimum=0),
     ),
     "toeplitz": (
-        _Param("window", int, 64),
+        _Param("window", int, 64, minimum=1, maximum=1024),
         _Param("k", int, 3),
     ),
     "topo": (
@@ -95,6 +108,13 @@ _PARAMS = {
         _Param("ind_glued", int, 0),
     ),
 }
+
+# The graded Fock space of verify-algebra and model-invert has
+# 2**v * C(cutoff + v, v) states on v oscillator variables; their sparse
+# operators take about 0.3-1 KB per state, measured, so this many states is
+# about 0.5 GB.  A subcommand's v is its n less the offset here:
+_MAX_STATES = 500_000
+_STATE_VARIABLE_OFFSET = {"verify-algebra": 0, "model-invert": 1}
 
 # accepted Python types and the name an error message gives them
 _KINDS = {
@@ -191,8 +211,31 @@ def _check_param(param: _Param, value, label: str) -> None:
         raise UsageError(
             f"{label} must be {kind}, got {json.dumps(value, default=repr)}"
         )
+    if param.type is float and not math.isfinite(value):
+        raise UsageError(f"{label} must be finite, got {value}")
     if param.minimum is not None and value < param.minimum:
         raise UsageError(f"{label} must be at least {param.minimum}, got {value}")
+    if param.maximum is not None and value > param.maximum:
+        raise AdmissibilityError(
+            f"{label} must be at most {param.maximum}, got {value}; larger "
+            "requests exceed the memory budget of a run (about 0.5 GB)"
+        )
+
+
+def _check_size(subcommand: str, params: dict) -> None:
+    """Refuse a graded Fock space too large to build, before building it."""
+    if subcommand not in _STATE_VARIABLE_OFFSET:
+        return
+    values = {param.name: param.default for param in _PARAMS[subcommand]}
+    values.update(params)
+    num_vars = values["n"] - _STATE_VARIABLE_OFFSET[subcommand]
+    states = math.comb(values["cutoff"] + num_vars, num_vars) << num_vars
+    if states > _MAX_STATES:
+        raise AdmissibilityError(
+            f"n = {values['n']} with cutoff {values['cutoff']} spans {states} "
+            f"graded states, more than {_MAX_STATES} (about 0.5 GB); "
+            "lower n or cutoff"
+        )
 
 
 @dataclass(frozen=True)
@@ -212,6 +255,7 @@ class RunRequest:
         for param in _PARAMS[self.subcommand]:
             if param.name in self.params:
                 _check_param(param, self.params[param.name], param.name)
+        _check_size(self.subcommand, self.params)
 
 
 @dataclass(frozen=True)
@@ -498,11 +542,10 @@ def _run_relindex(params: dict, seeds: list, checks: tuple):
         r = pairs.random_projector(rng, dim, _draw_rank(rng, dim, params["rank_r"]))
         pair = pairs.ProjectorPair.from_projectors(p, r)
         expected = pairs.relative_index_rank(pair)
-        flipped = pairs.ProjectorPair.from_projectors(p.complement(), r.complement())
         agree = (
             pairs.relative_index_kernel(pair) == expected
             and pairs.relative_index_trace(pair).index == expected
-            and pairs.relative_index_kernel(flipped) == -expected
+            and pairs.kernel_index(p.complement(), r.complement()) == -expected
         )
         mismatches += 0 if agree else 1
     yield agreement, float(mismatches), details
@@ -522,10 +565,11 @@ def _run_relindex(params: dict, seeds: list, checks: tuple):
     for _ in range(trials):
         p = pairs.random_projector(rng, dim, _draw_rank(rng, dim, params["rank_p"]))
         r = pairs.random_projector(rng, dim, _draw_rank(rng, dim, params["rank_r"]))
-        base = pairs.relative_index_trace(pairs.ProjectorPair.from_projectors(p, r))
+        pair = pairs.ProjectorPair.from_projectors(p, r)
+        base = pairs.relative_index_trace(pair)
         noise = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        pert = pairs.ProjectorPair.from_projectors(p, r, smoothing=noise)
-        if pairs.relative_index_trace(pert).index != base.index:
+        perturbed = pair.with_smoothing(noise)
+        if pairs.relative_index_trace(perturbed).index != base.index:
             mismatches += 1
     yield invariance, float(mismatches), details
 
@@ -705,6 +749,15 @@ def main(argv=None) -> int:
         print(f"rejected: {exc}", file=sys.stderr)
         return 2
     except (UsageError, ValueError) as exc:
+        numpy = sys.modules.get("numpy")
+        if numpy is not None and isinstance(exc, numpy.linalg.LinAlgError):
+            # numpy's own message names a LAPACK routine, not the request
+            print(
+                f"rejected: a linear-algebra routine did not converge on this "
+                f"{args.subcommand} request; try other parameters",
+                file=sys.stderr,
+            )
+            return 2
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(report.to_json() if request.format == "json" else report.to_text())

@@ -7,12 +7,19 @@ dimensions of the restricted map, by the remainder-trace formula through a
 parametrix, and by the brute-force rank difference.  The three must agree;
 the trace route is exactly parametrix-independent, so arbitrary finite
 perturbations of the parametrix change nothing.
+
+Each factorisation is computed once and reused: a projector caches the
+orthonormal bases of its range and of its complement's range (one ``eigh``
+for a self-adjoint projector, handed on to its complement; identity columns
+for a coordinate projector; SVDs for an oblique one), and a pair keeps T and
+its parametrix, so a smoothed parametrix re-inverts nothing.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -29,6 +36,7 @@ __all__ = [
     "ProjectorPair",
     "TraceIndex",
     "comparison_operator",
+    "kernel_index",
     "relative_index_kernel",
     "relative_index_trace",
     "relative_index_rank",
@@ -43,6 +51,7 @@ _IDEMPOTENT_TOL = 1e-12
 _RANK_THRESHOLD = 1e-10
 _GAP = (1e-12, 1e-8)
 _INTEGRALITY_TOL = 1e-6
+_EPS = float(np.finfo(float).eps)
 
 
 def _gap_checked_rank(svals: np.ndarray, context: str) -> int:
@@ -87,21 +96,46 @@ def _truncated_pinv(matrix: np.ndarray) -> np.ndarray:
     return (vh.conj().T * inverted) @ u.conj().T
 
 
+def _idempotency_tolerance(m: np.ndarray) -> float:
+    """Gate on max |P^2 - P|: the rounding bound of the product, floored.
+
+    Entry (i, j) of the computed P @ P is off by at most about
+    dim * eps * |row i| * |column j|, and each of those norms is at most
+    ||P||, so this is eps * ||P||^2 * dim measured with norms that cost no
+    factorisation.  Every row and column of an orthogonal projector has
+    norm at most one, so for it the fixed floor governs below dimension
+    4500; only oblique projectors with large entries get a wider gate.
+    """
+    rows = np.linalg.norm(m, axis=1).max()
+    columns = np.linalg.norm(m, axis=0).max()
+    return max(_IDEMPOTENT_TOL, m.shape[0] * _EPS * rows * columns)
+
+
 @dataclass(frozen=True)
 class Projector:
-    """A square idempotent, not necessarily orthogonal."""
+    """A square idempotent, not necessarily orthogonal.
+
+    The orthonormal bases of its range and of its adjoint's range are
+    computed on first use and cached (``cached_property`` writes to the
+    instance dict, which the frozen dataclass leaves writable).  ``bases``
+    lets a caller that already holds them supply the range and
+    complement-range bases of a self-adjoint projector.
+    """
 
     matrix: np.ndarray
     self_adjoint: bool | None = None
+    bases: tuple | None = field(default=None, repr=False)
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DimensionMismatchError(f"projector must be square, got {m.shape}")
         defect = np.abs(m @ m - m).max()
-        if defect > _IDEMPOTENT_TOL:
+        tolerance = _idempotency_tolerance(m)
+        if defect > tolerance:
             raise AdmissibilityError(
-                f"matrix is not idempotent: max |P^2 - P| = {defect:.3e}"
+                f"matrix is not idempotent: max |P^2 - P| = {defect:.3e} "
+                f"exceeds {tolerance:.3e}"
             )
         object.__setattr__(self, "matrix", m)
         hermitian = np.abs(m - m.conj().T).max() <= _IDEMPOTENT_TOL
@@ -109,6 +143,20 @@ class Projector:
             object.__setattr__(self, "self_adjoint", bool(hermitian))
         elif self.self_adjoint and not hermitian:
             raise AdmissibilityError("projector declared self-adjoint but is not")
+        if self.bases is not None:
+            if not self.self_adjoint:
+                raise AdmissibilityError(
+                    "range bases can be supplied only for a self-adjoint projector"
+                )
+            image, kernel = self.bases
+            dim = m.shape[0]
+            if image.shape[0] != dim or kernel.shape[0] != dim or (
+                image.shape[1] + kernel.shape[1] != dim
+            ):
+                raise DimensionMismatchError(
+                    f"range bases of shapes {image.shape} and {kernel.shape} "
+                    f"do not split dimension {dim}"
+                )
 
     @property
     def dimension(self) -> int:
@@ -129,8 +177,42 @@ class Projector:
                 return int(nearest)
         return _rank_with_gap(self.matrix, "projector")
 
+    @cached_property
+    def _orthogonal_bases(self) -> tuple:
+        """Range and complement-range bases of a self-adjoint projector.
+
+        Both come from one ``eigh``: the eigenvalues ascend, so the
+        complement's eigenvectors come first.  The range count is
+        gap-checked on |lambda| and the complement's on |1 - lambda|.
+        """
+        if self.bases is not None:
+            return self.bases
+        eigenvalues, vectors = np.linalg.eigh(self.matrix)
+        rank = _gap_checked_rank(np.abs(eigenvalues), "projector")
+        co_rank = _gap_checked_rank(np.abs(1.0 - eigenvalues), "projector complement")
+        return vectors[:, self.dimension - rank:], vectors[:, :co_rank]
+
+    @cached_property
+    def range_basis(self) -> np.ndarray:
+        """Orthonormal basis of the range: the shared eigh, else one SVD."""
+        if self.self_adjoint:
+            return self._orthogonal_bases[0]
+        return _range_basis(self.matrix, "projector")
+
+    @cached_property
+    def adjoint_range_basis(self) -> np.ndarray:
+        """Orthonormal basis of the range of P*, the range itself if P = P*."""
+        if self.self_adjoint:
+            return self.range_basis
+        return _range_basis(self.matrix.conj().T, "projector adjoint")
+
     def complement(self) -> "Projector":
-        return Projector(np.eye(self.dimension) - self.matrix)
+        """I - P; a self-adjoint projector hands on its two bases, swapped."""
+        matrix = np.eye(self.dimension) - self.matrix
+        if not self.self_adjoint:
+            return Projector(matrix)
+        image, kernel = self._orthogonal_bases
+        return Projector(matrix, self_adjoint=True, bases=(kernel, image))
 
 
 class TraceIndex(NamedTuple):
@@ -159,14 +241,22 @@ def comparison_operator(p: Projector, r: Projector, smoothing=None):
     t = _comparison_matrix(p.matrix, r.matrix)
     u = _truncated_pinv(t)
     if smoothing is not None:
-        extra = np.asarray(smoothing, dtype=complex)
-        if extra.shape != t.shape:
-            raise DimensionMismatchError(
-                f"smoothing perturbation has shape {extra.shape}, expected {t.shape}"
-            )
-        u = u + extra
+        u = _smoothed(u, smoothing)
+    return (t, u, *_remainders(t, u))
+
+
+def _smoothed(u: np.ndarray, smoothing) -> np.ndarray:
+    extra = np.asarray(smoothing, dtype=complex)
+    if extra.shape != u.shape:
+        raise DimensionMismatchError(
+            f"smoothing perturbation has shape {extra.shape}, expected {u.shape}"
+        )
+    return u + extra
+
+
+def _remainders(t: np.ndarray, u: np.ndarray) -> tuple:
     eye = np.eye(t.shape[0])
-    return t, u, eye - t @ u, eye - u @ t
+    return eye - t @ u, eye - u @ t
 
 
 @dataclass(frozen=True)
@@ -205,25 +295,54 @@ class ProjectorPair:
         t, u, k1, k2 = comparison_operator(p, r, smoothing)
         return cls(p, r, u, k1, k2, t)
 
+    def with_smoothing(self, smoothing) -> "ProjectorPair":
+        """The same pair with ``smoothing`` added to its parametrix.
+
+        T and its pseudo-inverse are reused, not re-formed; the new
+        remainders are checked on construction as for any pair.
+        """
+        u = _smoothed(self.parametrix, smoothing)
+        return ProjectorPair(
+            self.p, self.r, u, *_remainders(self.comparison, u), self.comparison
+        )
+
     @property
     def dimension(self) -> int:
         return self.p.dimension
 
 
+def _restricted_ranks(factors: tuple, basis: np.ndarray,
+                      adjoint_basis: np.ndarray, context: str) -> tuple:
+    """Ranks of a product M = factors[0] @ ... @ factors[-1] on two bases.
+
+    The forward rank is that of M @ basis, the backward one that of
+    adjoint_basis* @ M (the adjoint map, transposed: same singular
+    values).  Each is one gap-checked SVD; the products run from the basis
+    outwards, so no dim x dim product is ever formed.
+    """
+    forward = basis
+    for factor in reversed(factors):
+        forward = factor @ forward
+    backward = adjoint_basis.conj().T
+    for factor in factors:
+        backward = backward @ factor
+    return (
+        _rank_with_gap(forward, context),
+        _rank_with_gap(backward, "adjoint " + context),
+    )
+
+
 def _restricted_kernel_dims(p: Projector, r: Projector) -> tuple:
     """Kernel dimensions of RP: range P -> range R and of its adjoint.
 
-    Four SVDs: one range basis per projector and one rank per direction.
-    P = U U* P for the range basis U of P, so rank(RP) = rank(RPU) and the
-    forward rank also decides whether RP vanishes.
+    The range bases are the projectors' cached ones; on top of them this
+    takes two SVDs, one rank per direction.  P = U U* P for the range basis
+    U of P, so rank(RP) = rank(RPU) and the forward rank also decides
+    whether RP vanishes.
     """
-    basis_p = _range_basis(p.matrix, "first projector")
-    basis_r_star = _range_basis(r.matrix.conj().T, "second projector adjoint")
-    rp = r.matrix @ p.matrix
-    rank_forward = _rank_with_gap(rp @ basis_p, "restricted comparison")
-    ker_forward = basis_p.shape[1] - rank_forward
-    ker_backward = basis_r_star.shape[1] - _rank_with_gap(
-        rp.conj().T @ basis_r_star, "adjoint restricted comparison"
+    basis_p, basis_r_star = p.range_basis, r.adjoint_range_basis
+    rank_forward, rank_backward = _restricted_ranks(
+        (r.matrix, p.matrix), basis_p, basis_r_star, "restricted comparison"
     )
     if basis_p.shape[1] > 0 and basis_r_star.shape[1] > 0 and rank_forward == 0:
         warnings.warn(
@@ -232,17 +351,18 @@ def _restricted_kernel_dims(p: Projector, r: Projector) -> tuple:
             "index is a difference of full kernel dimensions",
             stacklevel=4,
         )
-    return ker_forward, ker_backward
+    return basis_p.shape[1] - rank_forward, basis_r_star.shape[1] - rank_backward
 
 
-def _kernel_index(p: Projector, r: Projector) -> int:
+def kernel_index(p: Projector, r: Projector) -> int:
+    """Relative index of (P, R) from restricted kernels; needs no parametrix."""
     ker_forward, ker_backward = _restricted_kernel_dims(p, r)
     return ker_forward - ker_backward
 
 
 def relative_index_kernel(pair: ProjectorPair) -> int:
     """Relative index as a difference of restricted kernel dimensions."""
-    return _kernel_index(pair.p, pair.r)
+    return kernel_index(pair.p, pair.r)
 
 
 def relative_index_trace(pair: ProjectorPair) -> TraceIndex:
@@ -273,18 +393,16 @@ def logarithmic_property(p: Projector, q: Projector, r: Projector) -> dict:
     """Composite relative index versus the sum of the two steps."""
     if not p.dimension == q.dimension == r.dimension:
         raise DimensionMismatchError("projectors act on different spaces")
-    basis_p = _range_basis(p.matrix, "first projector")
-    basis_r_star = _range_basis(r.matrix.conj().T, "third projector adjoint")
-    through = r.matrix @ q.matrix @ p.matrix
-    ker_forward = basis_p.shape[1] - _rank_with_gap(
-        through @ basis_p, "composite comparison"
+    basis_p, basis_r_star = p.range_basis, r.adjoint_range_basis
+    rank_forward, rank_backward = _restricted_ranks(
+        (r.matrix, q.matrix, p.matrix), basis_p, basis_r_star,
+        "composite comparison",
     )
-    ker_backward = basis_r_star.shape[1] - _rank_with_gap(
-        through.conj().T @ basis_r_star, "adjoint composite comparison"
+    composite = (basis_p.shape[1] - rank_forward) - (
+        basis_r_star.shape[1] - rank_backward
     )
-    composite = ker_forward - ker_backward
-    first = _kernel_index(p, q)
-    second = _kernel_index(q, r)
+    first = kernel_index(p, q)
+    second = kernel_index(q, r)
     return {
         "composite_index": composite,
         "first_step": first,
@@ -295,10 +413,17 @@ def logarithmic_property(p: Projector, q: Projector, r: Projector) -> dict:
 
 
 def coordinate_projector(dimension: int, positions) -> Projector:
-    """Orthogonal projection onto a set of coordinate axes."""
-    diag = np.zeros(dimension)
-    diag[np.asarray(positions, dtype=int)] = 1.0
-    return Projector(np.diag(diag).astype(complex))
+    """Orthogonal projection onto a set of coordinate axes.
+
+    Its range and complement-range bases are identity columns, so it
+    carries them and never needs a factorisation.
+    """
+    support = np.zeros(dimension, dtype=bool)
+    support[np.asarray(positions, dtype=int)] = True
+    eye = np.eye(dimension, dtype=complex)
+    return Projector(
+        np.diag(support).astype(complex), bases=(eye[:, support], eye[:, ~support])
+    )
 
 
 def toeplitz_winding(window: int, k: int) -> int:
@@ -321,7 +446,7 @@ def toeplitz_winding(window: int, k: int) -> int:
     offset = window  # frequency f lives at position f + offset
     hardy = coordinate_projector(dim, [f + offset for f in range(0, window + 1)])
     shifted = coordinate_projector(dim, [f + offset for f in range(k, window + 1)])
-    return _kernel_index(hardy, shifted)
+    return kernel_index(hardy, shifted)
 
 
 def agranovich_dynin_shadow(s1: Projector, s2: Projector, frame=None) -> dict:
@@ -371,16 +496,20 @@ def agranovich_dynin_shadow(s1: Projector, s2: Projector, frame=None) -> dict:
 
 
 def random_projector(rng, dimension: int, rank: int, *, self_adjoint: bool = True) -> Projector:
-    """Haar-random orthogonal projector of the given rank."""
+    """Haar-random orthogonal projector of the given rank.
+
+    The whole dim x dim Gaussian is drawn, so the generator's stream does
+    not depend on the rank, but only the ``rank`` columns that are kept are
+    factored: Householder QR's first k columns depend only on the first k
+    inputs.
+    """
     if not 0 <= rank <= dimension:
         raise AdmissibilityError(
             f"rank {rank} out of range for dimension {dimension}"
         )
-    gauss = rng.normal(size=(dimension, dimension)) + 1j * rng.normal(
-        size=(dimension, dimension)
-    )
-    q, _ = np.linalg.qr(gauss)
-    basis = q[:, :rank]
+    real = rng.normal(size=(dimension, dimension))
+    imag = rng.normal(size=(dimension, dimension))
+    basis, _ = np.linalg.qr(real[:, :rank] + 1j * imag[:, :rank])
     matrix = basis @ basis.conj().T
     # clean up rounding so the idempotency gate is comfortable
     matrix = 0.5 * (matrix + matrix.conj().T)

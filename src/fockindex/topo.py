@@ -73,6 +73,10 @@ class FillingDescriptor:
         object.__setattr__(self, "euler", _as_int("euler", self.euler))
         object.__setattr__(self, "h01", _as_int("h01", self.h01))
         object.__setattr__(self, "h02", _as_int("h02", self.h02))
+        if not isinstance(self.stein, bool):
+            raise AdmissibilityError(
+                f"stein must be true or false, got {self.stein!r}"
+            )
         if self.h01 < 0 or self.h02 < 0:
             raise AdmissibilityError("Dolbeault dimensions must be non-negative")
         if self.chi_prime is None:

@@ -180,6 +180,77 @@ def test_empty_sample_counts_are_usage_errors(args, name, capsys):
     assert err.count("\n") == 1 and err.startswith(f"error: {name} must be at least 1")
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["verify-symbols", "--n", "1"], "n must be at least 2"),
+        (["verify-algebra", "--n", "0"], "n must be at least 1"),
+        (["verify-algebra", "--cutoff", "3"], "cutoff must be at least 4"),
+        (["model-invert", "--n", "1"], "n must be at least 2"),
+        (["model-invert", "--cutoff", "3"], "cutoff must be at least 4"),
+        (["relindex", "--rank-p", "-1"], "rank_p must be at least 0"),
+        (["toeplitz", "--window", "0"], "window must be at least 1"),
+        (["model-invert", "--theta", "nan"], "theta must be finite, got nan"),
+        (["model-invert", "--alpha", "inf"], "alpha must be finite, got inf"),
+        (["model-invert", "--beta=-inf"], "beta must be finite, got -inf"),
+    ],
+)
+def test_out_of_range_values_are_usage_errors(args, message, capsys):
+    code, out, err = _invoke(args, capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
+def test_non_finite_input_values_are_usage_errors(tmp_path, capsys):
+    path = tmp_path / "params.json"
+    path.write_text('{"theta": NaN}')
+    code, out, err = _invoke(["model-invert", "--input", str(path)], capsys)
+    assert (code, out, err) == (1, "", "error: theta must be finite, got nan\n")
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["verify-symbols", "--n", "40"], "n must be at most 7, got 40"),
+        (["relindex", "--dim", "5000"], "dim must be at most 1024, got 5000"),
+        (["toeplitz", "--window", "4096"], "window must be at most 1024, got 4096"),
+        (["verify-algebra", "--n", "4", "--cutoff", "40"],
+         "n = 4 with cutoff 40 spans 2172016 graded states, more than 500000"),
+        (["model-invert", "--n", "8", "--cutoff", "8"],
+         "n = 8 with cutoff 8 spans 823680 graded states, more than 500000"),
+    ],
+)
+def test_oversized_requests_are_rejected_with_a_hint(args, message, capsys):
+    code, out, err = _invoke(args, capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"rejected: {message}") and "0.5 GB" in err
+    assert err.count("\n") == 1
+
+
+def test_linear_algebra_failure_exits_two_without_numpy_text(capsys, monkeypatch):
+    import numpy as np
+
+    def diverging(params, seeds, checks):
+        raise np.linalg.LinAlgError("SVD did not converge")
+        yield
+
+    monkeypatch.setitem(cli._RUNNERS, "relindex", diverging)
+    code, out, err = _invoke(["relindex"], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("rejected: a linear-algebra routine did not converge")
+    assert "SVD" not in err
+
+
+def test_non_boolean_stein_is_rejected(capsys):
+    code, out, _ = _invoke(
+        ["topo", "--x0", '{"signature": 1, "euler": 2, "stein": "no"}'], capsys
+    )
+    assert code == 2
+    (check,) = json.loads(out)["checks"]
+    assert check["name"] == "filling-x0" and check["status"] == "rejected"
+    assert check["details"]["error"] == "stein must be true or false, got 'no'"
+
+
 def test_admissibility_exits_two(capsys):
     code, out, _ = _invoke(["toeplitz", "--window", "10", "--k", "6"], capsys)
     assert code == 2

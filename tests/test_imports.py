@@ -79,6 +79,26 @@ def test_numpy_only_subcommands_load_no_scipy(argv):
     assert "scipy" not in loaded
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["relindex", "--dim", "100000"],
+        ["toeplitz", "--window", "100000"],
+        ["verify-symbols", "--n", "40"],
+        ["verify-algebra", "--n", "12", "--cutoff", "40"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_oversized_requests_are_refused_before_numpy_loads(argv):
+    code = (
+        "import contextlib, io\n"
+        "from fockindex.cli import main\n"
+        "with contextlib.redirect_stderr(io.StringIO()):\n"
+        f"    assert main({argv!r}) == 2\n"
+    )
+    assert not _loaded_after(code) & {"numpy", "scipy"}
+
+
 def test_submodules_resolve_on_attribute_access():
     code = (
         "import sys, fockindex\n"

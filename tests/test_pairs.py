@@ -6,6 +6,7 @@ and for the structured Toeplitz / block-embedding instances whose expected
 values are written down by hand.
 """
 
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -32,7 +33,13 @@ from fockindex.pairs import (
     relative_index_trace,
     toeplitz_winding,
 )
-from fockindex.pairs import _rank_with_gap, _restricted_kernel_dims
+from fockindex.pairs import (
+    _IDEMPOTENT_TOL,
+    _idempotency_tolerance,
+    _range_basis,
+    _rank_with_gap,
+    _restricted_kernel_dims,
+)
 
 
 def test_projector_validation():
@@ -166,33 +173,42 @@ def test_rank_off_an_integral_trace_falls_back_to_svd():
     assert drifted.rank == 2
 
 
-def _count_svds(monkeypatch):
+def _count_factorisations(monkeypatch):
     calls = []
-    svd = np.linalg.svd
 
-    def counting(*args, **kwargs):
-        calls.append(np.shape(args[0]))
-        return svd(*args, **kwargs)
+    def counting(name, factorise):
+        def wrapped(*args, **kwargs):
+            calls.append((name, np.shape(args[0])))
+            return factorise(*args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", counting)
+        return wrapped
+
+    for name in ("svd", "eigh"):
+        monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
     return calls
 
 
-def test_restricted_kernel_dims_takes_four_svds(monkeypatch):
+def test_restricted_kernel_dims_factorises_each_projector_once(monkeypatch):
     rng = np.random.default_rng(53)
     p = random_projector(rng, 12, 5)
     r = random_projector(rng, 12, 8)
-    calls = _count_svds(monkeypatch)
+    calls = _count_factorisations(monkeypatch)
     assert _restricted_kernel_dims(p, r) == (0, 3)
-    assert len(calls) == 4
+    # one eigh per projector for its range basis, one SVD rank per direction
+    assert [name for name, _ in calls] == ["eigh", "eigh", "svd", "svd"]
+    calls.clear()
+    # the complements inherit both bases, so only the two ranks remain
+    assert _restricted_kernel_dims(p.complement(), r.complement()) == (3, 0)
+    assert [name for name, _ in calls] == ["svd", "svd"]
 
 
 def test_toeplitz_winding_builds_no_parametrix(monkeypatch):
-    calls = _count_svds(monkeypatch)
+    calls = _count_factorisations(monkeypatch)
     assert toeplitz_winding(16, 3) == 3
-    # the four SVDs of the restricted kernels; the 33 x 33 comparison
-    # operator is never pseudo-inverted
-    assert len(calls) == 4
+    # coordinate projectors carry their bases: only the two SVD ranks of
+    # the restricted kernels remain, and the 33 x 33 comparison operator is
+    # never pseudo-inverted
+    assert [name for name, _ in calls] == ["svd", "svd"]
 
 
 def test_ill_conditioned_kernel_is_refused():
@@ -349,3 +365,181 @@ def test_agranovich_dynin_seeded_family():
         s2 = random_projector(rng, dim, int(rng.integers(0, dim + 1)))
         report = agranovich_dynin_shadow(s1, s2)
         assert report["consistent"]
+
+
+# --------------------------------------------------------------------------
+# every reused factorisation against the dense SVD route it replaces
+
+
+def _dense_kernel_dims(p, r):
+    """Restricted kernel dimensions by the dense route: four SVDs."""
+    basis_p = _range_basis(p.matrix, "first projector")
+    basis_r_star = _range_basis(r.matrix.conj().T, "second projector adjoint")
+    rp = r.matrix @ p.matrix
+    forward = _rank_with_gap(rp @ basis_p, "restricted comparison")
+    backward = _rank_with_gap(rp.conj().T @ basis_r_star, "adjoint comparison")
+    return basis_p.shape[1] - forward, basis_r_star.shape[1] - backward
+
+
+def _assert_spans(basis, matrix):
+    """``basis`` is an orthonormal basis of the range of ``matrix``."""
+    dense = _range_basis(matrix, "dense route")
+    assert basis.shape == dense.shape
+    gram = basis.conj().T @ basis - np.eye(basis.shape[1])
+    assert np.abs(gram).max(initial=0.0) < 1e-12
+    spanned = basis @ basis.conj().T - dense @ dense.conj().T
+    assert np.abs(spanned).max(initial=0.0) < 1e-10
+
+
+_draws = st.integers(1, 64).flatmap(
+    lambda dim: st.tuples(
+        st.just(dim),
+        st.integers(0, dim),
+        st.integers(0, dim),
+        st.integers(0, 2**32 - 1),
+    )
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(draw=_draws, edge=st.sampled_from(["drawn", "zero", "full"]))
+def test_eigh_bases_match_the_dense_route(draw, edge):
+    dim, rank, _, seed = draw
+    rank = {"drawn": rank, "zero": 0, "full": dim}[edge]
+    p = random_projector(np.random.default_rng(seed), dim, rank)
+    _assert_spans(p.range_basis, p.matrix)
+    assert p.adjoint_range_basis is p.range_basis
+    complement = p.complement()
+    _assert_spans(complement.range_basis, complement.matrix)
+    # the complement was handed the bases, swapped, from the same eigh
+    assert complement.range_basis is p._orthogonal_bases[1]
+    assert complement.complement().range_basis is p.range_basis
+
+
+@settings(max_examples=40, deadline=None)
+@given(draw=_draws)
+def test_kernel_dims_match_the_dense_route(draw):
+    dim, rank_p, rank_r, seed = draw
+    rng = np.random.default_rng(seed)
+    p = random_projector(rng, dim, rank_p)
+    r = random_projector(rng, dim, rank_r)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert _restricted_kernel_dims(p, r) == _dense_kernel_dims(p, r)
+        flipped = (p.complement(), r.complement())
+        assert _restricted_kernel_dims(*flipped) == _dense_kernel_dims(*flipped)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    dim=st.integers(1, 64),
+    first=st.sets(st.integers(0, 63)),
+    second=st.sets(st.integers(0, 63)),
+)
+def test_coordinate_bases_match_the_dense_route(dim, first, second):
+    p = coordinate_projector(dim, sorted(i for i in first if i < dim))
+    r = coordinate_projector(dim, sorted(i for i in second if i < dim))
+    for projector in (p, r):
+        _assert_spans(projector.range_basis, projector.matrix)
+        complement = projector.complement()
+        _assert_spans(complement.range_basis, complement.matrix)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert _restricted_kernel_dims(p, r) == _dense_kernel_dims(p, r)
+
+
+@settings(max_examples=40, deadline=None)
+@given(draw=_draws, self_adjoint=st.booleans())
+def test_column_qr_draw_matches_the_full_qr(draw, self_adjoint):
+    dim, rank, _, seed = draw
+    drawing = np.random.default_rng(seed)
+    drawn = random_projector(drawing, dim, rank, self_adjoint=self_adjoint)
+    # the dense route: factor the whole square, keep ``rank`` columns
+    rng = np.random.default_rng(seed)
+    gauss = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    basis = np.linalg.qr(gauss)[0][:, :rank]
+    matrix = basis @ basis.conj().T
+    matrix = 0.5 * (matrix + matrix.conj().T)
+    if not self_adjoint:
+        mix = np.eye(dim) + 0.1 * rng.normal(size=(dim, dim))
+        matrix = mix @ matrix @ np.linalg.inv(mix)
+    scale = max(1.0, np.abs(matrix).max())
+    assert np.abs(drawn.matrix - matrix).max() < 1e-10 * scale
+    # both draws leave the generator in the same state
+    assert drawing.integers(2**62) == rng.integers(2**62)
+
+
+@settings(max_examples=30, deadline=None)
+@given(draw=_draws)
+def test_smoothed_pair_matches_a_rebuilt_pair(draw):
+    dim, rank_p, rank_r, seed = draw
+    rng = np.random.default_rng(seed)
+    p = random_projector(rng, dim, rank_p)
+    r = random_projector(rng, dim, rank_r)
+    noise = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    reused = ProjectorPair.from_projectors(p, r).with_smoothing(noise)
+    rebuilt = ProjectorPair.from_projectors(p, r, smoothing=noise)
+    for name in ("comparison", "parametrix", "k1", "k2"):
+        assert np.array_equal(getattr(reused, name), getattr(rebuilt, name)), name
+    assert relative_index_trace(reused) == relative_index_trace(rebuilt)
+    assert relative_index_trace(reused).index == rank_p - rank_r
+    with pytest.raises(DimensionMismatchError):
+        ProjectorPair.from_projectors(p, r).with_smoothing(np.zeros((dim + 1, dim)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(draw=_draws)
+def test_oblique_fallback_matches_the_dense_route(draw):
+    dim, rank_p, rank_r, seed = draw
+    rng = np.random.default_rng(seed)
+    p = random_projector(rng, dim, rank_p, self_adjoint=False)
+    r = random_projector(rng, dim, rank_r, self_adjoint=False)
+    if p.self_adjoint or r.self_adjoint:  # rank 0 or full rank stays hermitian
+        return
+    _assert_spans(p.range_basis, p.matrix)
+    _assert_spans(p.adjoint_range_basis, p.matrix.conj().T)
+    complement = p.complement()
+    assert complement.bases is None
+    _assert_spans(complement.range_basis, complement.matrix)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert _restricted_kernel_dims(p, r) == _dense_kernel_dims(p, r)
+
+
+def test_supplied_bases_are_checked():
+    p = coordinate_projector(4, [0, 2])
+    image, kernel = p.bases
+    with pytest.raises(DimensionMismatchError):
+        Projector(p.matrix, bases=(image, kernel[:, :1]))
+    skew = np.array([[1.0, 1.0], [0.0, 0.0]])
+    with pytest.raises(AdmissibilityError, match="self-adjoint"):
+        Projector(skew, bases=(np.eye(2)[:, :1], np.eye(2)[:, 1:]))
+
+
+# --------------------------------------------------------------------------
+# the idempotency gate scales with the rounding of P @ P
+
+
+@settings(max_examples=8, deadline=None)
+@given(dim=st.integers(128, 512), seed=st.integers(0, 2**32 - 1))
+def test_idempotency_gate_admits_large_oblique_draws(dim, seed):
+    rng = np.random.default_rng(seed)
+    p = random_projector(rng, dim, dim // 2, self_adjoint=False)
+    assert not p.self_adjoint
+    tolerance = _idempotency_tolerance(p.matrix)
+    # a perturbation well above the gate is still refused
+    bump = np.zeros((dim, dim), dtype=complex)
+    bump[0, 0] = 1e3 * tolerance
+    with pytest.raises(AdmissibilityError, match="not idempotent"):
+        Projector(p.matrix + bump)
+
+
+@settings(max_examples=30, deadline=None)
+@given(draw=_draws)
+def test_idempotency_gate_keeps_its_floor_at_small_dimension(draw):
+    dim, rank, _, seed = draw
+    for self_adjoint in (True, False):
+        p = random_projector(
+            np.random.default_rng(seed), dim, rank, self_adjoint=self_adjoint
+        )
+        assert _idempotency_tolerance(p.matrix) == _IDEMPOTENT_TOL

@@ -48,6 +48,12 @@ def test_descriptor_validation():
     assert stein.chi_prime == 0
 
 
+@pytest.mark.parametrize("value", ["no", 1, 0, None, [True]])
+def test_stein_must_be_a_boolean(value):
+    with pytest.raises(AdmissibilityError, match="stein must be true or false"):
+        FillingDescriptor(1, 2, stein=value)
+
+
 def test_spinc_relation_enforced():
     # 4*c2 = c1^2 - 3*sign - 2*euler:  4*(-1) = 9 - 3*1 - 2*5
     SpinCNumbers(c1_squared=9, c2=-1, signature=1, euler=5)
