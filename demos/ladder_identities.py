@@ -2,7 +2,8 @@
 Ladder operators on a truncated oscillator space
 ================================================
 
-Builds the finite-dimensional ladder matrices, then checks the algebra
+Builds the finite-dimensional ladder matrices (sparse, so products are
+plain ``@``), then checks the algebra
 they are supposed to satisfy: commutation relations, the two
 factorizations of the oscillator Hamiltonian, and the exact action on
 the vacuum.
@@ -13,7 +14,6 @@ import numpy as np
 from fockindex.fock import (
     FockSpaceConfig,
     annihilation,
-    commutator,
     creation,
     harmonic_oscillator,
     identity,
@@ -35,18 +35,19 @@ print(f"basis size: {config.dimension}")
 ## Commutation relations.  Raising against lowering gives -2 on the
 ## diagonal pairs and zero otherwise; both checks are entrywise on the
 ## guarded columns.
-eye = identity(config).matrix
+eye = identity(config)
 for j in (1, 2):
     for k in (1, 2):
-        comm = commutator(creation(config, j), annihilation(config, k))
+        c, a = creation(config, j), annihilation(config, k)
+        comm = c @ a - a @ c
         expected = -2.0 if j == k else 0.0
-        err = max_abs_on_guard(comm.matrix - expected * eye, config)
+        err = max_abs_on_guard(comm - expected * eye, config)
         print(f"[C_{j}, C_{k}^*] vs {expected:g}: guarded error {err:.2e}")
 
 ## The oscillator Hamiltonian is diagonal with entries 2|k| + num_vars,
 ## and factors through the ladders in two ways.
 h = harmonic_oscillator(config)
-print("oscillator diagonal starts:", h.matrix.diagonal()[:5].real)
+print("oscillator diagonal starts:", h.diagonal()[:5].real)
 res_lower, res_upper = oscillator_identity_residuals(config)
 print(f"sum C*C - nv = H residual: {res_lower:.2e}")
 print(f"sum CC* + nv = H residual: {res_upper:.2e}")
@@ -57,4 +58,4 @@ print(f"square-identity residual: {square_identity_residual(config):.2e}")
 
 ## ... and kills the vacuum exactly, truncation or not
 z0 = basis_vector(config, vacuum_index(config))
-print("vacuum image norm:", np.max(np.abs(dirac_plus(config).matrix @ z0)))
+print("vacuum image norm:", np.max(np.abs(dirac_plus(config) @ z0)))

@@ -14,9 +14,9 @@ import numpy as np
 from fockindex.pairs import (
     ProjectorPair,
     agranovich_dynin_shadow,
+    kernel_index,
     logarithmic_property,
     random_projector,
-    relative_index_kernel,
     relative_index_rank,
     relative_index_trace,
 )
@@ -27,17 +27,17 @@ p = random_projector(rng, 24, 9)
 r = random_projector(rng, 24, 5)
 pair = ProjectorPair.from_projectors(p, r)
 
-print("rank route:  ", relative_index_rank(pair))
-print("kernel route:", relative_index_kernel(pair))
+print("rank route:  ", relative_index_rank(p, r))
+print("kernel route:", kernel_index(p, r))
 trace = relative_index_trace(pair)
 print(f"trace route:  {trace.index}  (raw {trace.raw:+.12f})")
 
 # a different parametrix, same integer
-noisy = ProjectorPair.from_projectors(p, r, smoothing=rng.normal(size=(24, 24)))
+noisy = pair.with_smoothing(rng.normal(size=(24, 24)))
 print("with another parametrix:", relative_index_trace(noisy).index)
 
 # swapping the pair flips the sign
-print("swapped:", relative_index_kernel(ProjectorPair.from_projectors(r, p)))
+print("swapped:", kernel_index(r, p))
 
 # indices add along p -> q -> r
 q = random_projector(rng, 24, 7)

@@ -25,8 +25,8 @@ row's maximum, or a graded Fock space above ``_MAX_STATES`` states, is
 rejected as too large for the memory budget of a run (about 0.5 GB).
 
 Exit codes: 0 all checks pass, 1 usage error, 2 admissibility rejection
-(including a request too large to run, or a linear-algebra routine that
-does not converge), 3 check failure.
+(including a request too large to run, a run that exhausts memory anyway,
+or a linear-algebra routine that does not converge), 3 check failure.
 """
 
 from __future__ import annotations
@@ -226,13 +226,11 @@ def _check_size(subcommand: str, params: dict) -> None:
     """Refuse a graded Fock space too large to build, before building it."""
     if subcommand not in _STATE_VARIABLE_OFFSET:
         return
-    values = {param.name: param.default for param in _PARAMS[subcommand]}
-    values.update(params)
-    num_vars = values["n"] - _STATE_VARIABLE_OFFSET[subcommand]
-    states = math.comb(values["cutoff"] + num_vars, num_vars) << num_vars
+    num_vars = params["n"] - _STATE_VARIABLE_OFFSET[subcommand]
+    states = math.comb(params["cutoff"] + num_vars, num_vars) << num_vars
     if states > _MAX_STATES:
         raise AdmissibilityError(
-            f"n = {values['n']} with cutoff {values['cutoff']} spans {states} "
+            f"n = {params['n']} with cutoff {params['cutoff']} spans {states} "
             f"graded states, more than {_MAX_STATES} (about 0.5 GB); "
             "lower n or cutoff"
         )
@@ -240,7 +238,12 @@ def _check_size(subcommand: str, params: dict) -> None:
 
 @dataclass(frozen=True)
 class RunRequest:
-    """One reproducible verification run."""
+    """One reproducible verification run.
+
+    ``params`` may leave out any parameter: the request holds a new dict
+    with the ``_PARAMS`` defaults filled in.  Unknown names, values a row
+    does not admit and a ``topo`` request without ``x0`` are refused.
+    """
 
     subcommand: str
     params: dict
@@ -252,10 +255,18 @@ class RunRequest:
             raise UsageError(f"unknown subcommand {self.subcommand!r}")
         if self.format not in ("json", "text"):
             raise UsageError(f"unknown format {self.format!r}")
-        for param in _PARAMS[self.subcommand]:
-            if param.name in self.params:
-                _check_param(param, self.params[param.name], param.name)
-        _check_size(self.subcommand, self.params)
+        rows = _PARAMS[self.subcommand]
+        unknown = set(self.params) - {param.name for param in rows}
+        if unknown:
+            raise UsageError(f"unknown {self.subcommand} params: {sorted(unknown)}")
+        params = {param.name: param.default for param in rows}
+        params.update(self.params)
+        for param in rows:
+            _check_param(param, params[param.name], param.name)
+        if self.subcommand == "topo" and params["x0"] is None:
+            raise UsageError("topo needs at least x0 (--x0 or an --input file)")
+        _check_size(self.subcommand, params)
+        object.__setattr__(self, "params", params)
 
 
 @dataclass(frozen=True)
@@ -363,16 +374,16 @@ def _run_verify_algebra(params: dict, seeds: list, checks: tuple):
     worst = 0.0
     for j in labels:
         for k in labels:
-            comm = fock.commutator(raising[j], lowering[k])
+            comm = raising[j] @ lowering[k] - lowering[k] @ raising[j]
             expected = -2.0 if j == k else 0.0
-            diff = comm.matrix - expected * eye.matrix
+            diff = comm - expected * eye
             worst = max(worst, fock.max_abs_on_guard(diff, config))
     details = {"num_vars": config.num_vars, "cutoff": config.cutoff}
     yield commutators, worst, details
 
     worst = 0.0
     for j in labels:
-        diff = raising[j].matrix.conj().T - lowering[j].matrix
+        diff = raising[j].conj().T - lowering[j]
         if diff.nnz:
             worst = max(worst, _max_abs(diff.data))
     yield adjointness, worst
@@ -381,9 +392,9 @@ def _run_verify_algebra(params: dict, seeds: list, checks: tuple):
 
     yield square, spinors.square_identity_residual(config)
 
-    pi0 = spinors.vacuum_szego(config).matrix
-    lower_prod = pi0 @ spinors.dirac_plus_odd(config).matrix
-    raise_prod = spinors.dirac_plus_even(config).matrix @ pi0
+    pi0 = spinors.vacuum_szego(config)
+    lower_prod = pi0 @ spinors.dirac_plus_odd(config)
+    raise_prod = spinors.dirac_plus_even(config) @ pi0
     worst = max(
         _max_abs(lower_prod.data) if lower_prod.nnz else 0.0,
         _max_abs(raise_prod.data) if raise_prod.nnz else 0.0,
@@ -406,8 +417,8 @@ def _run_verify_symbols(params: dict, seeds: list, checks: tuple):
     for _ in range(samples):
         xi = symbols.random_covector(rng, n)
         half_sq = 0.5 * xi.norm**2
-        odd = symbols.d1(symbols.ODD, xi).matrix
-        even = symbols.d1(symbols.EVEN, xi).matrix
+        odd = symbols.d1(symbols.ODD, xi)
+        even = symbols.d1(symbols.EVEN, xi)
         worst = max(
             worst,
             _max_abs(odd @ even - half_sq * eye),
@@ -420,8 +431,8 @@ def _run_verify_symbols(params: dict, seeds: list, checks: tuple):
     for _ in range(samples):
         xp = symbols.random_covector(rng, n, boundary=True)
         for ch in _CHIRALITIES:
-            plus = symbols.calderon_symbol0(ch, +1, xp).matrix
-            minus = symbols.calderon_symbol0(ch, -1, xp).matrix
+            plus = symbols.calderon_symbol0(ch, +1, xp)
+            minus = symbols.calderon_symbol0(ch, -1, xp)
             worst = max(
                 worst,
                 _max_abs(plus @ plus - plus),
@@ -437,7 +448,7 @@ def _run_verify_symbols(params: dict, seeds: list, checks: tuple):
         ell = xp.boundary_norm
         expected = np.sqrt((ell + xp.xi_contact) ** 2 + xp.perp_norm**2) / (2 * ell)
         for ch in _CHIRALITIES:
-            symbol = symbols.comparison_symbol0(ch, xp).matrix
+            symbol = symbols.comparison_symbol0(ch, xp)
             sv = np.linalg.svd(symbol, compute_uv=False)
             worst = max(worst, _max_abs(sv - expected))
     ray = symbols.Covector(0.0, -1.5, (0.0,) * (2 * (n - 1)))
@@ -445,8 +456,8 @@ def _run_verify_symbols(params: dict, seeds: list, checks: tuple):
     for ch in _CHIRALITIES:
         worst = max(
             worst,
-            _max_abs(symbols.comparison_symbol0(ch, ray).matrix),
-            _max_abs(symbols.comparison_symbol0(ch, anti_ray).matrix - eye),
+            _max_abs(symbols.comparison_symbol0(ch, ray)),
+            _max_abs(symbols.comparison_symbol0(ch, anti_ray) - eye),
         )
     yield degeneration, worst, {"samples": samples}
 
@@ -466,12 +477,12 @@ def _run_verify_symbols(params: dict, seeds: list, checks: tuple):
             for side in (+1, -1):
                 integrand = symbols.trace_term_integrand(ch, xp, hess)
                 quad = symbols.contour_integral(integrand, side, xp)
-                worst_rel = max(worst_rel, _max_abs(quad.matrix - closed) / scale)
+                worst_rel = max(worst_rel, _max_abs(quad - closed) / scale)
         integrand = symbols.q_symbol_integrand(-1, symbols.ODD, xp)
         quad = symbols.contour_integral(integrand, +1, xp)
-        iso = symbols.boundary_isomorphism(symbols.EVEN, +1, n).matrix
-        composed = quad.matrix @ iso
-        direct = symbols.calderon_symbol0(symbols.EVEN, +1, xp).matrix
+        iso = symbols.boundary_isomorphism(symbols.EVEN, +1, n)
+        composed = quad @ iso
+        direct = symbols.calderon_symbol0(symbols.EVEN, +1, xp)
         worst_rel = max(worst_rel, _max_abs(composed - direct))
         contact = symbols.Covector(
             0.0, float(rng.uniform(0.5, 2.0)), (0.0,) * (2 * (n - 1))
@@ -482,7 +493,7 @@ def _run_verify_symbols(params: dict, seeds: list, checks: tuple):
             scale = _max_abs(closed)
             integrand = symbols.q_symbol_integrand(-2, ch, contact, hess_contact)
             quad = symbols.contour_integral(integrand, -1, contact)
-            worst_rel = max(worst_rel, _max_abs(quad.matrix - closed) / scale)
+            worst_rel = max(worst_rel, _max_abs(quad - closed) / scale)
     details = {"instances": quad_samples, "includes_kahler": True}
     yield quadrature, worst_rel, details
 
@@ -541,9 +552,9 @@ def _run_relindex(params: dict, seeds: list, checks: tuple):
         p = pairs.random_projector(rng, dim, _draw_rank(rng, dim, params["rank_p"]))
         r = pairs.random_projector(rng, dim, _draw_rank(rng, dim, params["rank_r"]))
         pair = pairs.ProjectorPair.from_projectors(p, r)
-        expected = pairs.relative_index_rank(pair)
+        expected = pairs.relative_index_rank(p, r)
         agree = (
-            pairs.relative_index_kernel(pair) == expected
+            pairs.kernel_index(p, r) == expected
             and pairs.relative_index_trace(pair).index == expected
             and pairs.kernel_index(p.complement(), r.complement()) == -expected
         )
@@ -702,8 +713,9 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _request_from_args(args: argparse.Namespace) -> RunRequest:
+    """The request from the ``--input`` file overlaid with explicit flags."""
     subcommand = args.subcommand
-    params = {param.name: param.default for param in _PARAMS[subcommand]}
+    params = {}
     if args.input is not None:
         try:
             with open(args.input) as handle:
@@ -712,9 +724,6 @@ def _request_from_args(args: argparse.Namespace) -> RunRequest:
             raise UsageError(f"cannot read --input file: {exc}") from exc
         if not isinstance(supplied, dict):
             raise UsageError("--input must hold a JSON object of params")
-        unknown = set(supplied) - set(params)
-        if unknown:
-            raise UsageError(f"unknown params in --input: {sorted(unknown)}")
         params.update(supplied)
     for param in _PARAMS[subcommand]:
         value = getattr(args, param.name)
@@ -727,8 +736,6 @@ def _request_from_args(args: argparse.Namespace) -> RunRequest:
                 raise UsageError(f"{_flag(param)} is not valid JSON: {exc}") from exc
             _check_param(param, value, _flag(param))
         params[param.name] = value
-    if subcommand == "topo" and params["x0"] is None:
-        raise UsageError("topo needs at least --x0 (or an --input file)")
     return RunRequest(
         subcommand=subcommand,
         params=params,
@@ -747,6 +754,13 @@ def main(argv=None) -> int:
         report = run(request)
     except AdmissibilityError as exc:
         print(f"rejected: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print(
+            f"rejected: this {args.subcommand} request ran out of memory; "
+            "lower the sizes",
+            file=sys.stderr,
+        )
         return 2
     except (UsageError, ValueError) as exc:
         numpy = sys.modules.get("numpy")

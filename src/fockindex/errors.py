@@ -12,10 +12,6 @@ class AdmissibilityError(ValueError):
     """Input rejected by a documented precondition."""
 
 
-class ConfigMismatchError(ValueError):
-    """Two operators built over different truncation configs were combined."""
-
-
 class DimensionMismatchError(ValueError):
     """Matrix shapes do not line up."""
 

@@ -4,7 +4,10 @@ The basis consists of all multi-indices in ``num_vars`` variables with total
 degree at most ``cutoff``, enumerated in graded lexicographic order.
 Operators are hard projections: matrix entries that would leave the
 truncated basis are dropped, and algebraic identities are therefore only
-asserted on states whose degree stays ``guard`` levels below the cutoff.
+asserted on states whose degree stays ``GUARD`` levels below the cutoff.
+Every operator is a complex CSR matrix over the truncated basis, with its
+duplicates summed and its indices sorted; compose with ``a @ b`` and take
+adjoints with ``a.conj().T``.
 """
 
 from __future__ import annotations
@@ -16,16 +19,14 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ConfigMismatchError
-
 # scipy.sparse is imported inside the functions that build sparse matrices,
 # so importing this module (as spinors and symbols do) loads numpy only.
 if TYPE_CHECKING:
     import scipy.sparse as sp
 
 __all__ = [
+    "GUARD",
     "FockSpaceConfig",
-    "TruncatedOperator",
     "multi_indices",
     "basis_index",
     "degrees",
@@ -34,35 +35,32 @@ __all__ = [
     "annihilation",
     "harmonic_oscillator",
     "identity",
-    "compose",
-    "adjoint",
-    "commutator",
     "oscillator_identity_residuals",
     "max_abs_on_guard",
 ]
 
 
+# Identities are asserted on states of degree <= cutoff - GUARD.
+GUARD = 2
+
+
 @dataclass(frozen=True)
 class FockSpaceConfig:
-    """Truncation parameters: number of variables, degree cutoff, guard band.
+    """Truncation parameters: number of variables and degree cutoff.
 
-    Identities are asserted on states of degree <= cutoff - guard, so the
-    cutoff must leave room for at least a two-level guard band.
+    The cutoff must leave room for the guard band and two guarded levels.
     """
 
     num_vars: int
     cutoff: int
-    guard: int = 2
 
     def __post_init__(self):
         if self.num_vars < 1:
             raise ValueError(f"num_vars must be >= 1, got {self.num_vars}")
-        if self.guard < 0:
-            raise ValueError(f"guard must be >= 0, got {self.guard}")
-        if self.cutoff < self.guard + 2:
+        if self.cutoff < GUARD + 2:
             raise ValueError(
-                f"cutoff {self.cutoff} too small for guard {self.guard}: "
-                f"need cutoff >= guard + 2"
+                f"cutoff {self.cutoff} too small for the guard band {GUARD}: "
+                f"need cutoff >= {GUARD + 2}"
             )
 
     @property
@@ -145,44 +143,22 @@ def degrees(config: FockSpaceConfig) -> np.ndarray:
     return _basis_array(config.num_vars, config.cutoff).sum(axis=1)
 
 
-def guard_mask(config: FockSpaceConfig, margin: int | None = None) -> np.ndarray:
-    """Boolean mask of basis states with degree <= cutoff - margin."""
-    margin = config.guard if margin is None else margin
-    return degrees(config) <= config.cutoff - margin
+def guard_mask(config: FockSpaceConfig) -> np.ndarray:
+    """Boolean mask of basis states with degree <= cutoff - GUARD."""
+    return degrees(config) <= config.cutoff - GUARD
 
 
-@dataclass(frozen=True)
-class TruncatedOperator:
-    """A hard-projected operator over the truncated basis.
-
-    ``matrix`` is square over the full truncated basis (CSR storage; use
-    :meth:`dense` for a numpy array).  ``degree_shift`` records how the
-    operator changes total degree, or ``None`` when it is not graded.
-    Instances are treated as immutable.
-    """
-
-    matrix: sp.csr_matrix
-    degree_shift: int | None
-    config: FockSpaceConfig
-
-    def dense(self) -> np.ndarray:
-        return self.matrix.toarray()
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.matrix.shape
-
-
-def _operator(matrix, degree_shift, config) -> TruncatedOperator:
+def _operator(matrix) -> sp.csr_matrix:
+    """The canonical form of an operator: complex CSR, duplicates summed."""
     import scipy.sparse as sp
 
     m = sp.csr_matrix(matrix, dtype=np.complex128)
     m.sum_duplicates()
     m.sort_indices()
-    return TruncatedOperator(m, degree_shift, config)
+    return m
 
 
-def creation(config: FockSpaceConfig, j: int) -> TruncatedOperator:
+def creation(config: FockSpaceConfig, j: int) -> sp.csr_matrix:
     """Raising operator in variable ``j`` (1-based).
 
     Maps the basis state ``k`` to ``sqrt(2 (k_j + 1))`` times the state with
@@ -203,57 +179,26 @@ def creation(config: FockSpaceConfig, j: int) -> TruncatedOperator:
     vals = np.sqrt(2.0 * (basis[cols, j - 1] + 1))
     dim = config.dimension
     m = sp.coo_matrix((vals, (rows, cols)), shape=(dim, dim))
-    return _operator(m, +1, config)
+    return _operator(m)
 
 
-def annihilation(config: FockSpaceConfig, j: int) -> TruncatedOperator:
+def annihilation(config: FockSpaceConfig, j: int) -> sp.csr_matrix:
     """Lowering operator in variable ``j``: exactly the adjoint of creation."""
-    return adjoint(creation(config, j))
+    return _operator(creation(config, j).conj().T)
 
 
-def harmonic_oscillator(config: FockSpaceConfig) -> TruncatedOperator:
+def harmonic_oscillator(config: FockSpaceConfig) -> sp.csr_matrix:
     """Diagonal operator with entry 2|k| + num_vars on each basis state."""
     import scipy.sparse as sp
 
     diag = 2.0 * degrees(config) + config.num_vars
-    return _operator(sp.diags(diag.astype(np.complex128)), 0, config)
+    return _operator(sp.diags(diag.astype(np.complex128)))
 
 
-def identity(config: FockSpaceConfig) -> TruncatedOperator:
+def identity(config: FockSpaceConfig) -> sp.csr_matrix:
     import scipy.sparse as sp
 
-    return _operator(sp.identity(config.dimension, dtype=np.complex128), 0, config)
-
-
-def _check_compatible(a: TruncatedOperator, b: TruncatedOperator):
-    if a.config != b.config:
-        raise ConfigMismatchError(f"config mismatch: {a.config} vs {b.config}")
-    if a.shape != b.shape:
-        raise ConfigMismatchError(f"operator shapes differ: {a.shape} vs {b.shape}")
-
-
-def compose(a: TruncatedOperator, b: TruncatedOperator) -> TruncatedOperator:
-    """Operator composition a o b (apply ``b`` first)."""
-    _check_compatible(a, b)
-    shift = None
-    if a.degree_shift is not None and b.degree_shift is not None:
-        shift = a.degree_shift + b.degree_shift
-    return _operator(a.matrix @ b.matrix, shift, a.config)
-
-
-def adjoint(a: TruncatedOperator) -> TruncatedOperator:
-    """Conjugate transpose; the degree shift flips sign."""
-    shift = None if a.degree_shift is None else -a.degree_shift
-    return _operator(a.matrix.conj().T, shift, a.config)
-
-
-def commutator(a: TruncatedOperator, b: TruncatedOperator) -> TruncatedOperator:
-    """[a, b] = a o b - b o a, with the common graded shift when defined."""
-    _check_compatible(a, b)
-    shift = None
-    if a.degree_shift is not None and b.degree_shift is not None:
-        shift = a.degree_shift + b.degree_shift
-    return _operator(a.matrix @ b.matrix - b.matrix @ a.matrix, shift, a.config)
+    return _operator(sp.identity(config.dimension, dtype=np.complex128))
 
 
 def oscillator_identity_residuals(config: FockSpaceConfig) -> tuple[float, float]:
@@ -264,12 +209,12 @@ def oscillator_identity_residuals(config: FockSpaceConfig) -> tuple[float, float
     """
     import scipy.sparse as sp
 
-    h = harmonic_oscillator(config).matrix
+    h = harmonic_oscillator(config)
     dim = config.dimension
     lower = sp.csr_matrix((dim, dim), dtype=np.complex128)
     upper = sp.csr_matrix((dim, dim), dtype=np.complex128)
     for j in range(1, config.num_vars + 1):
-        c = creation(config, j).matrix
+        c = creation(config, j)
         a = c.conj().T
         lower = lower + a @ c
         upper = upper + c @ a
@@ -280,7 +225,7 @@ def oscillator_identity_residuals(config: FockSpaceConfig) -> tuple[float, float
     return res1, res2
 
 
-def max_abs_on_guard(matrix, config: FockSpaceConfig, margin: int | None = None,
+def max_abs_on_guard(matrix, config: FockSpaceConfig,
                      mask: np.ndarray | None = None) -> float:
     """Largest |entry| over columns indexed by guarded basis states.
 
@@ -290,7 +235,7 @@ def max_abs_on_guard(matrix, config: FockSpaceConfig, margin: int | None = None,
     import scipy.sparse as sp
 
     if mask is None:
-        mask = guard_mask(config, margin)
+        mask = guard_mask(config)
     cols = np.nonzero(mask)[0]
     if cols.size == 0:
         return 0.0

@@ -37,7 +37,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import GuardViolationError, PairingFloorError
-from .fock import FockSpaceConfig, multi_indices
+from .fock import GUARD, FockSpaceConfig, multi_indices
 from .spinors import (
     EVEN,
     ODD,
@@ -231,7 +231,7 @@ class _SectorData:
         self.odd_idx = sector_indices(config, ODD)
         self.dim_even = len(self.even_idx)
         self.dim_odd = len(self.odd_idx)
-        dirac = dirac_plus(config).matrix.tocsc()
+        dirac = dirac_plus(config).tocsc()
         self.raise_block = sp.csr_matrix(dirac[self.odd_idx, :][:, self.even_idx])
         self.lower_block = sp.csr_matrix(dirac[self.even_idx, :][:, self.odd_idx])
         nv = config.num_vars
@@ -239,8 +239,8 @@ class _SectorData:
         self.h0_even = 2.0 * osc[self.even_idx] + nv
         self.h0_odd = 2.0 * osc[self.odd_idx] + nv
         self.form0_even = graded_form_degrees(config)[self.even_idx] == 0
-        self.guard_even = osc[self.even_idx] <= cutoff - 2
-        self.guard_odd = osc[self.odd_idx] <= cutoff - 2
+        self.guard_even = osc[self.even_idx] <= cutoff - GUARD
+        self.guard_odd = osc[self.odd_idx] <= cutoff - GUARD
         vac_graded = graded_index(config, vacuum_index(config))
         self.vacuum_pos = int(np.searchsorted(self.even_idx, vac_graded))
         self.z0 = np.zeros(self.dim_even)
@@ -270,7 +270,7 @@ class _DeformedVacuum:
         config = cfg.fock_config
         sec = _sectors(cfg)
         # deformed_szego validates the target and angle
-        szego = deformed_szego(config, cfg.theta, cfg.target).matrix.tocsc()
+        szego = deformed_szego(config, cfg.theta, cfg.target).tocsc()
         self.szego_even = sp.csr_matrix(szego[sec.even_idx, :][:, sec.even_idx])
         target_vec = basis_vector(config, cfg.target)
         self.z0_prime = target_vec[sec.even_idx] * math.sin(cfg.theta)

@@ -11,8 +11,10 @@ perturbations of the parametrix change nothing.
 Each factorisation is computed once and reused: a projector caches the
 orthonormal bases of its range and of its complement's range (one ``eigh``
 for a self-adjoint projector, handed on to its complement; identity columns
-for a coordinate projector; SVDs for an oblique one), and a pair keeps T and
-its parametrix, so a smoothed parametrix re-inverts nothing.
+for a coordinate projector; SVDs for an oblique one), and a pair holds T and
+its parametrix U, so a smoothed parametrix re-inverts nothing.  The
+remainders K1 = I - TU and K2 = I - UT are derived from (T, U) when first
+read.
 """
 
 from __future__ import annotations
@@ -35,9 +37,7 @@ __all__ = [
     "Projector",
     "ProjectorPair",
     "TraceIndex",
-    "comparison_operator",
     "kernel_index",
-    "relative_index_kernel",
     "relative_index_trace",
     "relative_index_rank",
     "logarithmic_property",
@@ -222,89 +222,61 @@ class TraceIndex(NamedTuple):
     raw: float
 
 
+def _check_same_space(*projectors: Projector) -> None:
+    dims = [projector.dimension for projector in projectors]
+    if len(set(dims)) > 1:
+        raise DimensionMismatchError(
+            "projectors act on different spaces: " + " vs ".join(map(str, dims))
+        )
+
+
 def _comparison_matrix(p: np.ndarray, r: np.ndarray) -> np.ndarray:
     eye = np.eye(p.shape[0])
     return r @ p + (eye - r) @ (eye - p)
 
 
-def comparison_operator(p: Projector, r: Projector, smoothing=None):
-    """T = RP + (I-R)(I-P) with a parametrix and its two remainders.
-
-    The parametrix is the pseudo-inverse of T, optionally perturbed by a
-    caller-supplied matrix (any finite matrix counts as smoothing here);
-    remainders are K1 = I - TU and K2 = I - UT.
-    """
-    if p.dimension != r.dimension:
-        raise DimensionMismatchError(
-            f"projectors act on different spaces: {p.dimension} vs {r.dimension}"
-        )
-    t = _comparison_matrix(p.matrix, r.matrix)
-    u = _truncated_pinv(t)
-    if smoothing is not None:
-        u = _smoothed(u, smoothing)
-    return (t, u, *_remainders(t, u))
-
-
-def _smoothed(u: np.ndarray, smoothing) -> np.ndarray:
-    extra = np.asarray(smoothing, dtype=complex)
-    if extra.shape != u.shape:
-        raise DimensionMismatchError(
-            f"smoothing perturbation has shape {extra.shape}, expected {u.shape}"
-        )
-    return u + extra
-
-
-def _remainders(t: np.ndarray, u: np.ndarray) -> tuple:
-    eye = np.eye(t.shape[0])
-    return eye - t @ u, eye - u @ t
-
-
 @dataclass(frozen=True)
 class ProjectorPair:
-    """A projector pair with a parametrix for its comparison operator.
+    """A projector pair, its comparison operator T, and a parametrix U of T.
 
-    ``comparison`` is T = RP + (I-R)(I-P); it is formed from ``p`` and ``r``
-    unless the caller passes the T it already built.  The remainders are
-    checked against it on construction.
+    The remainders K1 = I - TU and K2 = I - UT are computed from T and U on
+    first use and cached (``cached_property`` writes to the instance dict,
+    which the frozen dataclass leaves writable).
     """
 
     p: Projector
     r: Projector
+    comparison: np.ndarray
     parametrix: np.ndarray
-    k1: np.ndarray
-    k2: np.ndarray
-    comparison: np.ndarray | None = None
-
-    def __post_init__(self):
-        t = self.comparison
-        if t is None:
-            t = _comparison_matrix(self.p.matrix, self.r.matrix)
-            object.__setattr__(self, "comparison", t)
-        eye = np.eye(t.shape[0])
-        defect = max(
-            np.abs(t @ self.parametrix + self.k1 - eye).max(),
-            np.abs(self.parametrix @ t + self.k2 - eye).max(),
-        )
-        if defect > _IDEMPOTENT_TOL:
-            raise AdmissibilityError(
-                f"parametrix remainders are inconsistent: defect {defect:.3e}"
-            )
 
     @classmethod
-    def from_projectors(cls, p: Projector, r: Projector, smoothing=None):
-        t, u, k1, k2 = comparison_operator(p, r, smoothing)
-        return cls(p, r, u, k1, k2, t)
+    def from_projectors(cls, p: Projector, r: Projector) -> "ProjectorPair":
+        """T formed once, with its truncated pseudo-inverse as parametrix."""
+        _check_same_space(p, r)
+        t = _comparison_matrix(p.matrix, r.matrix)
+        return cls(p, r, t, _truncated_pinv(t))
 
     def with_smoothing(self, smoothing) -> "ProjectorPair":
         """The same pair with ``smoothing`` added to its parametrix.
 
-        T and its pseudo-inverse are reused, not re-formed; the new
-        remainders are checked on construction as for any pair.
+        Any finite matrix counts as smoothing here; T is reused, not
+        re-formed or re-inverted.
         """
-        u = _smoothed(self.parametrix, smoothing)
-        return ProjectorPair(
-            self.p, self.r, u, *_remainders(self.comparison, u), self.comparison
-        )
+        extra = np.asarray(smoothing, dtype=complex)
+        if extra.shape != self.parametrix.shape:
+            raise DimensionMismatchError(
+                f"smoothing perturbation has shape {extra.shape}, "
+                f"expected {self.parametrix.shape}"
+            )
+        return ProjectorPair(self.p, self.r, self.comparison, self.parametrix + extra)
+
+    @cached_property
+    def k1(self) -> np.ndarray:
+        return np.eye(self.dimension) - self.comparison @ self.parametrix
+
+    @cached_property
+    def k2(self) -> np.ndarray:
+        return np.eye(self.dimension) - self.parametrix @ self.comparison
 
     @property
     def dimension(self) -> int:
@@ -349,20 +321,19 @@ def _restricted_kernel_dims(p: Projector, r: Projector) -> tuple:
             "comparison product RP vanishes although both projectors are "
             "nonzero; the pair is maximally degenerate and the relative "
             "index is a difference of full kernel dimensions",
-            stacklevel=4,
+            stacklevel=3,  # the caller of kernel_index
         )
     return basis_p.shape[1] - rank_forward, basis_r_star.shape[1] - rank_backward
 
 
 def kernel_index(p: Projector, r: Projector) -> int:
-    """Relative index of (P, R) from restricted kernels; needs no parametrix."""
+    """Relative index as a difference of restricted kernel dimensions.
+
+    Needs no parametrix.
+    """
+    _check_same_space(p, r)
     ker_forward, ker_backward = _restricted_kernel_dims(p, r)
     return ker_forward - ker_backward
-
-
-def relative_index_kernel(pair: ProjectorPair) -> int:
-    """Relative index as a difference of restricted kernel dimensions."""
-    return kernel_index(pair.p, pair.r)
 
 
 def relative_index_trace(pair: ProjectorPair) -> TraceIndex:
@@ -384,15 +355,15 @@ def relative_index_trace(pair: ProjectorPair) -> TraceIndex:
     return TraceIndex(int(nearest), raw)
 
 
-def relative_index_rank(pair: ProjectorPair) -> int:
+def relative_index_rank(p: Projector, r: Projector) -> int:
     """Brute-force oracle: rank P minus rank R."""
-    return pair.p.rank - pair.r.rank
+    _check_same_space(p, r)
+    return p.rank - r.rank
 
 
 def logarithmic_property(p: Projector, q: Projector, r: Projector) -> dict:
     """Composite relative index versus the sum of the two steps."""
-    if not p.dimension == q.dimension == r.dimension:
-        raise DimensionMismatchError("projectors act on different spaces")
+    _check_same_space(p, q, r)
     basis_p, basis_r_star = p.range_basis, r.adjoint_range_basis
     rank_forward, rank_backward = _restricted_ranks(
         (r.matrix, q.matrix, p.matrix), basis_p, basis_r_star,
@@ -449,40 +420,31 @@ def toeplitz_winding(window: int, k: int) -> int:
     return kernel_index(hardy, shifted)
 
 
-def agranovich_dynin_shadow(s1: Projector, s2: Projector, frame=None) -> dict:
+def agranovich_dynin_shadow(s1: Projector, s2: Projector) -> dict:
     """Difference of two boundary conditions against the corner difference.
 
     Each corner projector is embedded in a block projector shaped like the
-    even boundary model — the corner on the degree-0 slot, a zero block for
-    the higher even degrees, and the identity on the odd slot — and both
-    are compared against one fixed reference projector.  The difference of
-    the two relative indices must equal the corner rank difference, which
-    is itself the relative index of the corner pair.
+    even boundary model — the corner on the degree-0 slot, a zero block of
+    the corner's size for the higher even degrees, and the identity on an
+    odd slot of the corner's size — and both are compared against one fixed
+    reference projector.  The difference of the two relative indices must
+    equal the corner rank difference, which is itself the relative index of
+    the corner pair.
     """
-    if s1.dimension != s2.dimension:
-        raise DimensionMismatchError(
-            f"corner projectors differ in size: {s1.dimension} vs {s2.dimension}"
-        )
+    _check_same_space(s1, s2)
     corner = s1.dimension
-    extra_even, odd = frame if frame is not None else (corner, corner)
-    if odd < 1:
-        raise AdmissibilityError("block frame needs a nonempty odd slot")
-    dim = corner + extra_even + odd
+    odd_start, dim = 2 * corner, 3 * corner
 
     def embed(s: Projector) -> Projector:
         block = np.zeros((dim, dim), dtype=complex)
         block[:corner, :corner] = s.matrix
-        block[corner + extra_even:, corner + extra_even:] = np.eye(odd)
+        block[odd_start:, odd_start:] = np.eye(corner)
         return Projector(block)
 
-    reference = coordinate_projector(dim, range(corner + extra_even, dim))
-    first = relative_index_kernel(
-        ProjectorPair.from_projectors(reference, embed(s1))
-    )
-    second = relative_index_kernel(
-        ProjectorPair.from_projectors(reference, embed(s2))
-    )
-    corner_index = relative_index_kernel(ProjectorPair.from_projectors(s1, s2))
+    reference = coordinate_projector(dim, range(odd_start, dim))
+    first = kernel_index(reference, embed(s1))
+    second = kernel_index(reference, embed(s2))
+    corner_index = kernel_index(s1, s2)
     report = {
         "block_dimension": dim,
         "difference": second - first,

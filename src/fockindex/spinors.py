@@ -18,16 +18,15 @@ import numpy as np
 
 from .errors import PairingFloorError
 from .fock import (
+    GUARD,
     FockSpaceConfig,
-    TruncatedOperator,
+    _basis,
     _operator,
-    adjoint,
     annihilation,
     basis_index,
     creation,
     degrees,
     max_abs_on_guard,
-    multi_indices,
 )
 
 # scipy.sparse is imported inside the functions that build sparse matrices,
@@ -121,13 +120,9 @@ def contract_matrix(num_vars: int, j: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _graded_basis(num_vars: int, cutoff: int) -> tuple[GradedBasisIndex, ...]:
-    osc = _osc_basis(num_vars, cutoff)
+    osc = _basis(num_vars, cutoff)
     forms = form_subsets(num_vars)
     return tuple(GradedBasisIndex(k, s) for k in osc for s in forms)
-
-
-def _osc_basis(num_vars, cutoff):
-    return multi_indices(FockSpaceConfig(num_vars, cutoff, 0))
 
 
 def graded_basis(config: FockSpaceConfig) -> tuple[GradedBasisIndex, ...]:
@@ -165,10 +160,9 @@ def graded_form_degrees(config: FockSpaceConfig) -> np.ndarray:
     return np.tile(form_deg, config.dimension)
 
 
-def graded_guard_mask(config: FockSpaceConfig, margin: int | None = None) -> np.ndarray:
+def graded_guard_mask(config: FockSpaceConfig) -> np.ndarray:
     """Mask of graded states whose oscillator degree is guarded."""
-    margin = config.guard if margin is None else margin
-    return graded_osc_degrees(config) <= config.cutoff - margin
+    return graded_osc_degrees(config) <= config.cutoff - GUARD
 
 
 def sector_indices(config: FockSpaceConfig, parity: str) -> np.ndarray:
@@ -185,17 +179,17 @@ def _lift_form(config: FockSpaceConfig, form_op: np.ndarray) -> sp.csr_matrix:
     return sp.kron(eye, sp.csr_matrix(form_op)).tocsr()
 
 
-def wedge(config: FockSpaceConfig, j: int) -> TruncatedOperator:
+def wedge(config: FockSpaceConfig, j: int) -> sp.csr_matrix:
     """Wedge by label ``j`` on the graded space (raises form degree by one)."""
-    return _operator(_lift_form(config, wedge_matrix(config.num_vars, j)), +1, config)
+    return _operator(_lift_form(config, wedge_matrix(config.num_vars, j)))
 
 
-def contract(config: FockSpaceConfig, j: int) -> TruncatedOperator:
+def contract(config: FockSpaceConfig, j: int) -> sp.csr_matrix:
     """Contraction with label ``j`` (lowers form degree by one)."""
-    return _operator(_lift_form(config, contract_matrix(config.num_vars, j)), -1, config)
+    return _operator(_lift_form(config, contract_matrix(config.num_vars, j)))
 
 
-def dirac_plus(config: FockSpaceConfig) -> TruncatedOperator:
+def dirac_plus(config: FockSpaceConfig) -> sp.csr_matrix:
     """The coupled operator i * sum_j (C_j contract_j - C_j^* wedge_j).
 
     Exchanges the even/odd form sectors while preserving total degree; its
@@ -206,16 +200,16 @@ def dirac_plus(config: FockSpaceConfig) -> TruncatedOperator:
     nv = config.num_vars
     total = None
     for j in range(1, nv + 1):
-        up = creation(config, j).matrix
-        down = annihilation(config, j).matrix
+        up = creation(config, j)
+        down = annihilation(config, j)
         term = sp.kron(up, sp.csr_matrix(contract_matrix(nv, j))) - sp.kron(
             down, sp.csr_matrix(wedge_matrix(nv, j))
         )
         total = term if total is None else total + term
-    return _operator(1j * total, 0, config)
+    return _operator(1j * total)
 
 
-def dirac_plus_even(config: FockSpaceConfig) -> TruncatedOperator:
+def dirac_plus_even(config: FockSpaceConfig) -> sp.csr_matrix:
     """Restriction of dirac_plus mapping the even sector into the odd one.
 
     Returned as a square operator on the full graded space that vanishes
@@ -223,17 +217,17 @@ def dirac_plus_even(config: FockSpaceConfig) -> TruncatedOperator:
     """
     import scipy.sparse as sp
 
-    d = dirac_plus(config).matrix.tocoo()
+    d = dirac_plus(config).tocoo()
     keep = np.isin(d.row, sector_indices(config, ODD)) & np.isin(
         d.col, sector_indices(config, EVEN)
     )
     m = sp.coo_matrix((d.data[keep], (d.row[keep], d.col[keep])), shape=d.shape)
-    return _operator(m, 0, config)
+    return _operator(m)
 
 
-def dirac_plus_odd(config: FockSpaceConfig) -> TruncatedOperator:
+def dirac_plus_odd(config: FockSpaceConfig) -> sp.csr_matrix:
     """Restriction mapping the odd sector into the even one (exact adjoint)."""
-    return adjoint(dirac_plus_even(config))
+    return _operator(dirac_plus_even(config).conj().T)
 
 
 def vacuum_index(config: FockSpaceConfig) -> GradedBasisIndex:
@@ -246,18 +240,18 @@ def basis_vector(config: FockSpaceConfig, index: GradedBasisIndex) -> np.ndarray
     return vec
 
 
-def vacuum_szego(config: FockSpaceConfig) -> TruncatedOperator:
+def vacuum_szego(config: FockSpaceConfig) -> sp.csr_matrix:
     """Rank-one orthogonal projection onto the vacuum state."""
     import scipy.sparse as sp
 
     pos = graded_index(config, vacuum_index(config))
     dim = graded_dimension(config)
     m = sp.coo_matrix(([1.0], ([pos], [pos])), shape=(dim, dim))
-    return _operator(m, 0, config)
+    return _operator(m)
 
 
 def deformed_szego(config: FockSpaceConfig, theta: float,
-                   target: GradedBasisIndex) -> TruncatedOperator:
+                   target: GradedBasisIndex) -> sp.csr_matrix:
     """Rank-one projection onto cos(theta) * vacuum + sin(theta) * target.
 
     The target must be a basis state of even form degree distinct from the
@@ -284,7 +278,7 @@ def deformed_szego(config: FockSpaceConfig, theta: float,
         shape=(dim, dim),
     )
     m.eliminate_zeros()
-    return _operator(m, 0, config)
+    return _operator(m)
 
 
 def square_identity_residual(config: FockSpaceConfig) -> float:
@@ -295,7 +289,7 @@ def square_identity_residual(config: FockSpaceConfig) -> float:
     """
     import scipy.sparse as sp
 
-    d = dirac_plus(config).matrix
+    d = dirac_plus(config)
     expected = 2.0 * graded_osc_degrees(config) + 2.0 * graded_form_degrees(config)
     diff = (d @ d - sp.diags(expected.astype(np.complex128))).tocsr()
     return max_abs_on_guard(diff, config, mask=graded_guard_mask(config))

@@ -25,7 +25,6 @@ from .spinors import EVEN, ODD, _check_parity, contract_matrix, form_subsets, we
 
 __all__ = [
     "Covector",
-    "SymbolMatrix",
     "HessianData",
     "random_covector",
     "random_hessian",
@@ -86,23 +85,6 @@ class Covector:
     @cached_property
     def perp_norm(self) -> float:
         return float(np.linalg.norm(self.xi_perp))
-
-
-@dataclass(frozen=True, eq=False)
-class SymbolMatrix:
-    """A symbol value: a matrix over the reordered form basis plus chirality."""
-
-    matrix: np.ndarray
-    chirality: str
-
-    @property
-    def dimension(self) -> int:
-        return self.matrix.shape[0]
-
-    def blocks(self):
-        half = self.dimension // 2
-        m = self.matrix
-        return ((m[:half, :half], m[:half, half:]), (m[half:, :half], m[half:, half:]))
 
 
 def _check_side(side):
@@ -199,13 +181,13 @@ def _evaluate_d1(chirality: str, n: int, components) -> np.ndarray:
     return np.tensordot(np.asarray(components), d1_gradient(chirality, n), axes=1)
 
 
-def d1(chirality: str, xi: Covector) -> SymbolMatrix:
+def d1(chirality: str, xi: Covector) -> np.ndarray:
     """First-order symbol factor: linear in the covector, parity-exchanging."""
     _check_parity(chirality, "chirality")
-    return SymbolMatrix(_evaluate_d1(chirality, xi.n, xi.components()), chirality)
+    return _evaluate_d1(chirality, xi.n, xi.components())
 
 
-def boundary_isomorphism(chirality: str, side: int, n: int) -> SymbolMatrix:
+def boundary_isomorphism(chirality: str, side: int, n: int) -> np.ndarray:
     """Diagonal identification of boundary values with interior traces.
 
     Scales the leading parity block by ``side / sqrt(2)`` and the other block
@@ -219,7 +201,7 @@ def boundary_isomorphism(chirality: str, side: int, n: int) -> SymbolMatrix:
         m = side * inv_sqrt2 * (pi_e - pi_o)
     else:
         m = side * inv_sqrt2 * (pi_o - pi_e)
-    return SymbolMatrix(m.astype(complex), chirality)
+    return m.astype(complex)
 
 
 def _boundary_components(xi_prime: Covector, xi1_value) -> np.ndarray:
@@ -235,7 +217,7 @@ def _require_boundary(xi_prime: Covector):
         raise ZeroCovectorError("boundary covector must be nonzero")
 
 
-def calderon_symbol0(chirality: str, side: int, xi_prime: Covector) -> SymbolMatrix:
+def calderon_symbol0(chirality: str, side: int, xi_prime: Covector) -> np.ndarray:
     """Order-zero boundary projector symbol for one side of the boundary.
 
     Built as the opposite-chirality first-order factor evaluated at
@@ -249,10 +231,10 @@ def calderon_symbol0(chirality: str, side: int, xi_prime: Covector) -> SymbolMat
     ell = xi_prime.boundary_norm
     comps = _boundary_components(xi_prime, side * 1j * ell)
     core = _evaluate_d1(_other(chirality), n, comps) / ell
-    return SymbolMatrix(core @ boundary_isomorphism(chirality, side, n).matrix, chirality)
+    return core @ boundary_isomorphism(chirality, side, n)
 
 
-def comparison_symbol0(chirality: str, xi_prime: Covector) -> SymbolMatrix:
+def comparison_symbol0(chirality: str, xi_prime: Covector) -> np.ndarray:
     """Order-zero comparison symbol: scalar diagonal plus tangential coupling.
 
     All its singular values coincide.  It vanishes exactly where the
@@ -268,7 +250,7 @@ def comparison_symbol0(chirality: str, xi_prime: Covector) -> SymbolMatrix:
     off = pi_e @ sd @ pi_o - pi_o @ sd @ pi_e
     sign = -1.0 if chirality == EVEN else 1.0
     m = (ell + xi_prime.xi_contact) * np.eye(symbol_dimension(n)) + sign * off
-    return SymbolMatrix(m / (2.0 * ell), chirality)
+    return m / (2.0 * ell)
 
 
 @dataclass(frozen=True, eq=False)
@@ -418,7 +400,7 @@ def _q_matrix(order: int, chirality: str, n: int, components,
 
 
 def q_symbol(order: int, chirality: str, xi: Covector,
-             hess: HessianData | None = None) -> SymbolMatrix:
+             hess: HessianData | None = None) -> np.ndarray:
     """Interior expansion symbols: the leading inverse and its Hessian correction.
 
     ``order = -1`` gives ``2 d1 / |xi|^2``; ``order = -2`` the correction that
@@ -426,9 +408,7 @@ def q_symbol(order: int, chirality: str, xi: Covector,
     Kept as the interior parametrix: ``d1(ODD) @ q_symbol(-1, EVEN) = I``.
     """
     _check_parity(chirality, "chirality")
-    return SymbolMatrix(
-        _q_matrix(order, chirality, xi.n, xi.components(), hess), chirality
-    )
+    return _q_matrix(order, chirality, xi.n, xi.components(), hess)
 
 
 def _first_slot_covectors(xi_prime: Covector, xi1) -> np.ndarray:
@@ -456,7 +436,6 @@ def q_symbol_integrand(order: int, chirality: str, xi_prime: Covector,
         return _q_matrix(order, chirality, n, comps, hess)
 
     ell = xi_prime.boundary_norm
-    integrand.chirality = chirality
     integrand.poles = (1j * ell, -1j * ell)
     return integrand
 
@@ -481,13 +460,12 @@ def trace_term_integrand(chirality: str, xi_prime: Covector, hess: HessianData):
         return weight[..., None, None] * _evaluate_d1(chirality, n, comps)
 
     ell = xi_prime.boundary_norm
-    integrand.chirality = chirality
     integrand.poles = (1j * ell, -1j * ell)
     return integrand
 
 
 def contour_integral(integrand, side: int, xi_prime: Covector,
-                     num_points: int = 512):
+                     num_points: int = 512) -> np.ndarray:
     """(1/2 pi) times the contour integral of a matrix-valued integrand.
 
     Integrates over a circle of radius ``|xi'|/2`` around ``side * i |xi'|``,
@@ -498,8 +476,7 @@ def contour_integral(integrand, side: int, xi_prime: Covector,
     ``(num_points, d, d)``.  It must be meromorphic with its poles away from
     the circle; poles it declares through a ``poles`` attribute (the
     integrand factories in this module do) are checked against the
-    quadrature nodes.  Returns a :class:`SymbolMatrix` when the integrand
-    declares its ``chirality``, otherwise the bare matrix.
+    quadrature nodes.
     """
     _check_side(side)
     ell = xi_prime.boundary_norm
@@ -522,9 +499,8 @@ def contour_integral(integrand, side: int, xi_prime: Covector,
         raise PoleOnContourError("integrand is singular on the quadrature contour")
     orientation = 1.0 if side > 0 else -1.0
     weights = np.exp(1j * angles)
-    value = orientation * (1j * radius / num_points) * np.tensordot(weights, values, axes=1)
-    chirality = getattr(integrand, "chirality", None)
-    return SymbolMatrix(value, chirality) if chirality is not None else value
+    scale = orientation * (1j * radius / num_points)
+    return scale * np.tensordot(weights, values, axes=1)
 
 
 def closed_form_trace_contour(chirality: str, hess: HessianData,
@@ -558,7 +534,7 @@ def closed_form_contact_contour(chirality: str, hess: HessianData,
 
 
 def calderon_symbol_minus1(chirality: str, side: int, hess: HessianData,
-                           xi_prime: Covector) -> SymbolMatrix:
+                           xi_prime: Covector) -> np.ndarray:
     """Order(-1) correction of the boundary projector on the contact line.
 
     The opposite-chirality contour value composed with the boundary
@@ -568,5 +544,4 @@ def calderon_symbol_minus1(chirality: str, side: int, hess: HessianData,
     _check_parity(chirality, "chirality")
     _check_side(side)
     core = closed_form_contact_contour(_other(chirality), hess, xi_prime)
-    n = xi_prime.n
-    return SymbolMatrix(core @ boundary_isomorphism(chirality, side, n).matrix, chirality)
+    return core @ boundary_isomorphism(chirality, side, xi_prime.n)

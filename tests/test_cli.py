@@ -241,6 +241,18 @@ def test_linear_algebra_failure_exits_two_without_numpy_text(capsys, monkeypatch
     assert "SVD" not in err
 
 
+def test_memory_exhaustion_exits_two_with_one_line(capsys, monkeypatch):
+    def exhausting(params, seeds, checks):
+        raise MemoryError
+        yield
+
+    monkeypatch.setitem(cli._RUNNERS, "toeplitz", exhausting)
+    code, out, err = _invoke(["toeplitz"], capsys)
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith("rejected: ") and "lower the sizes" in err
+
+
 def test_non_boolean_stein_is_rejected(capsys):
     code, out, _ = _invoke(
         ["topo", "--x0", '{"signature": 1, "euler": 2, "stein": "no"}'], capsys
@@ -431,6 +443,15 @@ def test_run_request_validation():
         RunRequest("toeplitz", {}, 0, "yaml")
     with pytest.raises(UsageError, match="dim must be at least 1"):
         RunRequest("relindex", {"dim": 0, "trials": 3})
+    # left-out params take their table defaults, in process as on the CLI
+    defaults = {param.name: param.default for param in cli._PARAMS["relindex"]}
+    assert RunRequest("relindex", {}).params == defaults
+    assert RunRequest("toeplitz", {"window": 8}).params == {"window": 8, "k": 3}
+    assert run(RunRequest("toeplitz", {"window": 8})).passed
+    with pytest.raises(UsageError, match="x0"):
+        RunRequest("topo", {})
+    with pytest.raises(UsageError, match="unknown relindex params: \\['rank'\\]"):
+        RunRequest("relindex", {"rank": 3})
     report = run(RunRequest("toeplitz", {"window": 16, "k": 2}, seed=0))
     assert isinstance(report, Report)
     assert report.passed and not report.rejected

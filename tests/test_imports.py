@@ -128,3 +128,14 @@ def test_cli_chirality_names_match_the_spinor_sectors():
     from fockindex import cli, spinors
 
     assert cli._CHIRALITIES == (spinors.EVEN, spinors.ODD)
+
+
+@pytest.mark.parametrize(
+    "module", ["cli", "fock", "spinors", "symbols", "models", "pairs", "topo"]
+)
+def test_every_name_in_all_resolves(module):
+    # the benchmark tracer calls getattr on each name, so a stale entry
+    # left behind by a deletion would break traced runs
+    submodule = getattr(fockindex, module)
+    missing = [name for name in submodule.__all__ if not hasattr(submodule, name)]
+    assert not missing, missing

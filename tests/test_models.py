@@ -220,7 +220,7 @@ def test_closed_form_inverse_matches_formula_solver():
     config, even_idx, odd_idx, osc = _sector_helpers(cfg)
     from fockindex.spinors import dirac_plus
 
-    dirac = dirac_plus(config).matrix.toarray()
+    dirac = dirac_plus(config).toarray()
     lower = dirac[np.ix_(even_idx, odd_idx)]
     raise_ = dirac[np.ix_(odd_idx, even_idx)]
     lower_inv = np.linalg.pinv(lower, rcond=1e-10)
@@ -396,7 +396,7 @@ def test_comparison_model_stays_in_merged_label_blocks(chirality, target):
 def test_block_pseudo_inverses_match_dense_oracle(n, cutoff):
     cfg = ModelConfig(n=n, cutoff=cutoff)
     config, even_idx, odd_idx, _ = _sector_helpers(cfg)
-    dirac = dirac_plus(config).matrix.toarray()
+    dirac = dirac_plus(config).toarray()
     sec = models._sectors(cfg)
     for block, pinv in (
         (dirac[np.ix_(even_idx, odd_idx)], sec.lower_pinv),

@@ -27,6 +27,7 @@ from fockindex.spinors import (
     form_subsets,
     graded_basis,
     graded_dimension,
+    graded_form_degrees,
     graded_guard_mask,
     graded_index,
     graded_osc_degrees,
@@ -99,7 +100,7 @@ def test_wedge_contract_anticommutators():
 def test_contract_is_exact_adjoint_of_wedge():
     config = FockSpaceConfig(2, 5)
     for j in (1, 2):
-        diff = wedge(config, j).matrix.conj().T - contract(config, j).matrix
+        diff = wedge(config, j).conj().T - contract(config, j)
         assert diff.nnz == 0 or np.abs(diff.data).max() == 0.0
 
 
@@ -129,7 +130,7 @@ def test_sector_indices_partition():
 def test_dirac_annihilates_vacuum_exactly():
     config = FockSpaceConfig(2, 5)
     z0 = basis_vector(config, vacuum_index(config))
-    assert np.max(np.abs(dirac_plus(config).matrix @ z0)) == 0.0
+    assert np.max(np.abs(dirac_plus(config) @ z0)) == 0.0
 
 
 def test_vacuum_block_annihilation_is_exact():
@@ -137,10 +138,10 @@ def test_vacuum_block_annihilation_is_exact():
     # even under truncation
     for nv, cutoff in ((1, 6), (2, 5)):
         config = FockSpaceConfig(nv, cutoff)
-        pi0 = vacuum_szego(config).matrix
-        prod = pi0 @ dirac_plus_odd(config).matrix
+        pi0 = vacuum_szego(config)
+        prod = pi0 @ dirac_plus_odd(config)
         assert prod.nnz == 0 or np.abs(prod.data).max() == 0.0
-        prod_t = dirac_plus_even(config).matrix @ pi0
+        prod_t = dirac_plus_even(config) @ pi0
         assert prod_t.nnz == 0 or np.abs(prod_t.data).max() == 0.0
 
 
@@ -152,7 +153,7 @@ def test_square_identity_on_guarded_states():
 def test_square_identity_oracle_diagonal():
     # same identity, rhs assembled in-test straight from the enumeration
     config = FockSpaceConfig(2, 5)
-    d = dirac_plus(config).matrix
+    d = dirac_plus(config)
     sq = (d @ d).toarray()
     expected = np.diag(
         [2.0 * sum(b.osc) + 2.0 * len(b.form) for b in graded_basis(config)]
@@ -163,11 +164,11 @@ def test_square_identity_oracle_diagonal():
 
 def test_chiral_restrictions_are_exact_adjoints():
     config = FockSpaceConfig(2, 5)
-    diff = dirac_plus_even(config).matrix.conj().T - dirac_plus_odd(config).matrix
+    diff = dirac_plus_even(config).conj().T - dirac_plus_odd(config)
     assert diff.nnz == 0 or np.abs(diff.data).max() == 0.0
     # restrictions recombine to the full operator
-    total = dirac_plus_even(config).matrix + dirac_plus_odd(config).matrix
-    assert np.max(np.abs((total - dirac_plus(config).matrix).toarray())) == 0.0
+    total = dirac_plus_even(config) + dirac_plus_odd(config)
+    assert np.max(np.abs((total - dirac_plus(config)).toarray())) == 0.0
 
 
 def test_even_restriction_kernel_is_vacuum_on_guard():
@@ -176,7 +177,7 @@ def test_even_restriction_kernel_is_vacuum_on_guard():
         rows = sector_indices(config, ODD)
         cols = sector_indices(config, EVEN)
         guarded_cols = cols[graded_guard_mask(config)[cols]]
-        block = dirac_plus_even(config).dense()[np.ix_(rows, guarded_cols)]
+        block = dirac_plus_even(config).toarray()[np.ix_(rows, guarded_cols)]
         s = np.linalg.svd(block, compute_uv=False)
         null_dim = int(np.sum(s < 1e-10))
         assert null_dim == 1
@@ -188,7 +189,7 @@ def test_even_restriction_kernel_is_vacuum_on_guard():
 
 def test_vacuum_szego_is_rank_one_projection():
     config = FockSpaceConfig(2, 5)
-    p = vacuum_szego(config).dense()
+    p = vacuum_szego(config).toarray()
     assert np.max(np.abs(p @ p - p)) == 0.0
     assert np.max(np.abs(p.conj().T - p)) == 0.0
     assert np.linalg.matrix_rank(p) == 1
@@ -199,13 +200,13 @@ def test_vacuum_szego_is_rank_one_projection():
 def test_deformed_szego_properties():
     config = FockSpaceConfig(2, 5)
     target = GradedBasisIndex((1, 0), ())
-    p = deformed_szego(config, 0.3, target).dense()
+    p = deformed_szego(config, 0.3, target).toarray()
     assert np.max(np.abs(p @ p - p)) <= 1e-14
     assert np.max(np.abs(p.conj().T - p)) <= 1e-14
     assert np.linalg.matrix_rank(p) == 1
     # theta = 0 reduces exactly to the vacuum projector
-    p0 = deformed_szego(config, 0.0, target).dense()
-    assert np.array_equal(p0, vacuum_szego(config).dense())
+    p0 = deformed_szego(config, 0.0, target).toarray()
+    assert np.array_equal(p0, vacuum_szego(config).toarray())
     # even-degree non-oscillator target is admissible too
     deformed_szego(config, 0.2, GradedBasisIndex((0, 0), (1, 2)))
 
@@ -216,7 +217,7 @@ def test_deformed_szego_matches_dense_outer_product():
     for target in (GradedBasisIndex((1, 0), ()), GradedBasisIndex((0, 1), (1, 2))):
         for theta in (0.0, 0.3, -1.2):
             vec = np.cos(theta) * vacuum + np.sin(theta) * basis_vector(config, target)
-            p = deformed_szego(config, theta, target).dense()
+            p = deformed_szego(config, theta, target).toarray()
             assert np.array_equal(p, np.outer(vec, vec.conj()))
 
 
@@ -234,7 +235,9 @@ def test_deformed_szego_admissibility():
 def test_wedge_preserves_oscillator_block_structure():
     config = FockSpaceConfig(2, 4)
     w = wedge(config, 1)
-    assert w.degree_shift == +1
     osc_deg = graded_osc_degrees(config)
-    rows, cols = w.matrix.nonzero()
+    rows, cols = w.nonzero()
     assert np.all(osc_deg[rows] == osc_deg[cols])
+    # the wedge raises the form degree by exactly one
+    form_deg = graded_form_degrees(config)
+    assert np.all(form_deg[rows] == form_deg[cols] + 1)

@@ -113,8 +113,8 @@ def test_d1_n2_frozen_matrix():
     s = 1.0 / np.sqrt(2.0)
     even = s * np.array([[1j * a - c, 1j * b + e], [1j * b - e, -1j * a - c]])
     odd = s * np.array([[-1j * a - c, -1j * b - e], [-1j * b + e, 1j * a - c]])
-    assert np.abs(d1(EVEN, xi).matrix - even).max() < 1e-15
-    assert np.abs(d1(ODD, xi).matrix - odd).max() < 1e-15
+    assert np.abs(d1(EVEN, xi) - even).max() < 1e-15
+    assert np.abs(d1(ODD, xi) - odd).max() < 1e-15
 
 
 def test_d1_factorization_is_scalar():
@@ -124,8 +124,8 @@ def test_d1_factorization_is_scalar():
         for _ in range(30):
             xi = random_covector(rng, n)
             half_sq = 0.5 * xi.norm**2
-            oe = d1(ODD, xi).matrix @ d1(EVEN, xi).matrix
-            eo = d1(EVEN, xi).matrix @ d1(ODD, xi).matrix
+            oe = d1(ODD, xi) @ d1(EVEN, xi)
+            eo = d1(EVEN, xi) @ d1(ODD, xi)
             assert np.abs(oe - half_sq * eye).max() < 1e-12
             assert np.abs(eo - half_sq * eye).max() < 1e-12
 
@@ -136,7 +136,7 @@ def test_d1_gradient_reassembles_d1():
     comps = xi.components()
     for ch in CHIRALITIES:
         total = np.tensordot(comps, d1_gradient(ch, 3), axes=1)
-        assert np.abs(total - d1(ch, xi).matrix).max() == 0.0
+        assert np.abs(total - d1(ch, xi)).max() == 0.0
 
 
 def test_boundary_isomorphism_scalars():
@@ -145,8 +145,8 @@ def test_boundary_isomorphism_scalars():
         even_slc, odd_slc = sector_slices(n)
         eye = np.eye(symbol_dimension(n))
         for ch in CHIRALITIES:
-            plus = boundary_isomorphism(ch, +1, n).matrix
-            minus = boundary_isomorphism(ch, -1, n).matrix
+            plus = boundary_isomorphism(ch, +1, n)
+            minus = boundary_isomorphism(ch, -1, n)
             tangential = even_slc if ch == EVEN else odd_slc
             normal = odd_slc if ch == EVEN else even_slc
             assert np.allclose(np.diag(plus)[tangential], s)
@@ -165,8 +165,8 @@ def test_calderon0_idempotent_and_complementary():
         for _ in range(50):
             xp = random_covector(rng, n, boundary=True)
             for ch in CHIRALITIES:
-                plus = calderon_symbol0(ch, +1, xp).matrix
-                minus = calderon_symbol0(ch, -1, xp).matrix
+                plus = calderon_symbol0(ch, +1, xp)
+                minus = calderon_symbol0(ch, -1, xp)
                 assert np.abs(plus @ plus - plus).max() < 1e-12
                 assert np.abs(minus @ minus - minus).max() < 1e-12
                 assert np.abs(plus + minus - eye).max() < 1e-12
@@ -175,9 +175,9 @@ def test_calderon0_idempotent_and_complementary():
 def test_calderon0_zero_homogeneous():
     rng = np.random.default_rng(37)
     xp = random_covector(rng, 3, boundary=True)
-    base = calderon_symbol0(ODD, +1, xp).matrix
+    base = calderon_symbol0(ODD, +1, xp)
     for lam in (0.25, 4.0, 117.0):
-        assert np.abs(calderon_symbol0(ODD, +1, _scaled(xp, lam)).matrix - base).max() < 1e-12
+        assert np.abs(calderon_symbol0(ODD, +1, _scaled(xp, lam)) - base).max() < 1e-12
 
 
 def test_calderon0_contact_ray_block_structure():
@@ -186,11 +186,11 @@ def test_calderon0_contact_ray_block_structure():
     for n in (2, 3):
         dim = symbol_dimension(n)
         even_slc, odd_slc = sector_slices(n)
-        pos_dir = calderon_symbol0(EVEN, +1, _contact_ray(n, -2.0)).matrix
+        pos_dir = calderon_symbol0(EVEN, +1, _contact_ray(n, -2.0))
         expected = np.zeros((dim, dim))
         expected[even_slc, even_slc] = np.eye(dim // 2)
         assert np.abs(pos_dir - expected).max() < 1e-14
-        neg_dir = calderon_symbol0(EVEN, +1, _contact_ray(n, 2.0)).matrix
+        neg_dir = calderon_symbol0(EVEN, +1, _contact_ray(n, 2.0))
         flipped = np.zeros((dim, dim))
         flipped[odd_slc, odd_slc] = np.eye(dim // 2)
         assert np.abs(neg_dir - flipped).max() < 1e-14
@@ -211,7 +211,7 @@ def test_comparison_symbol_has_equal_singular_values():
             ell = xp.boundary_norm
             expected = np.sqrt((ell + xp.xi_contact) ** 2 + xp.perp_norm**2) / (2 * ell)
             for ch in CHIRALITIES:
-                sv = np.linalg.svd(comparison_symbol0(ch, xp).matrix, compute_uv=False)
+                sv = np.linalg.svd(comparison_symbol0(ch, xp), compute_uv=False)
                 assert np.abs(sv - expected).max() < 1e-12
                 if xp.perp_norm > 0:
                     assert sv.min() > 0
@@ -221,9 +221,9 @@ def test_comparison_symbol_degenerates_only_on_one_ray():
     for n in (2, 3):
         eye = np.eye(symbol_dimension(n))
         for ch in CHIRALITIES:
-            vanishing = comparison_symbol0(ch, _contact_ray(n, -2.0)).matrix
+            vanishing = comparison_symbol0(ch, _contact_ray(n, -2.0))
             assert np.abs(vanishing).max() < 1e-15
-            full = comparison_symbol0(ch, _contact_ray(n, 2.0)).matrix
+            full = comparison_symbol0(ch, _contact_ray(n, 2.0))
             assert np.abs(full - eye).max() < 1e-15
 
 
@@ -233,8 +233,8 @@ def test_q_minus1_is_right_inverse_of_d1():
         eye = np.eye(symbol_dimension(n))
         for _ in range(20):
             xi = random_covector(rng, n)
-            assert np.abs(d1(ODD, xi).matrix @ q_symbol(-1, EVEN, xi).matrix - eye).max() < 1e-12
-            assert np.abs(d1(EVEN, xi).matrix @ q_symbol(-1, ODD, xi).matrix - eye).max() < 1e-12
+            assert np.abs(d1(ODD, xi) @ q_symbol(-1, EVEN, xi) - eye).max() < 1e-12
+            assert np.abs(d1(EVEN, xi) @ q_symbol(-1, ODD, xi) - eye).max() < 1e-12
 
 
 def test_q_minus2_scaling_and_hessian_linearity():
@@ -244,10 +244,10 @@ def test_q_minus2_scaling_and_hessian_linearity():
     hess = random_hessian(rng, n)
     none = HessianData.from_complex(hess.alpha, np.zeros((n, n)), np.zeros((n, n)))
     for ch in CHIRALITIES:
-        base = q_symbol(-2, ch, xi, hess).matrix
-        scaled = q_symbol(-2, ch, _scaled(xi, 1.7), hess).matrix
+        base = q_symbol(-2, ch, xi, hess)
+        scaled = q_symbol(-2, ch, _scaled(xi, 1.7), hess)
         assert np.abs(scaled - base / 1.7**2).max() < 1e-12
-        assert np.abs(q_symbol(-2, ch, xi, none).matrix).max() == 0.0
+        assert np.abs(q_symbol(-2, ch, xi, none)).max() == 0.0
     with pytest.raises(ValueError):
         q_symbol(-3, EVEN, xi, hess)
     with pytest.raises(ValueError):
@@ -298,9 +298,8 @@ def test_contour_reproduces_order_zero_projector():
                 source = ODD if ch == EVEN else EVEN
                 for side in SIDES:
                     quad = contour_integral(q_symbol_integrand(-1, source, xp), side, xp)
-                    assert quad.chirality == source
-                    composed = quad.matrix @ boundary_isomorphism(ch, side, n).matrix
-                    direct = calderon_symbol0(ch, side, xp).matrix
+                    composed = quad @ boundary_isomorphism(ch, side, n)
+                    direct = calderon_symbol0(ch, side, xp)
                     assert np.abs(composed - direct).max() < 1e-12
 
 
@@ -315,7 +314,7 @@ def test_contour_trace_term_closed_form():
                 scale = np.abs(closed).max()
                 for side in SIDES:
                     quad = contour_integral(trace_term_integrand(ch, xp, hess), side, xp)
-                    assert np.abs(quad.matrix - closed).max() / scale < 1e-10
+                    assert np.abs(quad - closed).max() / scale < 1e-10
 
 
 def test_contour_contact_line_closed_form():
@@ -329,7 +328,7 @@ def test_contour_contact_line_closed_form():
                 scale = np.abs(closed).max()
                 for side in SIDES:
                     quad = contour_integral(q_symbol_integrand(-2, ch, xp, hess), side, xp)
-                    assert np.abs(quad.matrix - closed).max() / scale < 1e-10
+                    assert np.abs(quad - closed).max() / scale < 1e-10
 
 
 def test_contact_closed_form_needs_the_contact_line():
@@ -349,8 +348,8 @@ def test_minus1_correction_is_scalar_and_cancels_in_the_sum():
             hess = random_hessian(rng, n)
             ell = xp.boundary_norm
             for ch in CHIRALITIES:
-                plus = calderon_symbol_minus1(ch, +1, hess, xp).matrix
-                minus = calderon_symbol_minus1(ch, -1, hess, xp).matrix
+                plus = calderon_symbol_minus1(ch, +1, hess, xp)
+                minus = calderon_symbol_minus1(ch, -1, hess, xp)
                 expected = -(hess.alpha * hess.beta / (2 * ell)) * eye
                 assert np.abs(plus - expected).max() < 1e-13
                 assert np.abs(plus + minus).max() == 0.0
@@ -365,17 +364,17 @@ def test_minus1_matches_contour_through_the_isomorphism():
         source = ODD if ch == EVEN else EVEN
         for side in SIDES:
             quad = contour_integral(q_symbol_integrand(-2, source, xp, hess), side, xp)
-            composed = quad.matrix @ boundary_isomorphism(ch, side, n).matrix
-            direct = calderon_symbol_minus1(ch, side, hess, xp).matrix
+            composed = quad @ boundary_isomorphism(ch, side, n)
+            direct = calderon_symbol_minus1(ch, side, hess, xp)
             assert np.abs(composed - direct).max() < 1e-10
 
 
 def test_minus1_scales_linearly_in_beta():
     xp = _contact_ray(2, -1.0)
-    single = calderon_symbol_minus1(EVEN, +1, HessianData.kahler(2), xp).matrix
+    single = calderon_symbol_minus1(EVEN, +1, HessianData.kahler(2), xp)
     doubled = calderon_symbol_minus1(
         EVEN, +1, HessianData.from_complex(1.0, 2.0 * np.eye(2), np.zeros((2, 2))), xp
-    ).matrix
+    )
     assert np.abs(doubled - 2.0 * single).max() < 1e-15
 
 
@@ -403,7 +402,7 @@ def test_batched_contour_matches_per_node_loop(n):
         )
         for integrand in integrands:
             for side in SIDES:
-                batched = contour_integral(integrand, side, xp).matrix
+                batched = contour_integral(integrand, side, xp)
                 looped = _contour_by_node(integrand, side, xp)
                 scale = np.abs(looped).max()
                 assert np.abs(batched - looped).max() <= 1e-13 * scale
