@@ -54,8 +54,9 @@ print(f"sum CC* + nv = H residual: {res_upper:.2e}")
 
 ## The coupled first-order operator squares to the graded degree
 ## diagonal on guarded columns
-print(f"square-identity residual: {square_identity_residual(config):.2e}")
+d = dirac_plus(config)
+print(f"square-identity residual: {square_identity_residual(d, config):.2e}")
 
 ## ... and kills the vacuum exactly, truncation or not
 z0 = basis_vector(config, vacuum_index(config))
-print("vacuum image norm:", np.max(np.abs(dirac_plus(config) @ z0)))
+print("vacuum image norm:", np.max(np.abs(d @ z0)))

@@ -22,7 +22,6 @@ from .fock import (
     FockSpaceConfig,
     _basis,
     _operator,
-    annihilation,
     basis_index,
     creation,
     degrees,
@@ -49,14 +48,9 @@ __all__ = [
     "graded_form_degrees",
     "graded_guard_mask",
     "sector_indices",
-    "wedge",
-    "contract",
     "dirac_plus",
-    "dirac_plus_even",
-    "dirac_plus_odd",
     "vacuum_index",
     "basis_vector",
-    "vacuum_szego",
     "deformed_szego",
     "square_identity_residual",
 ]
@@ -172,28 +166,13 @@ def sector_indices(config: FockSpaceConfig, parity: str) -> np.ndarray:
     return np.nonzero(graded_form_degrees(config) % 2 == rem)[0]
 
 
-def _lift_form(config: FockSpaceConfig, form_op: np.ndarray) -> sp.csr_matrix:
-    import scipy.sparse as sp
-
-    eye = sp.identity(config.dimension, dtype=np.complex128)
-    return sp.kron(eye, sp.csr_matrix(form_op)).tocsr()
-
-
-def wedge(config: FockSpaceConfig, j: int) -> sp.csr_matrix:
-    """Wedge by label ``j`` on the graded space (raises form degree by one)."""
-    return _operator(_lift_form(config, wedge_matrix(config.num_vars, j)))
-
-
-def contract(config: FockSpaceConfig, j: int) -> sp.csr_matrix:
-    """Contraction with label ``j`` (lowers form degree by one)."""
-    return _operator(_lift_form(config, contract_matrix(config.num_vars, j)))
-
-
 def dirac_plus(config: FockSpaceConfig) -> sp.csr_matrix:
     """The coupled operator i * sum_j (C_j contract_j - C_j^* wedge_j).
 
     Exchanges the even/odd form sectors while preserving total degree; its
-    matrix is exactly self-adjoint under the hard truncation.
+    matrix is exactly self-adjoint under the hard truncation.  Its chiral
+    halves are slices by ``sector_indices``: odd rows by even columns, and
+    even rows by odd columns.
     """
     import scipy.sparse as sp
 
@@ -201,33 +180,12 @@ def dirac_plus(config: FockSpaceConfig) -> sp.csr_matrix:
     total = None
     for j in range(1, nv + 1):
         up = creation(config, j)
-        down = annihilation(config, j)
+        down = up.conj().T
         term = sp.kron(up, sp.csr_matrix(contract_matrix(nv, j))) - sp.kron(
             down, sp.csr_matrix(wedge_matrix(nv, j))
         )
         total = term if total is None else total + term
     return _operator(1j * total)
-
-
-def dirac_plus_even(config: FockSpaceConfig) -> sp.csr_matrix:
-    """Restriction of dirac_plus mapping the even sector into the odd one.
-
-    Returned as a square operator on the full graded space that vanishes
-    outside the even-sector columns / odd-sector rows.
-    """
-    import scipy.sparse as sp
-
-    d = dirac_plus(config).tocoo()
-    keep = np.isin(d.row, sector_indices(config, ODD)) & np.isin(
-        d.col, sector_indices(config, EVEN)
-    )
-    m = sp.coo_matrix((d.data[keep], (d.row[keep], d.col[keep])), shape=d.shape)
-    return _operator(m)
-
-
-def dirac_plus_odd(config: FockSpaceConfig) -> sp.csr_matrix:
-    """Restriction mapping the odd sector into the even one (exact adjoint)."""
-    return _operator(dirac_plus_even(config).conj().T)
 
 
 def vacuum_index(config: FockSpaceConfig) -> GradedBasisIndex:
@@ -238,16 +196,6 @@ def basis_vector(config: FockSpaceConfig, index: GradedBasisIndex) -> np.ndarray
     vec = np.zeros(graded_dimension(config), dtype=np.complex128)
     vec[graded_index(config, index)] = 1.0
     return vec
-
-
-def vacuum_szego(config: FockSpaceConfig) -> sp.csr_matrix:
-    """Rank-one orthogonal projection onto the vacuum state."""
-    import scipy.sparse as sp
-
-    pos = graded_index(config, vacuum_index(config))
-    dim = graded_dimension(config)
-    m = sp.coo_matrix(([1.0], ([pos], [pos])), shape=(dim, dim))
-    return _operator(m)
 
 
 def deformed_szego(config: FockSpaceConfig, theta: float,
@@ -281,15 +229,14 @@ def deformed_szego(config: FockSpaceConfig, theta: float,
     return _operator(m)
 
 
-def square_identity_residual(config: FockSpaceConfig) -> float:
-    """Max guarded-column error of the squared coupled operator.
+def square_identity_residual(d: sp.csr_matrix, config: FockSpaceConfig) -> float:
+    """Max guarded-column error of the square of ``d = dirac_plus(config)``.
 
     The square must act diagonally as twice the oscillator degree plus twice
     the form degree; computed sparsely so large truncations stay cheap.
     """
     import scipy.sparse as sp
 
-    d = dirac_plus(config)
     expected = 2.0 * graded_osc_degrees(config) + 2.0 * graded_form_degrees(config)
     diff = (d @ d - sp.diags(expected.astype(np.complex128))).tocsr()
     return max_abs_on_guard(diff, config, mask=graded_guard_mask(config))

@@ -459,6 +459,45 @@ def test_run_request_validation():
     assert "wall" not in report.to_json()
 
 
+@pytest.mark.parametrize("subcommand", list(cli._PARAMS))
+def test_a_negative_seed_is_a_usage_error_for_every_subcommand(subcommand, capsys):
+    extra = ["--x0", X0] if subcommand == "topo" else []
+    code, out, err = _invoke([subcommand, *extra, "--seed", "-1"], capsys)
+    assert (code, out, err) == (1, "", "error: seed must be at least 0, got -1\n")
+
+
+@pytest.mark.parametrize("seed, shown", [(2.5, "2.5"), (True, "true")])
+def test_in_process_seeds_are_type_checked(seed, shown):
+    with pytest.raises(UsageError, match=f"^seed must be an integer, got {shown}$"):
+        RunRequest("toeplitz", {}, seed=seed)
+
+
+def test_cutoff_minimums_are_the_library_guard_band_rule():
+    # the CLI restates fock's rule because importing fock loads numpy, which
+    # importing the CLI must not (tests/test_imports.py)
+    from fockindex import fock
+
+    for subcommand in ("verify-algebra", "model-invert"):
+        (row,) = [p for p in cli._PARAMS[subcommand] if p.name == "cutoff"]
+        assert row.minimum == fock.GUARD + 2
+
+
+def test_verify_algebra_builds_the_coupled_operator_once(capsys, monkeypatch):
+    from fockindex import spinors
+
+    built = []
+    dirac_plus = spinors.dirac_plus
+
+    def counting(config):
+        built.append(config)
+        return dirac_plus(config)
+
+    monkeypatch.setattr(spinors, "dirac_plus", counting)
+    code, _, _ = _invoke(["verify-algebra", "--n", "2", "--cutoff", "6"], capsys)
+    assert code == 0
+    assert len(built) == 1
+
+
 def _assert_matches(actual, expected, where="report"):
     """Equal payloads: same keys in the same order, floats to 1e-12."""
     if isinstance(expected, float) and isinstance(actual, float):

@@ -12,30 +12,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fockindex.errors import PairingFloorError
-from fockindex.fock import FockSpaceConfig, max_abs_on_guard
+from fockindex.fock import FockSpaceConfig
 from fockindex.spinors import (
     EVEN,
     ODD,
     GradedBasisIndex,
     basis_vector,
-    contract,
     contract_matrix,
     deformed_szego,
     dirac_plus,
-    dirac_plus_even,
-    dirac_plus_odd,
     form_subsets,
     graded_basis,
     graded_dimension,
-    graded_form_degrees,
     graded_guard_mask,
     graded_index,
-    graded_osc_degrees,
     sector_indices,
     square_identity_residual,
     vacuum_index,
-    vacuum_szego,
-    wedge,
     wedge_matrix,
 )
 
@@ -97,13 +90,6 @@ def test_wedge_contract_anticommutators():
             assert np.array_equal(w1 @ w1, 0.0 * eye)
 
 
-def test_contract_is_exact_adjoint_of_wedge():
-    config = FockSpaceConfig(2, 5)
-    for j in (1, 2):
-        diff = wedge(config, j).conj().T - contract(config, j)
-        assert diff.nnz == 0 or np.abs(diff.data).max() == 0.0
-
-
 def test_graded_enumeration_is_oscillator_major():
     config = FockSpaceConfig(2, 4)
     basis = graded_basis(config)
@@ -133,21 +119,26 @@ def test_dirac_annihilates_vacuum_exactly():
     assert np.max(np.abs(dirac_plus(config) @ z0)) == 0.0
 
 
+def _slice(d, rows, cols):
+    return d[rows, :][:, cols].toarray()
+
+
 def test_vacuum_block_annihilation_is_exact():
-    # the vacuum row of the odd-to-even restriction vanishes identically,
-    # even under truncation
+    # the vacuum row of the odd-to-even half and the vacuum column of the
+    # even-to-odd half vanish identically, even under truncation
     for nv, cutoff in ((1, 6), (2, 5)):
         config = FockSpaceConfig(nv, cutoff)
-        pi0 = vacuum_szego(config)
-        prod = pi0 @ dirac_plus_odd(config)
-        assert prod.nnz == 0 or np.abs(prod.data).max() == 0.0
-        prod_t = dirac_plus_even(config) @ pi0
-        assert prod_t.nnz == 0 or np.abs(prod_t.data).max() == 0.0
+        d = dirac_plus(config)
+        vac = [graded_index(config, vacuum_index(config))]
+        odd = sector_indices(config, ODD)
+        assert np.all(_slice(d, vac, odd) == 0.0)
+        assert np.all(_slice(d, odd, vac) == 0.0)
 
 
 def test_square_identity_on_guarded_states():
     for nv, cutoff in ((1, 8), (2, 6), (3, 5)):
-        assert square_identity_residual(FockSpaceConfig(nv, cutoff)) <= 1e-12
+        config = FockSpaceConfig(nv, cutoff)
+        assert square_identity_residual(dirac_plus(config), config) <= 1e-12
 
 
 def test_square_identity_oracle_diagonal():
@@ -164,11 +155,12 @@ def test_square_identity_oracle_diagonal():
 
 def test_chiral_restrictions_are_exact_adjoints():
     config = FockSpaceConfig(2, 5)
-    diff = dirac_plus_even(config).conj().T - dirac_plus_odd(config)
-    assert diff.nnz == 0 or np.abs(diff.data).max() == 0.0
-    # restrictions recombine to the full operator
-    total = dirac_plus_even(config) + dirac_plus_odd(config)
-    assert np.max(np.abs((total - dirac_plus(config)).toarray())) == 0.0
+    d = dirac_plus(config)
+    even, odd = sector_indices(config, EVEN), sector_indices(config, ODD)
+    assert np.array_equal(_slice(d, odd, even).conj().T, _slice(d, even, odd))
+    # the two halves are all of it: no even-to-even or odd-to-odd entries
+    assert np.all(_slice(d, even, even) == 0.0)
+    assert np.all(_slice(d, odd, odd) == 0.0)
 
 
 def test_even_restriction_kernel_is_vacuum_on_guard():
@@ -177,7 +169,7 @@ def test_even_restriction_kernel_is_vacuum_on_guard():
         rows = sector_indices(config, ODD)
         cols = sector_indices(config, EVEN)
         guarded_cols = cols[graded_guard_mask(config)[cols]]
-        block = dirac_plus_even(config).toarray()[np.ix_(rows, guarded_cols)]
+        block = _slice(dirac_plus(config), rows, guarded_cols)
         s = np.linalg.svd(block, compute_uv=False)
         null_dim = int(np.sum(s < 1e-10))
         assert null_dim == 1
@@ -185,16 +177,6 @@ def test_even_restriction_kernel_is_vacuum_on_guard():
         kernel = vh[-1].conj()
         z0_pos = np.nonzero(guarded_cols == graded_index(config, vacuum_index(config)))[0]
         assert abs(abs(kernel[z0_pos[0]]) - 1.0) < 1e-12
-
-
-def test_vacuum_szego_is_rank_one_projection():
-    config = FockSpaceConfig(2, 5)
-    p = vacuum_szego(config).toarray()
-    assert np.max(np.abs(p @ p - p)) == 0.0
-    assert np.max(np.abs(p.conj().T - p)) == 0.0
-    assert np.linalg.matrix_rank(p) == 1
-    z0 = basis_vector(config, vacuum_index(config))
-    assert np.array_equal(p @ z0, z0)
 
 
 def test_deformed_szego_properties():
@@ -206,7 +188,8 @@ def test_deformed_szego_properties():
     assert np.linalg.matrix_rank(p) == 1
     # theta = 0 reduces exactly to the vacuum projector
     p0 = deformed_szego(config, 0.0, target).toarray()
-    assert np.array_equal(p0, vacuum_szego(config).toarray())
+    z0 = basis_vector(config, vacuum_index(config))
+    assert np.array_equal(p0, np.outer(z0, z0.conj()))
     # even-degree non-oscillator target is admissible too
     deformed_szego(config, 0.2, GradedBasisIndex((0, 0), (1, 2)))
 
@@ -230,14 +213,3 @@ def test_deformed_szego_admissibility():
         deformed_szego(config, 0.3, GradedBasisIndex((0, 0), (1,)))  # odd degree
     with pytest.raises(ValueError):
         deformed_szego(config, 0.3, vacuum_index(config))
-
-
-def test_wedge_preserves_oscillator_block_structure():
-    config = FockSpaceConfig(2, 4)
-    w = wedge(config, 1)
-    osc_deg = graded_osc_degrees(config)
-    rows, cols = w.nonzero()
-    assert np.all(osc_deg[rows] == osc_deg[cols])
-    # the wedge raises the form degree by exactly one
-    form_deg = graded_form_degrees(config)
-    assert np.all(form_deg[rows] == form_deg[cols] + 1)
