@@ -13,12 +13,12 @@ import numpy as np
 from fockindex.symbols import (
     EVEN,
     ODD,
-    Covector,
     HessianData,
     calderon_symbol0,
     closed_form_trace_contour,
     comparison_symbol0,
     contour_integral,
+    covector,
     d1,
     random_covector,
     random_hessian,
@@ -35,7 +35,7 @@ rng = np.random.default_rng(7)
 xi = random_covector(rng, n)
 composed = d1(ODD, xi) @ d1(EVEN, xi)
 print("d1(odd) d1(even) vs (|xi|^2/2) Id:",
-      np.abs(composed - 0.5 * xi.norm**2 * eye).max())
+      np.abs(composed - 0.5 * np.linalg.norm(xi)**2 * eye).max())
 
 # the two order-zero boundary projectors are complementary idempotents
 xp = random_covector(rng, n, boundary=True)
@@ -48,7 +48,7 @@ print("complementarity:", np.abs(plus + minus - eye).max())
 # axis, where it vanishes identically
 sv = np.linalg.svd(comparison_symbol0(EVEN, xp), compute_uv=False)
 print("singular values off the ray:", np.round(sv, 6))
-ray = Covector(0.0, -1.0, (0.0,) * (2 * (n - 1)))
+ray = covector(0.0, -1.0, (0.0,) * (2 * (n - 1)))
 print("max entry on the degenerating ray:",
       np.abs(comparison_symbol0(EVEN, ray)).max())
 

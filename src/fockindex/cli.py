@@ -404,6 +404,11 @@ def _run_verify_algebra(params: dict, seeds: list, checks: tuple):
     yield vacuum, max(_max_abs(row), _max_abs(col))
 
 
+# A covector stack holds at most this many symbol-matrix entries, so the
+# memory of a verify-symbols request does not grow with --samples.
+_STACK_ENTRIES = 2**14
+
+
 def _run_verify_symbols(params: dict, seeds: list, checks: tuple):
     """boundary symbol identities"""
     import numpy as np
@@ -412,13 +417,22 @@ def _run_verify_symbols(params: dict, seeds: list, checks: tuple):
 
     gradient, projectors, degeneration, quadrature = checks
     n, samples = params["n"], params["samples"]
-    eye = np.eye(symbols.symbol_dimension(n))
+    dim = symbols.symbol_dimension(n)
+    eye = np.eye(dim)
+    stack_size = max(1, _STACK_ENTRIES // dim**2)
 
-    rng = np.random.default_rng(seeds[0])
+    def stacks(seed, boundary):
+        # drawn one at a time, in order, so the samples do not depend on
+        # the stack size
+        rng = np.random.default_rng(seed)
+        for start in range(0, samples, stack_size):
+            count = min(stack_size, samples - start)
+            yield np.array([symbols.random_covector(rng, n, boundary=boundary)
+                            for _ in range(count)])
+
     worst = 0.0
-    for _ in range(samples):
-        xi = symbols.random_covector(rng, n)
-        half_sq = 0.5 * xi.norm**2
+    for xi in stacks(seeds[0], boundary=False):
+        half_sq = 0.5 * symbols.norm(xi)[:, None, None] ** 2
         odd = symbols.d1(symbols.ODD, xi)
         even = symbols.d1(symbols.EVEN, xi)
         worst = max(
@@ -428,10 +442,8 @@ def _run_verify_symbols(params: dict, seeds: list, checks: tuple):
         )
     yield gradient, worst, {"samples": samples, "n": n}
 
-    rng = np.random.default_rng(seeds[1])
     worst = 0.0
-    for _ in range(samples):
-        xp = symbols.random_covector(rng, n, boundary=True)
+    for xp in stacks(seeds[1], boundary=True):
         for ch in _CHIRALITIES:
             plus = symbols.calderon_symbol0(ch, +1, xp)
             minus = symbols.calderon_symbol0(ch, -1, xp)
@@ -443,18 +455,17 @@ def _run_verify_symbols(params: dict, seeds: list, checks: tuple):
             )
     yield projectors, worst, {"samples": samples}
 
-    rng = np.random.default_rng(seeds[2])
     worst = 0.0
-    for _ in range(samples):
-        xp = symbols.random_covector(rng, n, boundary=True)
-        ell = xp.boundary_norm
-        expected = np.sqrt((ell + xp.xi_contact) ** 2 + xp.perp_norm**2) / (2 * ell)
+    for xp in stacks(seeds[2], boundary=True):
+        ell, perp = symbols.boundary_norm(xp), symbols.perp_norm(xp)
+        expected = np.sqrt((ell + xp[:, n]) ** 2 + perp**2) / (2 * ell)
         for ch in _CHIRALITIES:
             symbol = symbols.comparison_symbol0(ch, xp)
             sv = np.linalg.svd(symbol, compute_uv=False)
-            worst = max(worst, _max_abs(sv - expected))
-    ray = symbols.Covector(0.0, -1.5, (0.0,) * (2 * (n - 1)))
-    anti_ray = symbols.Covector(0.0, 1.5, (0.0,) * (2 * (n - 1)))
+            worst = max(worst, _max_abs(sv - expected[:, None]))
+    zero_perp = (0.0,) * (2 * (n - 1))
+    ray = symbols.covector(0.0, -1.5, zero_perp)
+    anti_ray = symbols.covector(0.0, 1.5, zero_perp)
     for ch in _CHIRALITIES:
         worst = max(
             worst,
@@ -476,8 +487,8 @@ def _run_verify_symbols(params: dict, seeds: list, checks: tuple):
         for ch in _CHIRALITIES:
             closed = symbols.closed_form_trace_contour(ch, hess, xp)
             scale = _max_abs(closed)
+            integrand = symbols.trace_term_integrand(ch, xp, hess)
             for side in (+1, -1):
-                integrand = symbols.trace_term_integrand(ch, xp, hess)
                 quad = symbols.contour_integral(integrand, side, xp)
                 worst_rel = max(worst_rel, _max_abs(quad - closed) / scale)
         integrand = symbols.q_symbol_integrand(-1, symbols.ODD, xp)
@@ -486,9 +497,7 @@ def _run_verify_symbols(params: dict, seeds: list, checks: tuple):
         composed = quad @ iso
         direct = symbols.calderon_symbol0(symbols.EVEN, +1, xp)
         worst_rel = max(worst_rel, _max_abs(composed - direct))
-        contact = symbols.Covector(
-            0.0, float(rng.uniform(0.5, 2.0)), (0.0,) * (2 * (n - 1))
-        )
+        contact = symbols.covector(0.0, float(rng.uniform(0.5, 2.0)), zero_perp)
         hess_contact = symbols.random_hessian(rng, n)
         for ch in _CHIRALITIES:
             closed = symbols.closed_form_contact_contour(ch, hess_contact, contact)

@@ -7,16 +7,18 @@ first-order factor ``d1`` is linear in the covector, so it is represented by
 ``2n`` constant gradient matrices; this also makes the Hessian-weighted
 symbols and their contour integrals straightforward.
 
-Covector component layout: ``(xi1, xi_2..xi_n, xi_contact, xi_{n+2}..xi_{2n})``
-with ``xi_contact`` the distinguished boundary component and ``xi_perp`` the
-remaining ``2(n-1)`` tangential ones.
+A covector is a real array of shape ``(..., 2n)`` with components laid out as
+``(xi1, xi_2..xi_n, xi_contact, xi_{n+2}..xi_{2n})``: ``xi_contact`` is the
+distinguished boundary component and ``xi_perp`` the remaining ``2(n-1)``
+tangential ones.  Every symbol function broadcasts over the leading axes, so
+a stack of covectors gives the stack of their matrices.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -24,7 +26,10 @@ from .errors import OffContactLineError, PoleOnContourError, ZeroCovectorError
 from .spinors import EVEN, ODD, _check_parity, contract_matrix, form_subsets, wedge_matrix
 
 __all__ = [
-    "Covector",
+    "covector",
+    "norm",
+    "boundary_norm",
+    "perp_norm",
     "HessianData",
     "random_covector",
     "random_hessian",
@@ -46,45 +51,39 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Covector:
-    """Real covector split into first-order, contact, and tangential parts."""
+def covector(xi1: float, xi_contact: float, xi_perp=()) -> np.ndarray:
+    """Covector array in the layout documented above."""
+    xi_perp = tuple(xi_perp)
+    if len(xi_perp) % 2 != 0:
+        raise ValueError("xi_perp must hold an even number of components")
+    half = len(xi_perp) // 2
+    return np.array([xi1, *xi_perp[:half], xi_contact, *xi_perp[half:]], dtype=float)
 
-    xi1: float
-    xi_contact: float
-    xi_perp: tuple[float, ...] = ()
 
-    def __post_init__(self):
-        if len(self.xi_perp) % 2 != 0:
-            raise ValueError("xi_perp must hold an even number of components")
-        object.__setattr__(self, "xi_perp", tuple(float(x) for x in self.xi_perp))
+def _half_length(xi) -> int:
+    """n for covectors of 2n components."""
+    size = np.shape(xi)[-1]
+    if size % 2 != 0:
+        raise ValueError(f"a covector has an even number of components, got {size}")
+    return size // 2
 
-    @property
-    def n(self) -> int:
-        return len(self.xi_perp) // 2 + 1
 
-    def components(self) -> np.ndarray:
-        """Full 2n-component array in the layout documented above."""
-        half = len(self.xi_perp) // 2
-        return np.array(
-            [self.xi1, *self.xi_perp[:half], self.xi_contact, *self.xi_perp[half:]],
-            dtype=float,
-        )
+def norm(xi) -> np.ndarray:
+    """|xi|: the Euclidean norm of real covectors, over the last axis."""
+    # a (1, k) by (k, 1) product takes the BLAS dot that np.linalg.norm takes
+    # for one vector, so each row of a stack gets the bits of that norm
+    xi = np.ascontiguousarray(xi)
+    return np.sqrt((xi[..., None, :] @ xi[..., :, None])[..., 0, 0])
 
-    # The norms are computed once per instance; cached_property writes to the
-    # instance dict, which the frozen dataclass leaves writable.
-    @cached_property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.components()))
 
-    @cached_property
-    def boundary_norm(self) -> float:
-        """|xi'|: the norm of the components tangent to the boundary."""
-        return math.hypot(self.xi_contact, self.perp_norm)
+def perp_norm(xi) -> np.ndarray:
+    """|xi_perp|: the norm of the tangential components other than the contact one."""
+    return norm(np.delete(xi, [0, _half_length(xi)], axis=-1))
 
-    @cached_property
-    def perp_norm(self) -> float:
-        return float(np.linalg.norm(self.xi_perp))
+
+def boundary_norm(xi) -> np.ndarray:
+    """|xi'|: the norm of the components tangent to the boundary."""
+    return np.hypot(np.asarray(xi)[..., _half_length(xi)], perp_norm(xi))
 
 
 def _check_side(side):
@@ -132,24 +131,22 @@ def _reordered(n: int, form_op: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _sd_gradient(n: int) -> np.ndarray:
-    """Constant matrices G with sd(xi'') = sum_k xi_perp[k] * G[k]."""
+    """Constant matrices G with sd(xi) = sum_k xi[k] * G[k], zero in the
+    first and contact slots."""
     nv = n - 1
     dim = symbol_dimension(n)
-    out = np.zeros((2 * nv, dim, dim), dtype=complex)
-    for label in range(1, nv + 1):
+    out = np.zeros((2 * n, dim, dim), dtype=complex)
+    for label in range(1, n):
         e = _reordered(n, contract_matrix(nv, label))
         eps = _reordered(n, wedge_matrix(nv, label))
-        out[label - 1] = 1j * (e - eps)
-        out[nv + label - 1] = e + eps
+        out[label] = 1j * (e - eps)
+        out[n + label] = e + eps
     return out
 
 
-def sd_matrix(n: int, xi_perp) -> np.ndarray:
-    """Tangential symbol: i xi-linear combination of contractions and wedges."""
-    xi_perp = np.asarray(xi_perp)
-    if xi_perp.shape != (2 * (n - 1),):
-        raise ValueError(f"expected {2 * (n - 1)} tangential components")
-    return np.tensordot(xi_perp, _sd_gradient(n), axes=1)
+def sd_matrix(xi) -> np.ndarray:
+    """Tangential symbol: i xi_perp-linear combination of contractions and wedges."""
+    return np.tensordot(xi, _sd_gradient(_half_length(xi)), axes=1)
 
 
 @lru_cache(maxsize=None)
@@ -160,16 +157,10 @@ def d1_gradient(chirality: str, n: int) -> np.ndarray:
     pi_e, pi_o = _parity_projectors(n)
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
     sign = 1.0 if chirality == EVEN else -1.0
-    grad = np.zeros((2 * n, dim, dim), dtype=complex)
+    sd_grad = _sd_gradient(n)
+    grad = sign * inv_sqrt2 * (pi_e @ sd_grad @ pi_o - pi_o @ sd_grad @ pi_e)
     grad[0] = sign * 1j * inv_sqrt2 * (pi_e - pi_o)
     grad[n] = -inv_sqrt2 * (pi_e + pi_o)
-    sd_grad = _sd_gradient(n)
-    nv = n - 1
-    for k in range(nv):
-        off_e = pi_e @ sd_grad[k] @ pi_o - pi_o @ sd_grad[k] @ pi_e
-        off_c = pi_e @ sd_grad[nv + k] @ pi_o - pi_o @ sd_grad[nv + k] @ pi_e
-        grad[1 + k] = sign * inv_sqrt2 * off_e
-        grad[n + 1 + k] = sign * inv_sqrt2 * off_c
     return grad
 
 
@@ -177,14 +168,12 @@ def _other(chirality: str) -> str:
     return ODD if chirality == EVEN else EVEN
 
 
-def _evaluate_d1(chirality: str, n: int, components) -> np.ndarray:
-    return np.tensordot(np.asarray(components), d1_gradient(chirality, n), axes=1)
+def d1(chirality: str, xi) -> np.ndarray:
+    """First-order symbol factor: linear in the covector, parity-exchanging.
 
-
-def d1(chirality: str, xi: Covector) -> np.ndarray:
-    """First-order symbol factor: linear in the covector, parity-exchanging."""
-    _check_parity(chirality, "chirality")
-    return _evaluate_d1(chirality, xi.n, xi.components())
+    The covector may be complex, as when ``xi1`` is moved off the real axis.
+    """
+    return np.tensordot(xi, d1_gradient(chirality, _half_length(xi)), axes=1)
 
 
 def boundary_isomorphism(chirality: str, side: int, n: int) -> np.ndarray:
@@ -204,20 +193,31 @@ def boundary_isomorphism(chirality: str, side: int, n: int) -> np.ndarray:
     return m.astype(complex)
 
 
-def _boundary_components(xi_prime: Covector, xi1_value) -> np.ndarray:
-    comps = xi_prime.components().astype(complex)
-    comps[0] = xi1_value
-    return comps
+def _with_first_slot(xi, xi1) -> np.ndarray:
+    """Complex copies of the covectors ``xi`` with ``xi1`` in the first slot.
+
+    ``xi1`` broadcasts against the leading axes of ``xi``.
+    """
+    xi = np.asarray(xi)
+    xi1 = np.asarray(xi1, dtype=complex)
+    shape = np.broadcast_shapes(xi1.shape, xi.shape[:-1]) + xi.shape[-1:]
+    out = np.empty(shape, dtype=complex)
+    out[...] = xi
+    out[..., 0] = xi1
+    return out
 
 
-def _require_boundary(xi_prime: Covector):
-    if xi_prime.xi1 != 0.0:
+def _require_boundary(xi_prime) -> np.ndarray:
+    """The boundary norms of a stack of boundary covectors, all nonzero."""
+    if np.any(np.asarray(xi_prime)[..., 0] != 0.0):
         raise ValueError("boundary covector must have xi1 = 0")
-    if xi_prime.boundary_norm == 0.0:
+    ell = boundary_norm(xi_prime)
+    if np.any(ell == 0.0):
         raise ZeroCovectorError("boundary covector must be nonzero")
+    return ell
 
 
-def calderon_symbol0(chirality: str, side: int, xi_prime: Covector) -> np.ndarray:
+def calderon_symbol0(chirality: str, side: int, xi_prime) -> np.ndarray:
     """Order-zero boundary projector symbol for one side of the boundary.
 
     Built as the opposite-chirality first-order factor evaluated at
@@ -226,15 +226,13 @@ def calderon_symbol0(chirality: str, side: int, xi_prime: Covector) -> np.ndarra
     """
     _check_parity(chirality, "chirality")
     _check_side(side)
-    _require_boundary(xi_prime)
-    n = xi_prime.n
-    ell = xi_prime.boundary_norm
-    comps = _boundary_components(xi_prime, side * 1j * ell)
-    core = _evaluate_d1(_other(chirality), n, comps) / ell
-    return core @ boundary_isomorphism(chirality, side, n)
+    ell = _require_boundary(xi_prime)
+    comps = _with_first_slot(xi_prime, side * 1j * ell)
+    core = d1(_other(chirality), comps) / ell[..., None, None]
+    return core @ boundary_isomorphism(chirality, side, _half_length(xi_prime))
 
 
-def comparison_symbol0(chirality: str, xi_prime: Covector) -> np.ndarray:
+def comparison_symbol0(chirality: str, xi_prime) -> np.ndarray:
     """Order-zero comparison symbol: scalar diagonal plus tangential coupling.
 
     All its singular values coincide.  It vanishes exactly where the
@@ -242,14 +240,14 @@ def comparison_symbol0(chirality: str, xi_prime: Covector) -> np.ndarray:
     (the positive contact direction), and is the identity at ``+|xi'|``.
     """
     _check_parity(chirality, "chirality")
-    _require_boundary(xi_prime)
-    n = xi_prime.n
-    ell = xi_prime.boundary_norm
+    ell = _require_boundary(xi_prime)[..., None, None]
+    n = _half_length(xi_prime)
     pi_e, pi_o = _parity_projectors(n)
-    sd = sd_matrix(n, xi_prime.xi_perp)
+    sd = sd_matrix(xi_prime)
     off = pi_e @ sd @ pi_o - pi_o @ sd @ pi_e
     sign = -1.0 if chirality == EVEN else 1.0
-    m = (ell + xi_prime.xi_contact) * np.eye(symbol_dimension(n)) + sign * off
+    contact = np.asarray(xi_prime)[..., n, None, None]
+    m = (ell + contact) * np.eye(symbol_dimension(n)) + sign * off
     return m / (2.0 * ell)
 
 
@@ -283,6 +281,8 @@ class HessianData:
         tol = 1e-12 * scale
         if np.abs(a - a.T).max() > tol:
             raise ValueError("matrix_a must be symmetric")
+        if np.abs(b - b.T).max() > tol:
+            raise ValueError("matrix_b must be symmetric")
         if (
             np.abs(a[:n, :n] - a[n:, n:]).max() > tol
             or np.abs(a[:n, n:] + a[n:, :n]).max() > tol
@@ -291,7 +291,6 @@ class HessianData:
         if (
             np.abs(b[:n, :n] + b[n:, n:]).max() > tol
             or np.abs(b[:n, n:] - b[n:, :n]).max() > tol
-            or np.abs(b[:n, n:] - b[n:, :n].T).max() > tol
         ):
             raise ValueError("matrix_b must have the [[b0, -b1], [-b1, -b0]] pattern")
 
@@ -331,22 +330,18 @@ class HessianData:
         return cls.from_complex(alpha, np.eye(n), np.zeros((n, n)))
 
 
-def random_covector(rng, n: int, boundary: bool = False, contact: bool = False) -> Covector:
+def random_covector(rng, n: int, boundary: bool = False,
+                    contact: bool = False) -> np.ndarray:
     """Seeded covector with comfortably nonzero norms."""
     while True:
-        comps = rng.normal(size=2 * n)
+        xi = rng.normal(size=2 * n)
         if contact:
-            comps[np.arange(2 * n) != n] = 0.0
+            xi[np.arange(2 * n) != n] = 0.0
         if boundary or contact:
-            comps[0] = 0.0
-        xi = Covector(
-            float(comps[0]),
-            float(comps[n]),
-            tuple(comps[1:n]) + tuple(comps[n + 1 :]),
-        )
-        if contact and abs(xi.xi_contact) > 0.3:
+            xi[0] = 0.0
+        if contact and abs(xi[n]) > 0.3:
             return xi
-        if not contact and xi.boundary_norm > 0.3 and xi.norm > 0.3:
+        if not contact and boundary_norm(xi) > 0.3 and norm(xi) > 0.3:
             return xi
 
 
@@ -370,14 +365,20 @@ def _xi_square(components) -> np.ndarray:
     return np.sum(comps * comps, axis=-1)
 
 
-def _q_matrix(order: int, chirality: str, n: int, components,
-              hess: HessianData | None) -> np.ndarray:
-    """q-symbol matrices at covectors stacked along the leading axes."""
-    comps = np.asarray(components, dtype=complex)
+def q_symbol(order: int, chirality: str, xi,
+             hess: HessianData | None = None) -> np.ndarray:
+    """Interior expansion symbols: the leading inverse and its Hessian correction.
+
+    ``order = -1`` gives ``2 d1 / |xi|^2``; ``order = -2`` the correction that
+    is linear in the Hessian data.
+    Kept as the interior parametrix: ``d1(ODD) @ q_symbol(-1, EVEN) = I``.
+    """
+    comps = np.asarray(xi, dtype=complex)
+    n = _half_length(comps)
+    d1m = d1(chirality, comps)
     norm_sq = _xi_square(comps)[..., None, None]
     if np.any(norm_sq == 0):
         raise ZeroCovectorError("q-symbol undefined at the zero covector")
-    d1m = _evaluate_d1(chirality, n, comps)
     if order == -1:
         return 2.0 * d1m / norm_sq
     if order == -2:
@@ -399,28 +400,7 @@ def _q_matrix(order: int, chirality: str, n: int, components,
     raise ValueError(f"order must be -1 or -2, got {order}")
 
 
-def q_symbol(order: int, chirality: str, xi: Covector,
-             hess: HessianData | None = None) -> np.ndarray:
-    """Interior expansion symbols: the leading inverse and its Hessian correction.
-
-    ``order = -1`` gives ``2 d1 / |xi|^2``; ``order = -2`` the correction that
-    is linear in the Hessian data.
-    Kept as the interior parametrix: ``d1(ODD) @ q_symbol(-1, EVEN) = I``.
-    """
-    _check_parity(chirality, "chirality")
-    return _q_matrix(order, chirality, xi.n, xi.components(), hess)
-
-
-def _first_slot_covectors(xi_prime: Covector, xi1) -> np.ndarray:
-    """Covector components with ``xi1`` (an array of values) in the first slot."""
-    xi1 = np.asarray(xi1, dtype=complex)
-    base = xi_prime.components().astype(complex)
-    comps = np.broadcast_to(base, xi1.shape + base.shape).copy()
-    comps[..., 0] = xi1
-    return comps
-
-
-def q_symbol_integrand(order: int, chirality: str, xi_prime: Covector,
+def q_symbol_integrand(order: int, chirality: str, xi_prime,
                        hess: HessianData | None = None):
     """Callable ``xi1 -> matrices`` for contour integration in the first slot.
 
@@ -428,19 +408,16 @@ def q_symbol_integrand(order: int, chirality: str, xi_prime: Covector,
     per value along the leading axes.
     """
     _check_parity(chirality, "chirality")
-    _require_boundary(xi_prime)
-    n = xi_prime.n
+    ell = _require_boundary(xi_prime)
 
     def integrand(xi1):
-        comps = _first_slot_covectors(xi_prime, xi1)
-        return _q_matrix(order, chirality, n, comps, hess)
+        return q_symbol(order, chirality, _with_first_slot(xi_prime, xi1), hess)
 
-    ell = xi_prime.boundary_norm
     integrand.poles = (1j * ell, -1j * ell)
     return integrand
 
 
-def trace_term_integrand(chirality: str, xi_prime: Covector, hess: HessianData):
+def trace_term_integrand(chirality: str, xi_prime, hess: HessianData):
     """Callable ``xi1 -> 2 i xi1 alpha tr(A) d1 / |xi|^4`` for contour integration.
 
     The Hessian-trace-weighted piece of the second-order expansion; its
@@ -449,37 +426,36 @@ def trace_term_integrand(chirality: str, xi_prime: Covector, hess: HessianData):
     takes an array of ``xi1`` values and returns a stack of matrices.
     """
     _check_parity(chirality, "chirality")
-    _require_boundary(xi_prime)
-    n = xi_prime.n
+    ell = _require_boundary(xi_prime)
     trace_a = float(np.trace(hess.matrix_a))
     alpha = hess.alpha
 
     def integrand(xi1):
-        comps = _first_slot_covectors(xi_prime, xi1)
+        comps = _with_first_slot(xi_prime, xi1)
         weight = 2j * comps[..., 0] * alpha * trace_a / _xi_square(comps) ** 2
-        return weight[..., None, None] * _evaluate_d1(chirality, n, comps)
+        return weight[..., None, None] * d1(chirality, comps)
 
-    ell = xi_prime.boundary_norm
     integrand.poles = (1j * ell, -1j * ell)
     return integrand
 
 
-def contour_integral(integrand, side: int, xi_prime: Covector,
+def contour_integral(integrand, side: int, xi_prime,
                      num_points: int = 512) -> np.ndarray:
     """(1/2 pi) times the contour integral of a matrix-valued integrand.
 
     Integrates over a circle of radius ``|xi'|/2`` around ``side * i |xi'|``,
     positively oriented for the upper circle and negatively for the lower
-    one, by the trapezoid rule on ``num_points`` equally spaced nodes.  The
-    integrand is called once, with the 1-D array of all nodes, and must
-    return the stack of its matrices at those nodes, shape
+    one, by the trapezoid rule on ``num_points`` equally spaced nodes.
+    ``xi_prime`` is one covector, not a stack.  The integrand is called
+    once, with the 1-D array of all nodes, and must return the stack of its
+    matrices at those nodes, shape
     ``(num_points, d, d)``.  It must be meromorphic with its poles away from
     the circle; poles it declares through a ``poles`` attribute (the
     integrand factories in this module do) are checked against the
     quadrature nodes.
     """
     _check_side(side)
-    ell = xi_prime.boundary_norm
+    ell = boundary_norm(xi_prime)
     if ell == 0.0:
         raise ZeroCovectorError("contour undefined for a zero boundary covector")
     radius = 0.5 * ell
@@ -504,37 +480,38 @@ def contour_integral(integrand, side: int, xi_prime: Covector,
 
 
 def closed_form_trace_contour(chirality: str, hess: HessianData,
-                              xi_prime: Covector) -> np.ndarray:
+                              xi_prime) -> np.ndarray:
     """Closed form of the contour integral of the Hessian-trace term.
 
     Equals ``i alpha tr(A) / (2 |xi'|)`` times the first gradient matrix of
     ``d1`` — the same value for both contours.
     """
     _check_parity(chirality, "chirality")
-    _require_boundary(xi_prime)
-    ell = xi_prime.boundary_norm
+    ell = _require_boundary(xi_prime)[..., None, None]
     trace_a = float(np.trace(hess.matrix_a))
-    return (1j * hess.alpha * trace_a / (2.0 * ell)) * d1_gradient(chirality, xi_prime.n)[0]
+    grad = d1_gradient(chirality, _half_length(xi_prime))
+    return 1j * (hess.alpha * trace_a / (2.0 * ell)) * grad[0]
 
 
 def closed_form_contact_contour(chirality: str, hess: HessianData,
-                                xi_prime: Covector) -> np.ndarray:
+                                xi_prime) -> np.ndarray:
     """Closed form of the full order(-2) contour integral on the contact line.
 
     Equals ``-i alpha beta / |xi'|`` times the first gradient matrix of
     ``d1``; exact as a full matrix for contact-adapted Hessian data.
     """
     _check_parity(chirality, "chirality")
-    if xi_prime.perp_norm != 0.0:
+    if np.any(perp_norm(xi_prime) != 0.0):
         raise OffContactLineError("closed form only valid on the contact line")
-    ell = abs(xi_prime.xi_contact)
-    if ell == 0.0:
+    n = _half_length(xi_prime)
+    ell = abs(np.asarray(xi_prime)[..., n, None, None])
+    if np.any(ell == 0.0):
         raise ZeroCovectorError("contact covector must be nonzero")
-    return (-1j * hess.alpha * hess.beta / ell) * d1_gradient(chirality, xi_prime.n)[0]
+    return -1j * (hess.alpha * hess.beta / ell) * d1_gradient(chirality, n)[0]
 
 
 def calderon_symbol_minus1(chirality: str, side: int, hess: HessianData,
-                           xi_prime: Covector) -> np.ndarray:
+                           xi_prime) -> np.ndarray:
     """Order(-1) correction of the boundary projector on the contact line.
 
     The opposite-chirality contour value composed with the boundary
@@ -544,4 +521,4 @@ def calderon_symbol_minus1(chirality: str, side: int, hess: HessianData,
     _check_parity(chirality, "chirality")
     _check_side(side)
     core = closed_form_contact_contour(_other(chirality), hess, xi_prime)
-    return core @ boundary_isomorphism(chirality, side, xi_prime.n)
+    return core @ boundary_isomorphism(chirality, side, _half_length(xi_prime))

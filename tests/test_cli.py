@@ -498,6 +498,33 @@ def test_verify_algebra_builds_the_coupled_operator_once(capsys, monkeypatch):
     assert len(built) == 1
 
 
+def test_verify_symbols_evaluates_stacks_not_samples(monkeypatch):
+    from fockindex import symbols
+
+    calls = []
+    for name in ("d1", "calderon_symbol0", "comparison_symbol0"):
+        def counting(*args, _original=getattr(symbols, name), **kwargs):
+            calls.append(1)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(symbols, name, counting)
+    counts = []
+    for samples in (1, 300):
+        calls.clear()
+        assert run(RunRequest("verify-symbols", {"n": 2, "samples": samples})).passed
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_verify_symbols_report_does_not_depend_on_the_stack_size(n, monkeypatch):
+    request = RunRequest("verify-symbols", {"n": n, "samples": 100}, seed=4)
+    whole = run(request).to_json()
+    # 100 samples in stacks of 7 covectors at n = 2 and of one at n = 3
+    monkeypatch.setattr(cli, "_STACK_ENTRIES", 28)
+    assert run(request).to_json() == whole
+
+
 def _assert_matches(actual, expected, where="report"):
     """Equal payloads: same keys in the same order, floats to 1e-12."""
     if isinstance(expected, float) and isinstance(actual, float):

@@ -18,17 +18,20 @@ from fockindex.errors import (
 from fockindex.symbols import (
     EVEN,
     ODD,
-    Covector,
     HessianData,
     boundary_isomorphism,
+    boundary_norm,
     calderon_symbol0,
     calderon_symbol_minus1,
     closed_form_contact_contour,
     closed_form_trace_contour,
     comparison_symbol0,
     contour_integral,
+    covector,
     d1,
     d1_gradient,
+    norm,
+    perp_norm,
     q_symbol,
     q_symbol_integrand,
     random_covector,
@@ -44,40 +47,23 @@ SIDES = (+1, -1)
 
 
 def _contact_ray(n, contact):
-    return Covector(0.0, contact, (0.0,) * (2 * (n - 1)))
-
-
-def _scaled(xi, lam):
-    return Covector(lam * xi.xi1, lam * xi.xi_contact,
-                    tuple(lam * np.array(xi.xi_perp)))
+    return covector(0.0, contact, (0.0,) * (2 * (n - 1)))
 
 
 def test_covector_layout_and_norms():
-    xi = Covector(1.0, 3.0, (2.0, 4.0))
-    assert xi.n == 2
-    assert np.array_equal(xi.components(), [1.0, 2.0, 3.0, 4.0])
-    assert xi.norm == pytest.approx(np.sqrt(30.0))
-    assert xi.boundary_norm == pytest.approx(np.sqrt(29.0))
-    assert xi.perp_norm == pytest.approx(np.sqrt(20.0))
+    xi = covector(1.0, 3.0, (2.0, 4.0))
+    assert np.array_equal(xi, [1.0, 2.0, 3.0, 4.0])
+    assert norm(xi) == np.linalg.norm(xi) == pytest.approx(np.sqrt(30.0))
+    assert boundary_norm(xi) == pytest.approx(np.sqrt(29.0))
+    assert perp_norm(xi) == pytest.approx(np.sqrt(20.0))
+    stack = np.array([xi, 2.0 * xi])
+    assert np.allclose(norm(stack), [np.sqrt(30.0), 2.0 * np.sqrt(30.0)])
+    assert np.allclose(boundary_norm(stack), [np.sqrt(29.0), 2.0 * np.sqrt(29.0)])
+    assert np.allclose(perp_norm(stack), [np.sqrt(20.0), 2.0 * np.sqrt(20.0)])
     with pytest.raises(ValueError):
-        Covector(0.0, 1.0, (1.0,))
-
-
-def test_covector_norms_are_computed_once(monkeypatch):
-    xi = Covector(1.0, 3.0, (2.0, 4.0))
-    calls = []
-    original = np.linalg.norm
-
-    def counting(x, *args, **kwargs):
-        calls.append(1)
-        return original(x, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "norm", counting)
-    for _ in range(3):
-        assert xi.norm == original(xi.components())
-        assert xi.boundary_norm == np.hypot(3.0, original([2.0, 4.0]))
-        assert xi.perp_norm == original([2.0, 4.0])
-    assert len(calls) == 2
+        covector(0.0, 1.0, (1.0,))
+    with pytest.raises(ValueError):
+        boundary_norm(np.zeros(5))
 
 
 def test_symbol_dimension_and_sector_split():
@@ -93,7 +79,7 @@ def test_sd_n2_frozen_matrix():
     # by hand: contraction/wedge on one label, even-degree state first
     xi2, xi4 = 0.7, -1.3
     expected = np.array([[0.0, 1j * xi2 + xi4], [-1j * xi2 + xi4, 0.0]])
-    assert np.abs(sd_matrix(2, (xi2, xi4)) - expected).max() < 1e-15
+    assert np.abs(sd_matrix(covector(0.0, 0.0, (xi2, xi4))) - expected).max() < 1e-15
 
 
 def test_sd_self_adjoint_with_scalar_square():
@@ -102,14 +88,14 @@ def test_sd_self_adjoint_with_scalar_square():
         eye = np.eye(symbol_dimension(n))
         for _ in range(20):
             xp = rng.normal(size=2 * (n - 1))
-            sd = sd_matrix(n, xp)
+            sd = sd_matrix(covector(0.0, 0.0, xp))
             assert np.abs(sd - sd.conj().T).max() < 1e-14
             assert np.abs(sd @ sd - np.dot(xp, xp) * eye).max() < 1e-13
 
 
 def test_d1_n2_frozen_matrix():
     a, b, c, e = 0.9, -0.4, 1.2, 0.3  # xi1, perp0, contact, perp1
-    xi = Covector(a, c, (b, e))
+    xi = covector(a, c, (b, e))
     s = 1.0 / np.sqrt(2.0)
     even = s * np.array([[1j * a - c, 1j * b + e], [1j * b - e, -1j * a - c]])
     odd = s * np.array([[-1j * a - c, -1j * b - e], [-1j * b + e, 1j * a - c]])
@@ -123,7 +109,7 @@ def test_d1_factorization_is_scalar():
         eye = np.eye(symbol_dimension(n))
         for _ in range(30):
             xi = random_covector(rng, n)
-            half_sq = 0.5 * xi.norm**2
+            half_sq = 0.5 * np.linalg.norm(xi)**2
             oe = d1(ODD, xi) @ d1(EVEN, xi)
             eo = d1(EVEN, xi) @ d1(ODD, xi)
             assert np.abs(oe - half_sq * eye).max() < 1e-12
@@ -133,9 +119,8 @@ def test_d1_factorization_is_scalar():
 def test_d1_gradient_reassembles_d1():
     rng = np.random.default_rng(5)
     xi = random_covector(rng, 3)
-    comps = xi.components()
     for ch in CHIRALITIES:
-        total = np.tensordot(comps, d1_gradient(ch, 3), axes=1)
+        total = np.tensordot(xi, d1_gradient(ch, 3), axes=1)
         assert np.abs(total - d1(ch, xi)).max() == 0.0
 
 
@@ -177,7 +162,7 @@ def test_calderon0_zero_homogeneous():
     xp = random_covector(rng, 3, boundary=True)
     base = calderon_symbol0(ODD, +1, xp)
     for lam in (0.25, 4.0, 117.0):
-        assert np.abs(calderon_symbol0(ODD, +1, _scaled(xp, lam)) - base).max() < 1e-12
+        assert np.abs(calderon_symbol0(ODD, +1, lam * xp) - base).max() < 1e-12
 
 
 def test_calderon0_contact_ray_block_structure():
@@ -198,9 +183,9 @@ def test_calderon0_contact_ray_block_structure():
 
 def test_calderon0_rejects_bad_covectors():
     with pytest.raises(ZeroCovectorError):
-        calderon_symbol0(EVEN, +1, Covector(0.0, 0.0, (0.0, 0.0)))
+        calderon_symbol0(EVEN, +1, covector(0.0, 0.0, (0.0, 0.0)))
     with pytest.raises(ValueError):
-        calderon_symbol0(EVEN, +1, Covector(1.0, 1.0, (0.0, 0.0)))
+        calderon_symbol0(EVEN, +1, covector(1.0, 1.0, (0.0, 0.0)))
 
 
 def test_comparison_symbol_has_equal_singular_values():
@@ -208,12 +193,12 @@ def test_comparison_symbol_has_equal_singular_values():
     for n in (2, 3):
         for _ in range(50):
             xp = random_covector(rng, n, boundary=True)
-            ell = xp.boundary_norm
-            expected = np.sqrt((ell + xp.xi_contact) ** 2 + xp.perp_norm**2) / (2 * ell)
+            ell = boundary_norm(xp)
+            expected = np.sqrt((ell + xp[n]) ** 2 + perp_norm(xp)**2) / (2 * ell)
             for ch in CHIRALITIES:
                 sv = np.linalg.svd(comparison_symbol0(ch, xp), compute_uv=False)
                 assert np.abs(sv - expected).max() < 1e-12
-                if xp.perp_norm > 0:
+                if perp_norm(xp) > 0:
                     assert sv.min() > 0
 
 
@@ -245,7 +230,7 @@ def test_q_minus2_scaling_and_hessian_linearity():
     none = HessianData.from_complex(hess.alpha, np.zeros((n, n)), np.zeros((n, n)))
     for ch in CHIRALITIES:
         base = q_symbol(-2, ch, xi, hess)
-        scaled = q_symbol(-2, ch, _scaled(xi, 1.7), hess)
+        scaled = q_symbol(-2, ch, 1.7 * xi, hess)
         assert np.abs(scaled - base / 1.7**2).max() < 1e-12
         assert np.abs(q_symbol(-2, ch, xi, none)).max() == 0.0
     with pytest.raises(ValueError):
@@ -253,7 +238,7 @@ def test_q_minus2_scaling_and_hessian_linearity():
     with pytest.raises(ValueError):
         q_symbol(-2, EVEN, xi)
     with pytest.raises(ZeroCovectorError):
-        q_symbol(-1, EVEN, Covector(0.0, 0.0, (0.0,) * 4))
+        q_symbol(-1, EVEN, covector(0.0, 0.0, (0.0,) * 4))
 
 
 def test_hessian_data_structure_and_beta():
@@ -274,15 +259,19 @@ def test_hessian_data_structure_and_beta():
         HessianData(0.0, np.eye(4), np.zeros((4, 4)))
     with pytest.raises(ValueError):
         HessianData(1.0, np.eye(4) + np.diag([0.0, 1.0, 0.0, 0.0]), np.zeros((4, 4)))
+    # the block pattern holds, but matrix_b is not symmetric
+    b0 = np.array([[0.0, 1.0], [0.0, 0.0]])
+    with pytest.raises(ValueError, match="symmetric"):
+        HessianData(1.0, np.eye(4), np.block([[b0, np.zeros((2, 2))], [np.zeros((2, 2)), -b0]]))
 
 
 def test_random_generators_respect_flags():
     rng = np.random.default_rng(53)
     for n in (2, 3):
         xb = random_covector(rng, n, boundary=True)
-        assert xb.xi1 == 0.0 and xb.boundary_norm > 0.3
+        assert xb[0] == 0.0 and boundary_norm(xb) > 0.3
         xc = random_covector(rng, n, contact=True)
-        assert xc.xi1 == 0.0 and xc.perp_norm == 0.0 and abs(xc.xi_contact) > 0.3
+        assert xc[0] == 0.0 and perp_norm(xc) == 0.0 and abs(xc[n]) > 0.3
         hess = random_hessian(rng, n)
         assert hess.contact_adapted
         free = random_hessian(rng, n, contact_adapted=False)
@@ -334,9 +323,9 @@ def test_contour_contact_line_closed_form():
 def test_contact_closed_form_needs_the_contact_line():
     hess = HessianData.kahler(3)
     with pytest.raises(OffContactLineError):
-        closed_form_contact_contour(EVEN, hess, Covector(0.0, 1.0, (0.1, 0.0, 0.0, 0.0)))
+        closed_form_contact_contour(EVEN, hess, covector(0.0, 1.0, (0.1, 0.0, 0.0, 0.0)))
     with pytest.raises(ZeroCovectorError):
-        closed_form_contact_contour(EVEN, hess, Covector(0.0, 0.0, (0.0,) * 4))
+        closed_form_contact_contour(EVEN, hess, covector(0.0, 0.0, (0.0,) * 4))
 
 
 def test_minus1_correction_is_scalar_and_cancels_in_the_sum():
@@ -346,7 +335,7 @@ def test_minus1_correction_is_scalar_and_cancels_in_the_sum():
         for sign in (-1.0, 1.0):
             xp = _contact_ray(n, sign * 1.3)
             hess = random_hessian(rng, n)
-            ell = xp.boundary_norm
+            ell = boundary_norm(xp)
             for ch in CHIRALITIES:
                 plus = calderon_symbol_minus1(ch, +1, hess, xp)
                 minus = calderon_symbol_minus1(ch, -1, hess, xp)
@@ -380,7 +369,7 @@ def test_minus1_scales_linearly_in_beta():
 
 def _contour_by_node(integrand, side, xi_prime, num_points=512):
     """Reference trapezoid rule: one scalar integrand call per node."""
-    ell = xi_prime.boundary_norm
+    ell = boundary_norm(xi_prime)
     radius = 0.5 * ell
     angles = 2.0 * np.pi * np.arange(num_points) / num_points
     nodes = side * 1j * ell + radius * np.exp(1j * angles)
@@ -409,13 +398,13 @@ def test_batched_contour_matches_per_node_loop(n):
 
 
 def test_contour_rejects_integrand_without_a_stack():
-    xp = Covector(0.0, 1.0, (0.0, 0.0))
+    xp = covector(0.0, 1.0, (0.0, 0.0))
     with pytest.raises(ValueError, match="stack"):
         contour_integral(lambda z: np.eye(2), +1, xp)
 
 
 def test_contour_rejects_declared_pole_on_the_nodes():
-    xp = Covector(0.0, 1.0, (0.0, 0.0))
+    xp = covector(0.0, 1.0, (0.0, 0.0))
 
     def integrand(z):
         return np.eye(2) / (z - 1.5j)
@@ -424,4 +413,34 @@ def test_contour_rejects_declared_pole_on_the_nodes():
     with pytest.raises(PoleOnContourError):
         contour_integral(integrand, +1, xp)
     with pytest.raises(ZeroCovectorError):
-        contour_integral(integrand, +1, Covector(0.0, 0.0, (0.0, 0.0)))
+        contour_integral(integrand, +1, covector(0.0, 0.0, (0.0, 0.0)))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_a_stack_gives_the_matrices_of_its_rows(n):
+    rng = np.random.default_rng(83 + n)
+    free = np.array([[random_covector(rng, n) for _ in range(3)] for _ in range(2)])
+    boundary = np.array(
+        [[random_covector(rng, n, boundary=True) for _ in range(3)] for _ in range(2)]
+    )
+    hess = random_hessian(rng, n, contact_adapted=False)
+    symbols = [(free, norm), (boundary, boundary_norm), (boundary, perp_norm),
+               (free, sd_matrix), (boundary, sd_matrix)]
+    for ch in CHIRALITIES:
+        symbols += [
+            (free, lambda xi, ch=ch: d1(ch, xi)),
+            (free, lambda xi, ch=ch: q_symbol(-1, ch, xi)),
+            (free, lambda xi, ch=ch: q_symbol(-2, ch, xi, hess)),
+            (boundary, lambda xi, ch=ch: comparison_symbol0(ch, xi)),
+        ]
+        for side in SIDES:
+            symbols.append((boundary, lambda xi, ch=ch, side=side:
+                            calderon_symbol0(ch, side, xi)))
+    for stack, symbol in symbols:
+        # leading shapes (2, S) and (S,); each row has the leading shape ()
+        for covectors in (stack, stack[1]):
+            whole = symbol(covectors)
+            for index in np.ndindex(covectors.shape[:-1]):
+                row = symbol(covectors[index])
+                assert whole[index].shape == row.shape
+                assert np.abs(whole[index] - row).max() <= 1e-15 * np.abs(row).max()
