@@ -68,9 +68,9 @@ class _Param(NamedTuple):
 # A sample count below one is refused: a check that ran nothing must not
 # pass.  The other minimums are the library's own preconditions (a cutoff
 # leaves room for the two-level guard band); each maximum keeps a request
-# within about 0.5 GB, measured: verify-symbols at n = 7 peaks at 0.2 GB
-# (n = 8: 0.7 GB), toeplitz at window 1024 at 0.5 GB, and relindex at
-# dim 1024 holds about a dozen 16 MB dense matrices.
+# within about 0.5 GB, measured as peak RSS: verify-symbols at n = 7 peaks
+# at 0.2 GB (n = 8: 0.7 GB), relindex at dim 1024 at 0.43 GB, and toeplitz
+# at window 1024, which forms no dense matrix, at 28 MB.
 _PARAMS = {
     "verify-algebra": (
         _Param("n", int, 2, minimum=1, help="number of oscillator variables"),
@@ -422,13 +422,12 @@ def _run_verify_symbols(params: dict, seeds: list, checks: tuple):
     stack_size = max(1, _STACK_ENTRIES // dim**2)
 
     def stacks(seed, boundary):
-        # drawn one at a time, in order, so the samples do not depend on
-        # the stack size
+        # a stack holds the covectors of one draw per covector, so the
+        # samples do not depend on the stack size
         rng = np.random.default_rng(seed)
         for start in range(0, samples, stack_size):
             count = min(stack_size, samples - start)
-            yield np.array([symbols.random_covector(rng, n, boundary=boundary)
-                            for _ in range(count)])
+            yield symbols.random_covectors(rng, n, count, boundary=boundary)
 
     worst = 0.0
     for xi in stacks(seeds[0], boundary=False):

@@ -8,19 +8,18 @@ parametrix, and by the brute-force rank difference.  The three must agree;
 the trace route is exactly parametrix-independent, so arbitrary finite
 perturbations of the parametrix change nothing.
 
-Each factorisation is computed once and reused: a projector caches the
-orthonormal bases of its range and of its complement's range (one ``eigh``
-for a self-adjoint projector, handed on to its complement; identity columns
-for a coordinate projector; SVDs for an oblique one), and a pair holds T and
-its parametrix U, so a smoothed parametrix re-inverts nothing.  The
-remainders K1 = I - TU and K2 = I - UT are derived from (T, U) when first
-read.
+A projector is held as orthonormal bases of its four subspaces, taken from
+the one factorisation that made it, and its complement swaps them.  The
+kernel route then needs one SVD of the small overlap coimage(R)* image(P),
+whose singular values are cosines of principal angles, and none for two
+coordinate projectors.  The trace route stays dense: a pair holds T and its
+parametrix U, and derives K1 = I - TU and K2 = I - UT when first read.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -54,18 +53,22 @@ _INTEGRALITY_TOL = 1e-6
 _EPS = float(np.finfo(float).eps)
 
 
-def _gap_checked_rank(svals: np.ndarray, context: str) -> int:
-    """Count of singular values above the rank threshold.
+def _gap_checked_rank(svals: np.ndarray, context: str, floor: float = _GAP[0]) -> int:
+    """Count of singular values above the gap [floor, _GAP[1]].
 
-    Refuses to answer when a singular value is ambiguous.
+    Refuses to answer when a singular value falls inside the gap.  A
+    projector's own singular values are 0 or at least 1, so its SVD raises
+    ``floor`` to the rounding bound of its entries (the gap then may close
+    to that one point); the cosines of an overlap keep the absolute gap.
     """
-    ambiguous = svals[(svals >= _GAP[0]) & (svals <= _GAP[1])]
+    top = max(floor, _GAP[1])
+    ambiguous = svals[(svals >= floor) & (svals <= top)]
     if ambiguous.size:
         raise IllConditionedKernelError(
             f"singular value {ambiguous[0]:.3e} of {context} falls in the "
-            f"undecidable gap [{_GAP[0]:.0e}, {_GAP[1]:.0e}]"
+            f"undecidable gap [{floor:.0e}, {top:.0e}]"
         )
-    return int((svals > _RANK_THRESHOLD).sum())
+    return int((svals > top).sum())
 
 
 def _rank_with_gap(matrix: np.ndarray, context: str) -> int:
@@ -73,12 +76,6 @@ def _rank_with_gap(matrix: np.ndarray, context: str) -> int:
     if matrix.size == 0:
         return 0
     return _gap_checked_rank(np.linalg.svd(matrix, compute_uv=False), context)
-
-
-def _range_basis(matrix: np.ndarray, context: str) -> np.ndarray:
-    """Orthonormal basis of the column space, from one SVD."""
-    u, svals, _ = np.linalg.svd(matrix)
-    return u[:, :_gap_checked_rank(svals, context)]
 
 
 def _truncated_pinv(matrix: np.ndarray) -> np.ndarray:
@@ -106,113 +103,111 @@ def _idempotency_tolerance(m: np.ndarray) -> float:
     norm at most one, so for it the fixed floor governs below dimension
     4500; only oblique projectors with large entries get a wider gate.
     """
-    rows = np.linalg.norm(m, axis=1).max()
-    columns = np.linalg.norm(m, axis=0).max()
+    rows = np.linalg.norm(m, axis=1).max(initial=0.0)
+    columns = np.linalg.norm(m, axis=0).max(initial=0.0)
     return max(_IDEMPOTENT_TOL, m.shape[0] * _EPS * rows * columns)
 
 
-@dataclass(frozen=True)
-class Projector:
-    """A square idempotent, not necessarily orthogonal.
+def _check_defect(defect: np.ndarray, tolerance: float, what: str) -> None:
+    worst = np.abs(defect).max(initial=0.0)
+    if worst > tolerance:
+        raise AdmissibilityError(
+            f"matrix is not idempotent: max |{what}| = {worst:.3e} "
+            f"exceeds {tolerance:.3e}"
+        )
 
-    The orthonormal bases of its range and of its adjoint's range are
-    computed on first use and cached (``cached_property`` writes to the
-    instance dict, which the frozen dataclass leaves writable).  ``bases``
-    lets a caller that already holds them supply the range and
-    complement-range bases of a self-adjoint projector.
+
+class Projector:
+    """A square idempotent P, not necessarily orthogonal, held as its bases.
+
+    ``image`` spans range P, ``coimage`` range P*, ``kernel`` ker P and
+    ``cokernel`` ker P*, each with orthonormal columns; a self-adjoint
+    projector shares one array between image and coimage.
+    ``Projector(matrix)`` gates the matrix on max |P^2 - P| and takes all
+    four from one SVD; other builders put what they hold in the instance
+    dict, where ``cached_property`` finds it, and the rest is formed on
+    first read.
     """
 
-    matrix: np.ndarray
-    self_adjoint: bool | None = None
-    bases: tuple | None = field(default=None, repr=False)
+    support = None  # boolean mask of a coordinate projector's axes
 
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
+    def __init__(self, matrix):
+        m = np.asarray(matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DimensionMismatchError(f"projector must be square, got {m.shape}")
-        defect = np.abs(m @ m - m).max()
         tolerance = _idempotency_tolerance(m)
-        if defect > tolerance:
-            raise AdmissibilityError(
-                f"matrix is not idempotent: max |P^2 - P| = {defect:.3e} "
-                f"exceeds {tolerance:.3e}"
-            )
-        object.__setattr__(self, "matrix", m)
-        hermitian = np.abs(m - m.conj().T).max() <= _IDEMPOTENT_TOL
-        if self.self_adjoint is None:
-            object.__setattr__(self, "self_adjoint", bool(hermitian))
-        elif self.self_adjoint and not hermitian:
-            raise AdmissibilityError("projector declared self-adjoint but is not")
-        if self.bases is not None:
-            if not self.self_adjoint:
-                raise AdmissibilityError(
-                    "range bases can be supplied only for a self-adjoint projector"
-                )
-            image, kernel = self.bases
-            dim = m.shape[0]
-            if image.shape[0] != dim or kernel.shape[0] != dim or (
-                image.shape[1] + kernel.shape[1] != dim
-            ):
-                raise DimensionMismatchError(
-                    f"range bases of shapes {image.shape} and {kernel.shape} "
-                    f"do not split dimension {dim}"
-                )
+        _check_defect(m @ m - m, tolerance, "P^2 - P")
+        u, svals, vh = np.linalg.svd(m)
+        rank = _gap_checked_rank(svals, "projector", floor=tolerance)
+        image, cokernel = u[:, :rank], u[:, rank:]
+        if np.abs(m - m.conj().T).max(initial=0.0) <= _IDEMPOTENT_TOL:
+            coimage, kernel = image, cokernel
+        else:
+            coimage, kernel = vh[:rank].conj().T, vh[rank:].conj().T
+        self.__dict__.update(
+            matrix=m, image=image, coimage=coimage, kernel=kernel, cokernel=cokernel
+        )
+
+    @classmethod
+    def _held(cls, **fields) -> "Projector":
+        """A projector from the bases, or the support, its builder holds."""
+        projector = object.__new__(cls)
+        projector.__dict__.update(fields)
+        return projector
+
+    # a coordinate projector's identity columns, formed only when asked for
+
+    @cached_property
+    def image(self) -> np.ndarray:
+        return np.eye(self.dimension, dtype=complex)[:, self.support]
+
+    @cached_property
+    def coimage(self) -> np.ndarray:
+        return self.image
+
+    @cached_property
+    def kernel(self) -> np.ndarray:
+        return np.eye(self.dimension, dtype=complex)[:, ~self.support]
+
+    @cached_property
+    def cokernel(self) -> np.ndarray:
+        return self.kernel
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """U U* when self-adjoint, else U (V* U)^-1 V*, for U, V = image, coimage."""
+        u, v = self.image, self.coimage
+        if self.self_adjoint:
+            return u @ u.conj().T
+        return u @ np.linalg.solve(v.conj().T @ u, v.conj().T)
+
+    @property
+    def self_adjoint(self) -> bool:
+        return self.coimage is self.image
 
     @property
     def dimension(self) -> int:
-        return self.matrix.shape[0]
+        if self.support is not None:
+            return self.support.size
+        return self.image.shape[0]
 
     @property
     def rank(self) -> int:
-        """Rank: the rounded trace when self-adjoint, else the SVD rank.
-
-        An orthogonal projector's eigenvalues are 0 and 1, so its trace is
-        its rank; a trace farther than the integrality tolerance from an
-        integer falls back to the gap-checked SVD.
-        """
-        if self.self_adjoint:
-            trace = float(np.trace(self.matrix).real)
-            nearest = round(trace)
-            if abs(trace - nearest) <= _INTEGRALITY_TOL:
-                return int(nearest)
-        return _rank_with_gap(self.matrix, "projector")
-
-    @cached_property
-    def _orthogonal_bases(self) -> tuple:
-        """Range and complement-range bases of a self-adjoint projector.
-
-        Both come from one ``eigh``: the eigenvalues ascend, so the
-        complement's eigenvectors come first.  The range count is
-        gap-checked on |lambda| and the complement's on |1 - lambda|.
-        """
-        if self.bases is not None:
-            return self.bases
-        eigenvalues, vectors = np.linalg.eigh(self.matrix)
-        rank = _gap_checked_rank(np.abs(eigenvalues), "projector")
-        co_rank = _gap_checked_rank(np.abs(1.0 - eigenvalues), "projector complement")
-        return vectors[:, self.dimension - rank:], vectors[:, :co_rank]
-
-    @cached_property
-    def range_basis(self) -> np.ndarray:
-        """Orthonormal basis of the range: the shared eigh, else one SVD."""
-        if self.self_adjoint:
-            return self._orthogonal_bases[0]
-        return _range_basis(self.matrix, "projector")
-
-    @cached_property
-    def adjoint_range_basis(self) -> np.ndarray:
-        """Orthonormal basis of the range of P*, the range itself if P = P*."""
-        if self.self_adjoint:
-            return self.range_basis
-        return _range_basis(self.matrix.conj().T, "projector adjoint")
+        """The column count of ``image``, or the size of ``support``."""
+        if self.support is not None:
+            return int(np.count_nonzero(self.support))
+        return self.image.shape[1]
 
     def complement(self) -> "Projector":
-        """I - P; a self-adjoint projector hands on its two bases, swapped."""
-        matrix = np.eye(self.dimension) - self.matrix
-        if not self.self_adjoint:
-            return Projector(matrix)
-        image, kernel = self._orthogonal_bases
-        return Projector(matrix, self_adjoint=True, bases=(kernel, image))
+        """I - P: the same four bases, swapped, so nothing is factored."""
+        if self.support is not None:
+            return Projector._held(support=~self.support)
+        return Projector._held(
+            image=self.kernel,
+            coimage=self.cokernel,
+            kernel=self.image,
+            cokernel=self.coimage,
+        )
 
 
 class TraceIndex(NamedTuple):
@@ -283,47 +278,32 @@ class ProjectorPair:
         return self.p.dimension
 
 
-def _restricted_ranks(factors: tuple, basis: np.ndarray,
-                      adjoint_basis: np.ndarray, context: str) -> tuple:
-    """Ranks of a product M = factors[0] @ ... @ factors[-1] on two bases.
-
-    The forward rank is that of M @ basis, the backward one that of
-    adjoint_basis* @ M (the adjoint map, transposed: same singular
-    values).  Each is one gap-checked SVD; the products run from the basis
-    outwards, so no dim x dim product is ever formed.
-    """
-    forward = basis
-    for factor in reversed(factors):
-        forward = factor @ forward
-    backward = adjoint_basis.conj().T
-    for factor in factors:
-        backward = backward @ factor
-    return (
-        _rank_with_gap(forward, context),
-        _rank_with_gap(backward, "adjoint " + context),
-    )
+def _overlap(a: Projector, b: Projector) -> np.ndarray:
+    """coimage(a)* image(b): k_a x k_b, of the rank of the product a b."""
+    return a.coimage.conj().T @ b.image
 
 
 def _restricted_kernel_dims(p: Projector, r: Projector) -> tuple:
     """Kernel dimensions of RP: range P -> range R and of its adjoint.
 
-    The range bases are the projectors' cached ones; on top of them this
-    takes two SVDs, one rank per direction.  P = U U* P for the range basis
-    U of P, so rank(RP) = rank(RPU) and the forward rank also decides
-    whether RP vanishes.
+    With U, V the image and coimage bases, R = U_R (V_R* U_R)^-1 V_R*, so
+    RP U_P and V_R* RP = V_R* P both have the rank of the overlap
+    V_R* U_P: one gap-checked SVD of that small matrix decides both
+    directions, and two coordinate projectors need none (the overlap is
+    the intersection of their supports).
     """
-    basis_p, basis_r_star = p.range_basis, r.adjoint_range_basis
-    rank_forward, rank_backward = _restricted_ranks(
-        (r.matrix, p.matrix), basis_p, basis_r_star, "restricted comparison"
-    )
-    if basis_p.shape[1] > 0 and basis_r_star.shape[1] > 0 and rank_forward == 0:
+    if p.support is not None and r.support is not None:
+        rank = int(np.count_nonzero(p.support & r.support))
+    else:
+        rank = _rank_with_gap(_overlap(r, p), "restricted comparison")
+    if p.rank > 0 and r.rank > 0 and rank == 0:
         warnings.warn(
             "comparison product RP vanishes although both projectors are "
             "nonzero; the pair is maximally degenerate and the relative "
             "index is a difference of full kernel dimensions",
             stacklevel=3,  # the caller of kernel_index
         )
-    return basis_p.shape[1] - rank_forward, basis_r_star.shape[1] - rank_backward
+    return p.rank - rank, r.rank - rank
 
 
 def kernel_index(p: Projector, r: Projector) -> int:
@@ -346,32 +326,41 @@ def relative_index_trace(pair: ProjectorPair) -> TraceIndex:
     raw = float(
         np.trace(p @ pair.k2 @ p).real - np.trace(r @ pair.k1 @ r).real
     )
-    nearest = round(raw)
-    if abs(raw - nearest) > _INTEGRALITY_TOL:
+    return TraceIndex(_nearest_integer(raw, "trace formula value"), raw)
+
+
+def _nearest_integer(value: float, what: str) -> int:
+    nearest = round(value)
+    if abs(value - nearest) > _INTEGRALITY_TOL:
         raise NonIntegerTraceError(
-            f"trace formula value {raw!r} is {abs(raw - nearest):.3e} away "
+            f"{what} {value!r} is {abs(value - nearest):.3e} away "
             "from the nearest integer"
         )
-    return TraceIndex(int(nearest), raw)
+    return nearest
+
+
+def _trace_rank(projector: Projector) -> int:
+    """The rounded trace of the dense matrix: an idempotent's trace is its rank."""
+    return _nearest_integer(float(np.trace(projector.matrix).real), "projector trace")
 
 
 def relative_index_rank(p: Projector, r: Projector) -> int:
-    """Brute-force oracle: rank P minus rank R."""
+    """Dense oracle: rank P minus rank R, each the trace of its matrix."""
     _check_same_space(p, r)
-    return p.rank - r.rank
+    return _trace_rank(p) - _trace_rank(r)
 
 
 def logarithmic_property(p: Projector, q: Projector, r: Projector) -> dict:
-    """Composite relative index versus the sum of the two steps."""
+    """Composite relative index versus the sum of the two steps.
+
+    The composite RQP restricted to range P has, in both directions, the
+    rank of overlap(R, Q) overlap(Q, Q)^-1 overlap(Q, P): k_R x k_P, one
+    gap-checked SVD.
+    """
     _check_same_space(p, q, r)
-    basis_p, basis_r_star = p.range_basis, r.adjoint_range_basis
-    rank_forward, rank_backward = _restricted_ranks(
-        (r.matrix, q.matrix, p.matrix), basis_p, basis_r_star,
-        "composite comparison",
-    )
-    composite = (basis_p.shape[1] - rank_forward) - (
-        basis_r_star.shape[1] - rank_backward
-    )
+    middle = np.linalg.solve(_overlap(q, q), _overlap(q, p))
+    rank = _rank_with_gap(_overlap(r, q) @ middle, "composite comparison")
+    composite = (p.rank - rank) - (r.rank - rank)
     first = kernel_index(p, q)
     second = kernel_index(q, r)
     return {
@@ -384,17 +373,10 @@ def logarithmic_property(p: Projector, q: Projector, r: Projector) -> dict:
 
 
 def coordinate_projector(dimension: int, positions) -> Projector:
-    """Orthogonal projection onto a set of coordinate axes.
-
-    Its range and complement-range bases are identity columns, so it
-    carries them and never needs a factorisation.
-    """
+    """Orthogonal projection onto a set of coordinate axes, held as its support."""
     support = np.zeros(dimension, dtype=bool)
     support[np.asarray(positions, dtype=int)] = True
-    eye = np.eye(dimension, dtype=complex)
-    return Projector(
-        np.diag(support).astype(complex), bases=(eye[:, support], eye[:, ~support])
-    )
+    return Projector._held(support=support)
 
 
 def toeplitz_winding(window: int, k: int) -> int:
@@ -462,8 +444,9 @@ def random_projector(rng, dimension: int, rank: int, *, self_adjoint: bool = Tru
 
     The whole dim x dim Gaussian is drawn, so the generator's stream does
     not depend on the rank, but only the ``rank`` columns that are kept are
-    factored: Householder QR's first k columns depend only on the first k
-    inputs.
+    factored: their complete QR gives the image (Householder QR's first k
+    columns depend only on the first k inputs) and the kernel.  The image
+    is gated on max |U*U - I|, the k x k form of max |P^2 - P| for P = U U*.
     """
     if not 0 <= rank <= dimension:
         raise AdmissibilityError(
@@ -471,13 +454,14 @@ def random_projector(rng, dimension: int, rank: int, *, self_adjoint: bool = Tru
         )
     real = rng.normal(size=(dimension, dimension))
     imag = rng.normal(size=(dimension, dimension))
-    basis, _ = np.linalg.qr(real[:, :rank] + 1j * imag[:, :rank])
-    matrix = basis @ basis.conj().T
-    # clean up rounding so the idempotency gate is comfortable
-    matrix = 0.5 * (matrix + matrix.conj().T)
-    if not self_adjoint:
-        # conjugate by a mild invertible map: still idempotent, no longer
-        # hermitian
-        mix = np.eye(dimension) + 0.1 * rng.normal(size=(dimension, dimension))
-        matrix = mix @ matrix @ np.linalg.inv(mix)
-    return Projector(matrix, self_adjoint=None)
+    q, _ = np.linalg.qr(real[:, :rank] + 1j * imag[:, :rank], mode="complete")
+    image = q[:, :rank]
+    gram = image.conj().T @ image
+    _check_defect(gram - np.eye(rank), _idempotency_tolerance(gram), "U*U - I")
+    projector = Projector._held(image=image, kernel=q[:, rank:])
+    if self_adjoint:
+        return projector
+    # conjugate by a mild invertible map: still idempotent, no longer
+    # hermitian
+    mix = np.eye(dimension) + 0.1 * rng.normal(size=(dimension, dimension))
+    return Projector(mix @ projector.matrix @ np.linalg.inv(mix))

@@ -32,6 +32,7 @@ __all__ = [
     "perp_norm",
     "HessianData",
     "random_covector",
+    "random_covectors",
     "random_hessian",
     "symbol_dimension",
     "sector_slices",
@@ -330,19 +331,30 @@ class HessianData:
         return cls.from_complex(alpha, np.eye(n), np.zeros((n, n)))
 
 
+def random_covectors(rng, n: int, count: int, boundary: bool = False,
+                     contact: bool = False) -> np.ndarray:
+    """A ``(count, 2n)`` stack of seeded covectors with comfortably nonzero norms.
+
+    Each round draws the missing rows in one ``rng.normal`` call, drops the
+    rejected ones and tops up, so the stack holds the covectors, and leaves
+    the generator in the state, of ``count`` one-row draws.
+    """
+    kept = np.empty((0, 2 * n))
+    while len(kept) < count:
+        xi = rng.normal(size=(count - len(kept), 2 * n))
+        if contact:
+            xi[:, np.arange(2 * n) != n] = 0.0
+        elif boundary:
+            xi[:, 0] = 0.0
+        # both norms of a contact covector are |xi_n|
+        kept = np.concatenate([kept, xi[(boundary_norm(xi) > 0.3) & (norm(xi) > 0.3)]])
+    return kept
+
+
 def random_covector(rng, n: int, boundary: bool = False,
                     contact: bool = False) -> np.ndarray:
     """Seeded covector with comfortably nonzero norms."""
-    while True:
-        xi = rng.normal(size=2 * n)
-        if contact:
-            xi[np.arange(2 * n) != n] = 0.0
-        if boundary or contact:
-            xi[0] = 0.0
-        if contact and abs(xi[n]) > 0.3:
-            return xi
-        if not contact and boundary_norm(xi) > 0.3 and norm(xi) > 0.3:
-            return xi
+    return random_covectors(rng, n, 1, boundary, contact)[0]
 
 
 def random_hessian(rng, n: int, contact_adapted: bool = True) -> HessianData:

@@ -6,12 +6,13 @@ and for the structured Toeplitz / block-embedding instances whose expected
 values are written down by hand.
 """
 
+import tracemalloc
 import warnings
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fockindex.errors import (
@@ -34,8 +35,8 @@ from fockindex.pairs import (
 )
 from fockindex.pairs import (
     _IDEMPOTENT_TOL,
+    _gap_checked_rank,
     _idempotency_tolerance,
-    _range_basis,
     _rank_with_gap,
     _restricted_kernel_dims,
     _truncated_pinv,
@@ -51,11 +52,8 @@ def test_projector_validation():
     assert p.rank == 2
     assert p.self_adjoint
     assert p.complement().rank == 1
-    # declared self-adjoint must actually be self-adjoint
     skew = np.array([[1.0, 1.0], [0.0, 0.0]])  # idempotent, not hermitian
     assert np.abs(skew @ skew - skew).max() == 0.0
-    with pytest.raises(AdmissibilityError):
-        Projector(skew, self_adjoint=True)
     assert not Projector(skew).self_adjoint
 
 
@@ -160,16 +158,20 @@ def test_rank_by_trace_matches_gap_checked_svd(dim, data):
     seed = data.draw(st.integers(0, 2**32 - 1))
     p = random_projector(np.random.default_rng(seed), dim, rank)
     assert p.self_adjoint
+    # the column count, the dense SVD rank and the trace oracle agree
+    zero = coordinate_projector(dim, [])
     assert p.rank == _rank_with_gap(p.matrix, "projector") == rank
+    assert relative_index_rank(p, zero) == rank
 
 
-def test_rank_off_an_integral_trace_falls_back_to_svd():
+def test_rank_off_an_integral_trace_is_refused():
     # validated projectors keep their trace integral, so emulate a drifted
     # matrix on a bare instance
-    drifted = object.__new__(Projector)
-    object.__setattr__(drifted, "matrix", np.diag([1.0, 0.5]).astype(complex))
-    object.__setattr__(drifted, "self_adjoint", True)
-    assert drifted.rank == 2
+    drifted = Projector._held(
+        matrix=np.diag([1.0, 0.5]).astype(complex), image=np.eye(2)[:, :1]
+    )
+    with pytest.raises(NonIntegerTraceError, match="projector trace"):
+        relative_index_rank(drifted, coordinate_projector(2, [0]))
 
 
 def _count_factorisations(monkeypatch):
@@ -177,37 +179,52 @@ def _count_factorisations(monkeypatch):
 
     def counting(name, factorise):
         def wrapped(*args, **kwargs):
-            calls.append((name, np.shape(args[0])))
+            calls.append((name, np.shape(args[0]), kwargs.get("mode")))
             return factorise(*args, **kwargs)
 
         return wrapped
 
-    for name in ("svd", "eigh"):
+    for name in ("svd", "eigh", "qr"):
         monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
     return calls
 
 
 def test_restricted_kernel_dims_factorises_each_projector_once(monkeypatch):
+    calls = _count_factorisations(monkeypatch)
     rng = np.random.default_rng(53)
     p = random_projector(rng, 12, 5)
     r = random_projector(rng, 12, 8)
-    calls = _count_factorisations(monkeypatch)
-    assert _restricted_kernel_dims(p, r) == (0, 3)
-    # one eigh per projector for its range basis, one SVD rank per direction
-    assert [name for name, _ in calls] == ["eigh", "eigh", "svd", "svd"]
+    # one complete QR of the kept columns per projector, and no eigh
+    assert calls == [("qr", (12, 5), "complete"), ("qr", (12, 8), "complete")]
     calls.clear()
-    # the complements inherit both bases, so only the two ranks remain
+    assert _restricted_kernel_dims(p, r) == (0, 3)
+    # one SVD of the k_R x k_P overlap decides both directions
+    assert calls == [("svd", (8, 5), None)]
+    calls.clear()
+    # the complements swap the bases, so only the overlap's SVD remains
     assert _restricted_kernel_dims(p.complement(), r.complement()) == (3, 0)
-    assert [name for name, _ in calls] == ["svd", "svd"]
+    assert calls == [("svd", (4, 7), None)]
+    calls.clear()
+    assert kernel_index(p, r) == -3 and kernel_index(r, p) == 3
+    assert [name for name, _, _ in calls] == ["svd", "svd"]
 
 
 def test_toeplitz_winding_builds_no_parametrix(monkeypatch):
     calls = _count_factorisations(monkeypatch)
     assert toeplitz_winding(16, 3) == 3
-    # coordinate projectors carry their bases: only the two SVD ranks of
-    # the restricted kernels remain, and the 33 x 33 comparison operator is
-    # never pseudo-inverted
-    assert [name for name, _ in calls] == ["svd", "svd"]
+    # two coordinate projectors overlap by their support intersection: no
+    # factorisation runs, and the 33 x 33 comparison operator is never
+    # formed
+    assert calls == []
+    # at the largest window a dense 2049 x 2049 complex matrix alone would
+    # take 67 MB
+    tracemalloc.start()
+    try:
+        assert toeplitz_winding(1024, 3) == 3
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**22
 
 
 def test_ill_conditioned_kernel_is_refused():
@@ -282,6 +299,9 @@ def test_logarithmic_property_on_random_triples():
         report = logarithmic_property(p, q, r)
         assert report["consistent"]
         assert report["sum_of_steps"] == report["first_step"] + report["second_step"]
+        # the overlap composite against the dense R @ Q @ P rank route
+        forward, backward = _dense_kernel_dims(p, r, q)
+        assert report["composite_index"] == forward - backward
 
 
 def test_logarithmic_property_specific_ranks():
@@ -356,24 +376,52 @@ def test_agranovich_dynin_seeded_family():
 # every reused factorisation against the dense SVD route it replaces
 
 
-def _dense_kernel_dims(p, r):
-    """Restricted kernel dimensions by the dense route: four SVDs."""
-    basis_p = _range_basis(p.matrix, "first projector")
-    basis_r_star = _range_basis(r.matrix.conj().T, "second projector adjoint")
-    rp = r.matrix @ p.matrix
-    forward = _rank_with_gap(rp @ basis_p, "restricted comparison")
-    backward = _rank_with_gap(rp.conj().T @ basis_r_star, "adjoint comparison")
-    return basis_p.shape[1] - forward, basis_r_star.shape[1] - backward
+def _dense_bases(matrix):
+    """Image, coimage, kernel and cokernel of ``matrix`` from one dense SVD."""
+    u, svals, vh = np.linalg.svd(matrix)
+    rank = _gap_checked_rank(svals, "dense route")
+    v = vh.conj().T
+    return u[:, :rank], v[:, :rank], v[:, rank:], u[:, rank:]
 
 
-def _assert_spans(basis, matrix):
-    """``basis`` is an orthonormal basis of the range of ``matrix``."""
-    dense = _range_basis(matrix, "dense route")
+def _dense_kernel_dims(p, r, q=None):
+    """Restricted kernel dimensions of R (Q) P by the dense route."""
+    image_p, coimage_r = _dense_bases(p.matrix)[0], _dense_bases(r.matrix)[1]
+    product = r.matrix @ p.matrix if q is None else r.matrix @ q.matrix @ p.matrix
+    forward = _rank_with_gap(product @ image_p, "restricted comparison")
+    backward = _rank_with_gap(product.conj().T @ coimage_r, "adjoint comparison")
+    return image_p.shape[1] - forward, coimage_r.shape[1] - backward
+
+
+def _assert_spans(basis, dense):
+    """``basis`` is orthonormal and spans what ``dense`` spans."""
     assert basis.shape == dense.shape
     gram = basis.conj().T @ basis - np.eye(basis.shape[1])
     assert np.abs(gram).max(initial=0.0) < 1e-12
     spanned = basis @ basis.conj().T - dense @ dense.conj().T
     assert np.abs(spanned).max(initial=0.0) < 1e-10
+
+
+def _assert_four_bases(projector):
+    """The four bases against the dense SVD of the projector's matrix."""
+    held = (projector.image, projector.coimage, projector.kernel, projector.cokernel)
+    for basis, dense in zip(held, _dense_bases(projector.matrix)):
+        _assert_spans(basis, dense)
+    assert projector.rank == held[0].shape[1]
+
+
+def _assert_complements(projector):
+    """Complement and double complement: bases swapped, both match dense."""
+    complement = projector.complement()
+    twice = complement.complement()
+    for built in (projector, complement, twice):
+        _assert_four_bases(built)
+    # swapped bit for bit, not re-factored
+    assert np.array_equal(complement.image, projector.kernel)
+    assert np.array_equal(complement.coimage, projector.cokernel)
+    assert np.array_equal(twice.image, projector.image)
+    assert np.array_equal(twice.coimage, projector.coimage)
+    assert complement.self_adjoint == twice.self_adjoint == projector.self_adjoint
 
 
 _draws = st.integers(1, 64).flatmap(
@@ -388,17 +436,16 @@ _draws = st.integers(1, 64).flatmap(
 
 @settings(max_examples=40, deadline=None)
 @given(draw=_draws, edge=st.sampled_from(["drawn", "zero", "full"]))
-def test_eigh_bases_match_the_dense_route(draw, edge):
+def test_qr_bases_match_the_dense_route(draw, edge):
     dim, rank, _, seed = draw
     rank = {"drawn": rank, "zero": 0, "full": dim}[edge]
     p = random_projector(np.random.default_rng(seed), dim, rank)
-    _assert_spans(p.range_basis, p.matrix)
-    assert p.adjoint_range_basis is p.range_basis
-    complement = p.complement()
-    _assert_spans(complement.range_basis, complement.matrix)
-    # the complement was handed the bases, swapped, from the same eigh
-    assert complement.range_basis is p._orthogonal_bases[1]
-    assert complement.complement().range_basis is p.range_basis
+    assert p.self_adjoint and p.rank == rank
+    _assert_complements(p)
+    # the same matrix handed to the constructor: one SVD, self-adjoint
+    rebuilt = Projector(p.matrix)
+    assert rebuilt.self_adjoint
+    _assert_complements(rebuilt)
 
 
 @settings(max_examples=40, deadline=None)
@@ -424,13 +471,16 @@ def test_kernel_dims_match_the_dense_route(draw):
 def test_coordinate_bases_match_the_dense_route(dim, first, second):
     p = coordinate_projector(dim, sorted(i for i in first if i < dim))
     r = coordinate_projector(dim, sorted(i for i in second if i < dim))
-    for projector in (p, r):
-        _assert_spans(projector.range_basis, projector.matrix)
-        complement = projector.complement()
-        _assert_spans(complement.range_basis, complement.matrix)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
+        # two supports overlap by their intersection; against a factored
+        # partner the coordinate projector's identity columns take part
         assert _restricted_kernel_dims(p, r) == _dense_kernel_dims(p, r)
+        factored = Projector(r.matrix)
+        assert _restricted_kernel_dims(p, factored) == _dense_kernel_dims(p, r)
+    for projector in (p, r):
+        assert projector.rank == projector.support.sum()
+        _assert_complements(projector)
 
 
 @settings(max_examples=40, deadline=None)
@@ -484,28 +534,57 @@ def test_oblique_fallback_matches_the_dense_route(draw):
     r = random_projector(rng, dim, rank_r, self_adjoint=False)
     if p.self_adjoint or r.self_adjoint:  # rank 0 or full rank stays hermitian
         return
-    _assert_spans(p.range_basis, p.matrix)
-    _assert_spans(p.adjoint_range_basis, p.matrix.conj().T)
-    complement = p.complement()
-    assert complement.bases is None
-    _assert_spans(complement.range_basis, complement.matrix)
+    _assert_complements(p)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         assert _restricted_kernel_dims(p, r) == _dense_kernel_dims(p, r)
 
 
-def test_supplied_bases_are_checked():
-    p = coordinate_projector(4, [0, 2])
-    image, kernel = p.bases
-    with pytest.raises(DimensionMismatchError):
-        Projector(p.matrix, bases=(image, kernel[:, :1]))
-    skew = np.array([[1.0, 1.0], [0.0, 0.0]])
-    with pytest.raises(AdmissibilityError, match="self-adjoint"):
-        Projector(skew, bases=(np.eye(2)[:, :1], np.eye(2)[:, 1:]))
+def test_factor_bases_are_gated(monkeypatch):
+    # a QR whose columns drift off orthonormality makes U U* non-idempotent
+    exact = np.linalg.qr
+
+    def drifted(*args, **kwargs):
+        q, r = exact(*args, **kwargs)
+        return q * (1 + 1e-9), r
+
+    monkeypatch.setattr(np.linalg, "qr", drifted)
+    with pytest.raises(AdmissibilityError, match=r"U\*U - I"):
+        random_projector(np.random.default_rng(3), 6, 2)
 
 
 # --------------------------------------------------------------------------
 # the idempotency gate scales with the rounding of P @ P
+
+
+def _conjugated(rng, dim, rank, scale):
+    """A Haar projector conjugated by I + scale * N(0, 1), oblique.
+
+    At scale 10 its norm can pass 1e4.
+    """
+    base = random_projector(rng, dim, rank).matrix
+    mix = np.eye(dim) + scale * rng.normal(size=(dim, dim))
+    return Projector(mix @ base @ np.linalg.inv(mix))
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    dim=st.integers(64, 128),
+    scale=st.floats(0.1, 10.0),
+    rank_p=st.integers(1, 63),
+    rank_r=st.integers(1, 63),
+    seed=st.integers(0, 2**32 - 1),
+)
+# this r has norm 1.8e4, and its SVD's rounding zeros (about 1.8e-12)
+# lie above the absolute gap's lower edge
+@example(dim=64, scale=10.0, rank_p=20, rank_r=9, seed=191)
+def test_large_oblique_pairs_keep_their_index(dim, scale, rank_p, rank_r, seed):
+    rng = np.random.default_rng(seed)
+    r = _conjugated(rng, dim, rank_r, scale)
+    p = _conjugated(rng, dim, rank_p, scale)
+    assert not (p.self_adjoint or r.self_adjoint)
+    assert (p.rank, r.rank) == (rank_p, rank_r)
+    assert kernel_index(p, r) == rank_p - rank_r
 
 
 @settings(max_examples=8, deadline=None)

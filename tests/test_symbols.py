@@ -35,6 +35,7 @@ from fockindex.symbols import (
     q_symbol,
     q_symbol_integrand,
     random_covector,
+    random_covectors,
     random_hessian,
     sd_matrix,
     sector_slices,
@@ -444,3 +445,36 @@ def test_a_stack_gives_the_matrices_of_its_rows(n):
                 row = symbol(covectors[index])
                 assert whole[index].shape == row.shape
                 assert np.abs(whole[index] - row).max() <= 1e-15 * np.abs(row).max()
+
+
+def _one_covector_per_draw(rng, n, kind):
+    """The rejection loop of a single covector, one ``rng.normal`` per try."""
+    while True:
+        xi = rng.normal(size=2 * n)
+        if kind == "contact":
+            xi[np.arange(2 * n) != n] = 0.0
+        if kind != "free":
+            xi[0] = 0.0
+        if kind == "contact" and abs(xi[n]) > 0.3:
+            return xi
+        if kind != "contact" and boundary_norm(xi) > 0.3 and norm(xi) > 0.3:
+            return xi
+
+
+@pytest.mark.parametrize("kind", ["free", "boundary", "contact"])
+@pytest.mark.parametrize("n", range(2, 8))
+def test_bulk_covector_draws_equal_one_draw_per_covector(n, kind):
+    flags = {"boundary": kind == "boundary", "contact": kind == "contact"}
+    for seed in range(50):
+        for count in (1, 7, 64):
+            bulk = np.random.default_rng(seed)
+            single = np.random.default_rng(seed)
+            stack = random_covectors(bulk, n, count, **flags)
+            rows = [_one_covector_per_draw(single, n, kind) for _ in range(count)]
+            assert np.array_equal(stack, np.array(rows))
+            # the same generator state afterwards
+            assert bulk.bit_generator.state == single.bit_generator.state
+        assert np.array_equal(
+            random_covector(np.random.default_rng(seed), n, **flags),
+            _one_covector_per_draw(np.random.default_rng(seed), n, kind),
+        )
