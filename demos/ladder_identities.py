@@ -47,7 +47,7 @@ for j in (1, 2):
 ## The oscillator Hamiltonian is diagonal with entries 2|k| + num_vars,
 ## and factors through the ladders in two ways.
 h = harmonic_oscillator(config)
-print("oscillator diagonal starts:", h.diagonal()[:5].real)
+print("oscillator diagonal starts:", h.toarray().diagonal()[:5].real)
 res_lower, res_upper = oscillator_identity_residuals(config)
 print(f"sum C*C - nv = H residual: {res_lower:.2e}")
 print(f"sum CC* + nv = H residual: {res_upper:.2e}")

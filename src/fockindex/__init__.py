@@ -2,7 +2,7 @@
 relative index arithmetic on finite graded bases.
 
 Submodules load on first attribute access (PEP 562), so a command that needs
-only the integer formulas never imports numpy or scipy.
+only the integer formulas never imports numpy.
 """
 
 import importlib
@@ -15,6 +15,7 @@ __all__ = [
     "fock",
     "models",
     "pairs",
+    "sparse",
     "spinors",
     "symbols",
     "topo",

@@ -16,13 +16,14 @@ tolerance.  A runner only computes errors and details; ``run`` judges them
 against the check table.
 
 Each runner imports the library layers it uses when it first runs, so
-``topo`` loads neither numpy nor scipy, and only ``verify-algebra`` and
-``model-invert`` load scipy.
+``topo`` loads no numpy, and no subcommand loads scipy: the sparse operators
+of ``verify-algebra`` and ``model-invert`` are numpy arrays (``sparse``).
 
 Parameters are checked before anything is built: a value below its row's
-minimum, or a float that is not finite, is a usage error; a value above its
-row's maximum, or a graded Fock space above ``_MAX_STATES`` states, is
-rejected as too large for the memory budget of a run (about 0.5 GB).
+minimum or not above its strict bound, or a float that is not finite, is a
+usage error; a value above its row's maximum, or a graded Fock space above
+``_MAX_STATES`` states, is rejected as too large for the memory budget of a
+run (about 0.5 GB).
 
 Exit codes: 0 all checks pass, 1 usage error, 2 admissibility rejection
 (including a request too large to run, a run that exhausts memory anyway,
@@ -61,6 +62,7 @@ class _Param(NamedTuple):
     default: object = None  # None also admits None as a value
     minimum: int | None = None  # below it: a usage error
     maximum: int | None = None  # above it: rejected as too large
+    above: float | None = None  # at or below it: a usage error
     choices: tuple = ()
     help: str | None = None
 
@@ -84,12 +86,12 @@ _PARAMS = {
     "model-invert": (
         _Param("chirality", str, "both", choices=_CHIRALITIES + ("both",)),
         _Param("n", int, 2, minimum=2, help="complex dimension"),
-        _Param("alpha", float, 1.0),
+        _Param("alpha", float, 1.0, above=0),
         _Param("beta", float),
         _Param("cutoff", int, 12, minimum=4),
         _Param("theta", float, 0.0),
         _Param("num_rhs", int, 16, minimum=1),
-        _Param("tol", float, 1e-9),
+        _Param("tol", float, 1e-9, above=0),
     ),
     "relindex": (
         _Param("dim", int, 24, minimum=1, maximum=1024),
@@ -113,9 +115,10 @@ _PARAMS = {
 _SEED = _Param("seed", int, 0, minimum=0)
 
 # The graded Fock space of verify-algebra and model-invert has
-# 2**v * C(cutoff + v, v) states on v oscillator variables; their sparse
-# operators take about 0.3-1 KB per state, measured, so this many states is
-# about 0.5 GB.  A subcommand's v is its n less the offset here:
+# 2**v * C(cutoff + v, v) states on v oscillator variables.  A run peaks at
+# about 0.35 KB (verify-algebra) to 0.95 KB (model-invert) per state,
+# measured at 496 128 states (173 and 473 MB), so this many states is about
+# 0.5 GB.  A subcommand's v is its n less the offset here:
 _MAX_STATES = 500_000
 _STATE_VARIABLE_OFFSET = {"verify-algebra": 0, "model-invert": 1}
 
@@ -218,6 +221,8 @@ def _check_param(param: _Param, value, label: str) -> None:
         raise UsageError(f"{label} must be finite, got {value}")
     if param.minimum is not None and value < param.minimum:
         raise UsageError(f"{label} must be at least {param.minimum}, got {value}")
+    if param.above is not None and value <= param.above:
+        raise UsageError(f"{label} must be greater than {param.above}, got {value}")
     if param.maximum is not None and value > param.maximum:
         raise AdmissibilityError(
             f"{label} must be at most {param.maximum}, got {value}; larger "
@@ -366,6 +371,8 @@ def _max_abs(values) -> float:
 
 def _run_verify_algebra(params: dict, seeds: list, checks: tuple):
     """ladder and vacuum identities"""
+    import numpy as np
+
     from . import fock, spinors
 
     commutators, adjointness, factorization, square, vacuum = checks
@@ -373,12 +380,14 @@ def _run_verify_algebra(params: dict, seeds: list, checks: tuple):
 
     eye = fock.identity(config)
     labels = range(1, config.num_vars + 1)
-    raising = {j: fock.creation(config, j) for j in labels}
-    lowering = {j: fock.annihilation(config, j) for j in labels}
+    # each ladder map is built once; the lowering maps are built on their
+    # own, so the adjointness check compares two constructions
+    raising = [fock.creation(config, j) for j in labels]
+    lowering = [fock.annihilation(config, j) for j in labels]
     worst = 0.0
-    for j in labels:
-        for k in labels:
-            comm = raising[j] @ lowering[k] - lowering[k] @ raising[j]
+    for j, up in enumerate(raising):
+        for k, down in enumerate(lowering):
+            comm = up @ down - down @ up
             expected = -2.0 if j == k else 0.0
             diff = comm - expected * eye
             worst = max(worst, fock.max_abs_on_guard(diff, config))
@@ -386,22 +395,22 @@ def _run_verify_algebra(params: dict, seeds: list, checks: tuple):
     yield commutators, worst, details
 
     worst = 0.0
-    for j in labels:
-        diff = raising[j].conj().T - lowering[j]
+    for up, down in zip(raising, lowering):
+        diff = up.adjoint() - down
         if diff.nnz:
             worst = max(worst, _max_abs(diff.data))
     yield adjointness, worst
 
-    yield factorization, max(fock.oscillator_identity_residuals(config))
+    yield factorization, max(fock.oscillator_identity_residuals(config, raising))
 
-    dirac = spinors.dirac_plus(config)
+    dirac = spinors.dirac_plus(config, raising)
     yield square, spinors.square_identity_residual(dirac, config)
 
     # the vacuum row on the odd columns and the vacuum column on the odd rows
     vac = spinors.graded_index(config, spinors.vacuum_index(config))
     odd = spinors.sector_indices(config, spinors.ODD)
     row, col = dirac[[vac], :][:, odd], dirac[odd, :][:, [vac]]
-    yield vacuum, max(_max_abs(row), _max_abs(col))
+    yield vacuum, _max_abs(np.concatenate(([0.0], row.data, col.data)))
 
 
 # A covector stack holds at most this many symbol-matrix entries, so the

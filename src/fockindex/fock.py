@@ -5,9 +5,8 @@ degree at most ``cutoff``, enumerated in graded lexicographic order.
 Operators are hard projections: matrix entries that would leave the
 truncated basis are dropped, and algebraic identities are therefore only
 asserted on states whose degree stays ``GUARD`` levels below the cutoff.
-Every operator is a complex CSR matrix over the truncated basis, with its
-duplicates summed and its indices sorted; compose with ``a @ b`` and take
-adjoints with ``a.conj().T``.
+Every operator is a ``sparse.CSR`` matrix over the truncated basis; compose
+with ``a @ b`` and take adjoints with ``a.adjoint()``.
 """
 
 from __future__ import annotations
@@ -15,14 +14,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-# scipy.sparse is imported inside the functions that build sparse matrices,
-# so importing this module (as spinors and symbols do) loads numpy only.
-if TYPE_CHECKING:
-    import scipy.sparse as sp
+from .sparse import CSR, diagonal, from_triples, zeros
 
 __all__ = [
     "GUARD",
@@ -148,77 +143,75 @@ def guard_mask(config: FockSpaceConfig) -> np.ndarray:
     return degrees(config) <= config.cutoff - GUARD
 
 
-def _operator(matrix) -> sp.csr_matrix:
-    """The canonical form of an operator: complex CSR, duplicates summed."""
-    import scipy.sparse as sp
+def _ladder(config: FockSpaceConfig, j: int, step: int) -> CSR:
+    """The ladder map in variable ``j``: ``step`` +1 raises, -1 lowers.
 
-    m = sp.csr_matrix(matrix, dtype=np.complex128)
-    m.sum_duplicates()
-    m.sort_indices()
-    return m
-
-
-def creation(config: FockSpaceConfig, j: int) -> sp.csr_matrix:
-    """Raising operator in variable ``j`` (1-based).
-
-    Maps the basis state ``k`` to ``sqrt(2 (k_j + 1))`` times the state with
-    ``k_j`` incremented; transitions beyond the cutoff are dropped.
+    A weighted index map: it sends the basis state ``k`` to the state with
+    ``k_j`` moved by ``step``, with weight ``sqrt(2 m)`` for ``m`` the
+    larger of the two occupations.  States it would send past the cutoff,
+    or below zero, have no image.
     """
-    import scipy.sparse as sp
-
     if not 1 <= j <= config.num_vars:
         raise ValueError(f"variable index {j} out of range 1..{config.num_vars}")
     nv, cutoff = config.num_vars, config.cutoff
     basis = _basis_array(nv, cutoff)
     codes = _basis_codes(nv, cutoff)
-    cols = np.nonzero(degrees(config) < cutoff)[0]
-    # one more in the degree digit and in the digit of variable j
+    occupation = basis[:, j - 1]
+    cols = np.nonzero(degrees(config) < cutoff if step > 0 else occupation > 0)[0]
+    # one more (or one less) in the degree digit and in the digit of variable j
     radix = cutoff + 1
-    targets = codes[cols] + (radix**nv + radix ** (nv - j))
-    rows = np.searchsorted(codes, targets)
-    vals = np.sqrt(2.0 * (basis[cols, j - 1] + 1))
+    rows = np.searchsorted(codes, codes[cols] + step * (radix**nv + radix ** (nv - j)))
+    vals = np.sqrt(2.0 * (occupation[cols] + (step > 0)))
     dim = config.dimension
-    m = sp.coo_matrix((vals, (rows, cols)), shape=(dim, dim))
-    return _operator(m)
+    return from_triples(rows, cols, vals, (dim, dim))
 
 
-def annihilation(config: FockSpaceConfig, j: int) -> sp.csr_matrix:
-    """Lowering operator in variable ``j``: exactly the adjoint of creation."""
-    return _operator(creation(config, j).conj().T)
+def creation(config: FockSpaceConfig, j: int) -> CSR:
+    """Raising operator in variable ``j`` (1-based).
+
+    Maps the basis state ``k`` to ``sqrt(2 (k_j + 1))`` times the state with
+    ``k_j`` incremented; transitions beyond the cutoff are dropped.
+    """
+    return _ladder(config, j, +1)
 
 
-def harmonic_oscillator(config: FockSpaceConfig) -> sp.csr_matrix:
+def annihilation(config: FockSpaceConfig, j: int) -> CSR:
+    """Lowering operator in variable ``j``: exactly the adjoint of creation.
+
+    Built as its own index map, so comparing it with the adjoint of
+    ``creation`` checks two constructions against each other.
+    """
+    return _ladder(config, j, -1)
+
+
+def harmonic_oscillator(config: FockSpaceConfig) -> CSR:
     """Diagonal operator with entry 2|k| + num_vars on each basis state."""
-    import scipy.sparse as sp
-
-    diag = 2.0 * degrees(config) + config.num_vars
-    return _operator(sp.diags(diag.astype(np.complex128)))
+    return diagonal(2.0 * degrees(config) + config.num_vars)
 
 
-def identity(config: FockSpaceConfig) -> sp.csr_matrix:
-    import scipy.sparse as sp
-
-    return _operator(sp.identity(config.dimension, dtype=np.complex128))
+def identity(config: FockSpaceConfig) -> CSR:
+    return diagonal(np.ones(config.dimension))
 
 
-def oscillator_identity_residuals(config: FockSpaceConfig) -> tuple[float, float]:
+def oscillator_identity_residuals(config: FockSpaceConfig,
+                                  raising=None) -> tuple[float, float]:
     """Guarded-column errors of the two ladder factorizations of the oscillator.
 
     Returns the residuals of ``sum_j C_j^* C_j - num_vars`` and
     ``sum_j C_j C_j^* + num_vars`` against the oscillator Hamiltonian.
+    ``raising`` may pass the maps ``creation(config, j)`` for j = 1..num_vars
+    when the caller has built them already.
     """
-    import scipy.sparse as sp
-
+    if raising is None:
+        raising = [creation(config, j) for j in range(1, config.num_vars + 1)]
     h = harmonic_oscillator(config)
     dim = config.dimension
-    lower = sp.csr_matrix((dim, dim), dtype=np.complex128)
-    upper = sp.csr_matrix((dim, dim), dtype=np.complex128)
-    for j in range(1, config.num_vars + 1):
-        c = creation(config, j)
-        a = c.conj().T
+    lower = upper = zeros((dim, dim))
+    for c in raising:
+        a = c.adjoint()
         lower = lower + a @ c
         upper = upper + c @ a
-    eye = sp.identity(dim, dtype=np.complex128)
+    eye = identity(config)
     nv = config.num_vars
     res1 = max_abs_on_guard(lower - nv * eye - h, config)
     res2 = max_abs_on_guard(upper + nv * eye - h, config)
@@ -232,14 +225,7 @@ def max_abs_on_guard(matrix, config: FockSpaceConfig,
     ``mask`` overrides the default oscillator-degree mask (used by graded
     spaces whose column layout differs from the plain oscillator basis).
     """
-    import scipy.sparse as sp
-
     if mask is None:
         mask = guard_mask(config)
-    cols = np.nonzero(mask)[0]
-    if cols.size == 0:
-        return 0.0
-    sub = sp.csr_matrix(matrix)[:, cols]
-    if sub.nnz == 0:
-        return 0.0
-    return float(np.abs(sub.data).max())
+    values = matrix.data[mask[matrix.indices]]
+    return float(np.abs(values).max()) if values.size else 0.0

@@ -31,11 +31,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
-import scipy.sparse as sp
 
+from . import sparse
 from .errors import GuardViolationError, PairingFloorError
 from .fock import GUARD, FockSpaceConfig, multi_indices
 from .spinors import (
@@ -124,27 +124,39 @@ class BlockOperator:
     row_dims: tuple
     col_dims: tuple
 
-    def block(self, i: int, j: int) -> sp.csr_matrix:
+    def block(self, i: int, j: int) -> sparse.CSR:
         entry = self.blocks[i][j]
         if entry is None:
-            return sp.csr_matrix((self.row_dims[i], self.col_dims[j]), dtype=complex)
+            return sparse.zeros((self.row_dims[i], self.col_dims[j]))
         return entry
 
-    def matrix(self) -> sp.csr_matrix:
+    def entries(self):
+        """Rows, columns and values of each block's entries in the assembled matrix."""
+        for i in range(2):
+            for j in range(2):
+                block = self.block(i, j)
+                yield (block.rows() + (0, self.row_dims[0])[i],
+                       block.indices + (0, self.col_dims[0])[j], block.data)
+
+    def matrix(self) -> sparse.CSR:
         """The assembled two-sector matrix."""
-        return sp.bmat(
-            [[self.block(0, 0), self.block(0, 1)], [self.block(1, 0), self.block(1, 1)]],
-            format="csr",
-        )
+        rows, cols, values = (np.concatenate(part) for part in zip(*self.entries()))
+        return sparse.from_triples(rows, cols, values,
+                                   (sum(self.row_dims), sum(self.col_dims)))
+
+    @cached_property
+    def _block_columns(self) -> tuple:
+        return tuple(sparse.vstack([self.block(0, j), self.block(1, j)]) for j in range(2))
 
     def apply(self, top: np.ndarray, bottom: np.ndarray):
-        a = self.block(0, 0) @ top + self.block(0, 1) @ bottom
-        b = self.block(1, 0) @ top + self.block(1, 1) @ bottom
-        return a, b
+        # one product per block column gives the rows of both of its blocks
+        left, right = self._block_columns[0] @ top, self._block_columns[1] @ bottom
+        split = self.row_dims[0]
+        return left[:split] + right[:split], left[split:] + right[split:]
 
     def adjoint(self) -> "BlockOperator":
         def flip(entry):
-            return None if entry is None else sp.csr_matrix(entry.conj().T)
+            return None if entry is None else entry.adjoint()
 
         return BlockOperator(
             blocks=(
@@ -172,7 +184,7 @@ class BlockOperator:
                     left, right = self.blocks[i][k], other.blocks[k][j]
                     if left is None or right is None:
                         continue
-                    term = sp.csr_matrix(left @ right)
+                    term = left @ right
                     total = term if total is None else total + term
                     lo = self.heisenberg_orders[i][k]
                     ro = other.heisenberg_orders[k][j]
@@ -204,7 +216,7 @@ class BlockOperator:
                 elif b is None or ao > bo:
                     entry, order = a, ao
                 else:
-                    entry, order = sp.csr_matrix(a + b), ao
+                    entry, order = a + b, ao
                 if entry is not None and (
                     entry.nnz == 0 or np.abs(entry.data).max() == 0.0
                 ):
@@ -231,9 +243,9 @@ class _SectorData:
         self.odd_idx = sector_indices(config, ODD)
         self.dim_even = len(self.even_idx)
         self.dim_odd = len(self.odd_idx)
-        dirac = dirac_plus(config).tocsc()
-        self.raise_block = sp.csr_matrix(dirac[self.odd_idx, :][:, self.even_idx])
-        self.lower_block = sp.csr_matrix(dirac[self.even_idx, :][:, self.odd_idx])
+        dirac = dirac_plus(config)
+        self.raise_block = dirac[self.odd_idx, :][:, self.even_idx]
+        self.lower_block = dirac[self.even_idx, :][:, self.odd_idx]
         nv = config.num_vars
         osc = graded_osc_degrees(config)
         self.h0_even = 2.0 * osc[self.even_idx] + nv
@@ -252,15 +264,13 @@ class _SectorData:
         self.odd_ids = ids[self.odd_idx]
         self.lower_pinv = _block_pinv(self.lower_block, self.even_ids, self.odd_ids)
         # dirac_plus is exactly self-adjoint: raise_block = lower_block^H
-        self.raise_pinv = sp.csr_matrix(self.lower_pinv.conj().T)
+        self.raise_pinv = self.lower_pinv.adjoint()
 
-    def h0_diag(self, parity: str) -> sp.csr_matrix:
-        values = self.h0_even if parity == EVEN else self.h0_odd
-        return sp.diags(values.astype(complex), format="csr")
+    def h0_diag(self, parity: str) -> sparse.CSR:
+        return sparse.diagonal(self.h0_even if parity == EVEN else self.h0_odd)
 
-    def eye(self, parity: str) -> sp.csr_matrix:
-        dim = self.dim_even if parity == EVEN else self.dim_odd
-        return sp.identity(dim, dtype=complex, format="csr")
+    def eye(self, parity: str) -> sparse.CSR:
+        return sparse.diagonal(np.ones(self.dim_even if parity == EVEN else self.dim_odd))
 
 
 class _DeformedVacuum:
@@ -270,8 +280,8 @@ class _DeformedVacuum:
         config = cfg.fock_config
         sec = _sectors(cfg)
         # deformed_szego validates the target and angle
-        szego = deformed_szego(config, cfg.theta, cfg.target).tocsc()
-        self.szego_even = sp.csr_matrix(szego[sec.even_idx, :][:, sec.even_idx])
+        szego = deformed_szego(config, cfg.theta, cfg.target)
+        self.szego_even = szego[sec.even_idx, :][:, sec.even_idx]
         target_vec = basis_vector(config, cfg.target)
         self.z0_prime = target_vec[sec.even_idx] * math.sin(cfg.theta)
         self.z0_prime[sec.vacuum_pos] += math.cos(cfg.theta)
@@ -317,18 +327,18 @@ def _group(ids: np.ndarray, num: int):
     return order, start, count, local
 
 
-def _label_stacks(matrix, row_ids: np.ndarray, col_ids: np.ndarray):
+def _label_stacks(entries, row_ids: np.ndarray, col_ids: np.ndarray):
     """The label blocks of a block-diagonal sparse matrix, stacked by shape.
 
-    ``row_ids`` and ``col_ids`` give the block of every row and column.
+    ``entries`` holds the rows, columns and values of the matrix's entries,
+    and ``row_ids`` and ``col_ids`` give the block of every row and column.
     Yields ``(rows, cols, stack)`` for each block shape with columns:
     ``stack[g]`` is the dense block at rows ``rows[g]`` and columns
-    ``cols[g]`` of ``matrix``.  Only the sparse entries are read.
+    ``cols[g]`` of the matrix.
     """
-    coo = sp.coo_matrix(matrix)
-    coo.sum_duplicates()
-    blocks = row_ids[coo.row]
-    assert np.array_equal(blocks, col_ids[coo.col]), "entry crosses a label block"
+    entry_rows, entry_cols, values = entries
+    blocks = row_ids[entry_rows]
+    assert np.array_equal(blocks, col_ids[entry_cols]), "entry crosses a label block"
     num = int(max(row_ids.max(initial=-1), col_ids.max(initial=-1))) + 1
     row_order, row_start, row_count, row_local = _group(row_ids, num)
     col_order, col_start, col_count, col_local = _group(col_ids, num)
@@ -339,32 +349,31 @@ def _label_stacks(matrix, row_ids: np.ndarray, col_ids: np.ndarray):
         slot = np.full(num, -1)
         slot[members] = np.arange(len(members))
         pick = slot[blocks] >= 0
-        stack = np.zeros((len(members), r, c), dtype=coo.dtype)
+        stack = np.zeros((len(members), r, c), dtype=values.dtype)
         stack[
-            slot[blocks[pick]], row_local[coo.row[pick]], col_local[coo.col[pick]]
-        ] = coo.data[pick]
+            slot[blocks[pick]], row_local[entry_rows[pick]], col_local[entry_cols[pick]]
+        ] = values[pick]
         rows = row_order[row_start[members, None] + np.arange(r)]
         cols = col_order[col_start[members, None] + np.arange(c)]
         yield rows, cols, stack
 
 
-def _block_pinv(matrix, row_ids: np.ndarray, col_ids: np.ndarray) -> sp.csr_matrix:
+def _block_pinv(matrix, row_ids: np.ndarray, col_ids: np.ndarray) -> sparse.CSR:
     """Sparse pseudo-inverse of a block-diagonal matrix, one block at a time.
 
     The cutoff is relative to each block's largest singular value.
     """
     rows, cols, values = [], [], []
-    for block_rows, block_cols, stack in _label_stacks(matrix, row_ids, col_ids):
+    entries = matrix.rows(), matrix.indices, matrix.data
+    for block_rows, block_cols, stack in _label_stacks(entries, row_ids, col_ids):
         if stack.size == 0:
             continue
         pinv = np.linalg.pinv(stack, rcond=_PINV_CUTOFF)
         rows.append(np.broadcast_to(block_cols[:, :, None], pinv.shape).ravel())
         cols.append(np.broadcast_to(block_rows[:, None, :], pinv.shape).ravel())
         values.append(pinv.ravel())
-    return sp.csr_matrix(
-        (np.concatenate(values), (np.concatenate(rows), np.concatenate(cols))),
-        shape=matrix.shape[::-1],
-    )
+    return sparse.from_triples(np.concatenate(rows), np.concatenate(cols),
+                               np.concatenate(values), matrix.shape[::-1])
 
 
 def build_calderon_model(chirality: str, complement: bool, cfg: ModelConfig) -> BlockOperator:
@@ -380,12 +389,10 @@ def build_calderon_model(chirality: str, complement: bool, cfg: ModelConfig) -> 
     alpha, beta = cfg.alpha, cfg.beta
     sign = -1.0 if complement else 1.0
     shift = beta if complement else -beta
-    up = sp.csr_matrix(sign * alpha * sec.raise_block)
-    down = sp.csr_matrix(sign * alpha * sec.lower_block)
+    up = sign * alpha * sec.raise_block
+    down = sign * alpha * sec.lower_block
     heavy_parity = ODD if (chirality == EVEN) != complement else EVEN
-    heavy = sp.csr_matrix(
-        alpha**2 * (sec.h0_diag(heavy_parity) + shift * sec.eye(heavy_parity))
-    )
+    heavy = alpha**2 * (sec.h0_diag(heavy_parity) + shift * sec.eye(heavy_parity))
     if heavy_parity == ODD:
         blocks = ((sec.eye(EVEN), down), (up, heavy))
         orders = ((0, -1), (-1, -2))
@@ -409,7 +416,7 @@ def build_boundary_model(chirality: str, cfg: ModelConfig) -> BlockOperator:
         blocks = ((vac.szego_even, None), (None, sec.eye(ODD)))
         orders = ((0, None), (None, 0))
     else:
-        blocks = ((sp.csr_matrix(sec.eye(EVEN) - vac.szego_even), None), (None, None))
+        blocks = ((sec.eye(EVEN) - vac.szego_even, None), (None, None))
         orders = ((0, None), (None, None))
     return BlockOperator(blocks, orders, dims, dims)
 
@@ -423,18 +430,16 @@ def build_comparison_model(chirality: str, cfg: ModelConfig) -> BlockOperator:
     _check_parity(chirality, "chirality")
     sec, vac = _sectors(cfg), _vacuum(cfg)
     alpha, beta = cfg.alpha, cfg.beta
-    mixed = sp.csr_matrix(
-        (sec.eye(EVEN) - 2.0 * vac.szego_even) @ (alpha * sec.lower_block)
-    )
+    mixed = (sec.eye(EVEN) - 2.0 * vac.szego_even) @ (alpha * sec.lower_block)
     if chirality == EVEN:
-        top_right = sp.csr_matrix(-1.0 * mixed)
-        bottom_left = sp.csr_matrix(alpha * sec.raise_block)
+        top_right = -1.0 * mixed
+        bottom_left = alpha * sec.raise_block
         heavy = alpha**2 * (sec.h0_diag(ODD) - beta * sec.eye(ODD))
     else:
         top_right = mixed
-        bottom_left = sp.csr_matrix(-alpha * sec.raise_block)
+        bottom_left = -alpha * sec.raise_block
         heavy = alpha**2 * (sec.h0_diag(ODD) + beta * sec.eye(ODD))
-    blocks = ((vac.szego_even, top_right), (bottom_left, sp.csr_matrix(heavy)))
+    blocks = ((vac.szego_even, top_right), (bottom_left, heavy))
     dims = (sec.dim_even, sec.dim_odd)
     return BlockOperator(blocks, COMPARISON_ORDERS, dims, dims)
 
@@ -568,7 +573,12 @@ def _smallest_singular_value(model: BlockOperator, sec: _SectorData) -> float:
     """
     ids = np.concatenate([sec.even_ids, sec.odd_ids])
     guard = np.concatenate([sec.guard_even, sec.guard_odd])
-    columns = model.matrix().tocsc()[:, guard]
+    local = np.cumsum(guard) - 1
+    columns = [
+        (rows[guard[cols]], local[cols[guard[cols]]], values[guard[cols]])
+        for rows, cols, values in model.entries()
+    ]
+    columns = [np.concatenate(part) for part in zip(*columns)]
     smallest = np.inf
     for _, _, stack in _label_stacks(columns, ids, ids[guard]):
         if stack.shape[2] > stack.shape[1]:
@@ -585,7 +595,8 @@ def certify_invertibility(chirality: str, cfg: ModelConfig, *, num_rhs: int = 16
     guarded columns (an injectivity bound), formula-inverse residuals over
     seeded right-hand sides, the rank certificates of the
     deformed-minus-undeformed inverse blocks, and the declared parametrix
-    block orders.  Admissibility failures are surfaced in the report
+    block orders.  Admissibility failures, including parameters that drive
+    an intermediate value to overflow or NaN, are surfaced in the report
     instead of raised; ``num_rhs`` below one is a ``ValueError``, since a
     certificate over no right-hand sides checks nothing.
     """
@@ -605,43 +616,52 @@ def certify_invertibility(chirality: str, cfg: ModelConfig, *, num_rhs: int = 16
         "num_rhs": num_rhs,
     }
     try:
-        sec = _sectors(cfg)
-        model = build_comparison_model(chirality, cfg)
-        # injectivity bound: guarded columns, all rows.  (Chopping the rows
-        # as well can be exactly singular for n >= 3 because the image of a
-        # guarded vector reaches one oscillator degree past the guard.)
-        smallest = _smallest_singular_value(model, sec)
-        rng = np.random.default_rng(seed)
-        worst = 0.0
-        for _ in range(num_rhs):
-            a, b = random_guarded_rhs(rng, cfg)
-            u, v = invert_comparison_model(chirality, cfg, (a, b))
-            ta, tb = model.apply(u, v)
-            err = math.sqrt(
-                np.vdot(ta - a, ta - a).real + np.vdot(tb - b, tb - b).real
+        # an overflow or a NaN anywhere means the parameters are out of range
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            sec = _sectors(cfg)
+            # the ranks first, so their solves do not share memory with the model
+            ranks = deformation_block_ranks(chirality, cfg)
+            model = build_comparison_model(chirality, cfg)
+            # injectivity bound: guarded columns, all rows.  (Chopping the rows
+            # as well can be exactly singular for n >= 3 because the image of a
+            # guarded vector reaches one oscillator degree past the guard.)
+            smallest = _smallest_singular_value(model, sec)
+            rng = np.random.default_rng(seed)
+            worst = 0.0
+            for _ in range(num_rhs):
+                a, b = random_guarded_rhs(rng, cfg)
+                u, v = invert_comparison_model(chirality, cfg, (a, b))
+                ta, tb = model.apply(u, v)
+                err = math.sqrt(
+                    np.vdot(ta - a, ta - a).real + np.vdot(tb - b, tb - b).real
+                )
+                worst = max(worst, err)
+            report.update(
+                {
+                    "passed": bool(
+                        smallest > cfg.tol
+                        and worst <= cfg.tol
+                        and max(ranks[0][0], ranks[0][1], ranks[1][0])
+                        <= _DEFORMATION_RANK_BOUND
+                        and ranks[1][1] == 0
+                    ),
+                    "error": None,
+                    "smallest_singular_value": smallest,
+                    "singular_floor": cfg.tol,
+                    "residual_max": worst,
+                    "square_index": 0,
+                    "deformation_block_ranks": ranks,
+                    "deformation_rank_bound": _DEFORMATION_RANK_BOUND,
+                    "heisenberg_orders": [list(row) for row in COMPARISON_ORDERS],
+                    "parametrix_orders": [list(row) for row in PARAMETRIX_ORDERS],
+                }
             )
-            worst = max(worst, err)
-        ranks = deformation_block_ranks(chirality, cfg)
-        report.update(
-            {
-                "passed": bool(
-                    smallest > cfg.tol
-                    and worst <= cfg.tol
-                    and max(ranks[0][0], ranks[0][1], ranks[1][0])
-                    <= _DEFORMATION_RANK_BOUND
-                    and ranks[1][1] == 0
-                ),
-                "error": None,
-                "smallest_singular_value": smallest,
-                "singular_floor": cfg.tol,
-                "residual_max": worst,
-                "square_index": 0,
-                "deformation_block_ranks": ranks,
-                "deformation_rank_bound": _DEFORMATION_RANK_BOUND,
-                "heisenberg_orders": [list(row) for row in COMPARISON_ORDERS],
-                "parametrix_orders": [list(row) for row in PARAMETRIX_ORDERS],
-            }
-        )
     except (PairingFloorError, GuardViolationError) as exc:
         report.update({"passed": False, "error": str(exc)})
+    except (FloatingPointError, OverflowError):
+        report.update({
+            "passed": False,
+            "error": f"alpha = {cfg.alpha!r} and beta = {cfg.beta!r} drive an "
+                     "intermediate value to overflow or NaN; use moderate values",
+        })
     return report

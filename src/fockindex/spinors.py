@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from itertools import chain, combinations
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,17 +21,12 @@ from .fock import (
     GUARD,
     FockSpaceConfig,
     _basis,
-    _operator,
     basis_index,
     creation,
     degrees,
     max_abs_on_guard,
 )
-
-# scipy.sparse is imported inside the functions that build sparse matrices,
-# so importing this module (as symbols does) loads numpy only.
-if TYPE_CHECKING:
-    import scipy.sparse as sp
+from .sparse import CSR, diagonal, from_triples
 
 __all__ = [
     "EVEN",
@@ -129,19 +124,18 @@ def graded_dimension(config: FockSpaceConfig) -> int:
 
 
 def graded_index(config: FockSpaceConfig, index: GradedBasisIndex) -> int:
-    """Position of a graded basis element in the enumeration."""
-    basis = graded_basis(config)
-    target = GradedBasisIndex(tuple(index.osc), tuple(index.form))
+    """Position of a graded basis element in the enumeration.
+
+    Found from the oscillator-major layout, without building the graded
+    basis (at the state cap, half a million tuples).
+    """
     try:
-        # oscillator-major layout: locate directly instead of scanning
-        osc_pos = basis_index(config, target.osc)
+        osc_pos = basis_index(config, tuple(index.osc))
         forms = form_subsets(config.num_vars)
-        form_pos = forms.index(target.form)
+        form_pos = forms.index(tuple(index.form))
     except ValueError as exc:
         raise ValueError(f"invalid graded index {index}: {exc}") from None
-    pos = osc_pos * len(forms) + form_pos
-    assert basis[pos] == target
-    return pos
+    return osc_pos * len(forms) + form_pos
 
 
 def graded_osc_degrees(config: FockSpaceConfig) -> np.ndarray:
@@ -166,26 +160,38 @@ def sector_indices(config: FockSpaceConfig, parity: str) -> np.ndarray:
     return np.nonzero(graded_form_degrees(config) % 2 == rem)[0]
 
 
-def dirac_plus(config: FockSpaceConfig) -> sp.csr_matrix:
+def dirac_plus(config: FockSpaceConfig, raising=None) -> CSR:
     """The coupled operator i * sum_j (C_j contract_j - C_j^* wedge_j).
 
     Exchanges the even/odd form sectors while preserving total degree; its
     matrix is exactly self-adjoint under the hard truncation.  Its chiral
     halves are slices by ``sector_indices``: odd rows by even columns, and
-    even rows by odd columns.
-    """
-    import scipy.sparse as sp
+    even rows by odd columns.  ``raising`` may pass the maps
+    ``creation(config, j)`` for j = 1..num_vars when the caller has built
+    them already.
 
+    Each term ``C_j contract_j`` sends a graded state to at most one state,
+    and ``C_j^* wedge_j`` is its adjoint, so the terms are assembled as index
+    maps on the oscillator-major, form-minor layout.
+    """
     nv = config.num_vars
-    total = None
-    for j in range(1, nv + 1):
-        up = creation(config, j)
-        down = up.conj().T
-        term = sp.kron(up, sp.csr_matrix(contract_matrix(nv, j))) - sp.kron(
-            down, sp.csr_matrix(wedge_matrix(nv, j))
-        )
-        total = term if total is None else total + term
-    return _operator(1j * total)
+    nf = 2**nv
+    if raising is None:
+        raising = [creation(config, j) for j in range(1, nv + 1)]
+    rows, cols, vals = [], [], []
+    for j, up in enumerate(raising, start=1):
+        form = contract_matrix(nv, j)
+        form_rows, form_cols = np.nonzero(form)
+        term_rows = (up.rows()[:, None] * nf + form_rows).ravel()
+        term_cols = (up.indices[:, None].astype(np.int64) * nf + form_cols).ravel()
+        term_vals = (up.data.real[:, None] * form[form_rows, form_cols]).ravel()
+        rows += [term_rows, term_cols]
+        cols += [term_cols, term_rows]
+        vals += [term_vals, -term_vals]
+    rows, cols, vals = np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+    dim = graded_dimension(config)
+    total = from_triples(rows, cols, vals, (dim, dim))
+    return CSR(1j * total.data, total.indices, total.indptr, total.shape)
 
 
 def vacuum_index(config: FockSpaceConfig) -> GradedBasisIndex:
@@ -199,15 +205,13 @@ def basis_vector(config: FockSpaceConfig, index: GradedBasisIndex) -> np.ndarray
 
 
 def deformed_szego(config: FockSpaceConfig, theta: float,
-                   target: GradedBasisIndex) -> sp.csr_matrix:
+                   target: GradedBasisIndex) -> CSR:
     """Rank-one projection onto cos(theta) * vacuum + sin(theta) * target.
 
     The target must be a basis state of even form degree distinct from the
     vacuum; the deformation is admissible only while the overlap with the
     vacuum stays above ``PAIRING_FLOOR``.
     """
-    import scipy.sparse as sp
-
     if len(target.form) % 2 != 0:
         raise ValueError(f"deformation target must have even form degree, got {target}")
     if tuple(target.osc) == (0,) * config.num_vars and tuple(target.form) == ():
@@ -221,22 +225,18 @@ def deformed_szego(config: FockSpaceConfig, theta: float,
     coords = [graded_index(config, vacuum_index(config)), graded_index(config, target)]
     amps = np.array([math.cos(theta), math.sin(theta)])
     dim = graded_dimension(config)
-    m = sp.csr_matrix(
-        (np.outer(amps, amps).ravel(), (np.repeat(coords, 2), np.tile(coords, 2))),
-        shape=(dim, dim),
-    )
-    m.eliminate_zeros()
-    return _operator(m)
+    values = np.outer(amps, amps).ravel()
+    keep = values != 0
+    return from_triples(np.repeat(coords, 2)[keep], np.tile(coords, 2)[keep],
+                        values[keep], (dim, dim))
 
 
-def square_identity_residual(d: sp.csr_matrix, config: FockSpaceConfig) -> float:
+def square_identity_residual(d: CSR, config: FockSpaceConfig) -> float:
     """Max guarded-column error of the square of ``d = dirac_plus(config)``.
 
     The square must act diagonally as twice the oscillator degree plus twice
     the form degree; computed sparsely so large truncations stay cheap.
     """
-    import scipy.sparse as sp
-
     expected = 2.0 * graded_osc_degrees(config) + 2.0 * graded_form_degrees(config)
-    diff = (d @ d - sp.diags(expected.astype(np.complex128))).tocsr()
+    diff = d @ d - diagonal(expected)
     return max_abs_on_guard(diff, config, mask=graded_guard_mask(config))

@@ -436,6 +436,23 @@ def test_module_entry_point_keeps_stderr_empty():
     assert json.loads(result.stdout)["passed"] is True
 
 
+@pytest.mark.parametrize(
+    "params",
+    [["--alpha", "1e200"], ["--alpha", "1e-320"], ["--alpha", "10", "--beta", "1e308"]],
+    ids=lambda params: " ".join(params),
+)
+def test_extreme_model_parameters_are_rejected_without_warnings(params):
+    # an overflow or a NaN inside the certificate rejects both checks, and no
+    # numpy warning reaches stderr
+    args = [sys.executable, "-m", "fockindex.cli", "model-invert", *params]
+    result = subprocess.run(args, capture_output=True, check=False)
+    assert result.returncode == 2
+    assert result.stderr == b""
+    checks = json.loads(result.stdout)["checks"]
+    assert [check["status"] for check in checks] == ["rejected", "rejected"]
+    assert all("overflow or NaN" in check["details"]["error"] for check in checks)
+
+
 def test_run_request_validation():
     with pytest.raises(UsageError):
         RunRequest("no-such", {}, 0, "json")
@@ -488,14 +505,30 @@ def test_verify_algebra_builds_the_coupled_operator_once(capsys, monkeypatch):
     built = []
     dirac_plus = spinors.dirac_plus
 
-    def counting(config):
+    def counting(config, *args):
         built.append(config)
-        return dirac_plus(config)
+        return dirac_plus(config, *args)
 
     monkeypatch.setattr(spinors, "dirac_plus", counting)
     code, _, _ = _invoke(["verify-algebra", "--n", "2", "--cutoff", "6"], capsys)
     assert code == 0
     assert len(built) == 1
+
+
+def test_verify_algebra_builds_each_ladder_map_once(capsys, monkeypatch):
+    from fockindex import fock
+
+    built = []
+    for name in ("creation", "annihilation"):
+        def counting(config, j, _original=getattr(fock, name), _name=name):
+            built.append((_name, j))
+            return _original(config, j)
+
+        monkeypatch.setattr(fock, name, counting)
+    code, _, _ = _invoke(["verify-algebra", "--n", "3", "--cutoff", "8"], capsys)
+    assert code == 0
+    expected = [(name, j) for name in ("creation", "annihilation") for j in (1, 2, 3)]
+    assert sorted(built) == sorted(expected)
 
 
 def test_verify_symbols_evaluates_stacks_not_samples(monkeypatch):

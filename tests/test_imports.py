@@ -70,6 +70,9 @@ def test_topo_loads_neither_numpy_nor_scipy():
         ["toeplitz", "--window", "16", "--k", "3"],
         ["verify-symbols", "--n", "2", "--samples", "4",
          "--quadrature-samples", "1", "--seed", "3"],
+        ["verify-algebra", "--n", "2", "--cutoff", "16", "--seed", "7"],
+        ["model-invert", "--chirality", "both", "--n", "2", "--theta", "0.3",
+         "--seed", "5"],
     ],
     ids=lambda argv: argv[0],
 )
@@ -95,6 +98,35 @@ def test_oversized_requests_are_refused_before_numpy_loads(argv):
         "from fockindex.cli import main\n"
         "with contextlib.redirect_stderr(io.StringIO()):\n"
         f"    assert main({argv!r}) == 2\n"
+    )
+    assert not _loaded_after(code) & {"numpy", "scipy"}
+
+
+def test_no_module_loads_scipy():
+    modules = [name for name in fockindex.__all__ if not name.startswith("__")]
+    code = "".join(f"import fockindex.{name}\n" for name in modules)
+    loaded = _loaded_after(code)
+    assert "numpy" in loaded
+    assert "scipy" not in loaded
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["model-invert", "--alpha", "0"],
+        ["model-invert", "--alpha=-2.5"],
+        ["model-invert", "--tol", "0"],
+        ["model-invert", "--tol=-1e-9"],
+    ],
+    ids=lambda argv: " ".join(argv[1:]),
+)
+def test_non_positive_alpha_and_tol_are_refused_before_numpy_loads(argv):
+    code = (
+        "import contextlib, io\n"
+        "from fockindex.cli import main\n"
+        "with contextlib.redirect_stderr(io.StringIO()) as err:\n"
+        f"    assert main({argv!r}) == 1\n"
+        "assert 'must be greater than 0' in err.getvalue()\n"
     )
     assert not _loaded_after(code) & {"numpy", "scipy"}
 
@@ -131,7 +163,7 @@ def test_cli_chirality_names_match_the_spinor_sectors():
 
 
 @pytest.mark.parametrize(
-    "module", ["cli", "fock", "spinors", "symbols", "models", "pairs", "topo"]
+    "module", ["cli", "fock", "spinors", "symbols", "models", "pairs", "topo", "sparse"]
 )
 def test_every_name_in_all_resolves(module):
     # the benchmark tracer calls getattr on each name, so a stale entry

@@ -382,8 +382,8 @@ def _merged_labels(cfg):
 def test_comparison_model_stays_in_merged_label_blocks(chirality, target):
     cfg = ModelConfig(n=3, cutoff=8, theta=0.3, target=target)
     labels = _merged_labels(cfg)
-    matrix = build_comparison_model(chirality, cfg).matrix()
-    rows, cols = matrix.nonzero()
+    matrix = build_comparison_model(chirality, cfg).matrix().toarray()
+    rows, cols = np.nonzero(matrix)
     assert all(labels[r] == labels[c] for r, c in zip(rows, cols))
     # the deformed vacuum couples the vacuum to the target, so the merge is needed
     config, even_idx, _, _ = _sector_helpers(cfg)

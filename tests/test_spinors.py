@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fockindex import sparse
 from fockindex.errors import PairingFloorError
 from fockindex.fock import FockSpaceConfig
 from fockindex.spinors import (
@@ -24,8 +25,10 @@ from fockindex.spinors import (
     form_subsets,
     graded_basis,
     graded_dimension,
+    graded_form_degrees,
     graded_guard_mask,
     graded_index,
+    graded_osc_degrees,
     sector_indices,
     square_identity_residual,
     vacuum_index,
@@ -99,8 +102,8 @@ def test_graded_enumeration_is_oscillator_major():
     # the whole form block of one oscillator state is contiguous
     nf = len(form_subsets(2))
     assert all(b.osc == basis[nf].osc for b in basis[nf : 2 * nf])
-    for idx in (GradedBasisIndex((1, 2), (2,)), GradedBasisIndex((0, 0), (1, 2))):
-        assert basis[graded_index(config, idx)] == idx
+    for pos, idx in enumerate(basis):
+        assert graded_index(config, idx) == pos
     with pytest.raises(ValueError):
         graded_index(config, GradedBasisIndex((9, 0), ()))
 
@@ -151,6 +154,48 @@ def test_square_identity_oracle_diagonal():
     )
     mask = graded_guard_mask(config)
     assert np.max(np.abs(sq[:, mask] - expected[:, mask])) <= 1e-12
+
+
+@pytest.mark.parametrize("nv, cutoff", [(1, 4), (1, 13), (2, 9), (3, 6), (4, 5)])
+def test_square_residual_matches_scipy(nv, cutoff):
+    # the residual read from scipy's d @ d - diag, to the bit, also for
+    # values of d (same pattern) whose off-diagonal sums do not cancel
+    sp = pytest.importorskip("scipy.sparse")
+    config = FockSpaceConfig(nv, cutoff)
+    d = dirac_plus(config)
+    rng = np.random.default_rng(nv * 100 + cutoff)
+    values = (rng.normal(size=d.nnz) + 1j * rng.normal(size=d.nnz)) * d.data
+    scrambled = sparse.CSR(values, d.indices, d.indptr, d.shape)
+    expected = 2.0 * graded_osc_degrees(config) + 2.0 * graded_form_degrees(config)
+    guarded = np.flatnonzero(graded_guard_mask(config))
+    for matrix in (d, scrambled):
+        m = sp.csr_matrix((matrix.data, matrix.indices, matrix.indptr), shape=matrix.shape)
+        square = (m @ m - sp.diags(expected.astype(np.complex128))).tocsr()
+        oracle = float(np.abs(square[:, guarded].data).max())
+        assert square_identity_residual(matrix, config) == oracle
+    assert square_identity_residual(scrambled, config) > 1.0
+
+
+@pytest.mark.parametrize("nv, cutoff", [(1, 6), (2, 5), (3, 4)])
+def test_dirac_plus_matches_the_scipy_kron_assembly(nv, cutoff):
+    sp = pytest.importorskip("scipy.sparse")
+    from fockindex.fock import creation
+
+    config = FockSpaceConfig(nv, cutoff)
+    total = None
+    for j in range(1, nv + 1):
+        up = creation(config, j).toarray()
+        term = sp.kron(sp.csr_matrix(up), sp.csr_matrix(contract_matrix(nv, j))) - sp.kron(
+            sp.csr_matrix(up).conj().T, sp.csr_matrix(wedge_matrix(nv, j))
+        )
+        total = term if total is None else total + term
+    oracle = (1j * total).tocsr()
+    oracle.sum_duplicates()
+    oracle.sort_indices()
+    d = dirac_plus(config)
+    assert np.array_equal(d.indptr, oracle.indptr)
+    assert np.array_equal(d.indices, oracle.indices)
+    assert np.array_equal(d.data.view(np.int64), oracle.data.view(np.int64))
 
 
 def test_chiral_restrictions_are_exact_adjoints():
