@@ -71,7 +71,7 @@ class _Param(NamedTuple):
 # pass.  The other minimums are the library's own preconditions (a cutoff
 # leaves room for the two-level guard band); each maximum keeps a request
 # within about 0.5 GB, measured as peak RSS: verify-symbols at n = 7 peaks
-# at 0.2 GB (n = 8: 0.7 GB), relindex at dim 1024 at 0.43 GB, and toeplitz
+# at 44 MB (n = 8: 61 MB), relindex at dim 1024 at 0.43 GB, and toeplitz
 # at window 1024, which forms no dense matrix, at 28 MB.
 _PARAMS = {
     "verify-algebra": (
@@ -484,7 +484,8 @@ def _run_verify_symbols(params: dict, seeds: list, checks: tuple):
 
     rng = np.random.default_rng(seeds[3])
     quad_samples = params["quadrature_samples"]
-    worst_rel = 0.0
+    # errors and their estimates relative to the closed forms, the projector's absolute
+    worst_rel = worst_est = 0.0
     for instance in range(quad_samples):
         xp = symbols.random_covector(rng, n, boundary=True)
         hess = (
@@ -497,24 +498,26 @@ def _run_verify_symbols(params: dict, seeds: list, checks: tuple):
             scale = _max_abs(closed)
             integrand = symbols.trace_term_integrand(ch, xp, hess)
             for side in (+1, -1):
-                quad = symbols.contour_integral(integrand, side, xp)
+                quad, est = symbols.contour_integral(integrand, side, xp, return_error=True)
                 worst_rel = max(worst_rel, _max_abs(quad - closed) / scale)
+                worst_est = max(worst_est, est / scale)
         integrand = symbols.q_symbol_integrand(-1, symbols.ODD, xp)
-        quad = symbols.contour_integral(integrand, +1, xp)
-        iso = symbols.boundary_isomorphism(symbols.EVEN, +1, n)
-        composed = quad @ iso
+        quad, est = symbols.contour_integral(integrand, +1, xp, return_error=True)
+        composed = quad @ symbols.boundary_isomorphism(symbols.EVEN, +1, n)
         direct = symbols.calderon_symbol0(symbols.EVEN, +1, xp)
         worst_rel = max(worst_rel, _max_abs(composed - direct))
+        worst_est = max(worst_est, est)
         contact = symbols.covector(0.0, float(rng.uniform(0.5, 2.0)), zero_perp)
         hess_contact = symbols.random_hessian(rng, n)
         for ch in _CHIRALITIES:
             closed = symbols.closed_form_contact_contour(ch, hess_contact, contact)
             scale = _max_abs(closed)
             integrand = symbols.q_symbol_integrand(-2, ch, contact, hess_contact)
-            quad = symbols.contour_integral(integrand, -1, contact)
+            quad, est = symbols.contour_integral(integrand, -1, contact, return_error=True)
             worst_rel = max(worst_rel, _max_abs(quad - closed) / scale)
-    details = {"instances": quad_samples, "includes_kahler": True}
-    yield quadrature, worst_rel, details
+            worst_est = max(worst_est, est / scale)
+    yield quadrature, worst_rel, {"instances": quad_samples, "includes_kahler": True,
+                                  "quadrature_error_estimate": _fixed(worst_est)}
 
 
 def _run_model_invert(params: dict, seeds: list, checks: tuple):

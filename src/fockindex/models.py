@@ -343,7 +343,8 @@ def _label_stacks(entries, row_ids: np.ndarray, col_ids: np.ndarray):
     row_order, row_start, row_count, row_local = _group(row_ids, num)
     col_order, col_start, col_count, col_local = _group(col_ids, num)
     shape_key = row_count * (col_count.max() + 1) + col_count
-    for key in np.unique(shape_key[col_count > 0]):
+    keys = np.sort(shape_key[col_count > 0])  # np.unique(keys) would load numpy.ma
+    for key in keys[np.diff(keys, prepend=-1) != 0]:
         members = np.flatnonzero(shape_key == key)
         r, c = int(row_count[members[0]]), int(col_count[members[0]])
         slot = np.full(num, -1)

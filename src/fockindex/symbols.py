@@ -4,8 +4,10 @@ Symbols act on the ``2^(n-1)``-dimensional form space of ``n - 1``
 tangential labels, with the basis reordered so the even-degree block comes
 first; every matrix then splits into four ``2^(n-2)``-sized blocks.  The
 first-order factor ``d1`` is linear in the covector, so it is represented by
-``2n`` constant gradient matrices; this also makes the Hessian-weighted
-symbols and their contour integrals straightforward.
+``2n`` constant gradient matrices.  The interior symbols ``q_symbol`` and the
+Hessian-trace term are the gradient weighted by ``2n`` scalar functions of
+the covector that do not depend on the chirality, so a contour integral of
+one of them is ``2n`` scalar trapezoid sums combined with the gradient once.
 
 A covector is a real array of shape ``(..., 2n)`` with components laid out as
 ``(xi1, xi_2..xi_n, xi_contact, xi_{n+2}..xi_{2n})``: ``xi_contact`` is the
@@ -18,12 +20,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
+from ._forms import EVEN, ODD, _check_parity, contract_matrix, form_subsets, wedge_matrix
 from .errors import OffContactLineError, PoleOnContourError, ZeroCovectorError
-from .spinors import EVEN, ODD, _check_parity, contract_matrix, form_subsets, wedge_matrix
 
 __all__ = [
     "covector",
@@ -35,7 +37,6 @@ __all__ = [
     "random_covectors",
     "random_hessian",
     "symbol_dimension",
-    "sector_slices",
     "sd_matrix",
     "d1_gradient",
     "d1",
@@ -45,6 +46,7 @@ __all__ = [
     "q_symbol",
     "q_symbol_integrand",
     "trace_term_integrand",
+    "QUADRATURE_NODES",
     "contour_integral",
     "closed_form_trace_contour",
     "closed_form_contact_contour",
@@ -61,11 +63,13 @@ def covector(xi1: float, xi_contact: float, xi_perp=()) -> np.ndarray:
     return np.array([xi1, *xi_perp[:half], xi_contact, *xi_perp[half:]], dtype=float)
 
 
-def _half_length(xi) -> int:
-    """n for covectors of 2n components."""
+def _half_length(xi, hess: HessianData | None = None) -> int:
+    """n for covectors of 2n components, and for the Hessian data if given."""
     size = np.shape(xi)[-1]
     if size % 2 != 0:
         raise ValueError(f"a covector has an even number of components, got {size}")
+    if hess is not None and hess.n != size // 2:
+        raise ValueError(f"Hessian is for n = {hess.n}, covector for n = {size // 2}")
     return size // 2
 
 
@@ -77,9 +81,15 @@ def norm(xi) -> np.ndarray:
     return np.sqrt((xi[..., None, :] @ xi[..., :, None])[..., 0, 0])
 
 
+@lru_cache(maxsize=None)
+def _perp_slots(n: int) -> np.ndarray:
+    """Positions of ``xi_perp`` in a covector of 2n components."""
+    return np.delete(np.arange(2 * n), [0, n])
+
+
 def perp_norm(xi) -> np.ndarray:
     """|xi_perp|: the norm of the tangential components other than the contact one."""
-    return norm(np.delete(xi, [0, _half_length(xi)], axis=-1))
+    return norm(np.asarray(xi)[..., _perp_slots(_half_length(xi))])
 
 
 def boundary_norm(xi) -> np.ndarray:
@@ -99,35 +109,10 @@ def symbol_dimension(n: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _form_order(n: int) -> tuple[tuple[int, ...], int]:
-    """Permutation putting even-degree subsets first; returns (perm, dim_even)."""
-    subsets = form_subsets(n - 1)
-    even = [i for i, s in enumerate(subsets) if len(s) % 2 == 0]
-    odd = [i for i, s in enumerate(subsets) if len(s) % 2 == 1]
-    return tuple(even + odd), len(even)
-
-
-@lru_cache(maxsize=None)
 def _parity_projectors(n: int):
-    dim = symbol_dimension(n)
-    _, dim_even = _form_order(n)
-    pi_e = np.zeros((dim, dim))
-    pi_o = np.zeros((dim, dim))
-    pi_e[np.arange(dim_even), np.arange(dim_even)] = 1.0
-    pi_o[np.arange(dim_even, dim), np.arange(dim_even, dim)] = 1.0
-    return pi_e, pi_o
-
-
-def sector_slices(n: int) -> tuple[slice, slice]:
-    """Row/column slices of the even-degree and odd-degree blocks."""
-    _, dim_even = _form_order(n)
-    return slice(0, dim_even), slice(dim_even, symbol_dimension(n))
-
-
-def _reordered(n: int, form_op: np.ndarray) -> np.ndarray:
-    perm, _ = _form_order(n)
-    idx = np.array(perm)
-    return form_op[np.ix_(idx, idx)]
+    """Projectors onto the even-degree (leading) and the odd-degree halves."""
+    even = np.arange(symbol_dimension(n)) < symbol_dimension(n) // 2
+    return np.diag(even * 1.0), np.diag(~even * 1.0)
 
 
 @lru_cache(maxsize=None)
@@ -136,10 +121,12 @@ def _sd_gradient(n: int) -> np.ndarray:
     first and contact slots."""
     nv = n - 1
     dim = symbol_dimension(n)
+    # a stable sort by degree parity puts the even-degree subsets first
+    order = np.argsort([len(s) % 2 for s in form_subsets(nv)], kind="stable")
     out = np.zeros((2 * n, dim, dim), dtype=complex)
     for label in range(1, n):
-        e = _reordered(n, contract_matrix(nv, label))
-        eps = _reordered(n, wedge_matrix(nv, label))
+        e = contract_matrix(nv, label)[np.ix_(order, order)]
+        eps = wedge_matrix(nv, label)[np.ix_(order, order)]
         out[label] = 1j * (e - eps)
         out[n + label] = e + eps
     return out
@@ -154,7 +141,6 @@ def sd_matrix(xi) -> np.ndarray:
 def d1_gradient(chirality: str, n: int) -> np.ndarray:
     """The 2n constant matrices of the (linear) first-order symbol factor."""
     _check_parity(chirality, "chirality")
-    dim = symbol_dimension(n)
     pi_e, pi_o = _parity_projectors(n)
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
     sign = 1.0 if chirality == EVEN else -1.0
@@ -186,23 +172,15 @@ def boundary_isomorphism(chirality: str, side: int, n: int) -> np.ndarray:
     _check_parity(chirality, "chirality")
     _check_side(side)
     pi_e, pi_o = _parity_projectors(n)
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    if chirality == EVEN:
-        m = side * inv_sqrt2 * (pi_e - pi_o)
-    else:
-        m = side * inv_sqrt2 * (pi_o - pi_e)
-    return m.astype(complex)
+    sign = side if chirality == EVEN else -side
+    return (sign / math.sqrt(2.0) * (pi_e - pi_o)).astype(complex)
 
 
 def _with_first_slot(xi, xi1) -> np.ndarray:
-    """Complex copies of the covectors ``xi`` with ``xi1`` in the first slot.
-
-    ``xi1`` broadcasts against the leading axes of ``xi``.
-    """
-    xi = np.asarray(xi)
-    xi1 = np.asarray(xi1, dtype=complex)
-    shape = np.broadcast_shapes(xi1.shape, xi.shape[:-1]) + xi.shape[-1:]
-    out = np.empty(shape, dtype=complex)
+    """Complex copies of the covectors ``xi`` with ``xi1``, broadcast against
+    their leading axes, in the first slot."""
+    xi, xi1 = np.asarray(xi), np.asarray(xi1, dtype=complex)
+    out = np.empty(np.broadcast_shapes(xi1.shape, xi.shape[:-1]) + xi.shape[-1:], complex)
     out[...] = xi
     out[..., 0] = xi1
     return out
@@ -210,10 +188,10 @@ def _with_first_slot(xi, xi1) -> np.ndarray:
 
 def _require_boundary(xi_prime) -> np.ndarray:
     """The boundary norms of a stack of boundary covectors, all nonzero."""
-    if np.any(np.asarray(xi_prime)[..., 0] != 0.0):
+    if (np.asarray(xi_prime)[..., 0] != 0.0).any():
         raise ValueError("boundary covector must have xi1 = 0")
     ell = boundary_norm(xi_prime)
-    if np.any(ell == 0.0):
+    if (ell == 0.0).any():
         raise ZeroCovectorError("boundary covector must be nonzero")
     return ell
 
@@ -321,8 +299,8 @@ class HessianData:
             raise ValueError("b must be symmetric")
         a0, a1 = a.real, a.imag
         b0, b1 = b.real, b.imag
-        big_a = np.block([[a0, -a1], [a1, a0]])
-        big_b = np.block([[b0, -b1], [-b1, -b0]])
+        big_a = np.concatenate([np.concatenate([a0, -a1], 1), np.concatenate([a1, a0], 1)])
+        big_b = np.concatenate([np.concatenate([b0, -b1], 1), np.concatenate([-b1, -b0], 1)])
         return cls(alpha, big_a, big_b)
 
     @classmethod
@@ -371,124 +349,143 @@ def random_hessian(rng, n: int, contact_adapted: bool = True) -> HessianData:
     return HessianData.from_complex(alpha, a, b)
 
 
-def _xi_square(components) -> np.ndarray:
+def _xi_square(comps: np.ndarray) -> np.ndarray:
     # analytic continuation of |xi|^2: a plain sum of squares, no conjugation
-    comps = np.asarray(components)
-    return np.sum(comps * comps, axis=-1)
+    return (comps * comps).sum(axis=-1)
+
+
+def _contract(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``sum_k a[..., k] * b[k]``, as gradient weights give matrices."""
+    flat = a @ b.reshape(len(b), -1)
+    return flat.reshape(a.shape[:-1] + b.shape[1:])
+
+
+def _q_weights(order: int, comps: np.ndarray, hess: HessianData | None) -> np.ndarray:
+    """The ``2n`` gradient weights of :func:`q_symbol` at complex covectors."""
+    norm_sq = _xi_square(comps)[..., None]
+    if (norm_sq == 0).any():
+        raise ZeroCovectorError("q-symbol undefined at the zero covector")
+    if order == -1:
+        return 2.0 * comps / norm_sq
+    if order == -2:
+        if hess is None:
+            raise ValueError("order -2 requires Hessian data")
+        _half_length(comps, hess)  # refuses Hessian data of another n
+        a_xi = comps @ hess.matrix_a.T
+        a_xi_xi = (a_xi * comps).sum(axis=-1)[..., None]
+        bracket = (4.0 * a_xi_xi / norm_sq - hess.matrix_a.trace()) * comps - 2.0 * a_xi
+        return (2j * hess.alpha) * comps[..., :1] / norm_sq**2 * bracket
+    raise ValueError(f"order must be -1 or -2, got {order}")
 
 
 def q_symbol(order: int, chirality: str, xi,
              hess: HessianData | None = None) -> np.ndarray:
     """Interior expansion symbols: the leading inverse and its Hessian correction.
 
-    ``order = -1`` gives ``2 d1 / |xi|^2``; ``order = -2`` the correction that
-    is linear in the Hessian data.
+    ``order = -1`` gives ``2 d1 / |xi|^2``; ``order = -2`` the correction
+    ``2 i xi1 alpha (-tr(A) d1 / |xi|^4 + 4 <A xi, xi> d1 / |xi|^6
+    - 2 d1(A xi) / |xi|^4)``, which is linear in the Hessian data.  Both are
+    the ``d1`` gradient weighted by scalar functions of the covector.
     Kept as the interior parametrix: ``d1(ODD) @ q_symbol(-1, EVEN) = I``.
     """
     comps = np.asarray(xi, dtype=complex)
-    n = _half_length(comps)
-    d1m = d1(chirality, comps)
-    norm_sq = _xi_square(comps)[..., None, None]
-    if np.any(norm_sq == 0):
-        raise ZeroCovectorError("q-symbol undefined at the zero covector")
-    if order == -1:
-        return 2.0 * d1m / norm_sq
-    if order == -2:
-        if hess is None:
-            raise ValueError("order -2 requires Hessian data")
-        if hess.n != n:
-            raise ValueError(f"Hessian is for n = {hess.n}, covector for n = {n}")
-        a_xi = comps @ hess.matrix_a.T
-        trace_a = float(np.trace(hess.matrix_a))
-        grad = d1_gradient(chirality, n)
-        pairing = np.tensordot(a_xi, grad, axes=1)
-        a_xi_xi = np.sum(a_xi * comps, axis=-1)[..., None, None]
-        term = (
-            -trace_a * d1m / norm_sq**2
-            + 4.0 * d1m * a_xi_xi / norm_sq**3
-            - 2.0 * pairing / norm_sq**2
-        )
-        return 2j * comps[..., 0, None, None] * hess.alpha * term
-    raise ValueError(f"order must be -1 or -2, got {order}")
+    weights = _q_weights(order, comps, hess)
+    return _contract(weights, d1_gradient(chirality, _half_length(comps)))
+
+
+def _integrand(weights, chirality: str, xi_prime, hess: HessianData | None):
+    """Callable ``xi1 -> matrices``, the ``d1`` gradient weighted by ``weights``
+    at ``xi_prime`` with the array ``xi1`` in the first slot; its ``coefficients``
+    are the weights alone, for :func:`contour_integral`."""
+    ell = _require_boundary(xi_prime)
+    gradient = d1_gradient(chirality, _half_length(xi_prime, hess))
+
+    def coefficients(xi1):
+        return weights(_with_first_slot(xi_prime, xi1))
+
+    def integrand(xi1):
+        return _contract(coefficients(xi1), gradient)
+
+    integrand.coefficients, integrand.gradient = coefficients, gradient
+    integrand.poles = (1j * ell, -1j * ell)
+    return integrand
 
 
 def q_symbol_integrand(order: int, chirality: str, xi_prime,
                        hess: HessianData | None = None):
-    """Callable ``xi1 -> matrices`` for contour integration in the first slot.
-
-    ``xi1`` is an array of first-slot values; the result stacks one matrix
-    per value along the leading axes.
-    """
-    _check_parity(chirality, "chirality")
-    ell = _require_boundary(xi_prime)
-
-    def integrand(xi1):
-        return q_symbol(order, chirality, _with_first_slot(xi_prime, xi1), hess)
-
-    integrand.poles = (1j * ell, -1j * ell)
-    return integrand
+    """Callable ``xi1 -> q_symbol(order, chirality, ., hess)`` for contour
+    integration in the first slot of the boundary covectors ``xi_prime``."""
+    return _integrand(partial(_q_weights, order, hess=hess), chirality, xi_prime, hess)
 
 
 def trace_term_integrand(chirality: str, xi_prime, hess: HessianData):
-    """Callable ``xi1 -> 2 i xi1 alpha tr(A) d1 / |xi|^4`` for contour integration.
+    """Callable ``xi1 -> 2 i xi1 alpha tr(A) d1 / |xi|^4``, the Hessian-trace
+    term of the order -2 expansion, whose contour integral has the closed form
+    :func:`closed_form_trace_contour`."""
+    weight = 2j * hess.alpha * hess.matrix_a.trace()
 
-    The Hessian-trace-weighted piece of the second-order expansion; its
-    contour integral has the closed form returned by
-    :func:`closed_form_trace_contour`.  Like :func:`q_symbol_integrand`, it
-    takes an array of ``xi1`` values and returns a stack of matrices.
-    """
-    _check_parity(chirality, "chirality")
-    ell = _require_boundary(xi_prime)
-    trace_a = float(np.trace(hess.matrix_a))
-    alpha = hess.alpha
+    def weights(comps):
+        return weight * comps[..., :1] / _xi_square(comps)[..., None] ** 2 * comps
 
-    def integrand(xi1):
-        comps = _with_first_slot(xi_prime, xi1)
-        weight = 2j * comps[..., 0] * alpha * trace_a / _xi_square(comps) ** 2
-        return weight[..., None, None] * d1(chirality, comps)
+    return _integrand(weights, chirality, xi_prime, hess)
 
-    integrand.poles = (1j * ell, -1j * ell)
-    return integrand
+
+QUADRATURE_NODES = 32
+"""Trapezoid nodes per contour: the least N with ``N**2 * 4**-N`` below 2**-53.
+
+With ``xi1 = side * i |xi'| + (|xi'| / 2) w`` the integrands' poles, of order
+at most 3, sit at ``w = 0`` and ``|w| = 4``.  On N nodes of ``|w| = 1`` the
+rule sums the Laurent coefficients ``a_k`` (none below ``k = -2``) of the
+integrand times ``d xi1 / d theta`` over the multiples of N, not just ``a_0``
+(Trefethen & Weideman, SIAM Review 56, 2014).  The far pole makes ``|a_k|``
+about ``k**2 4**-k`` of the integral: 5.5e-17 at N = 32, 2.1e-16 at N = 31.
+"""
 
 
 def contour_integral(integrand, side: int, xi_prime,
-                     num_points: int = 512) -> np.ndarray:
-    """(1/2 pi) times the contour integral of a matrix-valued integrand.
+                     num_points: int = QUADRATURE_NODES, return_error: bool = False):
+    """(1/2 pi) times the contour integral of an integrand of this module.
 
-    Integrates over a circle of radius ``|xi'|/2`` around ``side * i |xi'|``,
-    positively oriented for the upper circle and negatively for the lower
-    one, by the trapezoid rule on ``num_points`` equally spaced nodes.
-    ``xi_prime`` is one covector, not a stack.  The integrand is called
-    once, with the 1-D array of all nodes, and must return the stack of its
-    matrices at those nodes, shape
-    ``(num_points, d, d)``.  It must be meromorphic with its poles away from
-    the circle; poles it declares through a ``poles`` attribute (the
-    integrand factories in this module do) are checked against the
-    quadrature nodes.
+    The circle has radius ``|xi'|/2`` around ``side * i |xi'|`` and is
+    oriented positively for the upper side, negatively for the lower.  The
+    trapezoid rule on ``num_points`` nodes (even, at least 6) sums the
+    integrand's ``2n`` scalar ``coefficients``, and combines the sums with its
+    ``gradient`` once.  Declared ``poles`` must keep off the circle.
+    ``xi_prime`` is the covector, or stack of covectors, of the integrand.
+
+    With ``return_error``, also returns an estimate of each matrix's largest
+    entry error.  The rule on every other node errs about ``4**(N/2 - 1)``
+    times more, so each sum's estimate is the difference of the two rules
+    over ``4**(N/2 - 2)`` (a factor 4 to spare) plus a bound on its rounding,
+    carried to the entries through the moduli of the gradient.  Rounding in
+    the integrand's own values is not counted.
     """
     _check_side(side)
+    if not hasattr(integrand, "coefficients"):
+        raise TypeError("integrand has no gradient coefficients: build it with "
+                        "q_symbol_integrand or trace_term_integrand")
+    if num_points < 6 or num_points % 2:
+        raise ValueError(f"num_points must be even and at least 6, got {num_points}")
     ell = boundary_norm(xi_prime)
-    if ell == 0.0:
+    if (ell == 0.0).any():
         raise ZeroCovectorError("contour undefined for a zero boundary covector")
-    radius = 0.5 * ell
-    center = side * 1j * ell
-    angles = 2.0 * np.pi * np.arange(num_points) / num_points
-    nodes = center + radius * np.exp(1j * angles)
-    for pole in getattr(integrand, "poles", (1j * ell, -1j * ell)):
-        if np.min(np.abs(nodes - pole)) / ell < 1e-6:
-            raise PoleOnContourError(f"pole {pole} sits on the quadrature contour")
-    values = np.asarray(integrand(nodes))
-    if values.ndim != 3 or values.shape[0] != num_points:
-        raise ValueError(
-            f"integrand must return a ({num_points}, d, d) stack, got shape "
-            f"{values.shape}"
-        )
-    if not np.all(np.isfinite(values)):
+    center, radius = side * 1j * ell, 0.5 * ell
+    poles = np.asarray(getattr(integrand, "poles", ()))
+    if poles.size and (np.abs(np.abs(poles - center) - radius) / ell).min() < 1e-6:
+        raise PoleOnContourError("a declared pole sits on the quadrature contour")
+    unit = np.exp(2j * np.pi * np.arange(num_points) / num_points)
+    values = integrand.coefficients(np.multiply.outer(unit, radius) + center)
+    if not np.isfinite(values).all():
         raise PoleOnContourError("integrand is singular on the quadrature contour")
-    orientation = 1.0 if side > 0 else -1.0
-    weights = np.exp(1j * angles)
-    scale = orientation * (1j * radius / num_points)
-    return scale * np.tensordot(weights, values, axes=1)
+    scale = np.asarray(side * 1j * radius / num_points)[..., None]
+    sums = _contract(unit, values)
+    integral = _contract(scale * sums, integrand.gradient)
+    if not return_error:
+        return integral
+    truncation = np.abs(sums - 2.0 * _contract(unit[::2], values[::2]))
+    rounding = num_points * np.finfo(float).eps * np.abs(values).sum(axis=0)
+    error = np.abs(scale) * (4.0 ** (2 - num_points // 2) * truncation + rounding)
+    return integral, _contract(error, np.abs(integrand.gradient)).max(axis=(-2, -1))
 
 
 def closed_form_trace_contour(chirality: str, hess: HessianData,
@@ -498,11 +495,10 @@ def closed_form_trace_contour(chirality: str, hess: HessianData,
     Equals ``i alpha tr(A) / (2 |xi'|)`` times the first gradient matrix of
     ``d1`` — the same value for both contours.
     """
-    _check_parity(chirality, "chirality")
     ell = _require_boundary(xi_prime)[..., None, None]
+    n = _half_length(xi_prime, hess)
     trace_a = float(np.trace(hess.matrix_a))
-    grad = d1_gradient(chirality, _half_length(xi_prime))
-    return 1j * (hess.alpha * trace_a / (2.0 * ell)) * grad[0]
+    return 1j * (hess.alpha * trace_a / (2.0 * ell)) * d1_gradient(chirality, n)[0]
 
 
 def closed_form_contact_contour(chirality: str, hess: HessianData,
@@ -512,10 +508,9 @@ def closed_form_contact_contour(chirality: str, hess: HessianData,
     Equals ``-i alpha beta / |xi'|`` times the first gradient matrix of
     ``d1``; exact as a full matrix for contact-adapted Hessian data.
     """
-    _check_parity(chirality, "chirality")
     if np.any(perp_norm(xi_prime) != 0.0):
         raise OffContactLineError("closed form only valid on the contact line")
-    n = _half_length(xi_prime)
+    n = _half_length(xi_prime, hess)
     ell = abs(np.asarray(xi_prime)[..., n, None, None])
     if np.any(ell == 0.0):
         raise ZeroCovectorError("contact covector must be nonzero")

@@ -22,7 +22,7 @@ TOPO_ARGS = ["topo", "--x0", X0, "--x1", X1]
 
 _REPORT_LOADED = """
 import json, sys
-print(json.dumps(sorted({name.split(".")[0] for name in sys.modules})))
+print(json.dumps(sorted(sys.modules)))
 """
 
 
@@ -37,20 +37,28 @@ def _python(*args):
     )
 
 
-def _loaded_after(code):
-    """Top-level packages loaded once ``code`` has run in a fresh process."""
+def _modules_after(code):
+    """Modules, by dotted name, loaded once ``code`` has run in a fresh process."""
     out = _python("-c", code + _REPORT_LOADED).stdout
     return set(json.loads(out.splitlines()[-1]))
 
 
-def _loaded_after_main(argv):
-    code = (
+def _loaded_after(code):
+    """Top-level packages loaded once ``code`` has run in a fresh process."""
+    return {name.split(".")[0] for name in _modules_after(code)}
+
+
+def _main_code(argv):
+    return (
         "import contextlib, io\n"
         "from fockindex.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    assert main({argv!r}) == 0\n"
     )
-    return _loaded_after(code)
+
+
+def _loaded_after_main(argv):
+    return _loaded_after(_main_code(argv))
 
 
 def test_importing_the_cli_loads_neither_numpy_nor_scipy():
@@ -80,6 +88,22 @@ def test_numpy_only_subcommands_load_no_scipy(argv):
     loaded = _loaded_after_main(argv)
     assert "numpy" in loaded
     assert "scipy" not in loaded
+
+
+def test_verify_symbols_loads_no_fock_space_code():
+    argv = ["verify-symbols", "--n", "2", "--samples", "4",
+            "--quadrature-samples", "1", "--seed", "3"]
+    loaded = _modules_after(_main_code(argv))
+    assert "fockindex.symbols" in loaded
+    assert not loaded & {"fockindex.fock", "fockindex.sparse", "fockindex.spinors"}
+
+
+def test_model_invert_does_not_load_numpy_ma():
+    argv = ["model-invert", "--chirality", "both", "--n", "2", "--theta", "0.3",
+            "--seed", "5"]
+    loaded = _modules_after(_main_code(argv))
+    assert "fockindex.models" in loaded
+    assert "numpy.ma" not in loaded
 
 
 @pytest.mark.parametrize(

@@ -18,6 +18,7 @@ from fockindex.errors import (
 from fockindex.symbols import (
     EVEN,
     ODD,
+    QUADRATURE_NODES,
     HessianData,
     boundary_isomorphism,
     boundary_norm,
@@ -38,7 +39,6 @@ from fockindex.symbols import (
     random_covectors,
     random_hessian,
     sd_matrix,
-    sector_slices,
     symbol_dimension,
     trace_term_integrand,
 )
@@ -72,8 +72,10 @@ def test_symbol_dimension_and_sector_split():
     assert symbol_dimension(3) == 4
     with pytest.raises(ValueError):
         symbol_dimension(1)
-    even, odd = sector_slices(3)
-    assert even == slice(0, 2) and odd == slice(2, 4)
+    # the even-degree block comes first, and both blocks have half the rows
+    assert symbol_dimension(3) // 2 == 2
+    plus = boundary_isomorphism(EVEN, +1, 3)
+    assert np.array_equal(np.sign(np.diag(plus).real), [1, 1, -1, -1])
 
 
 def test_sd_n2_frozen_matrix():
@@ -128,7 +130,8 @@ def test_d1_gradient_reassembles_d1():
 def test_boundary_isomorphism_scalars():
     s = 1.0 / np.sqrt(2.0)
     for n in (2, 3):
-        even_slc, odd_slc = sector_slices(n)
+        half = symbol_dimension(n) // 2
+        even_slc, odd_slc = slice(0, half), slice(half, 2 * half)
         eye = np.eye(symbol_dimension(n))
         for ch in CHIRALITIES:
             plus = boundary_isomorphism(ch, +1, n)
@@ -171,7 +174,7 @@ def test_calderon0_contact_ray_block_structure():
     # the upper side keeps exactly the even-degree block
     for n in (2, 3):
         dim = symbol_dimension(n)
-        even_slc, odd_slc = sector_slices(n)
+        even_slc, odd_slc = slice(0, dim // 2), slice(dim // 2, dim)
         pos_dir = calderon_symbol0(EVEN, +1, _contact_ray(n, -2.0))
         expected = np.zeros((dim, dim))
         expected[even_slc, even_slc] = np.eye(dim // 2)
@@ -329,6 +332,21 @@ def test_contact_closed_form_needs_the_contact_line():
         closed_form_contact_contour(EVEN, hess, covector(0.0, 0.0, (0.0,) * 4))
 
 
+def test_a_hessian_for_another_n_is_refused():
+    hess = HessianData.kahler(3)
+    xp = covector(0.0, 1.0, (0.5, 0.0))
+    calls = (
+        lambda: trace_term_integrand(EVEN, xp, hess),
+        lambda: closed_form_trace_contour(EVEN, hess, xp),
+        lambda: closed_form_contact_contour(EVEN, hess, _contact_ray(2, 1.0)),
+        lambda: q_symbol(-2, EVEN, covector(0.3, 1.0, (0.5, 0.0)), hess),
+        lambda: q_symbol_integrand(-2, EVEN, xp, hess)(0.5j),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="Hessian is for n = 3, covector for n = 2"):
+            call()
+
+
 def test_minus1_correction_is_scalar_and_cancels_in_the_sum():
     rng = np.random.default_rng(71)
     for n in (2, 3):
@@ -369,7 +387,7 @@ def test_minus1_scales_linearly_in_beta():
 
 
 def _contour_by_node(integrand, side, xi_prime, num_points=512):
-    """Reference trapezoid rule: one scalar integrand call per node."""
+    """Reference trapezoid rule: one matrix integrand call per node."""
     ell = boundary_norm(xi_prime)
     radius = 0.5 * ell
     angles = 2.0 * np.pi * np.arange(num_points) / num_points
@@ -379,18 +397,23 @@ def _contour_by_node(integrand, side, xi_prime, num_points=512):
     return side * (1j * radius / num_points) * weighted
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
+def _integrands(ch, xp, hess):
+    return (
+        q_symbol_integrand(-1, ch, xp),
+        q_symbol_integrand(-2, ch, xp, hess),
+        trace_term_integrand(ch, xp, hess),
+    )
+
+
+@pytest.mark.parametrize("n", range(2, 8))
 def test_batched_contour_matches_per_node_loop(n):
+    # the coefficient sums on QUADRATURE_NODES nodes against matrices summed
+    # node by node on 512
     rng = np.random.default_rng(79 + n)
     xp = random_covector(rng, n, boundary=True)
     hess = random_hessian(rng, n, contact_adapted=False)
     for ch in CHIRALITIES:
-        integrands = (
-            q_symbol_integrand(-1, ch, xp),
-            q_symbol_integrand(-2, ch, xp, hess),
-            trace_term_integrand(ch, xp, hess),
-        )
-        for integrand in integrands:
+        for integrand in _integrands(ch, xp, hess):
             for side in SIDES:
                 batched = contour_integral(integrand, side, xp)
                 looped = _contour_by_node(integrand, side, xp)
@@ -398,23 +421,76 @@ def test_batched_contour_matches_per_node_loop(n):
                 assert np.abs(batched - looped).max() <= 1e-13 * scale
 
 
-def test_contour_rejects_integrand_without_a_stack():
+def test_node_count_is_the_least_below_half_an_ulp():
+    def bound(nodes):
+        return nodes**2 * 4.0**-nodes
+
+    assert bound(QUADRATURE_NODES) <= 2.0**-53 < bound(QUADRATURE_NODES - 1)
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_error_estimate_bounds_the_change_from_twice_the_nodes(n):
+    rng = np.random.default_rng(89 + n)
+    hess = random_hessian(rng, n, contact_adapted=False)
+    covectors = [random_covector(rng, n, boundary=True) for _ in range(3)]
+    covectors.append(_contact_ray(n, float(rng.uniform(0.5, 2.0))))
+    for xp in covectors:
+        for ch in CHIRALITIES:
+            for integrand in _integrands(ch, xp, hess):
+                for side in SIDES:
+                    for nodes in (8, 16, 24, QUADRATURE_NODES):
+                        quad, estimate = contour_integral(
+                            integrand, side, xp, nodes, return_error=True)
+                        assert np.array_equal(
+                            quad, contour_integral(integrand, side, xp, nodes))
+                        finer = contour_integral(integrand, side, xp, 2 * nodes)
+                        assert np.abs(quad - finer).max() <= estimate
+                    # at the default count the estimate is down at rounding
+                    assert estimate <= 1e-12 * np.abs(quad).max()
+
+
+def test_contour_rejects_integrand_without_coefficients():
     xp = covector(0.0, 1.0, (0.0, 0.0))
-    with pytest.raises(ValueError, match="stack"):
+    with pytest.raises(TypeError, match="coefficients"):
         contour_integral(lambda z: np.eye(2), +1, xp)
+    for nodes in (4, 31):
+        with pytest.raises(ValueError, match="num_points"):
+            contour_integral(q_symbol_integrand(-1, EVEN, xp), +1, xp, nodes)
 
 
 def test_contour_rejects_declared_pole_on_the_nodes():
     xp = covector(0.0, 1.0, (0.0, 0.0))
-
-    def integrand(z):
-        return np.eye(2) / (z - 1.5j)
-
+    integrand = q_symbol_integrand(-1, EVEN, xp)
     integrand.poles = (1.5j,)  # lands exactly on the top of the upper circle
     with pytest.raises(PoleOnContourError):
         contour_integral(integrand, +1, xp)
     with pytest.raises(ZeroCovectorError):
         contour_integral(integrand, +1, covector(0.0, 0.0, (0.0, 0.0)))
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_contour_of_a_stack_gives_the_contours_of_its_rows(n):
+    rng = np.random.default_rng(97 + n)
+    stack = random_covectors(rng, n, 6, boundary=True).reshape(2, 3, 2 * n)
+    hess = random_hessian(rng, n, contact_adapted=False)
+    dim = symbol_dimension(n)
+    for ch in CHIRALITIES:
+        for kind in range(3):
+            for side in SIDES:
+                # leading shapes (2, 3) and (3,)
+                for covectors in (stack, stack[1]):
+                    integrand = _integrands(ch, covectors, hess)[kind]
+                    whole, estimates = contour_integral(
+                        integrand, side, covectors, return_error=True)
+                    assert whole.shape == covectors.shape[:-1] + (dim, dim)
+                    assert estimates.shape == covectors.shape[:-1]
+                    for index in np.ndindex(covectors.shape[:-1]):
+                        row = covectors[index]
+                        one, estimate = contour_integral(
+                            _integrands(ch, row, hess)[kind], side, row,
+                            return_error=True)
+                        assert np.abs(whole[index] - one).max() <= 1e-15 * np.abs(one).max()
+                        assert estimates[index] == pytest.approx(estimate, rel=1e-12)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
