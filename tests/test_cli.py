@@ -47,6 +47,11 @@ GOLDEN_RUNS = [
     ("model-invert-n3", ["model-invert", "--chirality", "both", "--n", "3"], 0),
     ("topo-spinc", ["topo", "--x0", X0, "--spinc", SPINC], 0),
     ("topo-spinc-rejected", ["topo", "--x0", X0, "--spinc", SPINC_OFF], 2),
+    ("verify-symbols-n6",
+     ["verify-symbols", "--n", "6", "--samples", "20", "--quadrature-samples", "3",
+      "--seed", "11"], 0),
+    ("model-invert-n4",
+     ["model-invert", "--n", "4", "--cutoff", "7", "--theta", "0.45", "--seed", "2"], 0),
 ]
 
 
