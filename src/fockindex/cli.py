@@ -766,9 +766,22 @@ def _request_from_args(args: argparse.Namespace) -> RunRequest:
     )
 
 
+def _attach_float_values(argv: list) -> list:
+    """``--theta -1e-3`` as ``--theta=-1e-3``: argparse reads a negative
+    number with an exponent as a flag, and a float option takes a value."""
+    floats = {_flag(p) for params in _PARAMS.values() for p in params if p.type is float}
+    joined = []
+    for token in argv:
+        if joined and joined[-1] in floats and token.startswith("-"):
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
+    return joined
+
+
 def main(argv=None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = _parser().parse_args(_attach_float_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return 0 if not exc.code else 1
     try:

@@ -41,7 +41,6 @@ from .fock import GUARD, FockSpaceConfig, multi_indices
 from .spinors import (
     EVEN,
     ODD,
-    PAIRING_FLOOR,
     GradedBasisIndex,
     _check_parity,
     basis_vector,
@@ -465,12 +464,8 @@ def _check_guarded(sec: _SectorData, a: np.ndarray, b: np.ndarray):
 
 def _solve_columns(chirality: str, cfg: ModelConfig, a: np.ndarray, b: np.ndarray):
     """The explicit solution formulas, applied to stacked rhs columns."""
+    # building the vacuum refuses a pairing below the floor
     sec, vac = _sectors(cfg), _vacuum(cfg)
-    if abs(vac.pairing) < PAIRING_FLOOR:
-        raise PairingFloorError(
-            f"projector pairing |cos(theta)| = {abs(vac.pairing):.3e} is below "
-            f"the floor {PAIRING_FLOOR}; the rank-one corrections blow up"
-        )
     alpha, beta = cfg.alpha, cfg.beta
     sign = -1.0 if chirality == EVEN else 1.0
 
@@ -630,9 +625,10 @@ def certify_invertibility(chirality: str, cfg: ModelConfig, *, num_rhs: int = 16
             rng = np.random.default_rng(seed)
             worst = 0.0
             for _ in range(num_rhs):
+                # the draws are guarded and sized by construction
                 a, b = random_guarded_rhs(rng, cfg)
-                u, v = invert_comparison_model(chirality, cfg, (a, b))
-                ta, tb = model.apply(u, v)
+                u, v = _solve_columns(chirality, cfg, a[:, None], b[:, None])
+                ta, tb = model.apply(u[:, 0], v[:, 0])
                 err = math.sqrt(
                     np.vdot(ta - a, ta - a).real + np.vdot(tb - b, tb - b).real
                 )

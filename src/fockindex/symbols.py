@@ -19,7 +19,7 @@ a stack of covectors gives the stack of their matrices.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache, partial
 
 import numpy as np
@@ -109,10 +109,10 @@ def symbol_dimension(n: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _parity_projectors(n: int):
-    """Projectors onto the even-degree (leading) and the odd-degree halves."""
-    even = np.arange(symbol_dimension(n)) < symbol_dimension(n) // 2
-    return np.diag(even * 1.0), np.diag(~even * 1.0)
+def _parity_signs(n: int) -> np.ndarray:
+    """+1 on the even-degree (leading) half, -1 on the odd-degree half."""
+    half = symbol_dimension(n) // 2
+    return np.repeat([1.0, -1.0], half)
 
 
 @lru_cache(maxsize=None)
@@ -141,13 +141,13 @@ def sd_matrix(xi) -> np.ndarray:
 def d1_gradient(chirality: str, n: int) -> np.ndarray:
     """The 2n constant matrices of the (linear) first-order symbol factor."""
     _check_parity(chirality, "chirality")
-    pi_e, pi_o = _parity_projectors(n)
+    signs = _parity_signs(n)
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
     sign = 1.0 if chirality == EVEN else -1.0
-    sd_grad = _sd_gradient(n)
-    grad = sign * inv_sqrt2 * (pi_e @ sd_grad @ pi_o - pi_o @ sd_grad @ pi_e)
-    grad[0] = sign * 1j * inv_sqrt2 * (pi_e - pi_o)
-    grad[n] = -inv_sqrt2 * (pi_e + pi_o)
+    # the tangential matrices exchange the halves: this is pi_e G pi_o - pi_o G pi_e
+    grad = sign * inv_sqrt2 * (signs[:, None] * _sd_gradient(n))
+    grad[0] = sign * 1j * inv_sqrt2 * np.diag(signs)
+    grad[n] = -inv_sqrt2 * np.eye(len(signs))
     return grad
 
 
@@ -171,9 +171,8 @@ def boundary_isomorphism(chirality: str, side: int, n: int) -> np.ndarray:
     """
     _check_parity(chirality, "chirality")
     _check_side(side)
-    pi_e, pi_o = _parity_projectors(n)
     sign = side if chirality == EVEN else -side
-    return (sign / math.sqrt(2.0) * (pi_e - pi_o)).astype(complex)
+    return np.diag(sign / math.sqrt(2.0) * _parity_signs(n)).astype(complex)
 
 
 def _with_first_slot(xi, xi1) -> np.ndarray:
@@ -208,7 +207,7 @@ def calderon_symbol0(chirality: str, side: int, xi_prime) -> np.ndarray:
     ell = _require_boundary(xi_prime)
     comps = _with_first_slot(xi_prime, side * 1j * ell)
     core = d1(_other(chirality), comps) / ell[..., None, None]
-    return core @ boundary_isomorphism(chirality, side, _half_length(xi_prime))
+    return core * np.diagonal(boundary_isomorphism(chirality, side, _half_length(xi_prime)))
 
 
 def comparison_symbol0(chirality: str, xi_prime) -> np.ndarray:
@@ -221,9 +220,8 @@ def comparison_symbol0(chirality: str, xi_prime) -> np.ndarray:
     _check_parity(chirality, "chirality")
     ell = _require_boundary(xi_prime)[..., None, None]
     n = _half_length(xi_prime)
-    pi_e, pi_o = _parity_projectors(n)
-    sd = sd_matrix(xi_prime)
-    off = pi_e @ sd @ pi_o - pi_o @ sd @ pi_e
+    # sd exchanges the halves: pi_e sd pi_o - pi_o sd pi_e scales its rows
+    off = sd_matrix(xi_prime) * _parity_signs(n)[:, None]
     sign = -1.0 if chirality == EVEN else 1.0
     contact = np.asarray(xi_prime)[..., n, None, None]
     m = (ell + contact) * np.eye(symbol_dimension(n)) + sign * off
@@ -232,50 +230,37 @@ def comparison_symbol0(chirality: str, xi_prime) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class HessianData:
-    """Real quadratic data of a boundary defining function.
+    """Quadratic data of a boundary defining function.
 
-    ``matrix_a`` is the symmetric real form of the Hermitian part (block
-    pattern ``[[a0, -a1], [a1, a0]]``); ``matrix_b`` the symmetric-complex
-    part (``[[b0, -b1], [-b1, -b0]]``).  ``beta`` is the tangential trace
-    ``tr(A)/2 - A[0, 0]``.
+    ``a`` is the Hermitian part and ``b`` the symmetric part, complex
+    ``n x n``.  ``matrix_a`` is the real ``2n x 2n`` form of ``a``, with
+    block pattern ``[[a.real, -a.imag], [a.imag, a.real]]``, which the
+    formulas read; ``beta`` is its tangential trace ``tr(A)/2 - A[0, 0]``.
     """
 
     alpha: float
-    matrix_a: np.ndarray
-    matrix_b: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    matrix_a: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        a = np.asarray(self.matrix_a, dtype=float)
-        b = np.asarray(self.matrix_b, dtype=float)
-        object.__setattr__(self, "matrix_a", a)
-        object.__setattr__(self, "matrix_b", b)
+        a = np.asarray(self.a, dtype=complex)
+        b = np.asarray(self.b, dtype=complex)
         if self.alpha <= 0:
             raise ValueError(f"alpha must be positive, got {self.alpha}")
-        if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] % 2 != 0:
-            raise ValueError("matrix_a must be square with even dimension")
-        if b.shape != a.shape:
-            raise ValueError("matrix_b must match matrix_a in shape")
-        n = a.shape[0] // 2
-        scale = 1.0 + np.abs(a).max() + np.abs(b).max()
-        tol = 1e-12 * scale
-        if np.abs(a - a.T).max() > tol:
-            raise ValueError("matrix_a must be symmetric")
-        if np.abs(b - b.T).max() > tol:
-            raise ValueError("matrix_b must be symmetric")
-        if (
-            np.abs(a[:n, :n] - a[n:, n:]).max() > tol
-            or np.abs(a[:n, n:] + a[n:, :n]).max() > tol
-        ):
-            raise ValueError("matrix_a must have the [[a0, -a1], [a1, a0]] pattern")
-        if (
-            np.abs(b[:n, :n] + b[n:, n:]).max() > tol
-            or np.abs(b[:n, n:] - b[n:, :n]).max() > tol
-        ):
-            raise ValueError("matrix_b must have the [[b0, -b1], [-b1, -b0]] pattern")
+        if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0 or b.shape != a.shape:
+            raise ValueError("a and b must be nonempty square matrices of one shape")
+        if np.abs(a - a.conj().T).max() > 1e-12 * (1.0 + np.abs(a).max()):
+            raise ValueError("a must be Hermitian")
+        if np.abs(b - b.T).max() > 1e-12 * (1.0 + np.abs(b).max()):
+            raise ValueError("b must be symmetric")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "matrix_a", np.block([[a.real, -a.imag], [a.imag, a.real]]))
 
     @property
     def n(self) -> int:
-        return self.matrix_a.shape[0] // 2
+        return self.a.shape[0]
 
     @property
     def beta(self) -> float:
@@ -283,34 +268,16 @@ class HessianData:
 
     @property
     def contact_adapted(self) -> bool:
-        """True when the first complex column of the Hermitian part is trivial."""
-        col = self.matrix_a[:, 0].copy()
-        col[0] = 0.0
-        return bool(np.abs(col).max() == 0.0) if col.size else True
-
-    @classmethod
-    def from_complex(cls, alpha: float, a: np.ndarray, b: np.ndarray) -> "HessianData":
-        """Assemble the real forms from a Hermitian ``a`` and symmetric ``b``."""
-        a = np.asarray(a, dtype=complex)
-        b = np.asarray(b, dtype=complex)
-        if np.abs(a - a.conj().T).max() > 1e-12 * (1.0 + np.abs(a).max()):
-            raise ValueError("a must be Hermitian")
-        if np.abs(b - b.T).max() > 1e-12 * (1.0 + np.abs(b).max()):
-            raise ValueError("b must be symmetric")
-        a0, a1 = a.real, a.imag
-        b0, b1 = b.real, b.imag
-        big_a = np.concatenate([np.concatenate([a0, -a1], 1), np.concatenate([a1, a0], 1)])
-        big_b = np.concatenate([np.concatenate([b0, -b1], 1), np.concatenate([-b1, -b0], 1)])
-        return cls(alpha, big_a, big_b)
+        """True when the first column of the Hermitian part is zero below its top."""
+        return not self.a[1:, 0].any()
 
     @classmethod
     def kahler(cls, n: int, alpha: float = 1.0) -> "HessianData":
         """Flat model: identity Hermitian part, vanishing symmetric part."""
-        return cls.from_complex(alpha, np.eye(n), np.zeros((n, n)))
+        return cls(alpha, np.eye(n), np.zeros((n, n)))
 
 
-def random_covectors(rng, n: int, count: int, boundary: bool = False,
-                     contact: bool = False) -> np.ndarray:
+def random_covectors(rng, n: int, count: int, boundary: bool = False) -> np.ndarray:
     """A ``(count, 2n)`` stack of seeded covectors with comfortably nonzero norms.
 
     Each round draws the missing rows in one ``rng.normal`` call, drops the
@@ -320,19 +287,15 @@ def random_covectors(rng, n: int, count: int, boundary: bool = False,
     kept = np.empty((0, 2 * n))
     while len(kept) < count:
         xi = rng.normal(size=(count - len(kept), 2 * n))
-        if contact:
-            xi[:, np.arange(2 * n) != n] = 0.0
-        elif boundary:
+        if boundary:
             xi[:, 0] = 0.0
-        # both norms of a contact covector are |xi_n|
         kept = np.concatenate([kept, xi[(boundary_norm(xi) > 0.3) & (norm(xi) > 0.3)]])
     return kept
 
 
-def random_covector(rng, n: int, boundary: bool = False,
-                    contact: bool = False) -> np.ndarray:
+def random_covector(rng, n: int, boundary: bool = False) -> np.ndarray:
     """Seeded covector with comfortably nonzero norms."""
-    return random_covectors(rng, n, 1, boundary, contact)[0]
+    return random_covectors(rng, n, 1, boundary)[0]
 
 
 def random_hessian(rng, n: int, contact_adapted: bool = True) -> HessianData:
@@ -346,7 +309,7 @@ def random_hessian(rng, n: int, contact_adapted: bool = True) -> HessianData:
     s = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     b = 0.5 * (s + s.T)
     alpha = float(rng.uniform(0.5, 1.5))
-    return HessianData.from_complex(alpha, a, b)
+    return HessianData(alpha, a, b)
 
 
 def _xi_square(comps: np.ndarray) -> np.ndarray:
@@ -525,7 +488,5 @@ def calderon_symbol_minus1(chirality: str, side: int, hess: HessianData,
     isomorphism; its matrix is a multiple of the identity.
     Kept as the order -1 term of the Calderon projector, whose two sides cancel.
     """
-    _check_parity(chirality, "chirality")
-    _check_side(side)
     core = closed_form_contact_contour(_other(chirality), hess, xi_prime)
-    return core @ boundary_isomorphism(chirality, side, _half_length(xi_prime))
+    return core * np.diagonal(boundary_isomorphism(chirality, side, _half_length(xi_prime)))

@@ -186,6 +186,22 @@ def test_empty_sample_counts_are_usage_errors(args, name, capsys):
 
 
 @pytest.mark.parametrize(
+    "flag, spellings",
+    [("--theta", ("-1e-3", "-1E-3", "-0.001")), ("--beta", ("-2e0", "-2.0", "-2"))],
+)
+def test_negative_floats_are_values_in_every_spelling(flag, spellings, capsys):
+    # argparse alone reads "-1e-3" after a flag as another flag
+    base = ["model-invert", "--n", "2", "--cutoff", "6"]
+    reports = set()
+    for value in spellings:
+        for argv in (base + [flag, value], base + [f"{flag}={value}"]):
+            code, out, err = _invoke(argv, capsys)
+            assert (code, err) == (0, ""), argv
+            reports.add(out)
+    assert len(reports) == 1
+
+
+@pytest.mark.parametrize(
     "args, message",
     [
         (["verify-symbols", "--n", "1"], "n must be at least 2"),
@@ -198,6 +214,7 @@ def test_empty_sample_counts_are_usage_errors(args, name, capsys):
         (["model-invert", "--theta", "nan"], "theta must be finite, got nan"),
         (["model-invert", "--alpha", "inf"], "alpha must be finite, got inf"),
         (["model-invert", "--beta=-inf"], "beta must be finite, got -inf"),
+        (["model-invert", "--beta", "-inf"], "beta must be finite, got -inf"),
     ],
 )
 def test_out_of_range_values_are_usage_errors(args, message, capsys):
