@@ -52,6 +52,8 @@ GOLDEN_RUNS = [
       "--seed", "11"], 0),
     ("model-invert-n4",
      ["model-invert", "--n", "4", "--cutoff", "7", "--theta", "0.45", "--seed", "2"], 0),
+    ("model-invert-n5",
+     ["model-invert", "--n", "5", "--cutoff", "4", "--seed", "7"], 0),
 ]
 
 
