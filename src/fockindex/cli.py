@@ -20,10 +20,10 @@ Each runner imports the library layers it uses when it first runs, so
 of ``verify-algebra`` and ``model-invert`` are numpy arrays (``sparse``).
 
 Parameters are checked before anything is built: a value below its row's
-minimum or not above its strict bound, or a float that is not finite, is a
-usage error; a value above its row's maximum, or a graded Fock space above
-``_MAX_STATES`` states, is rejected as too large for the memory budget of a
-run (about 0.5 GB).
+minimum or not above its strict bound, a float that is not finite, or a
+``relindex`` rank above ``dim`` is a usage error; a value above its row's
+maximum, or a graded Fock space above ``_MAX_STATES`` states, is rejected
+as too large for the memory budget of a run (about 0.5 GB).
 
 Exit codes: 0 all checks pass, 1 usage error, 2 admissibility rejection
 (including a request too large to run, a run that exhausts memory anyway,
@@ -274,6 +274,11 @@ class RunRequest:
             _check_param(param, params[param.name], param.name)
         if self.subcommand == "topo" and params["x0"] is None:
             raise UsageError("topo needs at least x0 (--x0 or an --input file)")
+        if self.subcommand == "relindex":
+            for name in ("rank_p", "rank_r"):
+                if params[name] is not None and params[name] > params["dim"]:
+                    raise UsageError(f"{name} must be at most dim = {params['dim']}, "
+                                     f"got {params[name]}")
         _check_size(self.subcommand, params)
         object.__setattr__(self, "params", params)
 

@@ -54,7 +54,17 @@ GOLDEN_RUNS = [
      ["model-invert", "--n", "4", "--cutoff", "7", "--theta", "0.45", "--seed", "2"], 0),
     ("model-invert-n5",
      ["model-invert", "--n", "5", "--cutoff", "4", "--seed", "7"], 0),
+    ("model-invert-n6-deformed",
+     ["model-invert", "--n", "6", "--cutoff", "4", "--theta", "0.3", "--seed", "0"], 0),
 ]
+
+
+def _strict_json(text):
+    """The payload of a report, refusing NaN and Infinity, which are not JSON."""
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
 
 
 def _invoke(args, capsys):
@@ -217,6 +227,8 @@ def test_negative_floats_are_values_in_every_spelling(flag, spellings, capsys):
         (["model-invert", "--alpha", "inf"], "alpha must be finite, got inf"),
         (["model-invert", "--beta=-inf"], "beta must be finite, got -inf"),
         (["model-invert", "--beta", "-inf"], "beta must be finite, got -inf"),
+        (["relindex", "--dim", "4", "--rank-r", "5"], "rank_r must be at most dim = 4"),
+        (["relindex", "--rank-p", "25"], "rank_p must be at most dim = 24"),
     ],
 )
 def test_out_of_range_values_are_usage_errors(args, message, capsys):
@@ -462,17 +474,18 @@ def test_module_entry_point_keeps_stderr_empty():
 
 @pytest.mark.parametrize(
     "params",
-    [["--alpha", "1e200"], ["--alpha", "1e-320"], ["--alpha", "10", "--beta", "1e308"]],
+    [["--alpha", "1e200"], ["--alpha", "1e-320"], ["--alpha", "10", "--beta", "1e308"],
+     ["--n", "2", "--beta", "1e300"], ["--n", "2", "--beta=-1e200"]],
     ids=lambda params: " ".join(params),
 )
 def test_extreme_model_parameters_are_rejected_without_warnings(params):
-    # an overflow or a NaN inside the certificate rejects both checks, and no
-    # numpy warning reaches stderr
+    # an overflow or a NaN inside the certificate, in numpy or in BLAS,
+    # rejects both checks, and no numpy warning reaches stderr
     args = [sys.executable, "-m", "fockindex.cli", "model-invert", *params]
     result = subprocess.run(args, capture_output=True, check=False)
     assert result.returncode == 2
     assert result.stderr == b""
-    checks = json.loads(result.stdout)["checks"]
+    checks = _strict_json(result.stdout)["checks"]
     assert [check["status"] for check in checks] == ["rejected", "rejected"]
     assert all("overflow or NaN" in check["details"]["error"] for check in checks)
 
@@ -484,6 +497,11 @@ def test_run_request_validation():
         RunRequest("toeplitz", {}, 0, "yaml")
     with pytest.raises(UsageError, match="dim must be at least 1"):
         RunRequest("relindex", {"dim": 0, "trials": 3})
+    # a rank the dimension cannot hold is refused before anything is built
+    with pytest.raises(UsageError, match="^rank_p must be at most dim = 4, got 9$"):
+        RunRequest("relindex", {"dim": 4, "rank_p": 9})
+    full = RunRequest("relindex", {"dim": 4, "rank_p": 4, "rank_r": 0})
+    assert full.params["rank_p"] == 4
     # left-out params take their table defaults, in process as on the CLI
     defaults = {param.name: param.default for param in cli._PARAMS["relindex"]}
     assert RunRequest("relindex", {}).params == defaults
@@ -604,8 +622,8 @@ def _assert_matches(actual, expected, where="report"):
 def test_reports_match_the_golden_files(stem, argv, exit_code, capsys):
     code, out, err = _invoke(argv, capsys)
     assert (code, err) == (exit_code, "")
-    expected = json.loads((GOLDEN / f"{stem}.json").read_text())
-    _assert_matches(json.loads(out), expected)
+    expected = _strict_json((GOLDEN / f"{stem}.json").read_text())
+    _assert_matches(_strict_json(out), expected)
 
 
 def _write_golden():

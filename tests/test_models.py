@@ -20,7 +20,6 @@ from fockindex import models
 from fockindex.errors import GuardViolationError, PairingFloorError
 from fockindex.models import (
     COMPARISON_ORDERS,
-    PARAMETRIX_ORDERS,
     ModelConfig,
     build_boundary_model,
     build_calderon_model,
@@ -265,18 +264,20 @@ def test_inverse_residuals_on_guarded_rhs(chirality, theta, n, alpha, beta):
 
 @pytest.mark.parametrize("chirality", CHIRALITIES)
 def test_left_inverse_on_doubly_guarded_inputs(chirality):
-    cfg = ModelConfig(n=3, cutoff=12, theta=0.3)
-    config, even_idx, odd_idx, osc = _sector_helpers(cfg)
-    rng = np.random.default_rng(17)
-    u = rng.normal(size=len(even_idx)) + 1j * rng.normal(size=len(even_idx))
-    v = rng.normal(size=len(odd_idx)) + 1j * rng.normal(size=len(odd_idx))
-    u[osc[even_idx] > cfg.cutoff - 4] = 0.0
-    v[osc[odd_idx] > cfg.cutoff - 4] = 0.0
-    model = build_comparison_model(chirality, cfg)
-    a, b = model.apply(u, v)
-    uu, vv = invert_comparison_model(chirality, cfg, (a, b))
-    assert np.abs(uu - u).max() < 1e-12
-    assert np.abs(vv - v).max() < 1e-12
+    # the default target has form degree 0; the second has form degree 2
+    for target in (None, GradedBasisIndex((0, 1), (1, 2))):
+        cfg = ModelConfig(n=3, cutoff=12, theta=0.3, target=target)
+        config, even_idx, odd_idx, osc = _sector_helpers(cfg)
+        rng = np.random.default_rng(17)
+        u = rng.normal(size=len(even_idx)) + 1j * rng.normal(size=len(even_idx))
+        v = rng.normal(size=len(odd_idx)) + 1j * rng.normal(size=len(odd_idx))
+        u[osc[even_idx] > cfg.cutoff - 4] = 0.0
+        v[osc[odd_idx] > cfg.cutoff - 4] = 0.0
+        model = build_comparison_model(chirality, cfg)
+        a, b = model.apply(u, v)
+        uu, vv = invert_comparison_model(chirality, cfg, (a, b))
+        assert np.abs(uu - u).max() < 1e-12, target
+        assert np.abs(vv - v).max() < 1e-12, target
 
 
 @pytest.mark.parametrize("chirality", CHIRALITIES)
@@ -340,10 +341,29 @@ def test_certification_report_passes(chirality):
     assert report["error"] is None
     assert report["smallest_singular_value"] > cfg.tol
     assert report["residual_max"] <= cfg.tol
-    assert report["square_index"] == 0
     assert report["deformation_block_ranks"][1][1] == 0
-    assert report["heisenberg_orders"] == [[0, -1], [-1, -2]]
-    assert report["parametrix_orders"] == [list(row) for row in PARAMETRIX_ORDERS]
+    assert list(report) == ["passed", "error", "num_rhs", "smallest_singular_value",
+                            "residual_max", "deformation_block_ranks"]
+    assert report["num_rhs"] == 8
+
+
+@pytest.mark.parametrize(
+    "n,cutoff,target",
+    [(2, 12, None), (3, 10, None), (3, 8, GradedBasisIndex((0, 1), (1, 2))),
+     (4, 6, None), (5, 4, None), (6, 4, None)],
+)
+@pytest.mark.parametrize("theta", [0.3, 0.55, -0.2])
+@pytest.mark.parametrize("chirality", CHIRALITIES)
+def test_a_column_solves_the_same_in_any_stack(chirality, theta, n, cutoff, target):
+    cfg = ModelConfig(n=n, cutoff=cutoff, theta=theta, target=target)
+    rng = np.random.default_rng(n)
+    a, b = (np.stack(part, axis=1)
+            for part in zip(*(random_guarded_rhs(rng, cfg) for _ in range(16))))
+    u, v = models._solve_columns(chirality, cfg, a, b)
+    for k in range(16):
+        single = models._solve_columns(chirality, cfg, a[:, k:k + 1], b[:, k:k + 1])
+        assert np.array_equal(u[:, k], single[0][:, 0]), k
+        assert np.array_equal(v[:, k], single[1][:, 0]), k
 
 
 def test_invalid_chirality_rejected():
