@@ -56,6 +56,9 @@ GOLDEN_RUNS = [
      ["model-invert", "--n", "5", "--cutoff", "4", "--seed", "7"], 0),
     ("model-invert-n6-deformed",
      ["model-invert", "--n", "6", "--cutoff", "4", "--theta", "0.3", "--seed", "0"], 0),
+    ("model-invert-n3-cutoff16",
+     ["model-invert", "--chirality", "both", "--n", "3", "--cutoff", "16", "--theta",
+      "0.3", "--seed", "1"], 0),
 ]
 
 
