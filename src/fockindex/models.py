@@ -2,10 +2,10 @@
 
 The comparison operator couples a rank-one (possibly deformed) projector
 block on the even-form sector with the chiral halves of the coupled
-raising/lowering operator and the oscillator Hamiltonian.  Blocks carry
-declared orders; the block calculus keeps, at each position, only the
-summand of highest declared order, which is exactly how the comparison
-operator arises from the projector models.
+raising/lowering operator and the oscillator Hamiltonian.  It is assembled
+directly; the tests check it against the graded combination
+``R P + (Id - R)(Id - P)`` of the projector models, in which each block keeps
+only the summand of highest declared order.
 
 All model matrices act on the two form-parity sectors stacked even-first.
 Right-hand sides for the inverse formulas must be supported on oscillator
@@ -21,10 +21,14 @@ merged every model operator is block-diagonal, with blocks of at most
 ``2^(n-1)`` states per sector.  The label blocks and the pseudo-inverses of
 the chiral halves (sparse, computed block by block) depend only on
 ``(n, cutoff, target)`` and are cached apart from the two-entry deformed
-vacuum.  The certificate takes its smallest singular value as a minimum over
-per-block SVDs and its deformation ranks from the merged vacuum/target block
-alone; no dense sector-sized matrix is formed.  The dense route (``pinv``
-and SVD of whole sectors) survives only as the test oracle.
+vacuum.  The angle touches only the merged vacuum/target block, so what a
+certificate reads outside it is cached once per chirality and theta-free
+configuration: the smallest singular value over the other label blocks, and
+the zero-angle solve its deformation ranks compare against.  A certificate
+then takes one SVD of the merged block and solves its seeded right-hand
+sides as stacks of columns; no dense sector-sized matrix is formed.  The
+dense route (``pinv`` and SVD of whole sectors) survives only as the test
+oracle.
 """
 
 from __future__ import annotations
@@ -43,6 +47,7 @@ from .spinors import (
     ODD,
     GradedBasisIndex,
     _check_parity,
+    _check_target,
     deformed_szego,
     dirac_plus,
     form_subsets,
@@ -55,20 +60,19 @@ from .spinors import (
 __all__ = [
     "ModelConfig",
     "BlockOperator",
-    "build_calderon_model",
-    "build_boundary_model",
     "build_comparison_model",
     "invert_comparison_model",
     "certify_invertibility",
     "deformation_block_ranks",
     "random_guarded_rhs",
-    "COMPARISON_ORDERS",
 ]
 
-COMPARISON_ORDERS = ((0, -1), (-1, -2))
 _RANK_CUTOFF = 1e-8
 _PINV_CUTOFF = 1e-10
 _DEFORMATION_RANK_BOUND = 4
+# A stack of seeded right-hand sides holds at most this many sector entries,
+# so the memory of a certificate does not grow with num_rhs.
+_STACK_ENTRIES = 2**18
 
 
 @dataclass(frozen=True)
@@ -107,15 +111,13 @@ class ModelConfig:
 
 @dataclass(frozen=True)
 class BlockOperator:
-    """2x2 block matrix over the form-parity sectors with declared orders.
+    """2x2 block matrix over the form-parity sectors.
 
-    ``blocks[i][j]`` is a sparse matrix or ``None`` (an exactly-zero block);
-    ``heisenberg_orders[i][j]`` is its declared order, ``None`` for zero
-    blocks.  The first slot is always the even-form sector.
+    ``blocks[i][j]`` is a sparse matrix or ``None`` (an exactly-zero block).
+    The first slot is always the even-form sector.
     """
 
     blocks: tuple
-    heisenberg_orders: tuple
     row_dims: tuple
     col_dims: tuple
 
@@ -149,91 +151,21 @@ class BlockOperator:
         split = self.row_dims[0]
         return left[:split] + right[:split], left[split:] + right[split:]
 
-    def adjoint(self) -> "BlockOperator":
-        def flip(entry):
-            return None if entry is None else entry.adjoint()
-
-        return BlockOperator(
-            blocks=(
-                (flip(self.blocks[0][0]), flip(self.blocks[1][0])),
-                (flip(self.blocks[0][1]), flip(self.blocks[1][1])),
-            ),
-            heisenberg_orders=(
-                (self.heisenberg_orders[0][0], self.heisenberg_orders[1][0]),
-                (self.heisenberg_orders[0][1], self.heisenberg_orders[1][1]),
-            ),
-            row_dims=self.col_dims,
-            col_dims=self.row_dims,
-        )
-
-    def compose(self, other: "BlockOperator") -> "BlockOperator":
-        """Plain block product; each order is the best declared sum."""
-        if self.col_dims != other.row_dims:
-            raise ValueError("block operators have incompatible sector dimensions")
-        blocks, orders = [], []
-        for i in range(2):
-            brow, orow = [], []
-            for j in range(2):
-                total, order = None, None
-                for k in range(2):
-                    left, right = self.blocks[i][k], other.blocks[k][j]
-                    if left is None or right is None:
-                        continue
-                    term = left @ right
-                    total = term if total is None else total + term
-                    lo = self.heisenberg_orders[i][k]
-                    ro = other.heisenberg_orders[k][j]
-                    if lo is not None and ro is not None:
-                        order = lo + ro if order is None else max(order, lo + ro)
-                brow.append(total)
-                orow.append(order)
-            blocks.append(tuple(brow))
-            orders.append(tuple(orow))
-        return BlockOperator(tuple(blocks), tuple(orders), self.row_dims, other.col_dims)
-
-    def graded_add(self, other: "BlockOperator") -> "BlockOperator":
-        """Blockwise sum where the higher declared order wins outright.
-
-        Blocks of equal declared order add; a block of strictly lower
-        declared order than its counterpart is discarded entirely.
-        Exact-zero sums are normalized back to empty blocks.
-        """
-        if self.row_dims != other.row_dims or self.col_dims != other.col_dims:
-            raise ValueError("block operators have incompatible sector dimensions")
-        blocks, orders = [], []
-        for i in range(2):
-            brow, orow = [], []
-            for j in range(2):
-                a, b = self.blocks[i][j], other.blocks[i][j]
-                ao, bo = self.heisenberg_orders[i][j], other.heisenberg_orders[i][j]
-                if a is None or (b is not None and bo > ao):
-                    entry, order = b, bo
-                elif b is None or ao > bo:
-                    entry, order = a, ao
-                else:
-                    entry, order = a + b, ao
-                if entry is not None and (
-                    entry.nnz == 0 or np.abs(entry.data).max() == 0.0
-                ):
-                    entry, order = None, None
-                brow.append(entry)
-                orow.append(order)
-            blocks.append(tuple(brow))
-            orders.append(tuple(orow))
-        return BlockOperator(tuple(blocks), tuple(orders), self.row_dims, self.col_dims)
-
 
 class _SectorData:
     """Theta-independent sector data for one (n, cutoff, target), by label.
 
     Every graded state carries a merged label block id (``even_ids`` and
     ``odd_ids`` per sector position); ``merged`` is the block holding both
-    the vacuum and the deformation target.  The pseudo-inverses of the
-    chiral halves are sparse and block-diagonal.
+    the vacuum and the deformation target, and ``merged_even`` and
+    ``merged_odd`` mark its positions.  The pseudo-inverses of the chiral
+    halves are sparse and block-diagonal.
     """
 
     def __init__(self, n: int, cutoff: int, target: GradedBasisIndex):
         config = FockSpaceConfig(n - 1, cutoff)
+        # an inadmissible target is refused before anything is built or cached
+        _check_target(config, target)
         self.even_idx = sector_indices(config, EVEN)
         self.odd_idx = sector_indices(config, ODD)
         self.dim_even = len(self.even_idx)
@@ -254,6 +186,8 @@ class _SectorData:
         self.merged = ids[vac_graded]
         self.even_ids = ids[self.even_idx]
         self.odd_ids = ids[self.odd_idx]
+        self.merged_even = self.even_ids == self.merged
+        self.merged_odd = self.odd_ids == self.merged
         self.lower_pinv = _block_pinv(self.lower_block, self.even_ids, self.odd_ids)
         # dirac_plus is exactly self-adjoint: raise_block = lower_block^H
         self.raise_pinv = self.lower_pinv.adjoint()
@@ -365,52 +299,6 @@ def _block_pinv(matrix, row_ids: np.ndarray, col_ids: np.ndarray) -> sparse.CSR:
                                np.concatenate(values), matrix.shape[::-1])
 
 
-def build_calderon_model(chirality: str, complement: bool, cfg: ModelConfig) -> BlockOperator:
-    """Model of the one-sided boundary projector (or its complement).
-
-    One diagonal corner is the identity, the other the shifted oscillator
-    Hamiltonian (shift ``-beta`` for the projector, ``+beta`` for the
-    complement); the off-diagonal blocks carry the chiral halves of the
-    coupled operator, negated in the complement.
-    """
-    _check_parity(chirality, "chirality")
-    sec = _sectors(cfg)
-    alpha, beta = cfg.alpha, cfg.beta
-    sign = -1.0 if complement else 1.0
-    shift = beta if complement else -beta
-    up = sign * alpha * sec.raise_block
-    down = sign * alpha * sec.lower_block
-    heavy_parity = ODD if (chirality == EVEN) != complement else EVEN
-    h0 = sec.h0_odd if heavy_parity == ODD else sec.h0_even
-    heavy = alpha**2 * sparse.diagonal(h0 + shift)
-    if heavy_parity == ODD:
-        blocks = ((sec.eye(EVEN), down), (up, heavy))
-        orders = ((0, -1), (-1, -2))
-    else:
-        blocks = ((heavy, down), (up, sec.eye(ODD)))
-        orders = ((-2, -1), (-1, 0))
-    dims = (sec.dim_even, sec.dim_odd)
-    return BlockOperator(blocks, orders, dims, dims)
-
-
-def build_boundary_model(chirality: str, cfg: ModelConfig) -> BlockOperator:
-    """Model of the generalized projector side condition.
-
-    Even chirality keeps the rank-one corner together with the whole odd
-    sector; odd chirality is its exact block complement.
-    """
-    _check_parity(chirality, "chirality")
-    sec, vac = _sectors(cfg), _vacuum(cfg)
-    dims = (sec.dim_even, sec.dim_odd)
-    if chirality == EVEN:
-        blocks = ((vac.szego_even, None), (None, sec.eye(ODD)))
-        orders = ((0, None), (None, 0))
-    else:
-        blocks = ((sec.eye(EVEN) - vac.szego_even, None), (None, None))
-        orders = ((0, None), (None, None))
-    return BlockOperator(blocks, orders, dims, dims)
-
-
 def build_comparison_model(chirality: str, cfg: ModelConfig) -> BlockOperator:
     """The comparison-operator model, assembled directly.
 
@@ -431,7 +319,7 @@ def build_comparison_model(chirality: str, cfg: ModelConfig) -> BlockOperator:
         heavy = alpha**2 * sparse.diagonal(sec.h0_odd + beta)
     blocks = ((vac.szego_even, top_right), (bottom_left, heavy))
     dims = (sec.dim_even, sec.dim_odd)
-    return BlockOperator(blocks, COMPARISON_ORDERS, dims, dims)
+    return BlockOperator(blocks, dims, dims)
 
 
 def _check_guarded(sec: _SectorData, a: np.ndarray, b: np.ndarray):
@@ -500,15 +388,30 @@ def invert_comparison_model(chirality: str, cfg: ModelConfig, rhs) -> tuple:
     return u[:, 0], v[:, 0]
 
 
+def _guarded_draws(rng, sec: _SectorData, count: int) -> tuple:
+    """``count`` seeded unit rhs pairs on the guarded degrees, as column stacks.
+
+    One ``normal`` call draws the numbers of ``count`` single draws in their
+    order: each draw takes the real and imaginary parts of ``a``, then of ``b``.
+    """
+    even, odd = sec.dim_even, sec.dim_odd
+    draws = rng.normal(size=(count, 2 * (even + odd)))
+    real_a, imag_a, real_b, imag_b = np.split(draws, np.cumsum([even, even, odd]), axis=1)
+    a = real_a + 1j * imag_a
+    b = real_b + 1j * imag_b
+    a[:, ~sec.guard_even] = 0.0
+    b[:, ~sec.guard_odd] = 0.0
+    for k in range(count):
+        scale = math.sqrt(np.vdot(a[k], a[k]).real + np.vdot(b[k], b[k]).real)
+        a[k] /= scale
+        b[k] /= scale
+    return a.T, b.T
+
+
 def random_guarded_rhs(rng, cfg: ModelConfig) -> tuple:
-    """Seeded complex rhs pair supported on the guarded oscillator degrees."""
-    sec = _sectors(cfg)
-    a = rng.normal(size=sec.dim_even) + 1j * rng.normal(size=sec.dim_even)
-    b = rng.normal(size=sec.dim_odd) + 1j * rng.normal(size=sec.dim_odd)
-    a[~sec.guard_even] = 0.0
-    b[~sec.guard_odd] = 0.0
-    scale = math.sqrt(np.vdot(a, a).real + np.vdot(b, b).real)
-    return a / scale, b / scale
+    """Seeded complex unit rhs pair supported on the guarded oscillator degrees."""
+    a, b = _guarded_draws(rng, _sectors(cfg), 1)
+    return a[:, 0], b[:, 0]
 
 
 def _block_rank(matrix: np.ndarray) -> int:
@@ -516,6 +419,81 @@ def _block_rank(matrix: np.ndarray) -> int:
         return 0
     svals = np.linalg.svd(matrix, compute_uv=False)
     return int(np.sum(svals > _RANK_CUTOFF * svals[0]))
+
+
+def _rank_probes(sec: _SectorData) -> tuple:
+    """The deformation-rank probes: a unit column on each guarded state of the
+    merged block, then one seeded draw with the merged block's rows zeroed."""
+    cols_even = np.flatnonzero(sec.guard_even & sec.merged_even)
+    cols_odd = np.flatnonzero(sec.guard_odd & sec.merged_odd)
+    num_even, num_cols = len(cols_even), len(cols_even) + len(cols_odd)
+    a = np.zeros((sec.dim_even, num_cols + 1), dtype=complex)
+    b = np.zeros((sec.dim_odd, num_cols + 1), dtype=complex)
+    a[cols_even, np.arange(num_even)] = 1.0
+    b[cols_odd, np.arange(num_even, num_cols)] = 1.0
+    a[:, -1:], b[:, -1:] = _guarded_draws(np.random.default_rng(0), sec, 1)
+    a[sec.merged_even, -1] = 0.0
+    b[sec.merged_odd, -1] = 0.0
+    return a, b
+
+
+def _smallest_singular_value(model: BlockOperator, sec: _SectorData,
+                             columns: np.ndarray) -> float:
+    """Smallest singular value of the model's ``columns``, by label block.
+
+    ``columns`` marks model columns (even sector, then odd).  They split into
+    the label blocks, so their singular values are those of the blocks
+    together; ``inf`` when no column is marked.
+    """
+    ids = np.concatenate([sec.even_ids, sec.odd_ids])
+    local = np.cumsum(columns) - 1
+    entries = [
+        (rows[columns[cols]], local[cols[columns[cols]]], values[columns[cols]])
+        for rows, cols, values in model.entries()
+    ]
+    entries = [np.concatenate(part) for part in zip(*entries)]
+    smallest = np.inf
+    for _, _, stack in _label_stacks(entries, ids, ids[columns]):
+        smallest = min(smallest, np.linalg.svd(stack, compute_uv=False).min())
+    return float(smallest)
+
+
+class _ThetaFree:
+    """What a certificate reads that the deformation angle does not change.
+
+    ``plain`` is the zero-angle solve of the deformation-rank probes, read-only.
+    ``floor`` gives the smallest singular value of the guarded columns over
+    the label blocks other than the merged one.
+    """
+
+    def __init__(self, chirality: str, plain: ModelConfig):
+        solved = _solve_columns(chirality, plain, *_rank_probes(_sectors(plain)))
+        for part in solved:
+            part.flags.writeable = False  # every caller shares the cached arrays
+        self.plain = solved
+        self._floor = None
+
+    def floor(self, model: BlockOperator, sec: _SectorData) -> float:
+        """The floor, taken from the first model asked about.
+
+        Outside the merged rows the rows of ``Id - 2 S`` are exact identity
+        rows, so there a model's entries are the same at every angle, bit for
+        bit.
+        """
+        if self._floor is None:
+            guard = np.concatenate([sec.guard_even, sec.guard_odd])
+            merged = np.concatenate([sec.merged_even, sec.merged_odd])
+            self._floor = _smallest_singular_value(model, sec, guard & ~merged)
+        return self._floor
+
+
+@lru_cache(maxsize=16)
+def _theta_free_data(chirality: str, plain: ModelConfig) -> _ThetaFree:
+    return _ThetaFree(chirality, plain)
+
+
+def _theta_free(chirality: str, cfg: ModelConfig) -> _ThetaFree:
+    return _theta_free_data(chirality, replace(cfg, theta=0.0))
 
 
 def deformation_block_ranks(chirality: str, cfg: ModelConfig) -> list:
@@ -526,57 +504,24 @@ def deformation_block_ranks(chirality: str, cfg: ModelConfig) -> list:
     (2,2) block is untouched (exactly zero difference).  The difference
     lives on the merged vacuum/target block, so the inverse is only formed
     on that block's guarded columns; one seeded probe over all the other
-    blocks confirms that their difference vanishes exactly.
+    blocks confirms that their difference vanishes exactly.  The zero-angle
+    solve is cached per chirality and theta-free configuration.
     """
     _check_parity(chirality, "chirality")
     sec = _sectors(cfg)
-    merged_even = sec.even_ids == sec.merged
-    merged_odd = sec.odd_ids == sec.merged
-    cols_even = np.flatnonzero(sec.guard_even & merged_even)
-    cols_odd = np.flatnonzero(sec.guard_odd & merged_odd)
-    num_even, num_cols = len(cols_even), len(cols_even) + len(cols_odd)
-    a = np.zeros((sec.dim_even, num_cols + 1), dtype=complex)
-    b = np.zeros((sec.dim_odd, num_cols + 1), dtype=complex)
-    a[cols_even, np.arange(num_even)] = 1.0
-    b[cols_odd, np.arange(num_even, num_cols)] = 1.0
-    a[:, -1], b[:, -1] = random_guarded_rhs(np.random.default_rng(0), cfg)
-    a[merged_even, -1] = 0.0
-    b[merged_odd, -1] = 0.0
-    deformed = _solve_columns(chirality, cfg, a, b)
-    plain = _solve_columns(chirality, replace(cfg, theta=0.0), a, b)
+    deformed = _solve_columns(chirality, cfg, *_rank_probes(sec))
+    plain = _theta_free(chirality, cfg).plain
     du, dv = deformed[0] - plain[0], deformed[1] - plain[1]
     assert not (
-        du[~merged_even].any() or dv[~merged_odd].any()
+        du[~sec.merged_even].any() or dv[~sec.merged_odd].any()
         or du[:, -1].any() or dv[:, -1].any()
     ), "the deformation reaches outside the merged vacuum/target block"
-    du, dv = du[merged_even, :-1], dv[merged_odd, :-1]
+    du, dv = du[sec.merged_even, :-1], dv[sec.merged_odd, :-1]
+    num_even = np.count_nonzero(sec.guard_even & sec.merged_even)
     return [
         [_block_rank(du[:, :num_even]), _block_rank(du[:, num_even:])],
         [_block_rank(dv[:, :num_even]), _block_rank(dv[:, num_even:])],
     ]
-
-
-def _smallest_singular_value(model: BlockOperator, sec: _SectorData) -> float:
-    """Smallest singular value of the model's guarded columns, by label block.
-
-    The guarded columns split into the label blocks, so their singular
-    values are those of the blocks together; a block with more guarded
-    columns than rows adds an exact zero.
-    """
-    ids = np.concatenate([sec.even_ids, sec.odd_ids])
-    guard = np.concatenate([sec.guard_even, sec.guard_odd])
-    local = np.cumsum(guard) - 1
-    columns = [
-        (rows[guard[cols]], local[cols[guard[cols]]], values[guard[cols]])
-        for rows, cols, values in model.entries()
-    ]
-    columns = [np.concatenate(part) for part in zip(*columns)]
-    smallest = np.inf
-    for _, _, stack in _label_stacks(columns, ids, ids[guard]):
-        if stack.shape[2] > stack.shape[1]:
-            return 0.0
-        smallest = min(smallest, np.linalg.svd(stack, compute_uv=False).min())
-    return float(smallest)
 
 
 def certify_invertibility(chirality: str, cfg: ModelConfig, *, num_rhs: int = 16,
@@ -593,7 +538,8 @@ def certify_invertibility(chirality: str, cfg: ModelConfig, *, num_rhs: int = 16
     NaN, are surfaced as ``error`` instead of raised, in a report holding
     only ``passed`` and ``error``; ``num_rhs`` below one is a
     ``ValueError``, since a certificate over no right-hand sides checks
-    nothing.
+    nothing.  The right-hand sides are drawn and solved in stacks of
+    columns; a column's residual does not depend on its stack.
     """
     _check_parity(chirality, "chirality")
     if num_rhs < 1:
@@ -608,22 +554,26 @@ def certify_invertibility(chirality: str, cfg: ModelConfig, *, num_rhs: int = 16
             # injectivity bound: guarded columns, all rows.  (Chopping the rows
             # as well can be exactly singular for n >= 3 because the image of a
             # guarded vector reaches one oscillator degree past the guard.)
-            smallest = _smallest_singular_value(model, sec)
+            guard = np.concatenate([sec.guard_even, sec.guard_odd])
+            merged = np.concatenate([sec.merged_even, sec.merged_odd])
+            smallest = min(_theta_free(chirality, cfg).floor(model, sec),
+                           _smallest_singular_value(model, sec, guard & merged))
             rng = np.random.default_rng(seed)
             worst = 0.0
-            for _ in range(num_rhs):
+            size = max(1, _STACK_ENTRIES // (sec.dim_even + sec.dim_odd))
+            for start in range(0, num_rhs, size):
                 # the draws are guarded and sized by construction
-                a, b = random_guarded_rhs(rng, cfg)
-                u, v = _solve_columns(chirality, cfg, a[:, None], b[:, None])
-                ta, tb = model.apply(u[:, 0], v[:, 0])
-                err = math.sqrt(
-                    np.vdot(ta - a, ta - a).real + np.vdot(tb - b, tb - b).real
-                )
-                worst = max(worst, err)
-                # the SVD and np.vdot run in LAPACK and BLAS, out of np.errstate's
-                # reach, and max() drops a NaN
-                if not (math.isfinite(err) and math.isfinite(smallest)):
-                    raise FloatingPointError
+                a, b = _guarded_draws(rng, sec, min(size, num_rhs - start))
+                u, v = _solve_columns(chirality, cfg, a, b)
+                ta, tb = model.apply(u, v)
+                for k in range(a.shape[1]):
+                    da, db = ta[:, k] - a[:, k], tb[:, k] - b[:, k]
+                    err = math.sqrt(np.vdot(da, da).real + np.vdot(db, db).real)
+                    worst = max(worst, err)
+                    # the SVD and np.vdot run in LAPACK and BLAS, out of
+                    # np.errstate's reach, and max() drops a NaN
+                    if not (math.isfinite(err) and math.isfinite(smallest)):
+                        raise FloatingPointError
     except (PairingFloorError, GuardViolationError) as exc:
         return {"passed": False, "error": str(exc)}
     except (FloatingPointError, OverflowError):

@@ -157,6 +157,14 @@ def basis_vector(config: FockSpaceConfig, index: GradedBasisIndex) -> np.ndarray
     return vec
 
 
+def _check_target(config: FockSpaceConfig, target: GradedBasisIndex):
+    """Refuse a deformation target of odd form degree, or the vacuum itself."""
+    if len(target.form) % 2 != 0:
+        raise ValueError(f"deformation target must have even form degree, got {target}")
+    if tuple(target.osc) == (0,) * config.num_vars and tuple(target.form) == ():
+        raise ValueError("deformation target must differ from the vacuum")
+
+
 def deformed_szego(config: FockSpaceConfig, theta: float,
                    target: GradedBasisIndex) -> CSR:
     """Rank-one projection onto cos(theta) * vacuum + sin(theta) * target.
@@ -165,10 +173,7 @@ def deformed_szego(config: FockSpaceConfig, theta: float,
     vacuum; the deformation is admissible only while the overlap with the
     vacuum stays above ``PAIRING_FLOOR``.
     """
-    if len(target.form) % 2 != 0:
-        raise ValueError(f"deformation target must have even form degree, got {target}")
-    if tuple(target.osc) == (0,) * config.num_vars and tuple(target.form) == ():
-        raise ValueError("deformation target must differ from the vacuum")
+    _check_target(config, target)
     pairing = abs(math.cos(theta))
     if pairing < PAIRING_FLOOR:
         raise PairingFloorError(

@@ -603,6 +603,18 @@ def test_verify_symbols_report_does_not_depend_on_the_stack_size(n, monkeypatch)
     assert run(request).to_json() == whole
 
 
+@pytest.mark.parametrize("entries", [1, 800])
+def test_model_invert_report_does_not_depend_on_the_stack_size(entries, monkeypatch):
+    from fockindex import models
+
+    request = RunRequest("model-invert",
+                         {"chirality": "both", "n": 3, "cutoff": 10, "theta": 0.3}, seed=4)
+    whole = run(request).to_json()
+    # 264 states: 16 right-hand sides one at a time, or in stacks of 3
+    monkeypatch.setattr(models, "_STACK_ENTRIES", entries)
+    assert run(request).to_json() == whole
+
+
 def _assert_matches(actual, expected, where="report"):
     """Equal payloads: same keys in the same order, floats to 1e-12."""
     if isinstance(expected, float) and isinstance(actual, float):

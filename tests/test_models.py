@@ -6,23 +6,23 @@ at zero deformation angle, direct residuals through the assembled model,
 and rank counts of the deformation difference.  The label-block route is
 cross-checked against the dense one: dense pseudo-inverses of the sector
 blocks, a dense SVD of the guarded columns, and ranks of the whole
-deformation difference.
+deformation difference.  The block calculus with declared orders, and the
+projector models it combines into the comparison model, live here as the
+oracle of the directly assembled model.
 """
 
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fockindex import models
+from fockindex import models, sparse
 from fockindex.errors import GuardViolationError, PairingFloorError
 from fockindex.models import (
-    COMPARISON_ORDERS,
+    BlockOperator,
     ModelConfig,
-    build_boundary_model,
-    build_calderon_model,
     build_comparison_model,
     certify_invertibility,
     deformation_block_ranks,
@@ -33,6 +33,7 @@ from fockindex.spinors import (
     EVEN,
     ODD,
     GradedBasisIndex,
+    _check_parity,
     dirac_plus,
     graded_basis,
     graded_form_degrees,
@@ -44,6 +45,145 @@ from fockindex.spinors import (
 
 CHIRALITIES = (EVEN, ODD)
 ORACLE_SIZES = ((2, 12), (3, 12), (4, 5))
+COMPARISON_ORDERS = ((0, -1), (-1, -2))
+STACK_SIZES = [(2, 12, None), (3, 10, None), (3, 8, GradedBasisIndex((0, 1), (1, 2))),
+               (4, 6, None), (5, 4, None), (6, 4, None)]
+
+
+@dataclass(frozen=True)
+class GradedOperator(BlockOperator):
+    """A block operator whose blocks carry declared orders.
+
+    ``heisenberg_orders[i][j]`` is the declared order of ``blocks[i][j]``,
+    ``None`` for zero blocks.
+    """
+
+    heisenberg_orders: tuple
+
+    def adjoint(self) -> "GradedOperator":
+        def flip(entry):
+            return None if entry is None else entry.adjoint()
+
+        return GradedOperator(
+            blocks=(
+                (flip(self.blocks[0][0]), flip(self.blocks[1][0])),
+                (flip(self.blocks[0][1]), flip(self.blocks[1][1])),
+            ),
+            heisenberg_orders=(
+                (self.heisenberg_orders[0][0], self.heisenberg_orders[1][0]),
+                (self.heisenberg_orders[0][1], self.heisenberg_orders[1][1]),
+            ),
+            row_dims=self.col_dims,
+            col_dims=self.row_dims,
+        )
+
+    def compose(self, other: "GradedOperator") -> "GradedOperator":
+        """Plain block product; each order is the best declared sum."""
+        if self.col_dims != other.row_dims:
+            raise ValueError("block operators have incompatible sector dimensions")
+        blocks, orders = [], []
+        for i in range(2):
+            brow, orow = [], []
+            for j in range(2):
+                total, order = None, None
+                for k in range(2):
+                    left, right = self.blocks[i][k], other.blocks[k][j]
+                    if left is None or right is None:
+                        continue
+                    term = left @ right
+                    total = term if total is None else total + term
+                    lo = self.heisenberg_orders[i][k]
+                    ro = other.heisenberg_orders[k][j]
+                    if lo is not None and ro is not None:
+                        order = lo + ro if order is None else max(order, lo + ro)
+                brow.append(total)
+                orow.append(order)
+            blocks.append(tuple(brow))
+            orders.append(tuple(orow))
+        return GradedOperator(tuple(blocks), self.row_dims, other.col_dims, tuple(orders))
+
+    def graded_add(self, other: "GradedOperator") -> "GradedOperator":
+        """Blockwise sum where the higher declared order wins outright.
+
+        Blocks of equal declared order add; a block of strictly lower
+        declared order than its counterpart is discarded entirely.
+        Exact-zero sums are normalized back to empty blocks.
+        """
+        if self.row_dims != other.row_dims or self.col_dims != other.col_dims:
+            raise ValueError("block operators have incompatible sector dimensions")
+        blocks, orders = [], []
+        for i in range(2):
+            brow, orow = [], []
+            for j in range(2):
+                a, b = self.blocks[i][j], other.blocks[i][j]
+                ao, bo = self.heisenberg_orders[i][j], other.heisenberg_orders[i][j]
+                if a is None or (b is not None and bo > ao):
+                    entry, order = b, bo
+                elif b is None or ao > bo:
+                    entry, order = a, ao
+                else:
+                    entry, order = a + b, ao
+                if entry is not None and (
+                    entry.nnz == 0 or np.abs(entry.data).max() == 0.0
+                ):
+                    entry, order = None, None
+                brow.append(entry)
+                orow.append(order)
+            blocks.append(tuple(brow))
+            orders.append(tuple(orow))
+        return GradedOperator(tuple(blocks), self.row_dims, self.col_dims, tuple(orders))
+
+
+def build_calderon_model(chirality: str, complement: bool, cfg: ModelConfig) -> GradedOperator:
+    """Model of the one-sided boundary projector (or its complement).
+
+    One diagonal corner is the identity, the other the shifted oscillator
+    Hamiltonian (shift ``-beta`` for the projector, ``+beta`` for the
+    complement); the off-diagonal blocks carry the chiral halves of the
+    coupled operator, negated in the complement.
+    """
+    _check_parity(chirality, "chirality")
+    sec = models._sectors(cfg)
+    alpha, beta = cfg.alpha, cfg.beta
+    sign = -1.0 if complement else 1.0
+    shift = beta if complement else -beta
+    up = sign * alpha * sec.raise_block
+    down = sign * alpha * sec.lower_block
+    heavy_parity = ODD if (chirality == EVEN) != complement else EVEN
+    h0 = sec.h0_odd if heavy_parity == ODD else sec.h0_even
+    heavy = alpha**2 * sparse.diagonal(h0 + shift)
+    if heavy_parity == ODD:
+        blocks = ((sec.eye(EVEN), down), (up, heavy))
+        orders = ((0, -1), (-1, -2))
+    else:
+        blocks = ((heavy, down), (up, sec.eye(ODD)))
+        orders = ((-2, -1), (-1, 0))
+    dims = (sec.dim_even, sec.dim_odd)
+    return GradedOperator(blocks, dims, dims, orders)
+
+
+def build_boundary_model(chirality: str, cfg: ModelConfig) -> GradedOperator:
+    """Model of the generalized projector side condition.
+
+    Even chirality keeps the rank-one corner together with the whole odd
+    sector; odd chirality is its exact block complement.
+    """
+    _check_parity(chirality, "chirality")
+    sec, vac = models._sectors(cfg), models._vacuum(cfg)
+    dims = (sec.dim_even, sec.dim_odd)
+    if chirality == EVEN:
+        blocks = ((vac.szego_even, None), (None, sec.eye(ODD)))
+        orders = ((0, None), (None, 0))
+    else:
+        blocks = ((sec.eye(EVEN) - vac.szego_even, None), (None, None))
+        orders = ((0, None), (None, None))
+    return GradedOperator(blocks, dims, dims, orders)
+
+
+def _declared_comparison_model(chirality, cfg):
+    """The directly assembled comparison model, with its declared orders."""
+    model = build_comparison_model(chirality, cfg)
+    return GradedOperator(model.blocks, model.row_dims, model.col_dims, COMPARISON_ORDERS)
 
 
 def _sector_helpers(cfg):
@@ -162,7 +302,7 @@ def test_comparison_equals_graded_projector_combination(chirality, theta, n):
     p = build_calderon_model(chirality, False, cfg)
     p_comp = build_calderon_model(chirality, True, cfg)
     combined = r.compose(p).graded_add(r_comp.compose(p_comp))
-    direct = build_comparison_model(chirality, cfg)
+    direct = _declared_comparison_model(chirality, cfg)
     assert combined.heisenberg_orders == COMPARISON_ORDERS
     assert direct.heisenberg_orders == COMPARISON_ORDERS
     for i in range(2):
@@ -182,7 +322,7 @@ def test_comparison_odd_top_right_sign_flips():
 @pytest.mark.parametrize("n", [2, 3])
 def test_adjoint_relation_at_zero_angle(n):
     cfg = ModelConfig(n=n, cutoff=8)
-    even_adj = build_comparison_model(EVEN, cfg).adjoint()
+    even_adj = _declared_comparison_model(EVEN, cfg).adjoint()
     odd = build_comparison_model(ODD, cfg)
     for i, j in ((0, 0), (0, 1), (1, 0)):
         diff = (even_adj.block(i, j) - odd.block(i, j)).toarray()
@@ -347,11 +487,7 @@ def test_certification_report_passes(chirality):
     assert report["num_rhs"] == 8
 
 
-@pytest.mark.parametrize(
-    "n,cutoff,target",
-    [(2, 12, None), (3, 10, None), (3, 8, GradedBasisIndex((0, 1), (1, 2))),
-     (4, 6, None), (5, 4, None), (6, 4, None)],
-)
+@pytest.mark.parametrize("n,cutoff,target", STACK_SIZES)
 @pytest.mark.parametrize("theta", [0.3, 0.55, -0.2])
 @pytest.mark.parametrize("chirality", CHIRALITIES)
 def test_a_column_solves_the_same_in_any_stack(chirality, theta, n, cutoff, target):
@@ -364,6 +500,78 @@ def test_a_column_solves_the_same_in_any_stack(chirality, theta, n, cutoff, targ
         single = models._solve_columns(chirality, cfg, a[:, k:k + 1], b[:, k:k + 1])
         assert np.array_equal(u[:, k], single[0][:, 0]), k
         assert np.array_equal(v[:, k], single[1][:, 0]), k
+
+
+@pytest.mark.parametrize("count", [1, 5, 16])
+def test_one_normal_call_draws_what_sequential_calls_draw(count):
+    stacked = np.random.default_rng(3).normal(size=(count, 37))
+    rng = np.random.default_rng(3)
+    assert np.array_equal(stacked, np.stack([rng.normal(size=37) for _ in range(count)]))
+
+
+@pytest.mark.parametrize("n,cutoff,target", STACK_SIZES)
+def test_stacked_draws_equal_sequential_draws(n, cutoff, target):
+    cfg = ModelConfig(n=n, cutoff=cutoff, target=target)
+    stacked_rng, single_rng = np.random.default_rng(n), np.random.default_rng(n)
+    a, b = models._guarded_draws(stacked_rng, models._sectors(cfg), 16)
+    for k in range(16):
+        single = random_guarded_rhs(single_rng, cfg)
+        assert np.array_equal(a[:, k], single[0]), k
+        assert np.array_equal(b[:, k], single[1]), k
+    # both generators consumed the same numbers
+    assert stacked_rng.normal() == single_rng.normal()
+
+
+@pytest.mark.parametrize("n,cutoff,target", [(3, 8, None), (4, 6, None),
+                                             (3, 8, GradedBasisIndex((0, 1), (1, 2)))])
+@pytest.mark.parametrize("chirality", CHIRALITIES)
+def test_certificate_does_not_depend_on_the_theta_free_cache(chirality, n, cutoff, target):
+    thetas = (0.3, 0.55, -0.2)
+
+    def certificates(order, clear):
+        reports = {}
+        for theta in order:
+            if clear:
+                models._theta_free_data.cache_clear()
+            cfg = ModelConfig(n=n, cutoff=cutoff, theta=theta, target=target)
+            reports[theta] = certify_invertibility(chirality, cfg, num_rhs=4, seed=2)
+        return reports
+
+    cold = certificates(thetas, clear=True)
+    assert all(report["passed"] for report in cold.values())
+    # the first theta fills the entry the others read, in either order
+    models._theta_free_data.cache_clear()
+    assert certificates(thetas, clear=False) == cold
+    models._theta_free_data.cache_clear()
+    assert certificates(thetas[::-1], clear=False) == cold
+    # warm: every theta reads the entry the reversed run filled
+    assert certificates(thetas, clear=False) == cold
+
+
+@pytest.mark.parametrize("target", [None, GradedBasisIndex((0, 1), (1, 2))])
+@pytest.mark.parametrize("theta", [0.0, 0.3, -0.2])
+@pytest.mark.parametrize("chirality", CHIRALITIES)
+def test_floor_and_merged_block_give_the_smallest_singular_value(chirality, theta, target):
+    cfg = ModelConfig(n=3, cutoff=8, theta=theta, target=target)
+    sec = models._sectors(cfg)
+    model = build_comparison_model(chirality, cfg)
+    guard = np.concatenate([sec.guard_even, sec.guard_odd])
+    merged = np.concatenate([sec.merged_even, sec.merged_odd])
+    models._theta_free_data.cache_clear()
+    floor = models._theta_free(chirality, cfg).floor(model, sec)
+    assert floor == models._smallest_singular_value(model, sec, guard & ~merged)
+    whole = models._smallest_singular_value(model, sec, guard)
+    assert min(floor, models._smallest_singular_value(model, sec, guard & merged)) == whole
+
+
+@pytest.mark.parametrize("target", [GradedBasisIndex((0, 0, 0, 0), (1,)),
+                                    GradedBasisIndex((0, 0, 0, 0), ())])
+def test_an_inadmissible_target_is_refused_before_sector_data_is_built(target):
+    models._sector_data.cache_clear()
+    cfg = ModelConfig(n=5, cutoff=5, theta=0.3, target=target)
+    with pytest.raises(ValueError, match="deformation target must"):
+        certify_invertibility(EVEN, cfg)
+    assert models._sector_data.cache_info().currsize == 0
 
 
 def test_invalid_chirality_rejected():
