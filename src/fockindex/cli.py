@@ -116,8 +116,8 @@ _SEED = _Param("seed", int, 0, minimum=0)
 
 # The graded Fock space of verify-algebra and model-invert has
 # 2**v * C(cutoff + v, v) states on v oscillator variables.  A run peaks at
-# about 0.35 KB (verify-algebra) to 0.95 KB (model-invert) per state,
-# measured at 496 128 states (173 and 473 MB), so this many states is about
+# about 0.35 KB (verify-algebra) to 1.1 KB (model-invert) per state,
+# measured at 496 128 states (173 and 557 MB), so this many states is about
 # 0.5 GB.  A subcommand's v is its n less the offset here:
 _MAX_STATES = 500_000
 _STATE_VARIABLE_OFFSET = {"verify-algebra": 0, "model-invert": 1}

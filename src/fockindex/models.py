@@ -18,24 +18,24 @@ label ``m_j = k_j + [j in s]`` of a graded state ``(k, s)``, and the
 (deformed) rank-one vacuum projector couples only the vacuum with the
 deformation target, so once the vacuum's and the target's label blocks are
 merged every model operator is block-diagonal, with blocks of at most
-``2^(n-1)`` states per sector.  The label blocks and the pseudo-inverses of
-the chiral halves (sparse, computed block by block) depend only on
-``(n, cutoff, target)`` and are cached apart from the two-entry deformed
-vacuum.  The angle touches only the merged vacuum/target block, so what a
-certificate reads outside it is cached once per chirality and theta-free
-configuration: the smallest singular value over the other label blocks, and
-the zero-angle solve its deformation ranks compare against.  A certificate
-then takes one SVD of the merged block and solves its seeded right-hand
-sides as stacks of columns; no dense sector-sized matrix is formed.  The
-dense route (``pinv`` and SVD of whole sectors) survives only as the test
-oracle.
+``2^(n-1)`` states per sector.  The lowering block and the pseudo-inverses
+of both chiral halves are held as label-block stacks (the dense blocks of
+one shape in one array, with their positions), applied by one batched
+``np.matmul``.  They depend only on ``(n, cutoff, target)`` and are cached
+apart from the two-entry deformed vacuum.  The angle touches only the
+merged vacuum/target block, so what a certificate reads outside it is
+cached once per chirality and theta-free configuration.  A certificate
+then reads the merged block of its model, takes one SVD of it, and solves
+and applies its seeded right-hand sides as stacks of columns; no dense
+sector-sized matrix is formed.  The dense route (``pinv`` and SVD of whole
+sectors) survives only as the test oracle.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -73,6 +73,10 @@ _DEFORMATION_RANK_BOUND = 4
 # A stack of seeded right-hand sides holds at most this many sector entries,
 # so the memory of a certificate does not grow with num_rhs.
 _STACK_ENTRIES = 2**18
+# The model's label blocks outside the merged one are cached if they hold at
+# most this many entries (64 MB); at the largest admitted sizes each
+# certificate takes them anew, so a run holds one chirality's blocks at a time.
+_CACHED_ENTRIES = 2**22
 
 
 @dataclass(frozen=True)
@@ -141,16 +145,6 @@ class BlockOperator:
         return sparse.from_triples(rows, cols, values,
                                    (sum(self.row_dims), sum(self.col_dims)))
 
-    @cached_property
-    def _block_columns(self) -> tuple:
-        return tuple(sparse.vstack([self.block(0, j), self.block(1, j)]) for j in range(2))
-
-    def apply(self, top: np.ndarray, bottom: np.ndarray):
-        # one product per block column gives the rows of both of its blocks
-        left, right = self._block_columns[0] @ top, self._block_columns[1] @ bottom
-        split = self.row_dims[0]
-        return left[:split] + right[:split], left[split:] + right[split:]
-
 
 class _SectorData:
     """Theta-independent sector data for one (n, cutoff, target), by label.
@@ -158,8 +152,10 @@ class _SectorData:
     Every graded state carries a merged label block id (``even_ids`` and
     ``odd_ids`` per sector position); ``merged`` is the block holding both
     the vacuum and the deformation target, and ``merged_even`` and
-    ``merged_odd`` mark its positions.  The pseudo-inverses of the chiral
-    halves are sparse and block-diagonal.
+    ``merged_odd`` mark its positions.  ``lower_stacks`` holds the lowering
+    block, and ``lower_pinv`` and ``raise_pinv`` the pseudo-inverses of the
+    chiral halves, as label-block stacks.  ``rank_probes`` are the
+    deformation-rank probes, read-only.
     """
 
     def __init__(self, n: int, cutoff: int, target: GradedBasisIndex):
@@ -188,9 +184,14 @@ class _SectorData:
         self.odd_ids = ids[self.odd_idx]
         self.merged_even = self.even_ids == self.merged
         self.merged_odd = self.odd_ids == self.merged
-        self.lower_pinv = _block_pinv(self.lower_block, self.even_ids, self.odd_ids)
+        lower = self.lower_block
+        self.lower_stacks = list(_label_stacks((lower.rows(), lower.indices, lower.data),
+                                               self.even_ids, self.odd_ids))
+        self.lower_pinv = _block_pinv(self.lower_stacks)
         # dirac_plus is exactly self-adjoint: raise_block = lower_block^H
-        self.raise_pinv = self.lower_pinv.adjoint()
+        self.raise_pinv = [(cols, rows, np.ascontiguousarray(stack.conj().transpose(0, 2, 1)))
+                           for rows, cols, stack in self.lower_pinv]
+        self.rank_probes = _rank_probes(self)
 
     def eye(self, parity: str) -> sparse.CSR:
         return sparse.diagonal(np.ones(self.dim_even if parity == EVEN else self.dim_odd))
@@ -281,22 +282,28 @@ def _label_stacks(entries, row_ids: np.ndarray, col_ids: np.ndarray):
         yield rows, cols, stack
 
 
-def _block_pinv(matrix, row_ids: np.ndarray, col_ids: np.ndarray) -> sparse.CSR:
-    """Sparse pseudo-inverse of a block-diagonal matrix, one block at a time.
+def _block_pinv(stacks) -> list:
+    """The pseudo-inverse of a matrix held as label-block stacks, as stacks.
 
     The cutoff is relative to each block's largest singular value.
     """
-    rows, cols, values = [], [], []
-    entries = matrix.rows(), matrix.indices, matrix.data
-    for block_rows, block_cols, stack in _label_stacks(entries, row_ids, col_ids):
-        if stack.size == 0:
-            continue
-        pinv = np.linalg.pinv(stack, rcond=_PINV_CUTOFF)
-        rows.append(np.broadcast_to(block_cols[:, :, None], pinv.shape).ravel())
-        cols.append(np.broadcast_to(block_rows[:, None, :], pinv.shape).ravel())
-        values.append(pinv.ravel())
-    return sparse.from_triples(np.concatenate(rows), np.concatenate(cols),
-                               np.concatenate(values), matrix.shape[::-1])
+    return [(cols, rows, np.linalg.pinv(stack, rcond=_PINV_CUTOFF))
+            for rows, cols, stack in stacks if stack.size]
+
+
+def _block_product(stacks, x: np.ndarray, size: int) -> np.ndarray:
+    """The product of a ``size``-row matrix held as label-block stacks with
+    the columns of ``x``; rows outside every block are zero.
+
+    Each column's entries are gathered into a contiguous slab of their own,
+    so its product is a batch of its own ``(r, c) @ (c, 1)`` matmuls and
+    does not depend on the stack it comes in.
+    """
+    columns = np.ascontiguousarray(x.T)
+    out = np.zeros((x.shape[1], size), dtype=complex)
+    for rows, cols, stack in stacks:
+        out[:, rows] = np.matmul(stack, np.take(columns, cols, axis=1)[..., None])[..., 0]
+    return out.T
 
 
 def build_comparison_model(chirality: str, cfg: ModelConfig) -> BlockOperator:
@@ -357,14 +364,15 @@ def _solve_columns(chirality: str, cfg: ModelConfig, a: np.ndarray, b: np.ndarra
     w = a.copy()
     w[vacuum] = 0.0
     w[target] -= (vac.sin / vac.cos) * a[vacuum]
-    v = sign * (sec.lower_pinv @ w) / alpha
+    v = sign * _block_product(sec.lower_pinv, w, sec.dim_odd) / alpha
 
     heavy = alpha**2 * (sec.h0_odd + sign * beta)
-    u = -sign * (sec.raise_pinv @ (b - heavy[:, None] * v)) / alpha
+    u = -sign * _block_product(sec.raise_pinv, b - heavy[:, None] * v, sec.dim_even) / alpha
 
     # the raising block's kernel is the vacuum line; its coefficient pairs the
     # remainder with the deformed vacuum, whatever the target's form degree
-    remainder = a + sign * alpha * (sec.lower_block @ v) - u
+    lowered = _block_product(sec.lower_stacks, v, sec.dim_even)
+    remainder = a + sign * alpha * lowered - u
     u[vacuum] += (vac.cos * remainder[vacuum] + vac.sin * remainder[target]) / vac.cos
     return u, v
 
@@ -434,57 +442,85 @@ def _rank_probes(sec: _SectorData) -> tuple:
     a[:, -1:], b[:, -1:] = _guarded_draws(np.random.default_rng(0), sec, 1)
     a[sec.merged_even, -1] = 0.0
     b[sec.merged_odd, -1] = 0.0
+    a.flags.writeable = b.flags.writeable = False  # every certificate shares them
     return a, b
 
 
-def _smallest_singular_value(model: BlockOperator, sec: _SectorData,
-                             columns: np.ndarray) -> float:
-    """Smallest singular value of the model's ``columns``, by label block.
+def _model_stacks(model: BlockOperator, sec: _SectorData, rows: np.ndarray,
+                  columns: np.ndarray):
+    """The label blocks of the model's ``rows`` by ``columns``, as stacks.
 
-    ``columns`` marks model columns (even sector, then odd).  They split into
-    the label blocks, so their singular values are those of the blocks
-    together; ``inf`` when no column is marked.
+    ``rows`` and ``columns`` mark model positions (even sector, then odd),
+    and the stacks give their blocks' rows and columns as model positions.
     """
     ids = np.concatenate([sec.even_ids, sec.odd_ids])
-    local = np.cumsum(columns) - 1
-    entries = [
-        (rows[columns[cols]], local[cols[columns[cols]]], values[columns[cols]])
-        for rows, cols, values in model.entries()
-    ]
+    row_local, col_local = np.cumsum(rows) - 1, np.cumsum(columns) - 1
+    entries = []
+    for entry_rows, entry_cols, values in model.entries():
+        keep = rows[entry_rows] & columns[entry_cols]
+        if keep.any():
+            entries.append((row_local[entry_rows[keep]], col_local[entry_cols[keep]],
+                            values[keep]))
     entries = [np.concatenate(part) for part in zip(*entries)]
-    smallest = np.inf
-    for _, _, stack in _label_stacks(entries, ids, ids[columns]):
-        smallest = min(smallest, np.linalg.svd(stack, compute_uv=False).min())
-    return float(smallest)
+    row_at, col_at = np.flatnonzero(rows), np.flatnonzero(columns)
+    for block_rows, block_cols, stack in _label_stacks(entries, ids[rows], ids[columns]):
+        yield row_at[block_rows], col_at[block_cols], stack
+
+
+def _merged_block(model: BlockOperator, sec: _SectorData) -> tuple:
+    """The model positions of the merged vacuum/target block, and the model's
+    dense block on them, read from the merged rows of each sector block."""
+    picks = np.flatnonzero(sec.merged_even), np.flatnonzero(sec.merged_odd)
+    merged = np.concatenate([picks[0], sec.dim_even + picks[1]])
+    local = np.full(sec.dim_even + sec.dim_odd, -1)
+    local[merged] = np.arange(len(merged))
+    block = np.zeros((len(merged), len(merged)), dtype=complex)
+    for i, j in np.ndindex(2, 2):
+        part = model.block(i, j)[picks[i], :]
+        cols = local[(0, sec.dim_even)[j] + part.indices]
+        assert (cols >= 0).all(), "entry crosses a label block"
+        block[local[(0, sec.dim_even)[i] + picks[i][part.rows()]], cols] = part.data
+    return merged, block
 
 
 class _ThetaFree:
     """What a certificate reads that the deformation angle does not change.
 
-    ``plain`` is the zero-angle solve of the deformation-rank probes, read-only.
-    ``floor`` gives the smallest singular value of the guarded columns over
-    the label blocks other than the merged one.
+    ``plain`` is the zero-angle solve of the deformation-rank probes,
+    read-only.  ``outside`` gives the model outside the merged block.
     """
 
     def __init__(self, chirality: str, plain: ModelConfig):
-        solved = _solve_columns(chirality, plain, *_rank_probes(_sectors(plain)))
-        for part in solved:
+        self.plain = _solve_columns(chirality, plain, *_sectors(plain).rank_probes)
+        for part in self.plain:
             part.flags.writeable = False  # every caller shares the cached arrays
-        self.plain = solved
-        self._floor = None
+        self._floor = self._stacks = None
 
-    def floor(self, model: BlockOperator, sec: _SectorData) -> float:
-        """The floor, taken from the first model asked about.
+    def outside(self, model: BlockOperator, sec: _SectorData) -> tuple:
+        """The smallest singular value of the model's guarded columns outside
+        the merged block, and the model's label-block stacks there, taken from
+        the first model asked about (the stacks only if they hold at most
+        ``_CACHED_ENTRIES`` entries).
 
         Outside the merged rows the rows of ``Id - 2 S`` are exact identity
         rows, so there a model's entries are the same at every angle, bit for
-        bit.
+        bit.  The even rows keep only their odd columns: the even-even corner
+        is the vacuum projector, which vanishes there.
         """
+        if self._stacks is not None:
+            return self._floor, self._stacks
+        rest = ~np.concatenate([sec.merged_even, sec.merged_odd])
         if self._floor is None:
             guard = np.concatenate([sec.guard_even, sec.guard_odd])
-            merged = np.concatenate([sec.merged_even, sec.merged_odd])
-            self._floor = _smallest_singular_value(model, sec, guard & ~merged)
-        return self._floor
+            stacks = _model_stacks(model, sec, np.ones_like(rest), guard & rest)
+            self._floor = float(min((np.linalg.svd(stack, compute_uv=False).min()
+                                     for _, _, stack in stacks), default=np.inf))
+        even = np.arange(len(rest)) < sec.dim_even
+        stacks = [*_model_stacks(model, sec, rest & even, rest & ~even),
+                  *_model_stacks(model, sec, rest & ~even, rest)]
+        if sum(stack.size for _, _, stack in stacks) <= _CACHED_ENTRIES:
+            self._stacks = stacks
+        return self._floor, stacks
 
 
 @lru_cache(maxsize=16)
@@ -509,7 +545,7 @@ def deformation_block_ranks(chirality: str, cfg: ModelConfig) -> list:
     """
     _check_parity(chirality, "chirality")
     sec = _sectors(cfg)
-    deformed = _solve_columns(chirality, cfg, *_rank_probes(sec))
+    deformed = _solve_columns(chirality, cfg, *sec.rank_probes)
     plain = _theta_free(chirality, cfg).plain
     du, dv = deformed[0] - plain[0], deformed[1] - plain[1]
     assert not (
@@ -554,10 +590,13 @@ def certify_invertibility(chirality: str, cfg: ModelConfig, *, num_rhs: int = 16
             # injectivity bound: guarded columns, all rows.  (Chopping the rows
             # as well can be exactly singular for n >= 3 because the image of a
             # guarded vector reaches one oscillator degree past the guard.)
+            floor, outside = _theta_free(chirality, cfg).outside(model, sec)
+            merged, block = _merged_block(model, sec)
             guard = np.concatenate([sec.guard_even, sec.guard_odd])
-            merged = np.concatenate([sec.merged_even, sec.merged_odd])
-            smallest = min(_theta_free(chirality, cfg).floor(model, sec),
-                           _smallest_singular_value(model, sec, guard & merged))
+            smallest = min(floor, float(
+                np.linalg.svd(block[:, guard[merged]], compute_uv=False).min()))
+            # the residual applies the model's own label blocks
+            stacks = outside + [(merged[None], merged[None], block[None])]
             rng = np.random.default_rng(seed)
             worst = 0.0
             size = max(1, _STACK_ENTRIES // (sec.dim_even + sec.dim_odd))
@@ -565,7 +604,8 @@ def certify_invertibility(chirality: str, cfg: ModelConfig, *, num_rhs: int = 16
                 # the draws are guarded and sized by construction
                 a, b = _guarded_draws(rng, sec, min(size, num_rhs - start))
                 u, v = _solve_columns(chirality, cfg, a, b)
-                ta, tb = model.apply(u, v)
+                image = _block_product(stacks, np.concatenate([u, v]), len(guard))
+                ta, tb = image[:sec.dim_even], image[sec.dim_even:]
                 for k in range(a.shape[1]):
                     da, db = ta[:, k] - a[:, k], tb[:, k] - b[:, k]
                     err = math.sqrt(np.vdot(da, da).real + np.vdot(db, db).real)

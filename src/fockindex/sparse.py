@@ -11,11 +11,10 @@ Every operation does the floating-point operations scipy.sparse does, in
 the same order, so for finite values the results agree with scipy's bit for
 bit:
 
-- ``m @ x`` for a dense ``x`` sums each row's products in storage order,
-  starting from zero;
-- ``a @ b`` sums the products of each output entry in traversal order (a
-  row of ``a`` in storage order, and for each of its entries the matching
-  row of ``b`` in storage order), drops exact zeros, and lists each row's
+- ``a @ b``, of two sparse matrices (a dense operand is a ``TypeError``),
+  sums the products of each output entry in traversal order (a row of
+  ``a`` in storage order, and for each of its entries the matching row of
+  ``b`` in storage order), drops exact zeros, and lists each row's
   columns last-touched first, the order in which scipy's SMMP routine emits
   them, so a later ``@`` by the product also sums in scipy's order;
 - ``a + b`` and ``a - b`` apply the operation once per position, with zero
@@ -34,12 +33,10 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["CSR", "from_triples", "diagonal", "zeros", "vstack"]
+__all__ = ["CSR", "from_triples", "diagonal", "zeros"]
 
 # A product expands at most this many (row, middle, column) paths at once;
-# a sum, and a matrix-vector product, work on blocks of rows holding at most
-# this many entries, and a matrix with no more entries keeps its entries laid
-# out for matrix-vector products.
+# a sum works on blocks of rows holding at most this many entries.
 _PRODUCT_PATHS = 1 << 19
 _BLOCK_ENTRIES = 1 << 18
 
@@ -47,7 +44,7 @@ _BLOCK_ENTRIES = 1 << 18
 class CSR:
     """A complex matrix in compressed-row form."""
 
-    __slots__ = ("data", "indices", "indptr", "shape", "_blocks")
+    __slots__ = ("data", "indices", "indptr", "shape")
     __array_ufunc__ = None  # numpy defers to the operators below
 
     def __init__(self, data, indices, indptr, shape):
@@ -56,8 +53,7 @@ class CSR:
         self.data, self.indptr = data, indptr
         self.indices = np.asarray(indices, dtype=np.int32 if narrow else np.int64)
         for array in (self.data, self.indices, self.indptr):
-            array.flags.writeable = False  # so the layout kept for ``@`` holds
-        self._blocks = None
+            array.flags.writeable = False  # matrices share their arrays
 
     @property
     def nnz(self) -> int:
@@ -115,7 +111,7 @@ class CSR:
     def __matmul__(self, other):
         if isinstance(other, CSR):
             return _product(self, other)
-        return _apply(self, np.asarray(other))
+        return NotImplemented
 
 
 def _row_blocks(before, limit: int) -> list[tuple[int, int]]:
@@ -180,16 +176,6 @@ def zeros(shape) -> CSR:
                np.zeros(shape[0] + 1, np.int64), shape)
 
 
-def vstack(blocks) -> CSR:
-    """The matrix whose rows are the rows of ``blocks``, in order."""
-    starts = np.cumsum([0] + [block.nnz for block in blocks[:-1]])
-    indptr = [block.indptr[1:] + start for block, start in zip(blocks, starts)]
-    return CSR(np.concatenate([block.data for block in blocks]),
-               np.concatenate([block.indices for block in blocks]),
-               np.concatenate([[0]] + indptr),
-               (sum(block.shape[0] for block in blocks), blocks[0].shape[1]))
-
-
 def _combine(a: CSR, b: CSR, op) -> CSR:
     """``op`` at every position stored in ``a`` or ``b``; exact zeros dropped."""
     if a.shape != b.shape:
@@ -245,41 +231,6 @@ def _times(parts, b) -> np.ndarray:
     for part in parts[1:]:
         products += part * b
     return products
-
-
-def _entries(m: CSR, start: int, stop: int):
-    """Rows ``start:stop`` of ``m``: the row (counted from ``start``), the
-    column and the ``_parts`` of the value of each entry."""
-    entries = slice(m.indptr[start], m.indptr[stop])
-    cols = m.indices[entries].astype(np.intp)
-    return m.rows(start, stop) - start, cols, _parts(m.data[entries]), start, stop
-
-
-def _layout(m: CSR):
-    """``m`` in blocks of rows: kept for a small matrix, else made anew."""
-    if m._blocks is None:
-        if m.nnz > _BLOCK_ENTRIES:
-            blocks = _row_blocks(m.indptr, _BLOCK_ENTRIES)
-            return (_entries(m, start, stop) for start, stop in blocks)
-        m._blocks = [_entries(m, 0, m.shape[0])]
-    return m._blocks
-
-
-def _apply(m: CSR, x: np.ndarray) -> np.ndarray:
-    """``m @ x`` for a dense vector, or for a stack of columns one at a time.
-
-    ``np.add.at`` adds each row's products in storage order to zero, as
-    scipy sums them.  The result is scipy's for finite values; an infinite
-    one may leave NaN where scipy leaves an infinity.
-    """
-    if x.ndim not in (1, 2) or x.shape[0] != m.shape[1]:
-        raise ValueError(f"cannot apply a {m.shape} matrix to shape {x.shape}")
-    stack = x if x.ndim == 2 else x[:, None]
-    out = np.zeros((m.shape[0], stack.shape[1]), dtype=np.complex128)
-    for rows, cols, parts, start, stop in _layout(m):
-        for k in range(stack.shape[1]):
-            np.add.at(out[start:stop, k], rows, _times(parts, stack[:, k][cols]))
-    return out if x.ndim == 2 else out[:, 0]
 
 
 def _product(a: CSR, b: CSR) -> CSR:

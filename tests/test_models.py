@@ -195,6 +195,20 @@ def _sector_helpers(cfg):
     return config, even_idx, odd_idx, osc
 
 
+def _apply(model, top, bottom):
+    """The model's dense matrix applied to the stacked sectors."""
+    out = model.matrix().toarray() @ np.concatenate([top, bottom])
+    return out[:model.row_dims[0]], out[model.row_dims[0]:]
+
+
+def _dense(stacks, shape):
+    """The dense matrix held as label-block stacks."""
+    out = np.zeros(shape, dtype=complex)
+    for rows, cols, stack in stacks:
+        out[rows[:, :, None], cols[:, None, :]] = stack
+    return out
+
+
 def test_model_config_defaults_and_validation():
     cfg = ModelConfig(n=3)
     assert cfg.alpha == 1.0
@@ -226,7 +240,7 @@ def test_calderon_model_corners_and_complement():
     pos = int(np.searchsorted(odd_idx, pos_graded))
     vec = np.zeros(len(odd_idx), dtype=complex)
     vec[pos] = 1.0
-    out = proj.block(1, 1) @ vec
+    out = proj.block(1, 1).toarray() @ vec
     eig = cfg.alpha**2 * (cfg.n - 1) - cfg.alpha**2 * cfg.beta
     assert np.abs(out - eig * vec).max() == 0.0
 
@@ -260,7 +274,7 @@ def test_boundary_model_fixes_deformed_vacuum():
     z = np.zeros(len(even_idx))
     z[vac_pos] = np.cos(cfg.theta)
     z[tgt_pos] = np.sin(cfg.theta)
-    top, bottom = model.apply(z.astype(complex), np.zeros(len(odd_idx), dtype=complex))
+    top, bottom = _apply(model, z.astype(complex), np.zeros(len(odd_idx), dtype=complex))
     assert np.abs(top - z).max() < 1e-15
     assert np.abs(bottom).max() == 0.0
 
@@ -274,7 +288,7 @@ def test_boundary_model_kills_vacuum_orthogonal_degree_zero():
     pos = int(np.searchsorted(even_idx, graded_index(config, state)))
     z = np.zeros(len(even_idx), dtype=complex)
     z[pos] = 1.0
-    top, bottom = model.apply(z, np.zeros(len(odd_idx), dtype=complex))
+    top, bottom = _apply(model, z, np.zeros(len(odd_idx), dtype=complex))
     assert np.abs(top).max() == 0.0
     assert np.abs(bottom).max() == 0.0
 
@@ -395,7 +409,7 @@ def test_inverse_residuals_on_guarded_rhs(chirality, theta, n, alpha, beta):
     for _ in range(10):
         a, b = random_guarded_rhs(rng, cfg)
         u, v = invert_comparison_model(chirality, cfg, (a, b))
-        ta, tb = model.apply(u, v)
+        ta, tb = _apply(model, u, v)
         residual = np.sqrt(
             np.vdot(ta - a, ta - a).real + np.vdot(tb - b, tb - b).real
         )
@@ -414,7 +428,7 @@ def test_left_inverse_on_doubly_guarded_inputs(chirality):
         u[osc[even_idx] > cfg.cutoff - 4] = 0.0
         v[osc[odd_idx] > cfg.cutoff - 4] = 0.0
         model = build_comparison_model(chirality, cfg)
-        a, b = model.apply(u, v)
+        a, b = _apply(model, u, v)
         uu, vv = invert_comparison_model(chirality, cfg, (a, b))
         assert np.abs(uu - u).max() < 1e-12, target
         assert np.abs(vv - v).max() < 1e-12, target
@@ -434,7 +448,7 @@ def test_monotone_truncation_stability(chirality):
         b[osc[odd_idx] > 6] = 0.0
         model = build_comparison_model(chirality, cfg)
         u, v = invert_comparison_model(chirality, cfg, (a, b))
-        ta, tb = model.apply(u, v)
+        ta, tb = _apply(model, u, v)
         residuals.append(
             np.sqrt(np.vdot(ta - a, ta - a).real + np.vdot(tb - b, tb - b).real)
         )
@@ -502,6 +516,114 @@ def test_a_column_solves_the_same_in_any_stack(chirality, theta, n, cutoff, targ
         assert np.array_equal(v[:, k], single[1][:, 0]), k
 
 
+def _entry_product(entries, x, size):
+    """The product by ``x`` of the matrix with the given (rows, columns,
+    values), summed entry by entry."""
+    rows, cols, values = entries
+    out = np.zeros((size, x.shape[1]), dtype=complex)
+    np.add.at(out, rows, values[:, None] * x[cols])
+    return out
+
+
+def _stack_entries(stacks):
+    """The (rows, columns, values) of every entry of label-block stacks."""
+    parts = [(np.broadcast_to(rows[:, :, None], stack.shape).ravel(),
+              np.broadcast_to(cols[:, None, :], stack.shape).ravel(), stack.ravel())
+             for rows, cols, stack in stacks]
+    return [np.concatenate(part) for part in zip(*parts)]
+
+
+@pytest.mark.parametrize("n,cutoff,target", STACK_SIZES)
+def test_label_block_products_match_dense_oracle(n, cutoff, target):
+    cfg = ModelConfig(n=n, cutoff=cutoff, theta=0.3, target=target)
+    sec = models._sectors(cfg)
+    even, odd = sec.dim_even, sec.dim_odd
+    rng = np.random.default_rng(n)
+    x = rng.normal(size=(even + odd, 5)) + 1j * rng.normal(size=(even + odd, 5))
+    lower = sec.lower_block
+    for stacks, entries, cols, size in (
+        (sec.lower_stacks, (lower.rows(), lower.indices, lower.data), x[:odd], even),
+        (sec.lower_pinv, _stack_entries(sec.lower_pinv), x[:even], odd),
+        (sec.raise_pinv, _stack_entries(sec.raise_pinv), x[:odd], even),
+    ):
+        oracle = _entry_product(entries, cols, size)
+        product = models._block_product(stacks, cols, size)
+        assert np.abs(product - oracle).max() <= 1e-13 * np.abs(oracle).max()
+    # the residual's stacks: the model outside the merged block, then the merged block
+    for chirality in CHIRALITIES:
+        model = build_comparison_model(chirality, cfg)
+        _, outside = models._theta_free(chirality, cfg).outside(model, sec)
+        merged, block = models._merged_block(model, sec)
+        stacks = outside + [(merged[None], merged[None], block[None])]
+        product = models._block_product(stacks, x, even + odd)
+        entries = [np.concatenate(part) for part in zip(*model.entries())]
+        oracle = _entry_product(entries, x, even + odd)
+        assert np.abs(product - oracle).max() <= 1e-13 * np.abs(oracle).max()
+
+
+@pytest.mark.parametrize("n,cutoff,target", STACK_SIZES)
+def test_a_column_products_the_same_from_any_layout(n, cutoff, target):
+    sec = models._sectors(ModelConfig(n=n, cutoff=cutoff, target=target))
+    rng = np.random.default_rng(n)
+    for stacks, dim, size in ((sec.lower_pinv, sec.dim_even, sec.dim_odd),
+                              (sec.raise_pinv, sec.dim_odd, sec.dim_even)):
+        x = rng.normal(size=(dim, 16)) + 1j * rng.normal(size=(dim, 16))
+        stacked = models._block_product(stacks, x, size)
+        fortran = models._block_product(stacks, np.asfortranarray(x), size)
+        for k in range(16):
+            alone = models._block_product(stacks, np.ascontiguousarray(x[:, k:k + 1]), size)
+            sliced = models._block_product(stacks, x[:, k:k + 1], size)
+            for other in (fortran[:, k], alone[:, 0], sliced[:, 0]):
+                assert np.array_equal(stacked[:, k], other), k
+
+
+@pytest.mark.parametrize("theta", [0.3, -0.2])
+@pytest.mark.parametrize("chirality", CHIRALITIES)
+def test_cached_model_blocks_equal_those_of_a_model_at_another_angle(chirality, theta):
+    target = GradedBasisIndex((0, 1), (1, 2))
+    cfg = ModelConfig(n=3, cutoff=8, theta=theta, target=target)
+    models._theta_free_data.cache_clear()
+    certify_invertibility(chirality, cfg, num_rhs=1)
+    sec = models._sectors(cfg)
+    theta_free = models._theta_free(chirality, cfg)
+    cached = theta_free._floor, theta_free._stacks
+    other = replace(cfg, theta=0.55 if theta < 0 else -0.2)
+    models._theta_free_data.cache_clear()
+    fresh = models._theta_free(chirality, other).outside(
+        build_comparison_model(chirality, other), sec)
+    assert cached[0] == fresh[0]
+    assert len(cached[1]) == len(fresh[1]) > 0
+    for got, want in zip(cached[1], fresh[1]):
+        assert all(np.array_equal(part, expected) for part, expected in zip(got, want))
+
+
+@pytest.mark.parametrize("chirality", CHIRALITIES)
+def test_uncached_model_blocks_give_the_same_certificate(chirality, monkeypatch):
+    cfg = ModelConfig(n=4, cutoff=6, theta=0.3)
+    models._theta_free_data.cache_clear()
+    cached = certify_invertibility(chirality, cfg, num_rhs=4, seed=2)
+    monkeypatch.setattr(models, "_CACHED_ENTRIES", 0)
+    models._theta_free_data.cache_clear()
+    for _ in range(2):
+        assert certify_invertibility(chirality, cfg, num_rhs=4, seed=2) == cached
+    assert models._theta_free(chirality, cfg)._stacks is None
+
+
+@pytest.mark.parametrize("entries", [2**18, 2000, 1])
+def test_a_warm_certificate_draws_only_its_right_hand_sides(entries, monkeypatch):
+    cfg = ModelConfig(n=3, cutoff=8, theta=0.3)
+    certify_invertibility(EVEN, cfg, num_rhs=16)
+    sec = models._sectors(cfg)
+    size = max(1, entries // (sec.dim_even + sec.dim_odd))
+    calls = []
+    draws = models._guarded_draws
+    monkeypatch.setattr(models, "_guarded_draws",
+                        lambda rng, sec, count: calls.append(count) or draws(rng, sec, count))
+    monkeypatch.setattr(models, "_STACK_ENTRIES", entries)
+    certify_invertibility(EVEN, replace(cfg, theta=0.4), num_rhs=16)
+    assert calls == [min(size, 16 - start) for start in range(0, 16, size)]
+
+
 @pytest.mark.parametrize("count", [1, 5, 16])
 def test_one_normal_call_draws_what_sequential_calls_draw(count):
     stacked = np.random.default_rng(3).normal(size=(count, 37))
@@ -556,12 +678,20 @@ def test_floor_and_merged_block_give_the_smallest_singular_value(chirality, thet
     sec = models._sectors(cfg)
     model = build_comparison_model(chirality, cfg)
     guard = np.concatenate([sec.guard_even, sec.guard_odd])
-    merged = np.concatenate([sec.merged_even, sec.merged_odd])
     models._theta_free_data.cache_clear()
-    floor = models._theta_free(chirality, cfg).floor(model, sec)
-    assert floor == models._smallest_singular_value(model, sec, guard & ~merged)
-    whole = models._smallest_singular_value(model, sec, guard)
-    assert min(floor, models._smallest_singular_value(model, sec, guard & merged)) == whole
+    floor, _ = models._theta_free(chirality, cfg).outside(model, sec)
+    merged, block = models._merged_block(model, sec)
+    smallest = min(floor, np.linalg.svd(block[:, guard[merged]], compute_uv=False).min())
+    every = np.ones_like(guard)
+    assert smallest == min(np.linalg.svd(stack, compute_uv=False).min()
+                           for _, _, stack in models._model_stacks(model, sec, every, guard))
+    # the same blocks, read from the model's dense matrix
+    full = model.matrix().toarray()
+    assert np.array_equal(block, full[np.ix_(merged, merged)])
+    rest = np.setdiff1d(np.arange(len(guard)), merged)
+    assert not full[np.ix_(merged, rest)].any() and not full[np.ix_(rest, merged)].any()
+    dense = np.linalg.svd(full[:, guard], compute_uv=False)[-1]
+    assert abs(smallest - dense) <= 1e-12 * dense
 
 
 @pytest.mark.parametrize("target", [GradedBasisIndex((0, 0, 0, 0), (1,)),
@@ -631,7 +761,7 @@ def test_block_pseudo_inverses_match_dense_oracle(n, cutoff):
         (dirac[np.ix_(odd_idx, even_idx)], sec.raise_pinv),
     ):
         dense = np.linalg.pinv(block, rcond=1e-10)
-        assert np.abs(pinv.toarray() - dense).max() <= 1e-12
+        assert np.abs(_dense(pinv, dense.shape) - dense).max() <= 1e-12
 
 
 def _whole_difference_ranks(chirality, cfg):
