@@ -59,6 +59,9 @@ GOLDEN_RUNS = [
     ("model-invert-n3-cutoff16",
      ["model-invert", "--chirality", "both", "--n", "3", "--cutoff", "16", "--theta",
       "0.3", "--seed", "1"], 0),
+    ("verify-symbols-n7",
+     ["verify-symbols", "--n", "7", "--samples", "20", "--quadrature-samples", "12",
+      "--seed", "5"], 0),
 ]
 
 
