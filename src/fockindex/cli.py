@@ -489,38 +489,55 @@ def _run_verify_symbols(params: dict, seeds: list, checks: tuple):
 
     rng = np.random.default_rng(seeds[3])
     quad_samples = params["quadrature_samples"]
+    to_even = symbols.boundary_isomorphism(symbols.EVEN, +1, n)
+
+    def hessian_stack(items):
+        return symbols.HessianData(np.array([h.alpha for h in items]),
+                                   np.array([h.a for h in items]),
+                                   np.array([h.b for h in items]))
+
+    def relative(errors, estimates, scale=1.0):
+        # a stack's worst error and estimate, each relative to its instance's scale
+        return _max_abs(abs(errors).max(axis=(-2, -1)) / scale), _max_abs(estimates / scale)
+
     # errors and their estimates relative to the closed forms, the projector's absolute
     worst_rel = worst_est = 0.0
-    for instance in range(quad_samples):
-        xp = symbols.random_covector(rng, n, boundary=True)
-        hess = (
-            symbols.HessianData.kahler(n)
-            if instance == 0
-            else symbols.random_hessian(rng, n, contact_adapted=False)
-        )
+    for start in range(0, quad_samples, stack_size):
+        # the instances draw in turn, as one at a time would, so the draws do
+        # not depend on the stack size
+        draws = []
+        for instance in range(start, min(start + stack_size, quad_samples)):
+            xp = symbols.random_covector(rng, n, boundary=True)
+            hess = (
+                symbols.HessianData.kahler(n)
+                if instance == 0
+                else symbols.random_hessian(rng, n, contact_adapted=False)
+            )
+            contact = symbols.covector(0.0, float(rng.uniform(0.5, 2.0)), zero_perp)
+            draws.append((xp, hess, contact, symbols.random_hessian(rng, n)))
+        xp, hess, contact, hess_contact = zip(*draws)
+        xp, contact = np.array(xp), np.array(contact)
+        hess, hess_contact = hessian_stack(hess), hessian_stack(hess_contact)
+        found = []
         for ch in _CHIRALITIES:
             closed = symbols.closed_form_trace_contour(ch, hess, xp)
-            scale = _max_abs(closed)
+            scale = abs(closed).max(axis=(-2, -1))
             integrand = symbols.trace_term_integrand(ch, xp, hess)
             for side in (+1, -1):
                 quad, est = symbols.contour_integral(integrand, side, xp, return_error=True)
-                worst_rel = max(worst_rel, _max_abs(quad - closed) / scale)
-                worst_est = max(worst_est, est / scale)
+                found.append(relative(quad - closed, est, scale))
         integrand = symbols.q_symbol_integrand(-1, symbols.ODD, xp)
         quad, est = symbols.contour_integral(integrand, +1, xp, return_error=True)
-        composed = quad @ symbols.boundary_isomorphism(symbols.EVEN, +1, n)
         direct = symbols.calderon_symbol0(symbols.EVEN, +1, xp)
-        worst_rel = max(worst_rel, _max_abs(composed - direct))
-        worst_est = max(worst_est, est)
-        contact = symbols.covector(0.0, float(rng.uniform(0.5, 2.0)), zero_perp)
-        hess_contact = symbols.random_hessian(rng, n)
+        found.append(relative(quad @ to_even - direct, est))
         for ch in _CHIRALITIES:
             closed = symbols.closed_form_contact_contour(ch, hess_contact, contact)
-            scale = _max_abs(closed)
+            scale = abs(closed).max(axis=(-2, -1))
             integrand = symbols.q_symbol_integrand(-2, ch, contact, hess_contact)
             quad, est = symbols.contour_integral(integrand, -1, contact, return_error=True)
-            worst_rel = max(worst_rel, _max_abs(quad - closed) / scale)
-            worst_est = max(worst_est, est / scale)
+            found.append(relative(quad - closed, est, scale))
+        worst_rel = max(worst_rel, *(rel for rel, _ in found))
+        worst_est = max(worst_est, *(est for _, est in found))
     yield quadrature, worst_rel, {"instances": quad_samples, "includes_kahler": True,
                                   "quadrature_error_estimate": _fixed(worst_est)}
 

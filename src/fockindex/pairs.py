@@ -320,12 +320,12 @@ def relative_index_trace(pair: ProjectorPair) -> TraceIndex:
     """Relative index through the parametrix remainder traces.
 
     The raw value Tr(P K2 P) - Tr(R K1 R) must round to an integer within
-    1e-6; anything else signals an invalid parametrix.
+    1e-6; anything else signals an invalid parametrix.  P and R are
+    idempotent, so Tr(P K P) = Tr(K P P) = Tr(K P), the sum of the entries
+    of K * P^T: each trace is one elementwise sum, and no product is formed.
     """
     p, r = pair.p.matrix, pair.r.matrix
-    raw = float(
-        np.trace(p @ pair.k2 @ p).real - np.trace(r @ pair.k1 @ r).real
-    )
+    raw = float((pair.k2 * p.T).sum().real - (pair.k1 * r.T).sum().real)
     return TraceIndex(_nearest_integer(raw, "trace formula value"), raw)
 
 

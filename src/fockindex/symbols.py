@@ -13,7 +13,11 @@ A covector is a real array of shape ``(..., 2n)`` with components laid out as
 ``(xi1, xi_2..xi_n, xi_contact, xi_{n+2}..xi_{2n})``: ``xi_contact`` is the
 distinguished boundary component and ``xi_perp`` the remaining ``2(n-1)``
 tangential ones.  Every symbol function broadcasts over the leading axes, so
-a stack of covectors gives the stack of their matrices.
+a stack of covectors gives the stack of their matrices.  Hessian data may be
+a stack too; its leading axes broadcast against the covectors' like one more
+stack of covectors, so the contours of many Hessians, each at its own
+covectors, are one call.  Each Hessian of a stack takes the products it
+takes alone, and so gets the bits it gets alone.
 """
 
 from __future__ import annotations
@@ -228,17 +232,33 @@ def comparison_symbol0(chirality: str, xi_prime) -> np.ndarray:
     return m / (2.0 * ell)
 
 
+def _differs(m: np.ndarray, other: np.ndarray) -> bool:
+    """True when some matrix of the stack ``m`` differs from its ``other``
+    beyond rounding at its own scale."""
+    items = m.shape[:-2] + (-1,)
+    spread = np.abs(m - other).reshape(items).max(axis=-1)
+    return bool((spread > 1e-12 * (1.0 + np.abs(m).reshape(items).max(axis=-1))).any())
+
+
 @dataclass(frozen=True, eq=False)
 class HessianData:
-    """Quadratic data of a boundary defining function.
+    """Quadratic data of a boundary defining function, or a stack of them.
 
     ``a`` is the Hermitian part and ``b`` the symmetric part, complex
     ``n x n``.  ``matrix_a`` is the real ``2n x 2n`` form of ``a``, with
     block pattern ``[[a.real, -a.imag], [a.imag, a.real]]``, which the
-    formulas read; ``beta`` is its tangential trace ``tr(A)/2 - A[0, 0]``.
+    formulas read; ``trace`` is its trace and ``beta`` its tangential trace
+    ``tr(A)/2 - A[0, 0]``.
+
+    A stack holds ``alpha`` of shape ``(...)`` and ``a`` and ``b`` of shape
+    ``(..., n, n)``; ``alpha`` is kept as a float array of that shape (0-d
+    for one Hessian), and ``trace``, ``beta`` and ``contact_adapted`` have it
+    too.  Each item is checked against its own scale, so a stack is refused
+    exactly when one of its items would be refused alone, with that item's
+    message.
     """
 
-    alpha: float
+    alpha: np.ndarray
     a: np.ndarray
     b: np.ndarray
     matrix_a: np.ndarray = field(init=False, repr=False)
@@ -246,30 +266,43 @@ class HessianData:
     def __post_init__(self):
         a = np.asarray(self.a, dtype=complex)
         b = np.asarray(self.b, dtype=complex)
-        if self.alpha <= 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
-        if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0 or b.shape != a.shape:
+        alpha = np.asarray(self.alpha, dtype=float)
+        if (alpha <= 0).any():
+            raise ValueError(f"alpha must be positive, got {alpha[alpha <= 0].flat[0]}")
+        if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.size == 0 or b.shape != a.shape:
             raise ValueError("a and b must be nonempty square matrices of one shape")
-        if np.abs(a - a.conj().T).max() > 1e-12 * (1.0 + np.abs(a).max()):
+        if alpha.shape != a.shape[:-2]:
+            raise ValueError(f"alpha of shape {alpha.shape} for a stack of shape {a.shape[:-2]}")
+        if _differs(a, a.conj().swapaxes(-1, -2)):
             raise ValueError("a must be Hermitian")
-        if np.abs(b - b.T).max() > 1e-12 * (1.0 + np.abs(b).max()):
+        if _differs(b, b.swapaxes(-1, -2)):
             raise ValueError("b must be symmetric")
+        object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
-        object.__setattr__(self, "matrix_a", np.block([[a.real, -a.imag], [a.imag, a.real]]))
+        n = a.shape[-1]
+        matrix_a = np.empty(a.shape[:-2] + (2 * n, 2 * n))
+        matrix_a[..., :n, :n] = matrix_a[..., n:, n:] = a.real
+        matrix_a[..., :n, n:] = -a.imag
+        matrix_a[..., n:, :n] = a.imag
+        object.__setattr__(self, "matrix_a", matrix_a)
 
     @property
     def n(self) -> int:
-        return self.a.shape[0]
+        return self.a.shape[-1]
 
     @property
-    def beta(self) -> float:
-        return 0.5 * float(np.trace(self.matrix_a)) - float(self.matrix_a[0, 0])
+    def trace(self):
+        return np.trace(self.matrix_a, axis1=-2, axis2=-1)
 
     @property
-    def contact_adapted(self) -> bool:
-        """True when the first column of the Hermitian part is zero below its top."""
-        return not self.a[1:, 0].any()
+    def beta(self):
+        return 0.5 * self.trace - self.matrix_a[..., 0, 0]
+
+    @property
+    def contact_adapted(self):
+        """True where the first column of the Hermitian part is zero below its top."""
+        return ~self.a[..., 1:, 0].any(axis=-1)
 
     @classmethod
     def kahler(cls, n: int, alpha: float = 1.0) -> "HessianData":
@@ -318,9 +351,33 @@ def _xi_square(comps: np.ndarray) -> np.ndarray:
 
 
 def _contract(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``sum_k a[..., k] * b[k]``, as gradient weights give matrices."""
-    flat = a @ b.reshape(len(b), -1)
+    """``sum_k a[..., k] * b[k]``, as gradient weights give matrices.
+
+    Each row of ``a`` is its own ``(1, k)`` by ``(k, m)`` product, so it
+    gets the bits it gets alone, whatever stack it comes in.
+    """
+    flat = (a[..., None, :] @ b.reshape(len(b), -1))[..., 0, :]
     return flat.reshape(a.shape[:-1] + b.shape[1:])
+
+
+def _hessian_product(matrix: np.ndarray, comps: np.ndarray) -> np.ndarray:
+    """``matrix @ xi`` at each covector of ``comps``, a stack of matrices
+    broadcast against the covectors' leading axes.
+
+    One batched matmul with the matrices' own axes leading: each matrix
+    multiplies the rows of its covectors as one ``(rows, 2n)`` product, the
+    product it takes for those covectors alone.
+    """
+    stack = matrix.ndim - 2
+    if not stack:
+        return comps @ matrix.T
+    shape = np.broadcast_shapes(comps.shape[:-1], matrix.shape[:-2])
+    comps = np.broadcast_to(comps, shape + comps.shape[-1:])
+    axes = range(len(shape) - stack, len(shape))
+    rows = np.moveaxis(comps, axes, range(stack))
+    flat = rows.reshape(rows.shape[:stack] + (-1, rows.shape[-1]))
+    product = (flat @ matrix.swapaxes(-1, -2)).reshape(rows.shape)
+    return np.moveaxis(product, range(stack), axes)
 
 
 def _q_weights(order: int, comps: np.ndarray, hess: HessianData | None) -> np.ndarray:
@@ -334,10 +391,10 @@ def _q_weights(order: int, comps: np.ndarray, hess: HessianData | None) -> np.nd
         if hess is None:
             raise ValueError("order -2 requires Hessian data")
         _half_length(comps, hess)  # refuses Hessian data of another n
-        a_xi = comps @ hess.matrix_a.T
+        a_xi = _hessian_product(hess.matrix_a, comps)
         a_xi_xi = (a_xi * comps).sum(axis=-1)[..., None]
-        bracket = (4.0 * a_xi_xi / norm_sq - hess.matrix_a.trace()) * comps - 2.0 * a_xi
-        return (2j * hess.alpha) * comps[..., :1] / norm_sq**2 * bracket
+        bracket = (4.0 * a_xi_xi / norm_sq - hess.trace[..., None]) * comps - 2.0 * a_xi
+        return (2j * hess.alpha[..., None]) * comps[..., :1] / norm_sq**2 * bracket
     raise ValueError(f"order must be -1 or -2, got {order}")
 
 
@@ -347,8 +404,9 @@ def q_symbol(order: int, chirality: str, xi,
 
     ``order = -1`` gives ``2 d1 / |xi|^2``; ``order = -2`` the correction
     ``2 i xi1 alpha (-tr(A) d1 / |xi|^4 + 4 <A xi, xi> d1 / |xi|^6
-    - 2 d1(A xi) / |xi|^4)``, which is linear in the Hessian data.  Both are
-    the ``d1`` gradient weighted by scalar functions of the covector.
+    - 2 d1(A xi) / |xi|^4)``, which is linear in the Hessian data; a Hessian
+    stack broadcasts against the covectors.  Both are the ``d1`` gradient
+    weighted by scalar functions of the covector.
     Kept as the interior parametrix: ``d1(ODD) @ q_symbol(-1, EVEN) = I``.
     """
     comps = np.asarray(xi, dtype=complex)
@@ -359,9 +417,14 @@ def q_symbol(order: int, chirality: str, xi,
 def _integrand(weights, chirality: str, xi_prime, hess: HessianData | None):
     """Callable ``xi1 -> matrices``, the ``d1`` gradient weighted by ``weights``
     at ``xi_prime`` with the array ``xi1`` in the first slot; its ``coefficients``
-    are the weights alone, for :func:`contour_integral`."""
+    are the weights alone, for :func:`contour_integral`.  The covectors carry
+    the axes of a Hessian stack, so that the nodes ``xi1`` stay in front."""
     ell = _require_boundary(xi_prime)
     gradient = d1_gradient(chirality, _half_length(xi_prime, hess))
+    lead = np.shape(xi_prime)[:-1]
+    if hess is not None and np.broadcast_shapes(lead, hess.alpha.shape) != lead:
+        raise ValueError(f"covectors of shape {lead} for a Hessian stack of shape "
+                         f"{hess.alpha.shape}: stack the covectors too")
 
     def coefficients(xi1):
         return weights(_with_first_slot(xi_prime, xi1))
@@ -385,7 +448,7 @@ def trace_term_integrand(chirality: str, xi_prime, hess: HessianData):
     """Callable ``xi1 -> 2 i xi1 alpha tr(A) d1 / |xi|^4``, the Hessian-trace
     term of the order -2 expansion, whose contour integral has the closed form
     :func:`closed_form_trace_contour`."""
-    weight = 2j * hess.alpha * hess.matrix_a.trace()
+    weight = (2j * hess.alpha * hess.trace)[..., None]
 
     def weights(comps):
         return weight * comps[..., :1] / _xi_square(comps)[..., None] ** 2 * comps
@@ -405,6 +468,13 @@ about ``k**2 4**-k`` of the integral: 5.5e-17 at N = 32, 2.1e-16 at N = 31.
 """
 
 
+def _node_sum(unit: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``sum_j unit[j] * values[j]``: one ``(1, nodes)`` by ``(nodes, 2n)``
+    product per covector, the product it takes alone."""
+    rows = values.reshape(len(values), -1, values.shape[-1]).swapaxes(0, 1)
+    return (unit @ rows).reshape(values.shape[1:])
+
+
 def contour_integral(integrand, side: int, xi_prime,
                      num_points: int = QUADRATURE_NODES, return_error: bool = False):
     """(1/2 pi) times the contour integral of an integrand of this module.
@@ -415,6 +485,8 @@ def contour_integral(integrand, side: int, xi_prime,
     integrand's ``2n`` scalar ``coefficients``, and combines the sums with its
     ``gradient`` once.  Declared ``poles`` must keep off the circle.
     ``xi_prime`` is the covector, or stack of covectors, of the integrand.
+    The sums and their combination with the gradient are one product per
+    covector, as for that covector alone.
 
     With ``return_error``, also returns an estimate of each matrix's largest
     entry error.  The rule on every other node errs about ``4**(N/2 - 1)``
@@ -441,11 +513,11 @@ def contour_integral(integrand, side: int, xi_prime,
     if not np.isfinite(values).all():
         raise PoleOnContourError("integrand is singular on the quadrature contour")
     scale = np.asarray(side * 1j * radius / num_points)[..., None]
-    sums = _contract(unit, values)
+    sums = _node_sum(unit, values)
     integral = _contract(scale * sums, integrand.gradient)
     if not return_error:
         return integral
-    truncation = np.abs(sums - 2.0 * _contract(unit[::2], values[::2]))
+    truncation = np.abs(sums - 2.0 * _node_sum(unit[::2], values[::2]))
     rounding = num_points * np.finfo(float).eps * np.abs(values).sum(axis=0)
     error = np.abs(scale) * (4.0 ** (2 - num_points // 2) * truncation + rounding)
     return integral, _contract(error, np.abs(integrand.gradient)).max(axis=(-2, -1))
@@ -456,12 +528,13 @@ def closed_form_trace_contour(chirality: str, hess: HessianData,
     """Closed form of the contour integral of the Hessian-trace term.
 
     Equals ``i alpha tr(A) / (2 |xi'|)`` times the first gradient matrix of
-    ``d1`` — the same value for both contours.
+    ``d1`` — the same value for both contours.  A Hessian stack broadcasts
+    against the covectors.
     """
     ell = _require_boundary(xi_prime)[..., None, None]
     n = _half_length(xi_prime, hess)
-    trace_a = float(np.trace(hess.matrix_a))
-    return 1j * (hess.alpha * trace_a / (2.0 * ell)) * d1_gradient(chirality, n)[0]
+    weight = (hess.alpha * hess.trace)[..., None, None]
+    return 1j * (weight / (2.0 * ell)) * d1_gradient(chirality, n)[0]
 
 
 def closed_form_contact_contour(chirality: str, hess: HessianData,
@@ -469,7 +542,8 @@ def closed_form_contact_contour(chirality: str, hess: HessianData,
     """Closed form of the full order(-2) contour integral on the contact line.
 
     Equals ``-i alpha beta / |xi'|`` times the first gradient matrix of
-    ``d1``; exact as a full matrix for contact-adapted Hessian data.
+    ``d1``; exact as a full matrix for contact-adapted Hessian data.  A
+    Hessian stack broadcasts against the covectors.
     """
     if np.any(perp_norm(xi_prime) != 0.0):
         raise OffContactLineError("closed form only valid on the contact line")
@@ -477,7 +551,8 @@ def closed_form_contact_contour(chirality: str, hess: HessianData,
     ell = abs(np.asarray(xi_prime)[..., n, None, None])
     if np.any(ell == 0.0):
         raise ZeroCovectorError("contact covector must be nonzero")
-    return -1j * (hess.alpha * hess.beta / ell) * d1_gradient(chirality, n)[0]
+    weight = (hess.alpha * hess.beta)[..., None, None]
+    return -1j * (weight / ell) * d1_gradient(chirality, n)[0]
 
 
 def calderon_symbol_minus1(chirality: str, side: int, hess: HessianData,

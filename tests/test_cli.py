@@ -582,28 +582,35 @@ def test_verify_algebra_builds_each_ladder_map_once(capsys, monkeypatch):
 def test_verify_symbols_evaluates_stacks_not_samples(monkeypatch):
     from fockindex import symbols
 
-    calls = []
-    for name in ("d1", "calderon_symbol0", "comparison_symbol0"):
-        def counting(*args, _original=getattr(symbols, name), **kwargs):
-            calls.append(1)
+    calls = {}
+    for name in ("d1", "calderon_symbol0", "comparison_symbol0", "contour_integral"):
+        def counting(*args, _original=getattr(symbols, name), _name=name, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(symbols, name, counting)
     counts = []
-    for samples in (1, 300):
+    for samples, instances in ((1, 1), (300, 5)):
         calls.clear()
-        assert run(RunRequest("verify-symbols", {"n": 2, "samples": samples})).passed
-        counts.append(len(calls))
+        params = {"n": 2, "samples": samples, "quadrature_samples": instances}
+        assert run(RunRequest("verify-symbols", params)).passed
+        counts.append(dict(calls))
     assert counts[0] == counts[1]
+    # two Hessian-trace contours per chirality and side, one order -1 contour
+    # and one contact-line contour per chirality: one stack of instances
+    assert counts[0]["contour_integral"] == 7
 
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_verify_symbols_report_does_not_depend_on_the_stack_size(n, monkeypatch):
-    request = RunRequest("verify-symbols", {"n": n, "samples": 100}, seed=4)
+    request = RunRequest(
+        "verify-symbols", {"n": n, "samples": 100, "quadrature_samples": 9}, seed=4)
     whole = run(request).to_json()
-    # 100 samples in stacks of 7 covectors at n = 2 and of one at n = 3
-    monkeypatch.setattr(cli, "_STACK_ENTRIES", 28)
-    assert run(request).to_json() == whole
+    # 100 samples and 9 quadrature instances in stacks of 7 at n = 2 and of
+    # one at n = 3, then in stacks of one at both
+    for entries in (28, 1):
+        monkeypatch.setattr(cli, "_STACK_ENTRIES", entries)
+        assert run(request).to_json() == whole
 
 
 @pytest.mark.parametrize("entries", [1, 800])

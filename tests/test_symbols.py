@@ -339,6 +339,83 @@ def test_hessian_data_refuses_bad_parts():
             HessianData(alpha, eye, zero)
 
 
+def _hessian_stack(items):
+    return HessianData(np.array([h.alpha for h in items]), np.array([h.a for h in items]),
+                       np.array([h.b for h in items]))
+
+
+def test_a_hessian_stack_refuses_what_its_items_refuse():
+    eye, zero = np.eye(2), np.zeros((2, 2))
+    refused = [
+        (1.0, np.array([[0.0, 1.0], [0.0, 0.0]]), zero),
+        # asymmetric at 1e-10: refused at its own scale, not at the stack's 1e4
+        (1.0, np.array([[0.0, 1e-10], [0.0, 0.0]]), zero),
+        (1.0, eye, np.array([[0.0, 1j], [-1j, 0.0]])),
+        (0.0, eye, zero),
+        (-1.0, eye, zero),
+    ]
+    for alpha, a, b in refused:
+        with pytest.raises(ValueError) as alone:
+            HessianData(alpha, a, b)
+        items = [(1.0, eye, zero), (alpha, a, b), (0.5, 1e4 * eye, zero)]
+        with pytest.raises(ValueError) as stacked:
+            HessianData(*(np.array(part) for part in zip(*items)))
+        assert str(stacked.value) == str(alone.value)
+    with pytest.raises(ValueError, match="alpha of shape"):
+        HessianData(np.ones(3), np.array([eye, eye]), np.array([zero, zero]))
+    stack = _hessian_stack([HessianData.kahler(3)] * 2)
+    xp = np.array([covector(0.0, 1.0, (0.5, 0.0))] * 2)
+    for call in (lambda: trace_term_integrand(EVEN, xp, stack),
+                 lambda: closed_form_trace_contour(EVEN, stack, xp),
+                 lambda: closed_form_contact_contour(EVEN, stack, _contact_ray(2, 1.0)),
+                 lambda: q_symbol(-2, EVEN, xp + 0.3, stack)):
+        with pytest.raises(ValueError, match="Hessian is for n = 3, covector for n = 2"):
+            call()
+    # an integrand's covectors carry the stack's axes, ahead of the nodes
+    with pytest.raises(ValueError, match="stack the covectors too"):
+        trace_term_integrand(EVEN, xp[0], _hessian_stack([HessianData.kahler(2)] * 2))
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_a_hessian_stack_gives_the_values_of_its_items_alone(n):
+    rng = np.random.default_rng(109 + n)
+    items = [HessianData.kahler(n), random_hessian(rng, n, contact_adapted=False),
+             random_hessian(rng, n)]
+    stack = _hessian_stack(items)
+    for name in ("trace", "beta", "contact_adapted"):
+        assert np.array_equal(getattr(stack, name), [getattr(h, name) for h in items])
+    boundary = random_covectors(rng, n, len(items), boundary=True)
+    free = random_covectors(rng, n, len(items))
+    contact = np.array([_contact_ray(n, c) for c in (-1.3, 0.7, 1.9)])
+    for ch in CHIRALITIES:
+        # each value at the stack (index ...) and at one item (index i)
+        values = [
+            lambda h, i: closed_form_trace_contour(ch, h, boundary[i]),
+            lambda h, i: closed_form_contact_contour(ch, h, contact[i]),
+            lambda h, i: calderon_symbol_minus1(ch, -1, h, contact[i]),
+            lambda h, i: q_symbol(-2, ch, free[i], h),
+            # one covector for every item of the stack
+            lambda h, i: q_symbol(-2, ch, free[0], h),
+        ]
+        for side in SIDES:
+            values += [
+                lambda h, i, side=side: contour_integral(
+                    trace_term_integrand(ch, boundary[i], h), side, boundary[i],
+                    return_error=True),
+                lambda h, i, side=side: contour_integral(
+                    q_symbol_integrand(-2, ch, contact[i], h), side, contact[i],
+                    return_error=True),
+            ]
+        for value in values:
+            whole = value(stack, ...)
+            for index, hess in enumerate(items):
+                alone = value(hess, index)
+                if isinstance(alone, tuple):
+                    assert all(np.array_equal(w[index], a) for w, a in zip(whole, alone))
+                else:
+                    assert np.array_equal(whole[index], alone)
+
+
 def _real_form_by_concatenation(a):
     """The real form of a Hermitian matrix, assembled by concatenating its blocks."""
     a0, a1 = a.real, a.imag
