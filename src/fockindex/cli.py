@@ -491,11 +491,6 @@ def _run_verify_symbols(params: dict, seeds: list, checks: tuple):
     quad_samples = params["quadrature_samples"]
     to_even = symbols.boundary_isomorphism(symbols.EVEN, +1, n)
 
-    def hessian_stack(items):
-        return symbols.HessianData(np.array([h.alpha for h in items]),
-                                   np.array([h.a for h in items]),
-                                   np.array([h.b for h in items]))
-
     def relative(errors, estimates, scale=1.0):
         # a stack's worst error and estimate, each relative to its instance's scale
         return _max_abs(abs(errors).max(axis=(-2, -1)) / scale), _max_abs(estimates / scale)
@@ -517,7 +512,7 @@ def _run_verify_symbols(params: dict, seeds: list, checks: tuple):
             draws.append((xp, hess, contact, symbols.random_hessian(rng, n)))
         xp, hess, contact, hess_contact = zip(*draws)
         xp, contact = np.array(xp), np.array(contact)
-        hess, hess_contact = hessian_stack(hess), hessian_stack(hess_contact)
+        hess, hess_contact = map(symbols.HessianData.stack, (hess, hess_contact))
         found = []
         for ch in _CHIRALITIES:
             closed = symbols.closed_form_trace_contour(ch, hess, xp)
