@@ -418,8 +418,10 @@ def _run_verify_algebra(params: dict, seeds: list, checks: tuple):
     yield vacuum, _max_abs(np.concatenate(([0.0], row.data, col.data)))
 
 
-# A covector stack holds at most this many symbol-matrix entries, so the
-# memory of a verify-symbols request does not grow with --samples.
+# A stack of verify-symbols holds at most this many entries of each of its
+# arrays: a covector stack its symbol matrices, a stack of quadrature
+# instances its matrices and its contour nodes.  So the memory of a request
+# grows neither with --samples nor with --quadrature-samples.
 _STACK_ENTRIES = 2**14
 
 
@@ -495,13 +497,19 @@ def _run_verify_symbols(params: dict, seeds: list, checks: tuple):
         # a stack's worst error and estimate, each relative to its instance's scale
         return _max_abs(abs(errors).max(axis=(-2, -1)) / scale), _max_abs(estimates / scale)
 
+    def hessian_stack(items):
+        return symbols.HessianData(*(np.array([getattr(h, name) for h in items])
+                                     for name in ("alpha", "a", "b")))
+
+    # an instance holds its matrices and, per covector, 2n weights at each node
+    quad_stack = max(1, _STACK_ENTRIES // max(dim**2, symbols.QUADRATURE_NODES * 2 * n))
     # errors and their estimates relative to the closed forms, the projector's absolute
     worst_rel = worst_est = 0.0
-    for start in range(0, quad_samples, stack_size):
+    for start in range(0, quad_samples, quad_stack):
         # the instances draw in turn, as one at a time would, so the draws do
         # not depend on the stack size
         draws = []
-        for instance in range(start, min(start + stack_size, quad_samples)):
+        for instance in range(start, min(start + quad_stack, quad_samples)):
             xp = symbols.random_covector(rng, n, boundary=True)
             hess = (
                 symbols.HessianData.kahler(n)
@@ -512,7 +520,7 @@ def _run_verify_symbols(params: dict, seeds: list, checks: tuple):
             draws.append((xp, hess, contact, symbols.random_hessian(rng, n)))
         xp, hess, contact, hess_contact = zip(*draws)
         xp, contact = np.array(xp), np.array(contact)
-        hess, hess_contact = map(symbols.HessianData.stack, (hess, hess_contact))
+        hess, hess_contact = map(hessian_stack, (hess, hess_contact))
         found = []
         for ch in _CHIRALITIES:
             closed = symbols.closed_form_trace_contour(ch, hess, xp)

@@ -309,17 +309,6 @@ class HessianData:
         """Flat model: identity Hermitian part, vanishing symmetric part."""
         return cls(alpha, np.eye(n), np.zeros((n, n)))
 
-    @classmethod
-    def stack(cls, items) -> "HessianData":
-        """The stack of Hessian data ``items`` of one shape, each checked
-        when it was built, so the stack is not checked again."""
-        if len({h.a.shape for h in items}) != 1:
-            raise ValueError("stacked Hessian data must share one shape")
-        out = object.__new__(cls)
-        for name in ("alpha", "a", "b", "matrix_a"):
-            object.__setattr__(out, name, np.array([getattr(h, name) for h in items]))
-        return out
-
 
 def random_covectors(rng, n: int, count: int, boundary: bool = False) -> np.ndarray:
     """A ``(count, 2n)`` stack of seeded covectors with comfortably nonzero norms.

@@ -606,9 +606,10 @@ def test_verify_symbols_report_does_not_depend_on_the_stack_size(n, monkeypatch)
     request = RunRequest(
         "verify-symbols", {"n": n, "samples": 100, "quadrature_samples": 9}, seed=4)
     whole = run(request).to_json()
-    # 100 samples and 9 quadrature instances in stacks of 7 at n = 2 and of
-    # one at n = 3, then in stacks of one at both
-    for entries in (28, 1):
+    # 100 samples and 9 quadrature instances, each in one stack; then the
+    # samples in one stack at n = 2 and in stacks of 32 at n = 3, and the
+    # instances in stacks of 4 and of 2; then all in stacks of one
+    for entries in (512, 1):
         monkeypatch.setattr(cli, "_STACK_ENTRIES", entries)
         assert run(request).to_json() == whole
 
