@@ -601,6 +601,24 @@ def test_verify_symbols_evaluates_stacks_not_samples(monkeypatch):
     assert counts[0]["contour_integral"] == 7
 
 
+def test_verify_symbols_counts_the_contour_nodes_of_a_stack(monkeypatch):
+    from fockindex import symbols
+
+    rows = []
+
+    def recording(integrand, side, xi_prime, _original=symbols.contour_integral, **kwargs):
+        rows.append(len(xi_prime))
+        return _original(integrand, side, xi_prime, **kwargs)
+
+    monkeypatch.setattr(symbols, "contour_integral", recording)
+    # at n = 2 a matrix has 4 entries but an instance 32 nodes of 4 weights:
+    # 512 entries hold 4 instances, so 9 instances take 3 stacks
+    monkeypatch.setattr(cli, "_STACK_ENTRIES", 512)
+    params = {"n": 2, "samples": 10, "quadrature_samples": 9}
+    assert run(RunRequest("verify-symbols", params)).passed
+    assert rows == [4] * 7 + [4] * 7 + [1] * 7
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_verify_symbols_report_does_not_depend_on_the_stack_size(n, monkeypatch):
     request = RunRequest(
