@@ -23,7 +23,7 @@ Parameters are checked before anything is built: a value below its row's
 minimum or not above its strict bound, a float that is not finite, or a
 ``relindex`` rank above ``dim`` is a usage error; a value above its row's
 maximum, or a graded Fock space above ``_MAX_STATES`` states, is rejected
-as too large for the memory budget of a run (about 0.5 GB).
+as too large for the memory budget of a run (0.5 GB of peak RSS).
 
 Exit codes: 0 all checks pass, 1 usage error, 2 admissibility rejection
 (including a request too large to run, a run that exhausts memory anyway,
@@ -116,9 +116,11 @@ _SEED = _Param("seed", int, 0, minimum=0)
 
 # The graded Fock space of verify-algebra and model-invert has
 # 2**v * C(cutoff + v, v) states on v oscillator variables.  A run peaks at
-# about 0.35 KB (verify-algebra) to 1.1 KB (model-invert) per state,
-# measured at 496 128 states (173 and 557 MB), so this many states is about
-# 0.5 GB.  A subcommand's v is its n less the offset here:
+# about 0.37 KB (verify-algebra: 178 MB at 496 128 states) to 0.9 KB
+# (model-invert: 388 MB at 439 296 states, n = 8) per state.  At its largest
+# admitted size for each n from 2 to 10, model-invert peaks at 275 to 420 MB,
+# so this many states stays within 0.5 GB.  A subcommand's v is its n less
+# the offset here:
 _MAX_STATES = 500_000
 _STATE_VARIABLE_OFFSET = {"verify-algebra": 0, "model-invert": 1}
 

@@ -18,17 +18,17 @@ label ``m_j = k_j + [j in s]`` of a graded state ``(k, s)``, and the
 (deformed) rank-one vacuum projector couples only the vacuum with the
 deformation target, so once the vacuum's and the target's label blocks are
 merged every model operator is block-diagonal, with blocks of at most
-``2^(n-1)`` states per sector.  The lowering block and the pseudo-inverses
-of both chiral halves are held as label-block stacks (the dense blocks of
-one shape in one array, with their positions), applied by one batched
-``np.matmul``.  They depend only on ``(n, cutoff, target)`` and are cached
-apart from the two-entry deformed vacuum.  The angle touches only the
-merged vacuum/target block, so what a certificate reads outside it is
-cached once per chirality and theta-free configuration.  A certificate
-then reads the merged block of its model, takes one SVD of it, and solves
-and applies its seeded right-hand sides as stacks of columns; no dense
-sector-sized matrix is formed.  The dense route (``pinv`` and SVD of whole
-sectors) survives only as the test oracle.
+``2^(n-1)`` states per sector.  The lowering block ``L`` and the
+pseudo-inverses of both chiral halves are held as label-block stacks (the
+dense blocks of one shape in one array, with their positions), applied by
+one batched ``np.matmul`` and cached per ``(n, cutoff, target)``.  Outside
+the merged block the model is ``L`` and ``L^H`` times factors beside a
+diagonal, so a certificate never assembles it: it applies the model through
+the stacks of ``L``, builds the merged block from a cached dense block of
+``L`` and the deformed vacuum, takes the smallest singular value outside it
+from the stacks once per chirality and theta-free configuration, and forms
+no dense sector-sized matrix.  The assembled model and the dense route
+(``pinv`` and SVD of whole sectors) survive only as the test oracle.
 """
 
 from __future__ import annotations
@@ -73,10 +73,6 @@ _DEFORMATION_RANK_BOUND = 4
 # A stack of seeded right-hand sides holds at most this many sector entries,
 # so the memory of a certificate does not grow with num_rhs.
 _STACK_ENTRIES = 2**18
-# The model's label blocks outside the merged one are cached if they hold at
-# most this many entries (64 MB); at the largest admitted sizes each
-# certificate takes them anew, so a run holds one chirality's blocks at a time.
-_CACHED_ENTRIES = 2**22
 
 
 @dataclass(frozen=True)
@@ -131,17 +127,12 @@ class BlockOperator:
             return sparse.zeros((self.row_dims[i], self.col_dims[j]))
         return entry
 
-    def entries(self):
-        """Rows, columns and values of each block's entries in the assembled matrix."""
-        for i in range(2):
-            for j in range(2):
-                block = self.block(i, j)
-                yield (block.rows() + (0, self.row_dims[0])[i],
-                       block.indices + (0, self.col_dims[0])[j], block.data)
-
     def matrix(self) -> sparse.CSR:
         """The assembled two-sector matrix."""
-        rows, cols, values = (np.concatenate(part) for part in zip(*self.entries()))
+        parts = [(block.rows() + (0, self.row_dims[0])[i],
+                  block.indices + (0, self.col_dims[0])[j], block.data)
+                 for i, j in np.ndindex(2, 2) for block in [self.block(i, j)]]
+        rows, cols, values = (np.concatenate(part) for part in zip(*parts))
         return sparse.from_triples(rows, cols, values,
                                    (sum(self.row_dims), sum(self.col_dims)))
 
@@ -154,7 +145,8 @@ class _SectorData:
     the vacuum and the deformation target, and ``merged_even`` and
     ``merged_odd`` mark its positions.  ``lower_stacks`` holds the lowering
     block, and ``lower_pinv`` and ``raise_pinv`` the pseudo-inverses of the
-    chiral halves, as label-block stacks.  ``rank_probes`` are the
+    chiral halves, as label-block stacks; ``merged_lower`` is the lowering
+    block's dense block on the merged positions.  ``rank_probes`` are the
     deformation-rank probes, read-only.
     """
 
@@ -177,8 +169,10 @@ class _SectorData:
         self.guard_odd = osc[self.odd_idx] <= cutoff - GUARD
         vac_graded = graded_index(config, vacuum_index(config))
         self.vacuum_pos = int(np.searchsorted(self.even_idx, vac_graded))
+        target = graded_index(config, target)
+        self.target_pos = int(np.searchsorted(self.even_idx, target))
         ids = _label_ids(config)
-        ids[ids == ids[graded_index(config, target)]] = ids[vac_graded]
+        ids[ids == ids[target]] = ids[vac_graded]
         self.merged = ids[vac_graded]
         self.even_ids = ids[self.even_idx]
         self.odd_ids = ids[self.odd_idx]
@@ -187,6 +181,8 @@ class _SectorData:
         lower = self.lower_block
         self.lower_stacks = list(_label_stacks((lower.rows(), lower.indices, lower.data),
                                                self.even_ids, self.odd_ids))
+        self.merged_lower = lower[np.flatnonzero(self.merged_even), :][
+            :, np.flatnonzero(self.merged_odd)].toarray()
         self.lower_pinv = _block_pinv(self.lower_stacks)
         # dirac_plus is exactly self-adjoint: raise_block = lower_block^H
         self.raise_pinv = [(cols, rows, np.ascontiguousarray(stack.conj().transpose(0, 2, 1)))
@@ -206,8 +202,6 @@ class _DeformedVacuum:
         # deformed_szego validates the target and angle
         szego = deformed_szego(config, cfg.theta, cfg.target)
         self.szego_even = szego[sec.even_idx, :][:, sec.even_idx]
-        target = graded_index(config, cfg.target)
-        self.target_pos = int(np.searchsorted(sec.even_idx, target))
         self.cos, self.sin = math.cos(cfg.theta), math.sin(cfg.theta)
 
 
@@ -306,6 +300,16 @@ def _block_product(stacks, x: np.ndarray, size: int) -> np.ndarray:
     return out.T
 
 
+def _factors(chirality: str, cfg: ModelConfig) -> tuple:
+    """The factors ``lower = sign * alpha`` and ``raising = -sign * alpha`` of
+    the model's blocks ``lower * (Id - 2 S) L`` and ``raising * L^H``, and its
+    heavy diagonal ``alpha**2 * (h0 + sign * beta)``; sign is -1 for ``even``.
+    """
+    sign = -1.0 if chirality == EVEN else 1.0
+    heavy = cfg.alpha**2 * (_sectors(cfg).h0_odd + sign * cfg.beta)
+    return sign * cfg.alpha, -sign * cfg.alpha, heavy
+
+
 def build_comparison_model(chirality: str, cfg: ModelConfig) -> BlockOperator:
     """The comparison-operator model, assembled directly.
 
@@ -314,17 +318,10 @@ def build_comparison_model(chirality: str, cfg: ModelConfig) -> BlockOperator:
     """
     _check_parity(chirality, "chirality")
     sec, vac = _sectors(cfg), _vacuum(cfg)
-    alpha, beta = cfg.alpha, cfg.beta
-    mixed = (sec.eye(EVEN) - 2.0 * vac.szego_even) @ (alpha * sec.lower_block)
-    if chirality == EVEN:
-        top_right = -1.0 * mixed
-        bottom_left = alpha * sec.raise_block
-        heavy = alpha**2 * sparse.diagonal(sec.h0_odd - beta)
-    else:
-        top_right = mixed
-        bottom_left = -alpha * sec.raise_block
-        heavy = alpha**2 * sparse.diagonal(sec.h0_odd + beta)
-    blocks = ((vac.szego_even, top_right), (bottom_left, heavy))
+    lower, raising, heavy = _factors(chirality, cfg)
+    top_right = (sec.eye(EVEN) - 2.0 * vac.szego_even) @ (lower * sec.lower_block)
+    blocks = ((vac.szego_even, top_right),
+              (raising * sec.raise_block, sparse.diagonal(heavy)))
     dims = (sec.dim_even, sec.dim_odd)
     return BlockOperator(blocks, dims, dims)
 
@@ -335,12 +332,7 @@ def _check_guarded(sec: _SectorData, a: np.ndarray, b: np.ndarray):
             f"rhs sectors must have lengths {sec.dim_even} and {sec.dim_odd}, "
             f"got {a.shape[0]} and {b.shape[0]}"
         )
-    loose = 0.0
-    if (~sec.guard_even).any():
-        loose = max(loose, np.abs(a[~sec.guard_even]).max())
-    if (~sec.guard_odd).any():
-        loose = max(loose, np.abs(b[~sec.guard_odd]).max())
-    if loose != 0.0:
+    if np.concatenate([a[~sec.guard_even], b[~sec.guard_odd]]).any():
         raise GuardViolationError(
             "rhs has support above oscillator degree cutoff-2; the inverse "
             "formulas are only exact away from the truncation edge"
@@ -355,24 +347,21 @@ def _solve_columns(chirality: str, cfg: ModelConfig, a: np.ndarray, b: np.ndarra
     """
     # building the vacuum refuses a pairing below the floor
     sec, vac = _sectors(cfg), _vacuum(cfg)
-    alpha, beta = cfg.alpha, cfg.beta
-    sign = -1.0 if chirality == EVEN else 1.0
-    vacuum, target = sec.vacuum_pos, vac.target_pos
+    lower, raising, heavy = _factors(chirality, cfg)
+    vacuum, target = sec.vacuum_pos, sec.target_pos
 
     # strip the vacuum component of a, re-aimed along the deformed vacuum,
     # so what remains lies in the range of the lowering block
     w = a.copy()
     w[vacuum] = 0.0
     w[target] -= (vac.sin / vac.cos) * a[vacuum]
-    v = sign * _block_product(sec.lower_pinv, w, sec.dim_odd) / alpha
-
-    heavy = alpha**2 * (sec.h0_odd + sign * beta)
-    u = -sign * _block_product(sec.raise_pinv, b - heavy[:, None] * v, sec.dim_even) / alpha
+    v = _block_product(sec.lower_pinv, w, sec.dim_odd) / lower
+    u = _block_product(sec.raise_pinv, b - heavy[:, None] * v, sec.dim_even) / raising
 
     # the raising block's kernel is the vacuum line; its coefficient pairs the
     # remainder with the deformed vacuum, whatever the target's form degree
     lowered = _block_product(sec.lower_stacks, v, sec.dim_even)
-    remainder = a + sign * alpha * lowered - u
+    remainder = a + lower * lowered - u
     u[vacuum] += (vac.cos * remainder[vacuum] + vac.sin * remainder[target]) / vac.cos
     return u, v
 
@@ -446,81 +435,98 @@ def _rank_probes(sec: _SectorData) -> tuple:
     return a, b
 
 
-def _model_stacks(model: BlockOperator, sec: _SectorData, rows: np.ndarray,
-                  columns: np.ndarray):
-    """The label blocks of the model's ``rows`` by ``columns``, as stacks.
+def _apply_model(chirality: str, cfg: ModelConfig, u: np.ndarray, v: np.ndarray):
+    """The model applied to the stacked columns ``(u, v)`` from the sector data:
+    ``S u + lower (Id - 2 S) L v`` and ``raising L^H u + heavy v``, where ``S``
+    projects on the deformed vacuum ``cos * vacuum + sin * target``."""
+    sec, vac = _sectors(cfg), _vacuum(cfg)
+    lower, raising, heavy = _factors(chirality, cfg)
+    vacuum, target = sec.vacuum_pos, sec.target_pos
+    top = lower * _block_product(sec.lower_stacks, v, sec.dim_even)
+    # S u + (Id - 2 S) x = x + S (u - 2 x) differs from x on two rows only
+    pairing = (vac.cos * (u[vacuum] - 2.0 * top[vacuum])
+               + vac.sin * (u[target] - 2.0 * top[target]))
+    top[vacuum] += vac.cos * pairing
+    top[target] += vac.sin * pairing
+    # L^H u = conj(L^T conj(u)), on transposed views of the lowering stacks
+    transposed = [(cols, rows, stack.transpose(0, 2, 1))
+                  for rows, cols, stack in sec.lower_stacks]
+    adjoint = _block_product(transposed, u.conj(), sec.dim_odd).conj()
+    return top, raising * adjoint + heavy[:, None] * v
 
-    ``rows`` and ``columns`` mark model positions (even sector, then odd),
-    and the stacks give their blocks' rows and columns as model positions.
+
+def _model_blocks(factors: tuple, lower_blocks: np.ndarray, cols: np.ndarray):
+    """The model's label blocks ``[[0, lower L], [raising L^H, diag(heavy)]]``
+    on their even, then odd, positions, for a stack of lowering blocks ``L``
+    on the odd positions ``cols``; outside the merged block they are the model's.
     """
-    ids = np.concatenate([sec.even_ids, sec.odd_ids])
-    row_local, col_local = np.cumsum(rows) - 1, np.cumsum(columns) - 1
-    entries = []
-    for entry_rows, entry_cols, values in model.entries():
-        keep = rows[entry_rows] & columns[entry_cols]
-        if keep.any():
-            entries.append((row_local[entry_rows[keep]], col_local[entry_cols[keep]],
-                            values[keep]))
-    entries = [np.concatenate(part) for part in zip(*entries)]
-    row_at, col_at = np.flatnonzero(rows), np.flatnonzero(columns)
-    for block_rows, block_cols, stack in _label_stacks(entries, ids[rows], ids[columns]):
-        yield row_at[block_rows], col_at[block_cols], stack
+    lower, raising, heavy = factors
+    count, r, c = lower_blocks.shape
+    block = np.zeros((count, r + c, r + c), dtype=complex)
+    block[:, :r, r:] = lower * lower_blocks
+    block[:, r:, :r] = raising * lower_blocks.conj().transpose(0, 2, 1)
+    block[:, r + np.arange(c), r + np.arange(c)] = heavy[cols]
+    return block
 
 
-def _merged_block(model: BlockOperator, sec: _SectorData) -> tuple:
+def _merged_block(chirality: str, cfg: ModelConfig) -> tuple:
     """The model positions of the merged vacuum/target block, and the model's
-    dense block on them, read from the merged rows of each sector block."""
-    picks = np.flatnonzero(sec.merged_even), np.flatnonzero(sec.merged_odd)
-    merged = np.concatenate([picks[0], sec.dim_even + picks[1]])
-    local = np.full(sec.dim_even + sec.dim_odd, -1)
-    local[merged] = np.arange(len(merged))
-    block = np.zeros((len(merged), len(merged)), dtype=complex)
-    for i, j in np.ndindex(2, 2):
-        part = model.block(i, j)[picks[i], :]
-        cols = local[(0, sec.dim_even)[j] + part.indices]
-        assert (cols >= 0).all(), "entry crosses a label block"
-        block[local[(0, sec.dim_even)[i] + picks[i][part.rows()]], cols] = part.data
-    return merged, block
+    dense block on them, built from ``merged_lower`` and the deformed vacuum."""
+    sec, vac = _sectors(cfg), _vacuum(cfg)
+    even, odd = np.flatnonzero(sec.merged_even), np.flatnonzero(sec.merged_odd)
+    block = _model_blocks(_factors(chirality, cfg), sec.merged_lower[None], odd[None])[0]
+    pair = np.searchsorted(even, [sec.vacuum_pos, sec.target_pos])
+    szego = np.outer([vac.cos, vac.sin], [vac.cos, vac.sin])
+    # the pair's rows of Id - 2 S, summed vacuum first (it is the first even
+    # state), as the sparse product of the assembled model sums them
+    reflect, top = np.eye(2) - 2.0 * szego, block[pair, len(even):]
+    block[pair, len(even):] = reflect[:, :1] * top[0] + reflect[:, 1:] * top[1]
+    block[np.ix_(pair, pair)] = szego
+    return np.concatenate([even, sec.dim_even + odd]), block
+
+
+def _outside_floor(chirality: str, cfg: ModelConfig) -> float:
+    """The smallest singular value of the model's guarded columns outside the
+    merged block, read from the lowering stacks; the angle does not enter.
+
+    The members of a lowering stack that share their guarded columns take
+    one SVD per chunk of at most ``_STACK_ENTRIES`` block entries.
+    """
+    sec, factors = _sectors(cfg), _factors(chirality, cfg)
+    unheld = np.concatenate([sec.guard_even & ~sec.merged_even, sec.guard_odd & ~sec.merged_odd])
+    smallest = math.inf
+    for rows, cols, stack in sec.lower_stacks:
+        members = np.flatnonzero(sec.odd_ids[cols[:, 0]] != sec.merged)
+        unheld[rows[members]] = unheld[sec.dim_even + cols[members]] = False
+        guard = np.concatenate([sec.guard_even[rows], sec.guard_odd[cols]], axis=1)
+        members = members[np.lexsort(guard[members].T)]
+        runs = np.flatnonzero(np.diff(guard[members], axis=0).any(axis=1)) + 1
+        chunk = max(1, _STACK_ENTRIES // sum(stack.shape[1:]) ** 2)
+        for run in np.split(members, runs):
+            # the run's guarded columns; an empty run (no members) has none
+            picked = np.flatnonzero(guard[run[:1]].any(axis=0))
+            if not len(picked):
+                continue
+            for group in np.split(run, range(chunk, len(run), chunk)):
+                block = _model_blocks(factors, stack[group], cols[group])[:, :, picked]
+                smallest = min(smallest, float(np.linalg.svd(block, compute_uv=False).min()))
+    assert not unheld.any(), "a guarded state lies outside every lowering block"
+    return smallest
 
 
 class _ThetaFree:
     """What a certificate reads that the deformation angle does not change.
 
     ``plain`` is the zero-angle solve of the deformation-rank probes,
-    read-only.  ``outside`` gives the model outside the merged block.
+    read-only, and ``floor`` the smallest singular value of the model's
+    guarded columns outside the merged block.
     """
 
     def __init__(self, chirality: str, plain: ModelConfig):
         self.plain = _solve_columns(chirality, plain, *_sectors(plain).rank_probes)
         for part in self.plain:
             part.flags.writeable = False  # every caller shares the cached arrays
-        self._floor = self._stacks = None
-
-    def outside(self, model: BlockOperator, sec: _SectorData) -> tuple:
-        """The smallest singular value of the model's guarded columns outside
-        the merged block, and the model's label-block stacks there, taken from
-        the first model asked about (the stacks only if they hold at most
-        ``_CACHED_ENTRIES`` entries).
-
-        Outside the merged rows the rows of ``Id - 2 S`` are exact identity
-        rows, so there a model's entries are the same at every angle, bit for
-        bit.  The even rows keep only their odd columns: the even-even corner
-        is the vacuum projector, which vanishes there.
-        """
-        if self._stacks is not None:
-            return self._floor, self._stacks
-        rest = ~np.concatenate([sec.merged_even, sec.merged_odd])
-        if self._floor is None:
-            guard = np.concatenate([sec.guard_even, sec.guard_odd])
-            stacks = _model_stacks(model, sec, np.ones_like(rest), guard & rest)
-            self._floor = float(min((np.linalg.svd(stack, compute_uv=False).min()
-                                     for _, _, stack in stacks), default=np.inf))
-        even = np.arange(len(rest)) < sec.dim_even
-        stacks = [*_model_stacks(model, sec, rest & even, rest & ~even),
-                  *_model_stacks(model, sec, rest & ~even, rest)]
-        if sum(stack.size for _, _, stack in stacks) <= _CACHED_ENTRIES:
-            self._stacks = stacks
-        return self._floor, stacks
+        self.floor = _outside_floor(chirality, plain)
 
 
 @lru_cache(maxsize=16)
@@ -584,28 +590,21 @@ def certify_invertibility(chirality: str, cfg: ModelConfig, *, num_rhs: int = 16
         # an overflow or a NaN anywhere means the parameters are out of range
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             sec = _sectors(cfg)
-            # the ranks first, so their solves do not share memory with the model
             ranks = deformation_block_ranks(chirality, cfg)
-            model = build_comparison_model(chirality, cfg)
             # injectivity bound: guarded columns, all rows.  (Chopping the rows
             # as well can be exactly singular for n >= 3 because the image of a
             # guarded vector reaches one oscillator degree past the guard.)
-            floor, outside = _theta_free(chirality, cfg).outside(model, sec)
-            merged, block = _merged_block(model, sec)
+            merged, block = _merged_block(chirality, cfg)
             guard = np.concatenate([sec.guard_even, sec.guard_odd])
-            smallest = min(floor, float(
+            smallest = min(_theta_free(chirality, cfg).floor, float(
                 np.linalg.svd(block[:, guard[merged]], compute_uv=False).min()))
-            # the residual applies the model's own label blocks
-            stacks = outside + [(merged[None], merged[None], block[None])]
             rng = np.random.default_rng(seed)
             worst = 0.0
             size = max(1, _STACK_ENTRIES // (sec.dim_even + sec.dim_odd))
             for start in range(0, num_rhs, size):
                 # the draws are guarded and sized by construction
                 a, b = _guarded_draws(rng, sec, min(size, num_rhs - start))
-                u, v = _solve_columns(chirality, cfg, a, b)
-                image = _block_product(stacks, np.concatenate([u, v]), len(guard))
-                ta, tb = image[:sec.dim_even], image[sec.dim_even:]
+                ta, tb = _apply_model(chirality, cfg, *_solve_columns(chirality, cfg, a, b))
                 for k in range(a.shape[1]):
                     da, db = ta[:, k] - a[:, k], tb[:, k] - b[:, k]
                     err = math.sqrt(np.vdot(da, da).real + np.vdot(db, db).real)

@@ -11,6 +11,7 @@ projector models it combines into the comparison model, live here as the
 oracle of the directly assembled model.
 """
 
+import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -48,6 +49,8 @@ ORACLE_SIZES = ((2, 12), (3, 12), (4, 5))
 COMPARISON_ORDERS = ((0, -1), (-1, -2))
 STACK_SIZES = [(2, 12, None), (3, 10, None), (3, 8, GradedBasisIndex((0, 1), (1, 2))),
                (4, 6, None), (5, 4, None), (6, 4, None)]
+# a lowering factor other than one and a heavy shift other than the default n - 1
+SCALED = {"alpha": 0.6, "beta": 2.25}
 
 
 @dataclass(frozen=True)
@@ -549,15 +552,13 @@ def test_label_block_products_match_dense_oracle(n, cutoff, target):
         oracle = _entry_product(entries, cols, size)
         product = models._block_product(stacks, cols, size)
         assert np.abs(product - oracle).max() <= 1e-13 * np.abs(oracle).max()
-    # the residual's stacks: the model outside the merged block, then the merged block
-    for chirality in CHIRALITIES:
-        model = build_comparison_model(chirality, cfg)
-        _, outside = models._theta_free(chirality, cfg).outside(model, sec)
-        merged, block = models._merged_block(model, sec)
-        stacks = outside + [(merged[None], merged[None], block[None])]
-        product = models._block_product(stacks, x, even + odd)
-        entries = [np.concatenate(part) for part in zip(*model.entries())]
-        oracle = _entry_product(entries, x, even + odd)
+    # the residual's model, applied from the sector data, against the assembled one
+    for chirality, theta, scales in itertools.product(CHIRALITIES, (0.0, 0.3, -0.2),
+                                                      ({}, SCALED)):
+        cfg = ModelConfig(n=n, cutoff=cutoff, theta=theta, target=target, **scales)
+        product = np.concatenate(models._apply_model(chirality, cfg, x[:even], x[even:]))
+        model = build_comparison_model(chirality, cfg).matrix()
+        oracle = _entry_product((model.rows(), model.indices, model.data), x, even + odd)
         assert np.abs(product - oracle).max() <= 1e-13 * np.abs(oracle).max()
 
 
@@ -580,33 +581,57 @@ def test_a_column_products_the_same_from_any_layout(n, cutoff, target):
 @pytest.mark.parametrize("theta", [0.3, -0.2])
 @pytest.mark.parametrize("chirality", CHIRALITIES)
 def test_cached_model_blocks_equal_those_of_a_model_at_another_angle(chirality, theta):
+    # the floor a certificate caches, read from the model's label blocks
+    # outside the merged one, is the same bits when taken at another angle
     target = GradedBasisIndex((0, 1), (1, 2))
-    cfg = ModelConfig(n=3, cutoff=8, theta=theta, target=target)
+    cfg = ModelConfig(n=3, cutoff=8, theta=theta, target=target, **SCALED)
     models._theta_free_data.cache_clear()
     certify_invertibility(chirality, cfg, num_rhs=1)
-    sec = models._sectors(cfg)
-    theta_free = models._theta_free(chirality, cfg)
-    cached = theta_free._floor, theta_free._stacks
+    cached = models._theta_free(chirality, cfg).floor
     other = replace(cfg, theta=0.55 if theta < 0 else -0.2)
     models._theta_free_data.cache_clear()
-    fresh = models._theta_free(chirality, other).outside(
-        build_comparison_model(chirality, other), sec)
-    assert cached[0] == fresh[0]
-    assert len(cached[1]) == len(fresh[1]) > 0
-    for got, want in zip(cached[1], fresh[1]):
-        assert all(np.array_equal(part, expected) for part, expected in zip(got, want))
+    assert models._theta_free(chirality, other).floor == cached
+
+
+@pytest.mark.parametrize("entries", [1, 64, 2000])
+@pytest.mark.parametrize("chirality", CHIRALITIES)
+def test_floor_does_not_depend_on_its_chunks(chirality, entries, monkeypatch):
+    cfg = ModelConfig(n=4, cutoff=6, theta=0.3, **SCALED)
+    sec = models._sectors(cfg)
+    ids = np.concatenate([sec.even_ids, sec.odd_ids])
+    guard = np.concatenate([sec.guard_even, sec.guard_odd])
+    merged = np.concatenate([sec.merged_even, sec.merged_odd])
+    # one block per label outside the merged one that holds a guarded state
+    expected = len(np.unique(ids[guard & ~merged]))
+    taken = []
+    blocks = models._model_blocks
+    monkeypatch.setattr(models, "_model_blocks", lambda factors, lower, cols:
+                        taken.append(len(cols)) or blocks(factors, lower, cols))
+    whole = models._outside_floor(chirality, cfg)
+    assert sum(taken) == expected
+    taken.clear()
+    monkeypatch.setattr(models, "_STACK_ENTRIES", entries)
+    assert models._outside_floor(chirality, cfg) == whole
+    assert sum(taken) == expected
 
 
 @pytest.mark.parametrize("chirality", CHIRALITIES)
-def test_uncached_model_blocks_give_the_same_certificate(chirality, monkeypatch):
-    cfg = ModelConfig(n=4, cutoff=6, theta=0.3)
+def test_a_certificate_assembles_no_model(chirality, monkeypatch):
+    target = GradedBasisIndex((0, 1), (1, 2))
+    cfg = ModelConfig(n=3, cutoff=8, theta=0.3, target=target, **SCALED)
     models._theta_free_data.cache_clear()
-    cached = certify_invertibility(chirality, cfg, num_rhs=4, seed=2)
-    monkeypatch.setattr(models, "_CACHED_ENTRIES", 0)
-    models._theta_free_data.cache_clear()
+    expected = certify_invertibility(chirality, cfg, num_rhs=4, seed=2)
+
+    def refuse(*args):
+        raise AssertionError("a certificate assembled the comparison model")
+
+    monkeypatch.setattr(models, "build_comparison_model", refuse)
+    monkeypatch.setattr(sparse.CSR, "__matmul__", refuse)
+    for cache in (models._sector_data, models._vacuum, models._theta_free_data):
+        cache.cache_clear()
+    # cold, then warm
     for _ in range(2):
-        assert certify_invertibility(chirality, cfg, num_rhs=4, seed=2) == cached
-    assert models._theta_free(chirality, cfg)._stacks is None
+        assert certify_invertibility(chirality, cfg, num_rhs=4, seed=2) == expected
 
 
 @pytest.mark.parametrize("entries", [2**18, 2000, 1])
@@ -674,24 +699,32 @@ def test_certificate_does_not_depend_on_the_theta_free_cache(chirality, n, cutof
 @pytest.mark.parametrize("theta", [0.0, 0.3, -0.2])
 @pytest.mark.parametrize("chirality", CHIRALITIES)
 def test_floor_and_merged_block_give_the_smallest_singular_value(chirality, theta, target):
-    cfg = ModelConfig(n=3, cutoff=8, theta=theta, target=target)
-    sec = models._sectors(cfg)
-    model = build_comparison_model(chirality, cfg)
-    guard = np.concatenate([sec.guard_even, sec.guard_odd])
-    models._theta_free_data.cache_clear()
-    floor, _ = models._theta_free(chirality, cfg).outside(model, sec)
-    merged, block = models._merged_block(model, sec)
-    smallest = min(floor, np.linalg.svd(block[:, guard[merged]], compute_uv=False).min())
-    every = np.ones_like(guard)
-    assert smallest == min(np.linalg.svd(stack, compute_uv=False).min()
-                           for _, _, stack in models._model_stacks(model, sec, every, guard))
-    # the same blocks, read from the model's dense matrix
-    full = model.matrix().toarray()
-    assert np.array_equal(block, full[np.ix_(merged, merged)])
-    rest = np.setdiff1d(np.arange(len(guard)), merged)
-    assert not full[np.ix_(merged, rest)].any() and not full[np.ix_(rest, merged)].any()
-    dense = np.linalg.svd(full[:, guard], compute_uv=False)[-1]
-    assert abs(smallest - dense) <= 1e-12 * dense
+    for scales in ({}, SCALED):
+        cfg = ModelConfig(n=3, cutoff=8, theta=theta, target=target, **scales)
+        sec = models._sectors(cfg)
+        full = build_comparison_model(chirality, cfg).matrix().toarray()
+        guard = np.concatenate([sec.guard_even, sec.guard_odd])
+        labels = _merged_labels(cfg)
+        blocks = {}
+        for position, label in enumerate(labels):
+            blocks.setdefault(label, []).append(position)
+        # the merged block is the assembled model's, and uncoupled from the rest
+        merged, block = models._merged_block(chirality, cfg)
+        vacuum = labels[sec.vacuum_pos]
+        assert np.array_equal(merged, blocks.pop(vacuum))
+        assert np.array_equal(block, full[np.ix_(merged, merged)])
+        rest = np.setdiff1d(np.arange(len(guard)), merged)
+        assert not full[np.ix_(merged, rest)].any() and not full[np.ix_(rest, merged)].any()
+        # the floor: the smallest over the other label blocks' guarded columns
+        floor = min(np.linalg.svd(full[np.ix_(rows, [r for r in rows if guard[r]])],
+                                  compute_uv=False).min()
+                    for rows in blocks.values() if guard[rows].any())
+        models._theta_free_data.cache_clear()
+        got = models._theta_free(chirality, cfg).floor
+        assert abs(got - floor) <= 1e-13 * floor
+        smallest = min(got, np.linalg.svd(block[:, guard[merged]], compute_uv=False).min())
+        dense = np.linalg.svd(full[:, guard], compute_uv=False)[-1]
+        assert abs(smallest - dense) <= 1e-12 * dense
 
 
 @pytest.mark.parametrize("target", [GradedBasisIndex((0, 0, 0, 0), (1,)),
