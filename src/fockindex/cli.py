@@ -116,9 +116,9 @@ _SEED = _Param("seed", int, 0, minimum=0)
 
 # The graded Fock space of verify-algebra and model-invert has
 # 2**v * C(cutoff + v, v) states on v oscillator variables.  A run peaks at
-# about 0.37 KB (verify-algebra: 178 MB at 496 128 states) to 0.9 KB
-# (model-invert: 388 MB at 439 296 states, n = 8) per state.  At its largest
-# admitted size for each n from 2 to 10, model-invert peaks at 275 to 420 MB,
+# about 0.36 KB (verify-algebra: 172 MB at 496 128 states) to 0.85 KB
+# (model-invert: 305 MB at 366 080 states, n = 10) per state.  At its largest
+# admitted size for each n from 2 to 10, model-invert peaks at 263 to 392 MB,
 # so this many states stays within 0.5 GB.  A subcommand's v is its n less
 # the offset here:
 _MAX_STATES = 500_000
@@ -237,13 +237,19 @@ def _check_size(subcommand: str, params: dict) -> None:
     if subcommand not in _STATE_VARIABLE_OFFSET:
         return
     num_vars = params["n"] - _STATE_VARIABLE_OFFSET[subcommand]
-    states = math.comb(params["cutoff"] + num_vars, num_vars) << num_vars
-    if states > _MAX_STATES:
-        raise AdmissibilityError(
-            f"n = {params['n']} with cutoff {params['cutoff']} spans {states} "
-            f"graded states, more than {_MAX_STATES} (about 0.5 GB); "
-            "lower n or cutoff"
-        )
+    cutoff = params["cutoff"]
+    # v >= 1 variables span at least 2**v and 2 (cutoff + 1) states
+    if num_vars >= _MAX_STATES.bit_length() or cutoff >= _MAX_STATES:
+        spans = f"more than {_MAX_STATES} graded states"
+    else:
+        states = math.comb(cutoff + num_vars, num_vars) << num_vars
+        if states <= _MAX_STATES:
+            return
+        spans = f"{states} graded states, more than {_MAX_STATES}"
+    raise AdmissibilityError(
+        f"n = {params['n']} with cutoff {cutoff} spans {spans} (about 0.5 GB); "
+        "lower n or cutoff"
+    )
 
 
 @dataclass(frozen=True)

@@ -25,10 +25,13 @@ one batched ``np.matmul`` and cached per ``(n, cutoff, target)``.  Outside
 the merged block the model is ``L`` and ``L^H`` times factors beside a
 diagonal, so a certificate never assembles it: it applies the model through
 the stacks of ``L``, builds the merged block from a cached dense block of
-``L`` and the deformed vacuum, takes the smallest singular value outside it
-from the stacks once per chirality and theta-free configuration, and forms
-no dense sector-sized matrix.  The assembled model and the dense route
-(``pinv`` and SVD of whole sectors) survive only as the test oracle.
+``L`` and the deformed vacuum's amplitudes ``cos(theta)`` and
+``sin(theta)``, takes the smallest singular value outside it from the
+stacks once per chirality and theta-free configuration, and builds no
+sparse matrix and no dense sector-sized one.  Sparse matrices are the
+format of assembly (the lowering block is sliced from ``dirac_plus``) and
+of the test oracle: the assembled model and the dense route (``pinv`` and
+SVD of whole sectors).
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ from .spinors import (
     GradedBasisIndex,
     _check_parity,
     _check_target,
+    _deformed_amplitudes,
     deformed_szego,
     dirac_plus,
     form_subsets,
@@ -144,65 +148,44 @@ class _SectorData:
     ``odd_ids`` per sector position); ``merged`` is the block holding both
     the vacuum and the deformation target, and ``merged_even`` and
     ``merged_odd`` mark its positions.  ``lower_stacks`` holds the lowering
-    block, and ``lower_pinv`` and ``raise_pinv`` the pseudo-inverses of the
-    chiral halves, as label-block stacks; ``merged_lower`` is the lowering
-    block's dense block on the merged positions.  ``rank_probes`` are the
-    deformation-rank probes, read-only.
+    block (even rows, odd columns of ``dirac_plus``), and ``lower_pinv`` and
+    ``raise_pinv`` the pseudo-inverses of the chiral halves, as label-block
+    stacks; ``merged_lower`` is the lowering block's dense block on the
+    merged positions.  ``rank_probes`` are the deformation-rank probes,
+    read-only.  No sparse matrix is kept.
     """
 
     def __init__(self, n: int, cutoff: int, target: GradedBasisIndex):
         config = FockSpaceConfig(n - 1, cutoff)
         # an inadmissible target is refused before anything is built or cached
         _check_target(config, target)
-        self.even_idx = sector_indices(config, EVEN)
-        self.odd_idx = sector_indices(config, ODD)
-        self.dim_even = len(self.even_idx)
-        self.dim_odd = len(self.odd_idx)
-        dirac = dirac_plus(config)
-        self.raise_block = dirac[self.odd_idx, :][:, self.even_idx]
-        self.lower_block = dirac[self.even_idx, :][:, self.odd_idx]
-        nv = config.num_vars
+        even_idx, odd_idx = sector_indices(config, EVEN), sector_indices(config, ODD)
+        self.dim_even, self.dim_odd = len(even_idx), len(odd_idx)
+        lower = dirac_plus(config)[even_idx, :][:, odd_idx]
         osc = graded_osc_degrees(config)
-        self.h0_even = 2.0 * osc[self.even_idx] + nv
-        self.h0_odd = 2.0 * osc[self.odd_idx] + nv
-        self.guard_even = osc[self.even_idx] <= cutoff - GUARD
-        self.guard_odd = osc[self.odd_idx] <= cutoff - GUARD
+        self.h0_odd = 2.0 * osc[odd_idx] + config.num_vars
+        self.guard_even = osc[even_idx] <= cutoff - GUARD
+        self.guard_odd = osc[odd_idx] <= cutoff - GUARD
         vac_graded = graded_index(config, vacuum_index(config))
-        self.vacuum_pos = int(np.searchsorted(self.even_idx, vac_graded))
+        self.vacuum_pos = int(np.searchsorted(even_idx, vac_graded))
         target = graded_index(config, target)
-        self.target_pos = int(np.searchsorted(self.even_idx, target))
+        self.target_pos = int(np.searchsorted(even_idx, target))
         ids = _label_ids(config)
         ids[ids == ids[target]] = ids[vac_graded]
         self.merged = ids[vac_graded]
-        self.even_ids = ids[self.even_idx]
-        self.odd_ids = ids[self.odd_idx]
+        self.even_ids = ids[even_idx]
+        self.odd_ids = ids[odd_idx]
         self.merged_even = self.even_ids == self.merged
         self.merged_odd = self.odd_ids == self.merged
-        lower = self.lower_block
         self.lower_stacks = list(_label_stacks((lower.rows(), lower.indices, lower.data),
                                                self.even_ids, self.odd_ids))
         self.merged_lower = lower[np.flatnonzero(self.merged_even), :][
             :, np.flatnonzero(self.merged_odd)].toarray()
         self.lower_pinv = _block_pinv(self.lower_stacks)
-        # dirac_plus is exactly self-adjoint: raise_block = lower_block^H
+        # dirac_plus is exactly self-adjoint: the raising block is lower^H
         self.raise_pinv = [(cols, rows, np.ascontiguousarray(stack.conj().transpose(0, 2, 1)))
                            for rows, cols, stack in self.lower_pinv]
         self.rank_probes = _rank_probes(self)
-
-    def eye(self, parity: str) -> sparse.CSR:
-        return sparse.diagonal(np.ones(self.dim_even if parity == EVEN else self.dim_odd))
-
-
-class _DeformedVacuum:
-    """The theta-dependent data: the deformed vacuum ``cos * vacuum + sin * target``."""
-
-    def __init__(self, cfg: ModelConfig):
-        config = cfg.fock_config
-        sec = _sectors(cfg)
-        # deformed_szego validates the target and angle
-        szego = deformed_szego(config, cfg.theta, cfg.target)
-        self.szego_even = szego[sec.even_idx, :][:, sec.even_idx]
-        self.cos, self.sin = math.cos(cfg.theta), math.sin(cfg.theta)
 
 
 @lru_cache(maxsize=8)
@@ -212,11 +195,6 @@ def _sector_data(n: int, cutoff: int, target: GradedBasisIndex) -> _SectorData:
 
 def _sectors(cfg: ModelConfig) -> _SectorData:
     return _sector_data(cfg.n, cfg.cutoff, cfg.target)
-
-
-@lru_cache(maxsize=16)
-def _vacuum(cfg: ModelConfig) -> _DeformedVacuum:
-    return _DeformedVacuum(cfg)
 
 
 def _label_ids(config: FockSpaceConfig) -> np.ndarray:
@@ -317,12 +295,16 @@ def build_comparison_model(chirality: str, cfg: ModelConfig) -> BlockOperator:
     and one-sided projector models, blockwise and exactly.
     """
     _check_parity(chirality, "chirality")
-    sec, vac = _sectors(cfg), _vacuum(cfg)
+    config = cfg.fock_config
+    even, odd = sector_indices(config, EVEN), sector_indices(config, ODD)
+    dirac = dirac_plus(config)
+    szego = deformed_szego(config, cfg.theta, cfg.target)[even, :][:, even]
     lower, raising, heavy = _factors(chirality, cfg)
-    top_right = (sec.eye(EVEN) - 2.0 * vac.szego_even) @ (lower * sec.lower_block)
-    blocks = ((vac.szego_even, top_right),
-              (raising * sec.raise_block, sparse.diagonal(heavy)))
-    dims = (sec.dim_even, sec.dim_odd)
+    top_right = ((sparse.diagonal(np.ones(len(even))) - 2.0 * szego)
+                 @ (lower * dirac[even, :][:, odd]))
+    blocks = ((szego, top_right),
+              (raising * dirac[odd, :][:, even], sparse.diagonal(heavy)))
+    dims = (len(even), len(odd))
     return BlockOperator(blocks, dims, dims)
 
 
@@ -345,8 +327,8 @@ def _solve_columns(chirality: str, cfg: ModelConfig, a: np.ndarray, b: np.ndarra
     Every step acts on each column alone, so a column's solution does not
     depend on the stack it comes in.
     """
-    # building the vacuum refuses a pairing below the floor
-    sec, vac = _sectors(cfg), _vacuum(cfg)
+    sec = _sectors(cfg)
+    cos, sin = _deformed_amplitudes(cfg.theta)
     lower, raising, heavy = _factors(chirality, cfg)
     vacuum, target = sec.vacuum_pos, sec.target_pos
 
@@ -354,7 +336,7 @@ def _solve_columns(chirality: str, cfg: ModelConfig, a: np.ndarray, b: np.ndarra
     # so what remains lies in the range of the lowering block
     w = a.copy()
     w[vacuum] = 0.0
-    w[target] -= (vac.sin / vac.cos) * a[vacuum]
+    w[target] -= (sin / cos) * a[vacuum]
     v = _block_product(sec.lower_pinv, w, sec.dim_odd) / lower
     u = _block_product(sec.raise_pinv, b - heavy[:, None] * v, sec.dim_even) / raising
 
@@ -362,7 +344,7 @@ def _solve_columns(chirality: str, cfg: ModelConfig, a: np.ndarray, b: np.ndarra
     # remainder with the deformed vacuum, whatever the target's form degree
     lowered = _block_product(sec.lower_stacks, v, sec.dim_even)
     remainder = a + lower * lowered - u
-    u[vacuum] += (vac.cos * remainder[vacuum] + vac.sin * remainder[target]) / vac.cos
+    u[vacuum] += (cos * remainder[vacuum] + sin * remainder[target]) / cos
     return u, v
 
 
@@ -439,15 +421,16 @@ def _apply_model(chirality: str, cfg: ModelConfig, u: np.ndarray, v: np.ndarray)
     """The model applied to the stacked columns ``(u, v)`` from the sector data:
     ``S u + lower (Id - 2 S) L v`` and ``raising L^H u + heavy v``, where ``S``
     projects on the deformed vacuum ``cos * vacuum + sin * target``."""
-    sec, vac = _sectors(cfg), _vacuum(cfg)
+    sec = _sectors(cfg)
+    cos, sin = _deformed_amplitudes(cfg.theta)
     lower, raising, heavy = _factors(chirality, cfg)
     vacuum, target = sec.vacuum_pos, sec.target_pos
     top = lower * _block_product(sec.lower_stacks, v, sec.dim_even)
     # S u + (Id - 2 S) x = x + S (u - 2 x) differs from x on two rows only
-    pairing = (vac.cos * (u[vacuum] - 2.0 * top[vacuum])
-               + vac.sin * (u[target] - 2.0 * top[target]))
-    top[vacuum] += vac.cos * pairing
-    top[target] += vac.sin * pairing
+    pairing = (cos * (u[vacuum] - 2.0 * top[vacuum])
+               + sin * (u[target] - 2.0 * top[target]))
+    top[vacuum] += cos * pairing
+    top[target] += sin * pairing
     # L^H u = conj(L^T conj(u)), on transposed views of the lowering stacks
     transposed = [(cols, rows, stack.transpose(0, 2, 1))
                   for rows, cols, stack in sec.lower_stacks]
@@ -471,12 +454,14 @@ def _model_blocks(factors: tuple, lower_blocks: np.ndarray, cols: np.ndarray):
 
 def _merged_block(chirality: str, cfg: ModelConfig) -> tuple:
     """The model positions of the merged vacuum/target block, and the model's
-    dense block on them, built from ``merged_lower`` and the deformed vacuum."""
-    sec, vac = _sectors(cfg), _vacuum(cfg)
+    dense block on them, built from ``merged_lower`` and the deformed vacuum's
+    two amplitudes."""
+    sec = _sectors(cfg)
+    amplitudes = _deformed_amplitudes(cfg.theta)
     even, odd = np.flatnonzero(sec.merged_even), np.flatnonzero(sec.merged_odd)
     block = _model_blocks(_factors(chirality, cfg), sec.merged_lower[None], odd[None])[0]
     pair = np.searchsorted(even, [sec.vacuum_pos, sec.target_pos])
-    szego = np.outer([vac.cos, vac.sin], [vac.cos, vac.sin])
+    szego = np.outer(amplitudes, amplitudes)
     # the pair's rows of Id - 2 S, summed vacuum first (it is the first even
     # state), as the sparse product of the assembled model sums them
     reflect, top = np.eye(2) - 2.0 * szego, block[pair, len(even):]
@@ -535,7 +520,8 @@ def _theta_free_data(chirality: str, plain: ModelConfig) -> _ThetaFree:
 
 
 def _theta_free(chirality: str, cfg: ModelConfig) -> _ThetaFree:
-    return _theta_free_data(chirality, replace(cfg, theta=0.0))
+    # neither the zero-angle solve nor the floor reads the angle or tol
+    return _theta_free_data(chirality, replace(cfg, theta=0.0, tol=ModelConfig.tol))
 
 
 def deformation_block_ranks(chirality: str, cfg: ModelConfig) -> list:

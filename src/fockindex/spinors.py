@@ -165,23 +165,28 @@ def _check_target(config: FockSpaceConfig, target: GradedBasisIndex):
         raise ValueError("deformation target must differ from the vacuum")
 
 
+def _deformed_amplitudes(theta: float) -> tuple:
+    """``(cos(theta), sin(theta))``, refusing a pairing below ``PAIRING_FLOOR``."""
+    cos = math.cos(theta)
+    if abs(cos) < PAIRING_FLOOR:
+        raise PairingFloorError(f"vacuum pairing |cos(theta)| = {abs(cos):.3e} below "
+                                f"floor {PAIRING_FLOOR}")
+    return cos, math.sin(theta)
+
+
 def deformed_szego(config: FockSpaceConfig, theta: float,
                    target: GradedBasisIndex) -> CSR:
     """Rank-one projection onto cos(theta) * vacuum + sin(theta) * target.
 
     The target must be a basis state of even form degree distinct from the
     vacuum; the deformation is admissible only while the overlap with the
-    vacuum stays above ``PAIRING_FLOOR``.
+    vacuum stays above ``PAIRING_FLOOR``.  Only the assembled comparison
+    model reads this matrix; the solver and certificate read the amplitudes.
     """
     _check_target(config, target)
-    pairing = abs(math.cos(theta))
-    if pairing < PAIRING_FLOOR:
-        raise PairingFloorError(
-            f"vacuum pairing |cos(theta)| = {pairing:.3e} below floor {PAIRING_FLOOR}"
-        )
+    amps = np.array(_deformed_amplitudes(theta))
     # the projector's only nonzeros sit on the vacuum and target coordinates
     coords = [graded_index(config, vacuum_index(config)), graded_index(config, target)]
-    amps = np.array([math.cos(theta), math.sin(theta)])
     dim = graded_dimension(config)
     values = np.outer(amps, amps).ravel()
     keep = values != 0

@@ -269,6 +269,24 @@ def test_oversized_requests_are_rejected_with_a_hint(args, message, capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["verify-algebra", "--n", "20000", "--cutoff", "4"], "n = 20000 with cutoff 4"),
+        (["model-invert", "--n", "20000", "--cutoff", "4"], "n = 20000 with cutoff 4"),
+        (["model-invert", "--cutoff", "9" * 3001], f"n = 2 with cutoff {'9' * 3001}"),
+    ],
+    ids=["verify-algebra-n", "model-invert-n", "model-invert-cutoff"],
+)
+def test_huge_requests_are_rejected_without_counting_their_states(args, message, capsys):
+    # the exact count would have thousands of digits, past Python's limit
+    # for converting an integer to text
+    code, out, err = _invoke(args, capsys)
+    assert (code, out) == (2, "")
+    assert err == (f"rejected: {message} spans more than 500000 graded states "
+                   "(about 0.5 GB); lower n or cutoff\n")
+
+
 def test_linear_algebra_failure_exits_two_without_numpy_text(capsys, monkeypatch):
     import numpy as np
 

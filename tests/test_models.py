@@ -35,6 +35,7 @@ from fockindex.spinors import (
     ODD,
     GradedBasisIndex,
     _check_parity,
+    deformed_szego,
     dirac_plus,
     graded_basis,
     graded_form_degrees,
@@ -146,22 +147,23 @@ def build_calderon_model(chirality: str, complement: bool, cfg: ModelConfig) -> 
     coupled operator, negated in the complement.
     """
     _check_parity(chirality, "chirality")
-    sec = models._sectors(cfg)
+    config, even_idx, odd_idx, osc = _sector_helpers(cfg)
+    dirac = dirac_plus(config)
     alpha, beta = cfg.alpha, cfg.beta
     sign = -1.0 if complement else 1.0
     shift = beta if complement else -beta
-    up = sign * alpha * sec.raise_block
-    down = sign * alpha * sec.lower_block
+    up = sign * alpha * dirac[odd_idx, :][:, even_idx]
+    down = sign * alpha * dirac[even_idx, :][:, odd_idx]
     heavy_parity = ODD if (chirality == EVEN) != complement else EVEN
-    h0 = sec.h0_odd if heavy_parity == ODD else sec.h0_even
+    h0 = 2.0 * osc[odd_idx if heavy_parity == ODD else even_idx] + config.num_vars
     heavy = alpha**2 * sparse.diagonal(h0 + shift)
     if heavy_parity == ODD:
-        blocks = ((sec.eye(EVEN), down), (up, heavy))
+        blocks = ((_identity(even_idx), down), (up, heavy))
         orders = ((0, -1), (-1, -2))
     else:
-        blocks = ((heavy, down), (up, sec.eye(ODD)))
+        blocks = ((heavy, down), (up, _identity(odd_idx)))
         orders = ((-2, -1), (-1, 0))
-    dims = (sec.dim_even, sec.dim_odd)
+    dims = (len(even_idx), len(odd_idx))
     return GradedOperator(blocks, dims, dims, orders)
 
 
@@ -172,13 +174,14 @@ def build_boundary_model(chirality: str, cfg: ModelConfig) -> GradedOperator:
     sector; odd chirality is its exact block complement.
     """
     _check_parity(chirality, "chirality")
-    sec, vac = models._sectors(cfg), models._vacuum(cfg)
-    dims = (sec.dim_even, sec.dim_odd)
+    config, even_idx, odd_idx, _ = _sector_helpers(cfg)
+    szego = deformed_szego(config, cfg.theta, cfg.target)[even_idx, :][:, even_idx]
+    dims = (len(even_idx), len(odd_idx))
     if chirality == EVEN:
-        blocks = ((vac.szego_even, None), (None, sec.eye(ODD)))
+        blocks = ((szego, None), (None, _identity(odd_idx)))
         orders = ((0, None), (None, 0))
     else:
-        blocks = ((sec.eye(EVEN) - vac.szego_even, None), (None, None))
+        blocks = ((_identity(even_idx) - szego, None), (None, None))
         orders = ((0, None), (None, None))
     return GradedOperator(blocks, dims, dims, orders)
 
@@ -187,6 +190,11 @@ def _declared_comparison_model(chirality, cfg):
     """The directly assembled comparison model, with its declared orders."""
     model = build_comparison_model(chirality, cfg)
     return GradedOperator(model.blocks, model.row_dims, model.col_dims, COMPARISON_ORDERS)
+
+
+def _identity(positions):
+    """The sparse identity on a sector."""
+    return sparse.diagonal(np.ones(len(positions)))
 
 
 def _sector_helpers(cfg):
@@ -543,7 +551,8 @@ def test_label_block_products_match_dense_oracle(n, cutoff, target):
     even, odd = sec.dim_even, sec.dim_odd
     rng = np.random.default_rng(n)
     x = rng.normal(size=(even + odd, 5)) + 1j * rng.normal(size=(even + odd, 5))
-    lower = sec.lower_block
+    config, even_idx, odd_idx, _ = _sector_helpers(cfg)
+    lower = dirac_plus(config)[even_idx, :][:, odd_idx]
     for stacks, entries, cols, size in (
         (sec.lower_stacks, (lower.rows(), lower.indices, lower.data), x[:odd], even),
         (sec.lower_pinv, _stack_entries(sec.lower_pinv), x[:even], odd),
@@ -627,11 +636,44 @@ def test_a_certificate_assembles_no_model(chirality, monkeypatch):
 
     monkeypatch.setattr(models, "build_comparison_model", refuse)
     monkeypatch.setattr(sparse.CSR, "__matmul__", refuse)
-    for cache in (models._sector_data, models._vacuum, models._theta_free_data):
+    for cache in (models._sector_data, models._theta_free_data):
         cache.cache_clear()
     # cold, then warm
     for _ in range(2):
         assert certify_invertibility(chirality, cfg, num_rhs=4, seed=2) == expected
+
+
+def test_a_warm_certificate_builds_no_sparse_matrix(monkeypatch):
+    target = GradedBasisIndex((0, 1), (1, 2))
+    cfg = ModelConfig(n=3, cutoff=8, theta=0.3, target=target, **SCALED)
+    for chirality in CHIRALITIES:
+        certify_invertibility(chirality, cfg, num_rhs=4, seed=2)
+    assert not any(isinstance(value, sparse.CSR) for value in vars(models._sectors(cfg)).values())
+    fresh = replace(cfg, theta=-0.45)
+
+    def refuse(*args):
+        raise AssertionError("a warm certificate built a sparse matrix")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(sparse, "from_triples", refuse)
+        for method in ("__init__", "__getitem__", "__matmul__"):
+            patched.setattr(sparse.CSR, method, refuse)
+        got = [certify_invertibility(chirality, fresh, num_rhs=4, seed=2)
+               for chirality in CHIRALITIES]
+    assert got == [certify_invertibility(chirality, fresh, num_rhs=4, seed=2)
+                   for chirality in CHIRALITIES]
+
+
+def test_the_theta_free_cache_is_shared_across_angles_and_tolerances():
+    cfg = ModelConfig(n=3, cutoff=8, theta=0.3)
+    models._theta_free_data.cache_clear()
+    reports = [certify_invertibility(EVEN, replace(cfg, theta=theta, tol=tol), num_rhs=2)
+               for theta, tol in ((0.3, 1e-9), (0.3, 1e-6), (-0.2, 1e-12))]
+    info = models._theta_free_data.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
+    models._theta_free_data.cache_clear()
+    assert certify_invertibility(EVEN, replace(cfg, theta=-0.2, tol=1e-12),
+                                 num_rhs=2) == reports[-1]
 
 
 @pytest.mark.parametrize("entries", [2**18, 2000, 1])
