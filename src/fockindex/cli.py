@@ -39,7 +39,7 @@ import math
 import sys
 import time
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from . import topo
 from .errors import AdmissibilityError
@@ -71,8 +71,9 @@ class _Param(NamedTuple):
 # pass.  The other minimums are the library's own preconditions (a cutoff
 # leaves room for the two-level guard band); each maximum keeps a request
 # within about 0.5 GB, measured as peak RSS: verify-symbols at n = 7 peaks
-# at 44 MB (n = 8: 61 MB), relindex at dim 1024 at 0.43 GB, and toeplitz
-# at window 1024, which forms no dense matrix, at 28 MB.
+# at 44 MB (n = 8: 61 MB), relindex at dim 1024 at 0.44 GB (20 trials; a
+# stack there holds one trial), and toeplitz at window 1024, which forms no
+# dense matrix, at 28 MB.
 _PARAMS = {
     "verify-algebra": (
         _Param("n", int, 2, minimum=1, help="number of oscillator variables"),
@@ -116,10 +117,11 @@ _SEED = _Param("seed", int, 0, minimum=0)
 
 # The graded Fock space of verify-algebra and model-invert has
 # 2**v * C(cutoff + v, v) states on v oscillator variables.  A run peaks at
-# about 0.36 KB (verify-algebra: 172 MB at 496 128 states) to 0.85 KB
+# about 0.51 KB (verify-algebra: 255 MB at 496 128 states, n = 5) to 0.85 KB
 # (model-invert: 305 MB at 366 080 states, n = 10) per state.  At its largest
-# admitted size for each n from 2 to 10, model-invert peaks at 263 to 392 MB,
-# so this many states stays within 0.5 GB.  A subcommand's v is its n less
+# admitted size for each n from 1 to 9, verify-algebra peaks at 138 to
+# 255 MB, and for each n from 2 to 10 model-invert at 263 to 392 MB, so this
+# many states stays within 0.5 GB.  A subcommand's v is its n less
 # the offset here:
 _MAX_STATES = 500_000
 _STATE_VARIABLE_OFFSET = {"verify-algebra": 0, "model-invert": 1}
@@ -138,7 +140,8 @@ class _Check(NamedTuple):
     subcommand: str
     name: str
     anchor: str
-    tolerance: float | str  # bound on the error, or the param that holds it
+    # bound on the error, the param that holds it, or its function of the params
+    tolerance: float | str | Callable[[dict], float]
     sampled: bool = False  # draws from its own child of the request seed
 
 
@@ -148,15 +151,34 @@ _INVERSE = (
 )
 _FILLING = "descriptor admissibility"
 
+_EPS = 2.0**-52  # float64 machine epsilon, spelled out so the CLI loads no numpy
+
+
+def _rounding_bound(largest_entry):
+    """The bound max(1e-12, 4 eps x) for an identity whose largest expected
+    entry is x = ``largest_entry(params)``.
+
+    The ladder entries grow like the square root of the cutoff, so the
+    rounding of their products grows like the cutoff; at small sizes the
+    fixed floor governs, as before.
+    """
+    return lambda params: max(1e-12, 4 * _EPS * largest_entry(params))
+
+
 _CHECKS = (
+    # the largest entries: 2 k_j of a ladder product, 2|k| + n of the
+    # oscillator, and 2|k| + 2|s| of the square, for |k| <= cutoff
     _Check("verify-algebra", "ladder-commutators",
-           "pairwise commutators of raising and lowering maps are scalar", 1e-12),
+           "pairwise commutators of raising and lowering maps are scalar",
+           _rounding_bound(lambda params: 2 * params["cutoff"])),
     _Check("verify-algebra", "ladder-adjointness",
            "lowering map is the exact adjoint of the raising map", 0.0),
     _Check("verify-algebra", "oscillator-factorization",
-           "oscillator from ladder products in both orders", 1e-12),
+           "oscillator from ladder products in both orders",
+           _rounding_bound(lambda params: 2 * params["cutoff"] + params["n"])),
     _Check("verify-algebra", "square-diagonal",
-           "squared chiral operator is diagonal in the total degree", 1e-12),
+           "squared chiral operator is diagonal in the total degree",
+           _rounding_bound(lambda params: 2 * (params["cutoff"] + params["n"]))),
     _Check("verify-algebra", "vacuum-annihilation",
            "vacuum row and column of the chiral blocks vanish identically", 0.0),
     _Check("verify-symbols", "gradient-factorization",
@@ -355,6 +377,8 @@ def _record(params: dict, check: _Check, error, details=None, verdict=True) -> d
         tolerance = check.tolerance
         if isinstance(tolerance, str):
             tolerance = params[tolerance]
+        elif callable(tolerance):
+            tolerance = tolerance(params)
         status = "pass" if verdict and error <= tolerance else "fail"
     return {
         "name": check.name,
@@ -426,10 +450,12 @@ def _run_verify_algebra(params: dict, seeds: list, checks: tuple):
     yield vacuum, _max_abs(np.concatenate(([0.0], row.data, col.data)))
 
 
-# A stack of verify-symbols holds at most this many entries of each of its
-# arrays: a covector stack its symbol matrices, a stack of quadrature
-# instances its matrices and its contour nodes.  So the memory of a request
-# grows neither with --samples nor with --quadrature-samples.
+# A stack holds at most this many entries of each of its arrays: in
+# verify-symbols a covector stack its symbol matrices, and a stack of
+# quadrature instances its matrices and its contour nodes; in relindex a
+# stack of trials its dim x dim matrices (at least one trial).  So the
+# memory of a request grows neither with --samples, --quadrature-samples
+# nor --trials.
 _STACK_ENTRIES = 2**14
 
 
@@ -600,44 +626,77 @@ def _run_relindex(params: dict, seeds: list, checks: tuple):
     agreement, logarithmic, invariance = checks
     dim, trials = params["dim"], params["trials"]
     details = {"trials": trials, "dimension": dim}
+    # a stack holds at most _STACK_ENTRIES entries of each of its matrices
+    stack_size = max(1, _STACK_ENTRIES // dim**2)
 
-    rng = np.random.default_rng(seeds[0])
-    mismatches = 0
-    for _ in range(trials):
-        p = pairs.random_projector(rng, dim, _draw_rank(rng, dim, params["rank_p"]))
-        r = pairs.random_projector(rng, dim, _draw_rank(rng, dim, params["rank_r"]))
-        pair = pairs.ProjectorPair.from_projectors(p, r)
-        expected = pairs.relative_index_rank(p, r)
-        agree = (
-            pairs.kernel_index(p, r) == expected
-            and pairs.relative_index_trace(pair).index == expected
-            and pairs.kernel_index(p.complement(), r.complement()) == -expected
-        )
-        mismatches += 0 if agree else 1
-    yield agreement, float(mismatches), details
+    def stacks(seed, noise=False):
+        # a stack's trials draw in turn, as one at a time would (the rank,
+        # then P, then R, then the noise), so the draws do not depend on the
+        # stack size.  Yields the drawn pairs, except where the noise is drawn
+        # (that check reads the matrices alone), and the stacks of P, R and
+        # the noise.
+        rng = np.random.default_rng(seed)
+        for start in range(0, trials, stack_size):
+            count = min(stack_size, trials - start)
+            drawn = []
+            matrices = np.empty((2, count, dim, dim), dtype=complex)
+            smoothing = np.empty((count, dim, dim), dtype=complex) if noise else None
+            for k in range(count):
+                pair = [pairs.random_projector(rng, dim, _draw_rank(rng, dim, params[name]))
+                        for name in ("rank_p", "rank_r")]
+                for side, projector in enumerate(pair):
+                    matrices[side, k] = projector.matrix
+                if noise:
+                    smoothing[k] = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+                else:
+                    drawn.append(pair)
+            yield drawn, matrices[0], matrices[1], smoothing
 
-    rng = np.random.default_rng(seeds[1])
-    mismatches = 0
-    for _ in range(trials):
-        p = pairs.random_projector(rng, dim, _draw_rank(rng, dim, None))
-        q = pairs.random_projector(rng, dim, _draw_rank(rng, dim, None))
-        r = pairs.random_projector(rng, dim, _draw_rank(rng, dim, None))
-        if not pairs.logarithmic_property(p, q, r)["consistent"]:
-            mismatches += 1
-    yield logarithmic, float(mismatches), details
+    def trace_indices(p, r, t, u):
+        return pairs._trace_index(p, r, pairs._remainder(t, u), pairs._remainder(u, t)).index
 
-    rng = np.random.default_rng(seeds[2])
-    mismatches = 0
-    for _ in range(trials):
-        p = pairs.random_projector(rng, dim, _draw_rank(rng, dim, params["rank_p"]))
-        r = pairs.random_projector(rng, dim, _draw_rank(rng, dim, params["rank_r"]))
-        pair = pairs.ProjectorPair.from_projectors(p, r)
-        base = pairs.relative_index_trace(pair)
-        noise = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        perturbed = pair.with_smoothing(noise)
-        if pairs.relative_index_trace(perturbed).index != base.index:
-            mismatches += 1
-    yield invariance, float(mismatches), details
+    # each check counts its mismatches in a function of its own, so what a
+    # check holds is freed before the next one draws
+    def agreement_mismatches():
+        mismatches = 0
+        for drawn, p, r, _ in stacks(seeds[0]):
+            expected = pairs._trace_rank(p) - pairs._trace_rank(r)
+            t = pairs._comparison_matrix(p, r)
+            traced = trace_indices(p, r, t, pairs._truncated_pinv(t))
+            for (one_p, one_r), want, got in zip(drawn, expected, traced):
+                agree = (
+                    pairs.kernel_index(one_p, one_r) == want
+                    and got == want
+                    and pairs.kernel_index(one_p.complement(), one_r.complement()) == -want
+                )
+                mismatches += 0 if agree else 1
+        return mismatches
+
+    def logarithmic_mismatches():
+        # the kernel route's overlaps differ in shape from trial to trial
+        rng = np.random.default_rng(seeds[1])
+        mismatches = 0
+        for _ in range(trials):
+            p = pairs.random_projector(rng, dim, _draw_rank(rng, dim, None))
+            q = pairs.random_projector(rng, dim, _draw_rank(rng, dim, None))
+            r = pairs.random_projector(rng, dim, _draw_rank(rng, dim, None))
+            if not pairs.logarithmic_property(p, q, r)["consistent"]:
+                mismatches += 1
+        return mismatches
+
+    def invariance_mismatches():
+        mismatches = 0
+        for _, p, r, noise in stacks(seeds[2], noise=True):
+            t = pairs._comparison_matrix(p, r)
+            u = pairs._truncated_pinv(t)
+            # the smoothing perturbs the parametrix only: T is reused
+            base = trace_indices(p, r, t, u)
+            mismatches += int(np.count_nonzero(trace_indices(p, r, t, u + noise) != base))
+        return mismatches
+
+    yield agreement, float(agreement_mismatches()), details
+    yield logarithmic, float(logarithmic_mismatches()), details
+    yield invariance, float(invariance_mismatches()), details
 
 
 def _run_toeplitz(params: dict, seeds: list, checks: tuple):

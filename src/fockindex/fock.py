@@ -94,22 +94,29 @@ def _basis_array(num_vars: int, cutoff: int) -> np.ndarray:
     return out
 
 
+def _radix_codes(digits: np.ndarray, radix: int) -> np.ndarray:
+    """The base-``radix`` numbers whose digits, most significant first, are
+    the rows of ``digits``; every digit must lie below ``radix``.
+
+    Numeric order of the codes is lexicographic order of the rows.  Codes
+    that would overflow int64 are kept as Python integers.
+    """
+    width = digits.shape[1]
+    dtype = np.int64 if radix**width <= np.iinfo(np.int64).max else object
+    weights = np.array([radix**p for p in range(width - 1, -1, -1)], dtype=dtype)
+    return digits.astype(dtype) @ weights
+
+
 @lru_cache(maxsize=None)
 def _basis_codes(num_vars: int, cutoff: int) -> np.ndarray:
     """Strictly increasing integer codes of the graded-lex basis (read-only).
 
     The state ``k`` of degree ``d`` gets the base-``cutoff + 1`` number with
     digits ``(d, k_1, ..., k_num_vars)``.  Every digit is at most the cutoff,
-    so numeric order is graded-lex order.  Codes that would overflow int64
-    are kept as Python integers.
+    so numeric order is graded-lex order.
     """
-    radix = cutoff + 1
-    fits = radix ** (num_vars + 1) <= np.iinfo(np.int64).max
-    dtype = np.int64 if fits else object
     basis = _basis_array(num_vars, cutoff)
-    digits = np.column_stack([basis.sum(axis=1), basis]).astype(dtype)
-    weights = np.array([radix**p for p in range(num_vars, -1, -1)], dtype=dtype)
-    codes = digits @ weights
+    codes = _radix_codes(np.column_stack([basis.sum(axis=1), basis]), cutoff + 1)
     assert np.all(codes[1:] > codes[:-1]), "basis codes must increase"
     codes.setflags(write=False)
     return codes

@@ -13,8 +13,9 @@ degree ``cutoff - 2`` or lower so the formulas never touch the truncation
 edge; there the explicit solution is exact and pseudo-inverses recover the
 unique preimages orthogonal to the kernels.
 
-The sector data is split by conserved labels.  ``dirac_plus`` keeps each
-label ``m_j = k_j + [j in s]`` of a graded state ``(k, s)``, and the
+The sector data is split by conserved labels, read from the label map of
+:mod:`fockindex.spinors`.  ``dirac_plus`` keeps each label
+``m_j = k_j + [j in s]`` of a graded state ``(k, s)``, and the
 (deformed) rank-one vacuum projector couples only the vacuum with the
 deformation target, so once the vacuum's and the target's label blocks are
 merged every model operator is block-diagonal, with blocks of at most
@@ -44,7 +45,7 @@ import numpy as np
 
 from . import sparse
 from .errors import GuardViolationError, PairingFloorError
-from .fock import GUARD, FockSpaceConfig, multi_indices
+from .fock import GUARD, FockSpaceConfig
 from .spinors import (
     EVEN,
     ODD,
@@ -52,9 +53,10 @@ from .spinors import (
     _check_parity,
     _check_target,
     _deformed_amplitudes,
+    _label_ids,
+    _label_stacks,
     deformed_szego,
     dirac_plus,
-    form_subsets,
     graded_index,
     graded_osc_degrees,
     sector_indices,
@@ -197,63 +199,6 @@ def _sectors(cfg: ModelConfig) -> _SectorData:
     return _sector_data(cfg.n, cfg.cutoff, cfg.target)
 
 
-def _label_ids(config: FockSpaceConfig) -> np.ndarray:
-    """Label block id of every graded state, in enumeration order.
-
-    The label of ``(k, s)`` is ``m_j = k_j + [j in s]``; ``dirac_plus``
-    conserves it.
-    """
-    nv = config.num_vars
-    osc = np.array(multi_indices(config), dtype=int).reshape(-1, nv)
-    member = np.array(
-        [[j in s for j in range(1, nv + 1)] for s in form_subsets(nv)], dtype=int
-    )
-    labels = (osc[:, None, :] + member[None, :, :]).reshape(-1, nv)
-    return np.unique(labels, axis=0, return_inverse=True)[1].reshape(-1)
-
-
-def _group(ids: np.ndarray, num: int):
-    """Positions sorted by block, block starts and sizes, and local offsets."""
-    order = np.argsort(ids, kind="stable")
-    count = np.bincount(ids, minlength=num)
-    start = np.cumsum(count) - count
-    local = np.empty(len(ids), dtype=int)
-    local[order] = np.arange(len(ids)) - start[ids[order]]
-    return order, start, count, local
-
-
-def _label_stacks(entries, row_ids: np.ndarray, col_ids: np.ndarray):
-    """The label blocks of a block-diagonal sparse matrix, stacked by shape.
-
-    ``entries`` holds the rows, columns and values of the matrix's entries,
-    and ``row_ids`` and ``col_ids`` give the block of every row and column.
-    Yields ``(rows, cols, stack)`` for each block shape with columns:
-    ``stack[g]`` is the dense block at rows ``rows[g]`` and columns
-    ``cols[g]`` of the matrix.
-    """
-    entry_rows, entry_cols, values = entries
-    blocks = row_ids[entry_rows]
-    assert np.array_equal(blocks, col_ids[entry_cols]), "entry crosses a label block"
-    num = int(max(row_ids.max(initial=-1), col_ids.max(initial=-1))) + 1
-    row_order, row_start, row_count, row_local = _group(row_ids, num)
-    col_order, col_start, col_count, col_local = _group(col_ids, num)
-    shape_key = row_count * (col_count.max() + 1) + col_count
-    keys = np.sort(shape_key[col_count > 0])  # np.unique(keys) would load numpy.ma
-    for key in keys[np.diff(keys, prepend=-1) != 0]:
-        members = np.flatnonzero(shape_key == key)
-        r, c = int(row_count[members[0]]), int(col_count[members[0]])
-        slot = np.full(num, -1)
-        slot[members] = np.arange(len(members))
-        pick = slot[blocks] >= 0
-        stack = np.zeros((len(members), r, c), dtype=values.dtype)
-        stack[
-            slot[blocks[pick]], row_local[entry_rows[pick]], col_local[entry_cols[pick]]
-        ] = values[pick]
-        rows = row_order[row_start[members, None] + np.arange(r)]
-        cols = col_order[col_start[members, None] + np.arange(c)]
-        yield rows, cols, stack
-
-
 def _block_pinv(stacks) -> list:
     """The pseudo-inverse of a matrix held as label-block stacks, as stacks.
 
@@ -380,11 +325,19 @@ def _guarded_draws(rng, sec: _SectorData, count: int) -> tuple:
     b = real_b + 1j * imag_b
     a[:, ~sec.guard_even] = 0.0
     b[:, ~sec.guard_odd] = 0.0
-    for k in range(count):
-        scale = math.sqrt(np.vdot(a[k], a[k]).real + np.vdot(b[k], b[k]).real)
-        a[k] /= scale
-        b[k] /= scale
+    scale = np.sqrt(_squared_norms(a) + _squared_norms(b))[:, None]
+    a /= scale
+    b /= scale
     return a.T, b.T
+
+
+def _squared_norms(rows: np.ndarray) -> np.ndarray:
+    """The squared norm of each row of a C-contiguous complex array.
+
+    numpy's own pairwise sum of each row, which does not depend on the other
+    rows or on the BLAS thread count, as a threaded ``np.vdot`` does.
+    """
+    return (rows.real**2 + rows.imag**2).sum(axis=1)
 
 
 def random_guarded_rhs(rng, cfg: ModelConfig) -> tuple:
@@ -591,14 +544,14 @@ def certify_invertibility(chirality: str, cfg: ModelConfig, *, num_rhs: int = 16
                 # the draws are guarded and sized by construction
                 a, b = _guarded_draws(rng, sec, min(size, num_rhs - start))
                 ta, tb = _apply_model(chirality, cfg, *_solve_columns(chirality, cfg, a, b))
-                for k in range(a.shape[1]):
-                    da, db = ta[:, k] - a[:, k], tb[:, k] - b[:, k]
-                    err = math.sqrt(np.vdot(da, da).real + np.vdot(db, db).real)
-                    worst = max(worst, err)
-                    # the SVD and np.vdot run in LAPACK and BLAS, out of
-                    # np.errstate's reach, and max() drops a NaN
-                    if not (math.isfinite(err) and math.isfinite(smallest)):
-                        raise FloatingPointError
+                # one contiguous row per column, so its sum does not depend on the stack
+                err = np.sqrt(_squared_norms(np.ascontiguousarray((ta - a).T))
+                              + _squared_norms(np.ascontiguousarray((tb - b).T)))
+                # the SVD runs in LAPACK, out of np.errstate's reach, and
+                # max() drops a NaN
+                if not (np.isfinite(err).all() and math.isfinite(smallest)):
+                    raise FloatingPointError
+                worst = max(worst, float(err.max()))
     except (PairingFloorError, GuardViolationError) as exc:
         return {"passed": False, "error": str(exc)}
     except (FloatingPointError, OverflowError):

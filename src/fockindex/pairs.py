@@ -12,12 +12,15 @@ A projector is held as orthonormal bases of its four subspaces, taken from
 the one factorisation that made it, and its complement swaps them.  The
 kernel route then needs one SVD of the small overlap coimage(R)* image(P),
 whose singular values are cosines of principal angles, and none for two
-coordinate projectors.  The trace route stays dense: a pair holds T and its
-parametrix U, and derives K1 = I - TU and K2 = I - UT when first read.
+coordinate projectors.  The trace and rank routes are dense, and their
+helpers broadcast over leading axes: a pair holds T and its parametrix U and
+derives K1 = I - TU and K2 = I - UT when first read, and the relindex runner
+evaluates the dense routes of its trials as stacks of matrices.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -78,19 +81,24 @@ def _rank_with_gap(matrix: np.ndarray, context: str) -> int:
     return _gap_checked_rank(np.linalg.svd(matrix, compute_uv=False), context)
 
 
+def _adjoint(matrix: np.ndarray) -> np.ndarray:
+    """The conjugate transpose of each matrix over the last two axes."""
+    return np.swapaxes(matrix.conj(), -1, -2)
+
+
 def _truncated_pinv(matrix: np.ndarray) -> np.ndarray:
-    """Pseudo-inverse with an absolute singular-value cutoff.
+    """Pseudo-inverse with an absolute singular-value cutoff, over leading axes.
 
     numpy's rcond is relative to the largest singular value, which would
     happily invert a matrix made of pure rounding noise (every entry tiny);
     an absolute cutoff keeps the parametrix of a numerically-zero
-    comparison operator at zero instead.
+    comparison operator at zero instead.  A stack takes one stacked SVD.
     """
     u, svals, vh = np.linalg.svd(matrix)
     keep = svals > _RANK_THRESHOLD
     inverted = np.zeros_like(svals)
     inverted[keep] = 1.0 / svals[keep]
-    return (vh.conj().T * inverted) @ u.conj().T
+    return (_adjoint(vh) * inverted[..., None, :]) @ _adjoint(u)
 
 
 def _idempotency_tolerance(m: np.ndarray) -> float:
@@ -103,8 +111,9 @@ def _idempotency_tolerance(m: np.ndarray) -> float:
     norm at most one, so for it the fixed floor governs below dimension
     4500; only oblique projectors with large entries get a wider gate.
     """
-    rows = np.linalg.norm(m, axis=1).max(initial=0.0)
-    columns = np.linalg.norm(m, axis=0).max(initial=0.0)
+    squared = m.real**2 + m.imag**2
+    rows = math.sqrt(squared.sum(axis=1).max(initial=0.0))
+    columns = math.sqrt(squared.sum(axis=0).max(initial=0.0))
     return max(_IDEMPOTENT_TOL, m.shape[0] * _EPS * rows * columns)
 
 
@@ -226,8 +235,14 @@ def _check_same_space(*projectors: Projector) -> None:
 
 
 def _comparison_matrix(p: np.ndarray, r: np.ndarray) -> np.ndarray:
-    eye = np.eye(p.shape[0])
+    """T = RP + (I - R)(I - P), over leading axes."""
+    eye = np.eye(p.shape[-1])
     return r @ p + (eye - r) @ (eye - p)
+
+
+def _remainder(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """I - ab, over leading axes: K1 is ``_remainder(T, U)``, K2 ``_remainder(U, T)``."""
+    return np.eye(a.shape[-1]) - a @ b
 
 
 @dataclass(frozen=True)
@@ -267,11 +282,11 @@ class ProjectorPair:
 
     @cached_property
     def k1(self) -> np.ndarray:
-        return np.eye(self.dimension) - self.comparison @ self.parametrix
+        return _remainder(self.comparison, self.parametrix)
 
     @cached_property
     def k2(self) -> np.ndarray:
-        return np.eye(self.dimension) - self.parametrix @ self.comparison
+        return _remainder(self.parametrix, self.comparison)
 
     @property
     def dimension(self) -> int:
@@ -320,34 +335,50 @@ def relative_index_trace(pair: ProjectorPair) -> TraceIndex:
     """Relative index through the parametrix remainder traces.
 
     The raw value Tr(P K2 P) - Tr(R K1 R) must round to an integer within
-    1e-6; anything else signals an invalid parametrix.  P and R are
-    idempotent, so Tr(P K P) = Tr(K P P) = Tr(K P), the sum of the entries
-    of K * P^T: each trace is one elementwise sum, and no product is formed.
+    1e-6; anything else signals an invalid parametrix.
     """
-    p, r = pair.p.matrix, pair.r.matrix
-    raw = float((pair.k2 * p.T).sum().real - (pair.k1 * r.T).sum().real)
+    index, raw = _trace_index(pair.p.matrix, pair.r.matrix, pair.k1, pair.k2)
+    return TraceIndex(int(index), float(raw))
+
+
+def _trace_index(p, r, k1, k2) -> TraceIndex:
+    """The trace route over leading axes: the rounded and the raw
+    Tr(P K2 P) - Tr(R K1 R), from the matrices of P and R and the remainders.
+
+    P and R are idempotent, so Tr(P K P) = Tr(K P P) = Tr(K P), the sum of
+    the entries of K * P^T: each trace is one elementwise sum, and no
+    product is formed.
+    """
+    raw = ((k2 * np.swapaxes(p, -1, -2)).sum(axis=(-2, -1)).real
+           - (k1 * np.swapaxes(r, -1, -2)).sum(axis=(-2, -1)).real)
     return TraceIndex(_nearest_integer(raw, "trace formula value"), raw)
 
 
-def _nearest_integer(value: float, what: str) -> int:
-    nearest = round(value)
-    if abs(value - nearest) > _INTEGRALITY_TOL:
+def _nearest_integer(value, what: str) -> np.ndarray:
+    """The nearest integers to an array of values, each of which must lie
+    within ``_INTEGRALITY_TOL`` of it."""
+    nearest = np.rint(value)
+    away = np.abs(value - nearest)
+    refused = ~(away <= _INTEGRALITY_TOL)  # a NaN is refused too
+    if refused.any():
+        first = np.flatnonzero(refused)[0]
         raise NonIntegerTraceError(
-            f"{what} {value!r} is {abs(value - nearest):.3e} away "
-            "from the nearest integer"
+            f"{what} {float(np.ravel(value)[first])!r} is "
+            f"{np.ravel(away)[first]:.3e} away from the nearest integer"
         )
-    return nearest
+    return nearest.astype(int)
 
 
-def _trace_rank(projector: Projector) -> int:
-    """The rounded trace of the dense matrix: an idempotent's trace is its rank."""
-    return _nearest_integer(float(np.trace(projector.matrix).real), "projector trace")
+def _trace_rank(matrix: np.ndarray) -> np.ndarray:
+    """The rounded traces of idempotent matrices, over leading axes: an
+    idempotent's trace is its rank."""
+    return _nearest_integer(np.trace(matrix, axis1=-2, axis2=-1).real, "projector trace")
 
 
 def relative_index_rank(p: Projector, r: Projector) -> int:
     """Dense oracle: rank P minus rank R, each the trace of its matrix."""
     _check_same_space(p, r)
-    return _trace_rank(p) - _trace_rank(r)
+    return int(_trace_rank(p.matrix) - _trace_rank(r.matrix))
 
 
 def logarithmic_property(p: Projector, q: Projector, r: Projector) -> dict:
@@ -452,8 +483,8 @@ def random_projector(rng, dimension: int, rank: int, *, self_adjoint: bool = Tru
         raise AdmissibilityError(
             f"rank {rank} out of range for dimension {dimension}"
         )
-    real = rng.normal(size=(dimension, dimension))
-    imag = rng.normal(size=(dimension, dimension))
+    # one call draws the numbers of two, real part first
+    real, imag = rng.normal(size=(2, dimension, dimension))
     q, _ = np.linalg.qr(real[:, :rank] + 1j * imag[:, :rank], mode="complete")
     image = q[:, :rank]
     gram = image.conj().T @ image

@@ -662,6 +662,52 @@ def test_model_invert_report_does_not_depend_on_the_stack_size(entries, monkeypa
     assert run(request).to_json() == whole
 
 
+@pytest.mark.parametrize("entries", [1, 800])
+def test_relindex_report_does_not_depend_on_the_stack_size(entries, monkeypatch):
+    from fockindex import pairs
+
+    traced = []
+
+    def recording(*args, _original=pairs._trace_index):
+        found = _original(*args)
+        traced.extend(zip(found.index.tolist(), found.raw.tolist()))
+        return found
+
+    monkeypatch.setattr(pairs, "_trace_index", recording)
+    requests = [RunRequest("relindex", {"dim": 8, "trials": 30}, seed=6),
+                RunRequest("relindex", {"dim": 8, "trials": 7, "rank_p": 8, "rank_r": 0}, seed=2)]
+    whole = [run(request).to_json() for request in requests]
+    every_trial = list(traced)
+    # 256 trials of dim 8 in a stack, then stacks of 12, or one at a time:
+    # the reports, and each trial's trace index and raw trace, are the same
+    # (the invariance check's base and perturbed stacks interleave by stack)
+    traced.clear()
+    monkeypatch.setattr(cli, "_STACK_ENTRIES", entries)
+    assert [run(request).to_json() for request in requests] == whole
+    assert sorted(traced) == sorted(every_trial)
+
+
+def test_verify_algebra_passes_at_the_cap_edge(capsys):
+    # one variable at the largest admitted cutoff: the ladder products'
+    # rounding there is about 1e-10, which the scaled bounds admit
+    code, out, _ = _invoke(["verify-algebra", "--n", "1", "--cutoff", "249999"], capsys)
+    assert code == 0
+    assert all(check["status"] == "pass" for check in json.loads(out)["checks"])
+
+
+def test_verify_algebra_bounds_keep_their_floor():
+    rows = [check for check in cli._CHECKS
+            if check.subcommand == "verify-algebra" and callable(check.tolerance)]
+    assert [row.name for row in rows] == [
+        "ladder-commutators", "oscillator-factorization", "square-diagonal"]
+    # the README size and the largest admitted cutoff for each n from 2 to 9
+    floored = [(2, 16), (2, 498), (3, 70), (4, 26), (5, 15), (6, 9), (7, 7), (8, 5), (9, 4)]
+    for n, cutoff in floored:
+        assert all(row.tolerance({"n": n, "cutoff": cutoff}) == 1e-12 for row in rows)
+    widened = [row.tolerance({"n": 1, "cutoff": 249999}) for row in rows]
+    assert widened == [4 * 2.0**-52 * entry for entry in (499998, 499999, 500000)]
+
+
 def _assert_matches(actual, expected, where="report"):
     """Equal payloads: same keys in the same order, floats to 1e-12."""
     if isinstance(expected, float) and isinstance(actual, float):

@@ -106,6 +106,14 @@ def test_model_invert_does_not_load_numpy_ma():
     assert "numpy.ma" not in loaded
 
 
+def test_verify_algebra_loads_neither_models_nor_numpy_ma():
+    # the label map of the square identity lives in spinors
+    argv = ["verify-algebra", "--n", "3", "--cutoff", "8", "--seed", "7"]
+    loaded = _modules_after(_main_code(argv))
+    assert "fockindex.spinors" in loaded
+    assert not loaded & {"fockindex.models", "numpy.ma"}
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -12,7 +12,11 @@ oracle of the directly assembled model.
 """
 
 import itertools
+import os
+import subprocess
+import sys
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -872,3 +876,28 @@ def test_certificate_matches_dense_oracle(chirality, n, cutoff, theta):
     smallest = np.linalg.svd(full[:, guard], compute_uv=False)[-1]
     assert abs(report["smallest_singular_value"] - smallest) <= 1e-12 * smallest
     assert report["deformation_block_ranks"] == _whole_difference_ranks(chirality, cfg)
+
+
+_CERTIFY_HEX = """
+from fockindex.models import ModelConfig, certify_invertibility
+cfg = ModelConfig(n=2, cutoff=10000, theta=0.3)
+for chirality in ("even", "odd"):
+    report = certify_invertibility(chirality, cfg, num_rhs=2, seed=1)
+    print(report["residual_max"].hex(), report["smallest_singular_value"].hex())
+"""
+
+
+def test_a_certificate_does_not_depend_on_the_blas_thread_count():
+    # at n = 2, cutoff 10000 a sector holds 10001 states, the smallest count
+    # past OpenBLAS's threading threshold for a complex dot product (10000),
+    # where a threaded np.vdot would sum in another order on two threads
+    src = str(Path(models.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        path = [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(path))
+        outputs.append(subprocess.run([sys.executable, "-c", _CERTIFY_HEX], env=env,
+                                      capture_output=True, text=True, check=True).stdout)
+    assert len(outputs[0].split()) == 4
+    assert outputs[0] == outputs[1]

@@ -35,10 +35,14 @@ from fockindex.pairs import (
 )
 from fockindex.pairs import (
     _IDEMPOTENT_TOL,
+    _comparison_matrix,
     _gap_checked_rank,
     _idempotency_tolerance,
     _rank_with_gap,
+    _remainder,
     _restricted_kernel_dims,
+    _trace_index,
+    _trace_rank,
     _truncated_pinv,
 )
 
@@ -610,3 +614,49 @@ def test_idempotency_gate_keeps_its_floor_at_small_dimension(draw):
             np.random.default_rng(seed), dim, rank, self_adjoint=self_adjoint
         )
         assert _idempotency_tolerance(p.matrix) == _IDEMPOTENT_TOL
+
+
+# a stack of pairs on one space: each side's rank (0, full or drawn) and
+# whether it is oblique
+_stacked_draws = st.tuples(st.integers(1, 40), st.integers(1, 5)).flatmap(
+    lambda sizes: st.tuples(
+        st.just(sizes[0]),
+        st.lists(
+            st.tuples(
+                *[st.one_of(st.just(0), st.just(sizes[0]), st.integers(0, sizes[0]))] * 2,
+                st.booleans(),
+                st.booleans(),
+            ),
+            min_size=sizes[1],
+            max_size=sizes[1],
+        ),
+        st.integers(0, 2**32 - 1),
+    )
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(draw=_stacked_draws)
+def test_stacked_dense_routes_equal_the_single_pair_routes(draw):
+    dim, sides, seed = draw
+    rng = np.random.default_rng(seed)
+    drawn = [
+        (random_projector(rng, dim, rank_p, self_adjoint=not oblique_p),
+         random_projector(rng, dim, rank_r, self_adjoint=not oblique_r))
+        for rank_p, rank_r, oblique_p, oblique_r in sides
+    ]
+    p = np.array([one_p.matrix for one_p, _ in drawn])
+    r = np.array([one_r.matrix for _, one_r in drawn])
+    ranks = _trace_rank(p) - _trace_rank(r)
+    t = _comparison_matrix(p, r)
+    u = _truncated_pinv(t)
+    traced = _trace_index(p, r, _remainder(t, u), _remainder(u, t))
+    for k, (one_p, one_r) in enumerate(drawn):
+        assert ranks[k] == relative_index_rank(one_p, one_r)
+        pair = ProjectorPair.from_projectors(one_p, one_r)
+        # the public route is a stack of one: the same bits
+        assert np.array_equal(t[k], pair.comparison)
+        assert np.array_equal(u[k], pair.parametrix)
+        single = relative_index_trace(pair)
+        assert traced.index[k] == single.index == ranks[k]
+        assert traced.raw[k] == single.raw

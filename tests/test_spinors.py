@@ -11,9 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fockindex import sparse
+from fockindex import sparse, spinors
 from fockindex.errors import PairingFloorError
-from fockindex.fock import FockSpaceConfig
+from fockindex.fock import FockSpaceConfig, _radix_codes, max_abs_on_guard, multi_indices
+from fockindex.sparse import _distinct
 from fockindex.spinors import (
     EVEN,
     ODD,
@@ -156,24 +157,96 @@ def test_square_identity_oracle_diagonal():
     assert np.max(np.abs(sq[:, mask] - expected[:, mask])) <= 1e-12
 
 
+def _sparse_square_residual(d, config):
+    """The oracle: the guarded columns of the sparse ``d @ d`` minus the diagonal."""
+    expected = 2.0 * graded_osc_degrees(config) + 2.0 * graded_form_degrees(config)
+    diff = d @ d - sparse.diagonal(expected)
+    return max_abs_on_guard(diff, config, mask=graded_guard_mask(config))
+
+
+def _rounding_gap(d):
+    """A bound on how far two summation orders of an entry of ``d @ d`` can
+    differ: each entry sums at most ``width`` products of at most ``top``."""
+    width = int(np.diff(d.indptr).max())
+    top = float(np.abs(d.data).max()) ** 2
+    return 4 * width**2 * np.finfo(float).eps * top
+
+
+def _scrambled(d, seed):
+    """The values of ``d`` times complex Gaussians: the same pattern, whose
+    off-diagonal sums do not cancel."""
+    rng = np.random.default_rng(seed)
+    values = (rng.normal(size=d.nnz) + 1j * rng.normal(size=d.nnz)) * d.data
+    return sparse.CSR(values, d.indices, d.indptr, d.shape)
+
+
 @pytest.mark.parametrize("nv, cutoff", [(1, 4), (1, 13), (2, 9), (3, 6), (4, 5)])
 def test_square_residual_matches_scipy(nv, cutoff):
-    # the residual read from scipy's d @ d - diag, to the bit, also for
-    # values of d (same pattern) whose off-diagonal sums do not cancel
+    # the sparse oracle reads scipy's d @ d - diag to the bit, also for
+    # values of d (same pattern) whose off-diagonal sums do not cancel; the
+    # label blocks sum each entry in another order, so they match it to
+    # rounding
     sp = pytest.importorskip("scipy.sparse")
     config = FockSpaceConfig(nv, cutoff)
     d = dirac_plus(config)
-    rng = np.random.default_rng(nv * 100 + cutoff)
-    values = (rng.normal(size=d.nnz) + 1j * rng.normal(size=d.nnz)) * d.data
-    scrambled = sparse.CSR(values, d.indices, d.indptr, d.shape)
+    scrambled = _scrambled(d, nv * 100 + cutoff)
     expected = 2.0 * graded_osc_degrees(config) + 2.0 * graded_form_degrees(config)
     guarded = np.flatnonzero(graded_guard_mask(config))
     for matrix in (d, scrambled):
         m = sp.csr_matrix((matrix.data, matrix.indices, matrix.indptr), shape=matrix.shape)
         square = (m @ m - sp.diags(expected.astype(np.complex128))).tocsr()
         oracle = float(np.abs(square[:, guarded].data).max())
-        assert square_identity_residual(matrix, config) == oracle
+        assert _sparse_square_residual(matrix, config) == oracle
+        gap = abs(square_identity_residual(matrix, config) - oracle)
+        assert gap <= _rounding_gap(matrix)
     assert square_identity_residual(scrambled, config) > 1.0
+
+
+@pytest.mark.parametrize("nv, cutoffs", [(1, (4, 9, 40, 700)), (2, (4, 7, 16, 31)),
+                                         (3, (4, 6, 11, 20)), (4, (4, 5, 9, 12))])
+def test_block_square_identity_matches_the_sparse_oracle(nv, cutoffs, monkeypatch):
+    for cutoff in cutoffs:
+        config = FockSpaceConfig(nv, cutoff)
+        d = dirac_plus(config)
+        for matrix in (d, _scrambled(d, cutoff)):
+            blocks = square_identity_residual(matrix, config)
+            assert abs(blocks - _sparse_square_residual(matrix, config)) <= _rounding_gap(matrix)
+            # a block squares alone in a matmul, so the chunks change no bit
+            with monkeypatch.context() as patch:
+                patch.setattr(spinors, "_SQUARE_ENTRIES", 1)
+                assert square_identity_residual(matrix, config) == blocks
+
+
+def _unique_label_ids(config):
+    """The label ids as ``np.unique`` numbers the label rows."""
+    nv = config.num_vars
+    osc = np.array(multi_indices(config), dtype=int).reshape(-1, nv)
+    member = np.array(
+        [[j in s for j in range(1, nv + 1)] for s in form_subsets(nv)], dtype=int
+    )
+    labels = (osc[:, None, :] + member[None, :, :]).reshape(-1, nv)
+    return np.unique(labels, axis=0, return_inverse=True)[1].reshape(-1)
+
+
+@pytest.mark.parametrize("nv, cutoff", [(1, 4), (1, 50), (2, 9), (3, 20), (4, 6), (5, 8),
+                                        (6, 4), (8, 4)])
+def test_label_codes_number_the_labels_as_unique_does(nv, cutoff):
+    config = FockSpaceConfig(nv, cutoff)
+    assert np.array_equal(spinors._label_ids(config), _unique_label_ids(config))
+
+
+@pytest.mark.parametrize("radix, dtype", [(2**21 - 1, np.int64), (2**21, object)])
+def test_label_codes_at_the_overflow_guard(radix, dtype):
+    # three digits: the largest radix whose codes fit int64, and the first
+    # whose codes are Python integers
+    rng = np.random.default_rng(radix)
+    digits = rng.integers(radix - 3, radix, size=(400, 3))
+    digits[::7] = radix - 1  # repeated rows holding the largest code
+    codes = _radix_codes(digits, radix)
+    assert codes.dtype == dtype
+    assert max(codes) == radix**3 - 1
+    ids = _distinct(codes)[1]
+    assert np.array_equal(ids, np.unique(digits, axis=0, return_inverse=True)[1].reshape(-1))
 
 
 @pytest.mark.parametrize("nv, cutoff", [(1, 6), (2, 5), (3, 4)])
