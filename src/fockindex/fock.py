@@ -82,11 +82,6 @@ def _basis(num_vars: int, cutoff: int) -> tuple[tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=None)
-def _index_map(num_vars: int, cutoff: int) -> dict:
-    return {k: i for i, k in enumerate(_basis(num_vars, cutoff))}
-
-
-@lru_cache(maxsize=None)
 def _basis_array(num_vars: int, cutoff: int) -> np.ndarray:
     """The basis as a read-only ``(dimension, num_vars)`` integer array."""
     out = np.array(_basis(num_vars, cutoff), dtype=np.int64).reshape(-1, num_vars)
@@ -129,15 +124,15 @@ def multi_indices(config: FockSpaceConfig) -> tuple[tuple[int, ...], ...]:
 
 def basis_index(config: FockSpaceConfig, index: tuple[int, ...]) -> int:
     """Position of a multi-index in the enumeration; rejects invalid indices."""
-    key = tuple(int(m) for m in index)
+    key = [int(m) for m in index]
     if len(key) != config.num_vars or any(m < 0 for m in key):
         raise ValueError(f"invalid multi-index {index} for {config.num_vars} variables")
-    try:
-        return _index_map(config.num_vars, config.cutoff)[key]
-    except KeyError:
-        raise ValueError(
-            f"multi-index {index} exceeds cutoff {config.cutoff}"
-        ) from None
+    degree = sum(key)
+    if degree > config.cutoff:
+        raise ValueError(f"multi-index {index} exceeds cutoff {config.cutoff}")
+    # every digit of a state within the cutoff is at most the cutoff
+    code = _radix_codes(np.array([[degree] + key]), config.cutoff + 1)[0]
+    return int(np.searchsorted(_basis_codes(config.num_vars, config.cutoff), code))
 
 
 def degrees(config: FockSpaceConfig) -> np.ndarray:

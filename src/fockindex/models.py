@@ -43,7 +43,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import sparse
+from . import sparse, spinors
 from .errors import GuardViolationError, PairingFloorError
 from .fock import GUARD, FockSpaceConfig
 from .spinors import (
@@ -76,9 +76,6 @@ __all__ = [
 _RANK_CUTOFF = 1e-8
 _PINV_CUTOFF = 1e-10
 _DEFORMATION_RANK_BOUND = 4
-# A stack of seeded right-hand sides holds at most this many sector entries,
-# so the memory of a certificate does not grow with num_rhs.
-_STACK_ENTRIES = 2**18
 
 
 @dataclass(frozen=True)
@@ -428,7 +425,7 @@ def _outside_floor(chirality: str, cfg: ModelConfig) -> float:
     merged block, read from the lowering stacks; the angle does not enter.
 
     The members of a lowering stack that share their guarded columns take
-    one SVD per chunk of at most ``_STACK_ENTRIES`` block entries.
+    one SVD per chunk of at most ``spinors._STACK_ENTRIES`` block entries.
     """
     sec, factors = _sectors(cfg), _factors(chirality, cfg)
     unheld = np.concatenate([sec.guard_even & ~sec.merged_even, sec.guard_odd & ~sec.merged_odd])
@@ -439,7 +436,7 @@ def _outside_floor(chirality: str, cfg: ModelConfig) -> float:
         guard = np.concatenate([sec.guard_even[rows], sec.guard_odd[cols]], axis=1)
         members = members[np.lexsort(guard[members].T)]
         runs = np.flatnonzero(np.diff(guard[members], axis=0).any(axis=1)) + 1
-        chunk = max(1, _STACK_ENTRIES // sum(stack.shape[1:]) ** 2)
+        chunk = max(1, spinors._STACK_ENTRIES // sum(stack.shape[1:]) ** 2)
         for run in np.split(members, runs):
             # the run's guarded columns; an empty run (no members) has none
             picked = np.flatnonzero(guard[run[:1]].any(axis=0))
@@ -539,7 +536,7 @@ def certify_invertibility(chirality: str, cfg: ModelConfig, *, num_rhs: int = 16
                 np.linalg.svd(block[:, guard[merged]], compute_uv=False).min()))
             rng = np.random.default_rng(seed)
             worst = 0.0
-            size = max(1, _STACK_ENTRIES // (sec.dim_even + sec.dim_odd))
+            size = max(1, spinors._STACK_ENTRIES // (sec.dim_even + sec.dim_odd))
             for start in range(0, num_rhs, size):
                 # the draws are guarded and sized by construction
                 a, b = _guarded_draws(rng, sec, min(size, num_rhs - start))

@@ -27,6 +27,12 @@ One storage order differs: a sum lists each row's columns in increasing
 order, while scipy keeps its first-touch order when an operand's rows are
 not sorted, as a product's are not.  The values agree; a later ``@`` by
 such a sum may add its rows in another order than scipy.
+
+Each sum and each product is one pass over the whole matrices: a sum holds
+the entries of both operands at once, and a product every (row, middle,
+column) path it adds.  The state cap of the command line bounds both; the
+ladder maps store at most one entry per row, so a product of them expands
+at most one path per row.
 """
 
 from __future__ import annotations
@@ -34,11 +40,6 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = ["CSR", "from_triples", "diagonal", "zeros"]
-
-# A product expands at most this many (row, middle, column) paths at once;
-# a sum works on blocks of rows holding at most this many entries.
-_PRODUCT_PATHS = 1 << 19
-_BLOCK_ENTRIES = 1 << 18
 
 
 class CSR:
@@ -59,11 +60,9 @@ class CSR:
     def nnz(self) -> int:
         return len(self.data)
 
-    def rows(self, start: int = 0, stop: int | None = None) -> np.ndarray:
-        """The row of every entry stored in rows ``start:stop``."""
-        stop = self.shape[0] if stop is None else stop
-        counts = self.indptr[start + 1:stop + 1] - self.indptr[start:stop]
-        return np.arange(start, stop).repeat(counts)
+    def rows(self) -> np.ndarray:
+        """The row of every stored entry."""
+        return np.arange(self.shape[0]).repeat(np.diff(self.indptr))
 
     def toarray(self) -> np.ndarray:
         out = np.zeros(self.shape, dtype=np.complex128)
@@ -114,38 +113,6 @@ class CSR:
         return NotImplemented
 
 
-def _row_blocks(before, limit: int) -> list[tuple[int, int]]:
-    """Row ranges that cover every row, in order, each costing at most ``limit``.
-
-    ``before[r]`` is the cost of the rows before row ``r``; a single row
-    that costs more than ``limit`` makes a block of its own.
-    """
-    blocks, start, rows = [], 0, len(before) - 1
-    while start < rows:
-        stop = int(np.searchsorted(before, before[start] + limit, "right")) - 1
-        stop = min(max(stop, start + 1), rows)
-        blocks.append((start, stop))
-        start = stop
-    return blocks
-
-
-def _stacked(pieces, shape) -> CSR:
-    """The matrix of consecutive row blocks, each ``(row lengths, columns, values)``."""
-    if len(pieces) != 1:
-        if not pieces:
-            return zeros(shape)
-        pieces = [[np.concatenate(part) for part in zip(*pieces)]]
-    counts, cols, values = pieces[0]
-    return CSR(values, cols, np.concatenate(([0], counts.cumsum())), shape)
-
-
-def _keys(m: CSR, start: int, stop: int) -> np.ndarray:
-    """``row * width + column`` of the entries in rows ``start:stop``, rows
-    counted from ``start``."""
-    cols = m.indices[m.indptr[start]:m.indptr[stop]]
-    return (m.rows(start, stop) - start) * m.shape[1] + cols
-
-
 def _segments(starts, lengths) -> np.ndarray:
     """The concatenated ranges ``starts[i] : starts[i] + lengths[i]``."""
     ends = np.cumsum(lengths)
@@ -177,26 +144,22 @@ def zeros(shape) -> CSR:
 
 
 def _combine(a: CSR, b: CSR, op) -> CSR:
-    """``op`` at every position stored in ``a`` or ``b``; exact zeros dropped."""
+    """``op`` at every position stored in ``a`` or ``b``, each row's columns in
+    increasing order; exact zeros dropped."""
     if a.shape != b.shape:
         raise ValueError(f"shapes {a.shape} and {b.shape} differ")
-    blocks = _row_blocks(a.indptr + b.indptr, _BLOCK_ENTRIES)
-    return _stacked([_combine_rows(a, b, op, *block) for block in blocks], a.shape)
-
-
-def _combine_rows(a: CSR, b: CSR, op, start: int, stop: int):
-    """Rows ``start:stop`` of ``op(a, b)``, each row's columns in increasing order."""
-    keys = np.concatenate((_keys(a, start, stop), _keys(b, start, stop)))
+    width = a.shape[1]
+    keys = np.concatenate((a.rows() * width + a.indices, b.rows() * width + b.indices))
     first, entry = _distinct(keys)
-    split = a.indptr[stop] - a.indptr[start]
     left = np.zeros(len(first), dtype=np.complex128)
     right = np.zeros(len(first), dtype=np.complex128)
-    left[entry[:split]] = a.data[a.indptr[start]:a.indptr[stop]]
-    right[entry[split:]] = b.data[b.indptr[start]:b.indptr[stop]]
+    left[entry[:a.nnz]] = a.data
+    right[entry[a.nnz:]] = b.data
     values = op(left, right)
     keep = values != 0
-    rows, cols = np.divmod(keys[first[keep]], a.shape[1])
-    return np.bincount(rows, minlength=stop - start), cols, values[keep]
+    rows, cols = np.divmod(keys[first[keep]], width)
+    counts = np.bincount(rows, minlength=a.shape[0])
+    return CSR(values[keep], cols, np.concatenate(([0], np.cumsum(counts))), a.shape)
 
 
 def _distinct(keys):
@@ -234,34 +197,26 @@ def _times(parts, b) -> np.ndarray:
 
 
 def _product(a: CSR, b: CSR) -> CSR:
-    """``a @ b``, expanded a bounded number of paths at a time."""
+    """``a @ b`` in scipy's storage order."""
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"cannot multiply shapes {a.shape} and {b.shape}")
-    lengths = (b.indptr[1:] - b.indptr[:-1])[a.indices]
-    before_row = np.concatenate(([0], np.cumsum(lengths)))[a.indptr]
-    blocks = _row_blocks(before_row, _PRODUCT_PATHS)
-    pieces = [_product_rows(a, b, lengths, before_row, *block) for block in blocks]
-    return _stacked(pieces, (a.shape[0], b.shape[1]))
-
-
-def _product_rows(a: CSR, b: CSR, lengths, before_row, start: int, stop: int):
-    """Rows ``start:stop`` of ``a @ b`` in scipy's storage order."""
-    first, last = a.indptr[start], a.indptr[stop]
-    lengths = lengths[first:last]
-    paths = _segments(b.indptr[a.indices[first:last]], lengths)
-    rows = np.repeat(a.rows(start, stop) - start, lengths)
+    lengths = np.diff(b.indptr)[a.indices]
+    paths = _segments(b.indptr[a.indices], lengths)
+    rows = np.repeat(a.rows(), lengths)
     cols = b.indices[paths]
-    values = _times(_parts(np.repeat(a.data[first:last], lengths)), b.data[paths])
+    values = _times(_parts(np.repeat(a.data, lengths)), b.data[paths])
     touched, entry = _distinct(rows * b.shape[1] + cols)
     sums = np.empty(len(touched), dtype=np.complex128)  # added in path order
     sums.real = np.bincount(entry, values.real, minlength=len(touched))
     sums.imag = np.bincount(entry, values.imag, minlength=len(touched))
     # scipy lists a row's entries last-touched first: reflect each entry's
     # first path within its row's paths, and list the entries by that
-    bounds = before_row[start:stop + 1] - before_row[start]
+    bounds = np.concatenate(([0], np.cumsum(lengths)))[a.indptr]
     row = rows[touched]
     place = np.full(len(paths), -1)
     place[bounds[row] + bounds[row + 1] - 1 - touched] = np.arange(len(touched))
     emit = place[place >= 0]
     emit = emit[sums[emit] != 0]
-    return np.bincount(row[emit], minlength=stop - start), cols[touched[emit]], sums[emit]
+    counts = np.bincount(row[emit], minlength=a.shape[0])
+    return CSR(sums[emit], cols[touched[emit]], np.concatenate(([0], np.cumsum(counts))),
+               (a.shape[0], b.shape[1]))

@@ -60,9 +60,10 @@ __all__ = [
 # Deformed vacua must keep at least this much overlap with the reference one.
 PAIRING_FLOOR = 1e-3
 
-# The square identity squares a stack of label blocks in chunks of at most
-# this many block entries, so its memory stays that of the operator.
-_SQUARE_ENTRIES = 2**18
+# A stack of label blocks or of sector vectors is worked on in chunks of at
+# most this many entries (here and in the models), so its memory stays that
+# of the operator.
+_STACK_ENTRIES = 2**18
 
 
 class GradedBasisIndex(NamedTuple):
@@ -284,7 +285,7 @@ def square_identity_residual(d: CSR, config: FockSpaceConfig) -> float:
     the form degree.  ``d`` conserves the labels, so its square is the
     square of each label block: the blocks that hold a guarded column are
     squared by one batched ``np.matmul`` per shape, in chunks of at most
-    ``_SQUARE_ENTRIES`` block entries.  The sparse ``d @ d`` is the test
+    ``_STACK_ENTRIES`` block entries.  The sparse ``d @ d`` is the test
     oracle.
     """
     expected = 2.0 * graded_osc_degrees(config) + 2.0 * graded_form_degrees(config)
@@ -295,7 +296,7 @@ def square_identity_residual(d: CSR, config: FockSpaceConfig) -> float:
         # a block's rows are its columns, in the same order
         size = stack.shape[1]
         members = np.flatnonzero(guard[cols].any(axis=1))
-        chunk = max(1, _SQUARE_ENTRIES // size**2)
+        chunk = max(1, _STACK_ENTRIES // size**2)
         for group in np.split(members, range(chunk, len(members), chunk)):
             square = _squares(stack[group])
             # the diagonal of each square, as a strided view

@@ -652,13 +652,13 @@ def test_verify_symbols_report_does_not_depend_on_the_stack_size(n, monkeypatch)
 
 @pytest.mark.parametrize("entries", [1, 800])
 def test_model_invert_report_does_not_depend_on_the_stack_size(entries, monkeypatch):
-    from fockindex import models
+    from fockindex import spinors
 
     request = RunRequest("model-invert",
                          {"chirality": "both", "n": 3, "cutoff": 10, "theta": 0.3}, seed=4)
     whole = run(request).to_json()
     # 264 states: 16 right-hand sides one at a time, or in stacks of 3
-    monkeypatch.setattr(models, "_STACK_ENTRIES", entries)
+    monkeypatch.setattr(spinors, "_STACK_ENTRIES", entries)
     assert run(request).to_json() == whole
 
 

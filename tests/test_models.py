@@ -23,7 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fockindex import models, sparse
+from fockindex import models, sparse, spinors
 from fockindex.errors import GuardViolationError, PairingFloorError
 from fockindex.models import (
     BlockOperator,
@@ -623,7 +623,7 @@ def test_floor_does_not_depend_on_its_chunks(chirality, entries, monkeypatch):
     whole = models._outside_floor(chirality, cfg)
     assert sum(taken) == expected
     taken.clear()
-    monkeypatch.setattr(models, "_STACK_ENTRIES", entries)
+    monkeypatch.setattr(spinors, "_STACK_ENTRIES", entries)
     assert models._outside_floor(chirality, cfg) == whole
     assert sum(taken) == expected
 
@@ -690,7 +690,7 @@ def test_a_warm_certificate_draws_only_its_right_hand_sides(entries, monkeypatch
     draws = models._guarded_draws
     monkeypatch.setattr(models, "_guarded_draws",
                         lambda rng, sec, count: calls.append(count) or draws(rng, sec, count))
-    monkeypatch.setattr(models, "_STACK_ENTRIES", entries)
+    monkeypatch.setattr(spinors, "_STACK_ENTRIES", entries)
     certify_invertibility(EVEN, replace(cfg, theta=0.4), num_rhs=16)
     assert calls == [min(size, 16 - start) for start in range(0, 16, size)]
 

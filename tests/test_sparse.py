@@ -110,28 +110,16 @@ def test_sums_and_differences(shape, overlap):
     rows, cols = np.nonzero(mixed)
     c = sparse.from_triples(rows, cols, mixed[rows, cols], shape)
     c_sp = sp.csr_matrix((mixed[rows, cols], (rows, cols)), shape=shape)
-    for left, left_sp in ((a, a_sp), (c, c_sp)):
-        for right, right_sp in ((b, b_sp), (c, c_sp), (a, a_sp)):
+    # a product operand lists its rows last-touched first, and scipy's sum
+    # keeps that order of touch: the sum's rows are sorted, scipy's once sorted
+    e, e_sp = _random(rng, (shape[1], shape[1]), 0.3)
+    p, p_sp = a @ e, a_sp @ e_sp
+    for left, left_sp in ((a, a_sp), (c, c_sp), (p, p_sp)):
+        for right, right_sp in ((b, b_sp), (c, c_sp), (a, a_sp), (p, p_sp)):
             assert _same(left + right, left_sp + right_sp, sort=True)
             assert _same(left - right, left_sp - right_sp, sort=True)
     with pytest.raises(ValueError):
         a + sparse.zeros((shape[0] + 1, shape[1]))
-
-
-def test_sums_in_blocks_of_rows_and_with_a_product(monkeypatch):
-    rng = np.random.default_rng(13)
-    a, a_sp = _random(rng, (40, 30), 0.3)
-    b, b_sp = _random(rng, (30, 30), 0.3)
-    c, c_sp = _random(rng, (40, 30), 0.3)
-    whole = a @ b - c
-    monkeypatch.setattr(sparse, "_BLOCK_ENTRIES", 25)
-    blocked = a @ b - c
-    # a sum lists its rows sorted; scipy keeps the product's order of touch
-    assert _same(blocked, a_sp @ b_sp - c_sp, sort=True)
-    steps = np.diff(blocked.indices)[np.diff(blocked.rows()) == 0]
-    assert (steps > 0).all()
-    assert np.array_equal(blocked.indices, whole.indices)
-    assert np.array_equal(blocked.data, whole.data)
 
 
 @pytest.mark.parametrize("inner", [1, 5, 23])
@@ -145,6 +133,9 @@ def test_products_keep_scipys_storage_order(inner, kind):
     assert _same(ab, ab_sp)
     # a left factor whose rows are not sorted is traversed in storage order
     assert _same(ab @ c, ab_sp @ c_sp)
+    big, big_sp = _random(rng, (60, 50), 0.3, kind)
+    d, d_sp = _random(rng, (50, 40), 0.3)
+    assert _same(big @ d, big_sp @ d_sp)
     with pytest.raises(ValueError):
         a @ c
 
@@ -157,18 +148,6 @@ def test_products_drop_exact_cancellations():
     b_sp = sp.csr_matrix(([1.0, -1.0], ([0, 1], [0, 1])), shape=(2, 2))
     assert _same(a @ b + b @ a, a_sp @ b_sp + b_sp @ a_sp, sort=True)
     assert (a @ b + b @ a).nnz == 0
-
-
-def test_products_in_chunks(monkeypatch):
-    rng = np.random.default_rng(6)
-    a, a_sp = _random(rng, (60, 50), 0.3)
-    b, b_sp = _random(rng, (50, 40), 0.3)
-    whole = a @ b
-    monkeypatch.setattr(sparse, "_PRODUCT_PATHS", 7)
-    chunked = a @ b
-    assert _same(chunked, a_sp @ b_sp)
-    assert np.array_equal(chunked.indices, whole.indices)
-    assert np.array_equal(chunked.data, whole.data)
 
 
 @pytest.mark.parametrize("shape", SHAPES)

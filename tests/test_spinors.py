@@ -213,7 +213,7 @@ def test_block_square_identity_matches_the_sparse_oracle(nv, cutoffs, monkeypatc
             assert abs(blocks - _sparse_square_residual(matrix, config)) <= _rounding_gap(matrix)
             # a block squares alone in a matmul, so the chunks change no bit
             with monkeypatch.context() as patch:
-                patch.setattr(spinors, "_SQUARE_ENTRIES", 1)
+                patch.setattr(spinors, "_STACK_ENTRIES", 1)
                 assert square_identity_residual(matrix, config) == blocks
 
 
