@@ -117,10 +117,10 @@ _SEED = _Param("seed", int, 0, minimum=0)
 
 # The graded Fock space of verify-algebra and model-invert has
 # 2**v * C(cutoff + v, v) states on v oscillator variables.  A run peaks at
-# about 0.51 KB (verify-algebra: 255 MB at 496 128 states, n = 5) to 0.85 KB
-# (model-invert: 305 MB at 366 080 states, n = 10) per state.  At its largest
+# about 0.51 KB (verify-algebra: 255 MB at 496 128 states, n = 5) to 0.65 KB
+# (model-invert: 238 MB at 366 080 states, n = 10) per state.  At its largest
 # admitted size for each n from 1 to 9, verify-algebra peaks at 138 to
-# 255 MB, and for each n from 2 to 10 model-invert at 263 to 392 MB, so this
+# 255 MB, and for each n from 2 to 10 model-invert at 199 to 277 MB, so this
 # many states stays within 0.5 GB.  A subcommand's v is its n less
 # the offset here:
 _MAX_STATES = 500_000

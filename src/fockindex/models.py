@@ -19,14 +19,16 @@ The sector data is split by conserved labels, read from the label map of
 (deformed) rank-one vacuum projector couples only the vacuum with the
 deformation target, so once the vacuum's and the target's label blocks are
 merged every model operator is block-diagonal, with blocks of at most
-``2^(n-1)`` states per sector.  The lowering block ``L`` and the
-pseudo-inverses of both chiral halves are held as label-block stacks (the
-dense blocks of one shape in one array, with their positions), applied by
-one batched ``np.matmul`` and cached per ``(n, cutoff, target)``.  Outside
-the merged block the model is ``L`` and ``L^H`` times factors beside a
-diagonal, so a certificate never assembles it: it applies the model through
-the stacks of ``L``, builds the merged block from a cached dense block of
-``L`` and the deformed vacuum's amplitudes ``cos(theta)`` and
+``2^(n-1)`` states per sector.  The lowering block ``L`` and its
+pseudo-inverse are held as label-block stacks (the dense blocks of one shape
+in one array, with their positions), applied by one batched ``np.matmul``
+and cached per ``(n, cutoff, target)``; adjoints are applied through
+transposed views.  A guarded rhs and its solution vanish on every block
+that holds no guarded state, so the solver reads only the held blocks.
+Outside the merged block the model is ``L`` and ``L^H`` times factors beside
+a diagonal, so a certificate never assembles it: it applies the model
+through the stacks of ``L``, builds the merged block from a cached dense
+block of ``L`` and the deformed vacuum's amplitudes ``cos(theta)`` and
 ``sin(theta)``, takes the smallest singular value outside it from the
 stacks once per chirality and theta-free configuration, and builds no
 sparse matrix and no dense sector-sized one.  Sparse matrices are the
@@ -147,11 +149,22 @@ class _SectorData:
     ``odd_ids`` per sector position); ``merged`` is the block holding both
     the vacuum and the deformation target, and ``merged_even`` and
     ``merged_odd`` mark its positions.  ``lower_stacks`` holds the lowering
-    block (even rows, odd columns of ``dirac_plus``), and ``lower_pinv`` and
-    ``raise_pinv`` the pseudo-inverses of the chiral halves, as label-block
-    stacks; ``merged_lower`` is the lowering block's dense block on the
-    merged positions.  ``rank_probes`` are the deformation-rank probes,
-    read-only.  No sparse matrix is kept.
+    block (even rows, odd columns of ``dirac_plus``) and ``lower_pinv`` its
+    pseudo-inverse as label-block stacks; ``raise_pinv`` holds the transposed
+    views of ``lower_pinv``, the conjugate of the raising block's
+    pseudo-inverse.  ``merged_lower`` is the lowering block's dense block on
+    the merged positions, ``merged_stack`` the same block as a one-member
+    stack on local rows, and ``merged_pair`` the local rows of the vacuum and
+    the target.  ``guard_even`` and ``guard_odd`` mark the guarded
+    states, and ``guarded_even`` and ``guarded_odd`` list their positions.
+    ``rank_probes`` are the deformation-rank probes, read-only.  No sparse
+    matrix is kept.
+
+    The held blocks, those with a guarded state, are numbered first, so the
+    held members lead every stack.  A guarded rhs, its solution and its
+    residual vanish on every other block, so the solver reads only
+    ``held_lower``, ``held_lower_pinv`` and ``held_raise_pinv``: prefix views
+    of the held members of each stack that has one.
     """
 
     def __init__(self, n: int, cutoff: int, target: GradedBasisIndex):
@@ -165,12 +178,20 @@ class _SectorData:
         self.h0_odd = 2.0 * osc[odd_idx] + config.num_vars
         self.guard_even = osc[even_idx] <= cutoff - GUARD
         self.guard_odd = osc[odd_idx] <= cutoff - GUARD
+        self.guarded_even = np.flatnonzero(self.guard_even)
+        self.guarded_odd = np.flatnonzero(self.guard_odd)
         vac_graded = graded_index(config, vacuum_index(config))
         self.vacuum_pos = int(np.searchsorted(even_idx, vac_graded))
         target = graded_index(config, target)
         self.target_pos = int(np.searchsorted(even_idx, target))
         ids = _label_ids(config)
         ids[ids == ids[target]] = ids[vac_graded]
+        # number the held blocks, those with a guarded state, first (each
+        # group in its old order), so the held members of every stack come first
+        held = np.zeros(ids.max() + 1, dtype=bool)
+        held[ids[even_idx[self.guarded_even]]] = held[ids[odd_idx[self.guarded_odd]]] = True
+        num_held = np.count_nonzero(held)
+        ids = (np.where(held, np.cumsum(held), num_held + np.cumsum(~held)) - 1)[ids]
         self.merged = ids[vac_graded]
         self.even_ids = ids[even_idx]
         self.odd_ids = ids[odd_idx]
@@ -178,12 +199,18 @@ class _SectorData:
         self.merged_odd = self.odd_ids == self.merged
         self.lower_stacks = list(_label_stacks((lower.rows(), lower.indices, lower.data),
                                                self.even_ids, self.odd_ids))
-        self.merged_lower = lower[np.flatnonzero(self.merged_even), :][
-            :, np.flatnonzero(self.merged_odd)].toarray()
+        rows, cols = np.flatnonzero(self.merged_even), np.flatnonzero(self.merged_odd)
+        self.merged_lower = lower[rows, :][:, cols].toarray()
+        # the same block as a one-member stack on its rows, numbered locally
+        self.merged_stack = [(np.arange(len(rows))[None], cols[None], self.merged_lower[None])]
+        self.merged_pair = np.searchsorted(rows, [self.vacuum_pos, self.target_pos])
         self.lower_pinv = _block_pinv(self.lower_stacks)
-        # dirac_plus is exactly self-adjoint: the raising block is lower^H
-        self.raise_pinv = [(cols, rows, np.ascontiguousarray(stack.conj().transpose(0, 2, 1)))
-                           for rows, cols, stack in self.lower_pinv]
+        # dirac_plus is exactly self-adjoint, so the raising block's
+        # pseudo-inverse is lower_pinv^H, held as the views lower_pinv^T
+        self.raise_pinv = _transposed(self.lower_pinv)
+        self.held_lower = _held(self.lower_stacks, self.even_ids, num_held)
+        self.held_lower_pinv = _held(self.lower_pinv, self.odd_ids, num_held)
+        self.held_raise_pinv = _transposed(self.held_lower_pinv)
         self.rank_probes = _rank_probes(self)
 
 
@@ -205,18 +232,39 @@ def _block_pinv(stacks) -> list:
             for rows, cols, stack in stacks if stack.size]
 
 
-def _block_product(stacks, x: np.ndarray, size: int) -> np.ndarray:
+def _held(stacks, ids: np.ndarray, num_held: int) -> list:
+    """Prefix views of the held members of label-block stacks, those whose
+    first rows have a block id ``ids`` below ``num_held``.  Stacks without a
+    held member, or without entries, are dropped."""
+    views = []
+    for rows, cols, stack in stacks:
+        count = np.count_nonzero(ids[rows[:, 0]] < num_held) if stack.size else 0
+        if count:
+            views.append((rows[:count], cols[:count], stack[:count]))
+    return views
+
+
+def _transposed(stacks) -> list:
+    """Label-block stacks of the transposed matrix, as views."""
+    return [(cols, rows, stack.transpose(0, 2, 1)) for rows, cols, stack in stacks]
+
+
+def _block_product(stacks, x: np.ndarray, size: int, *, adjoint: bool = False) -> np.ndarray:
     """The product of a ``size``-row matrix held as label-block stacks with
-    the columns of ``x``; rows outside every block are zero.
+    the columns of ``x``; rows outside every block are zero.  With
+    ``adjoint``, ``stacks`` hold the transpose of a matrix ``A`` and the
+    product is by its adjoint, ``A^H x = conj(A^T conj(x))``.
 
     Each column's entries are gathered into a contiguous slab of their own,
     so its product is a batch of its own ``(r, c) @ (c, 1)`` matmuls and
     does not depend on the stack it comes in.
     """
-    columns = np.ascontiguousarray(x.T)
+    columns = np.conjugate(x.T, order="C") if adjoint else np.ascontiguousarray(x.T)
     out = np.zeros((x.shape[1], size), dtype=complex)
     for rows, cols, stack in stacks:
         out[:, rows] = np.matmul(stack, np.take(columns, cols, axis=1)[..., None])[..., 0]
+    if adjoint:
+        np.conjugate(out, out=out)
     return out.T
 
 
@@ -264,8 +312,10 @@ def _check_guarded(sec: _SectorData, a: np.ndarray, b: np.ndarray):
 
 
 def _solve_columns(chirality: str, cfg: ModelConfig, a: np.ndarray, b: np.ndarray):
-    """The explicit solution formulas, applied to stacked rhs columns.
+    """The explicit solution formulas, applied to stacked guarded rhs columns.
 
+    Only the held label blocks are solved: a column with support above the
+    guard would be solved wrongly, so callers pass guarded columns only.
     Every step acts on each column alone, so a column's solution does not
     depend on the stack it comes in.
     """
@@ -279,14 +329,18 @@ def _solve_columns(chirality: str, cfg: ModelConfig, a: np.ndarray, b: np.ndarra
     w = a.copy()
     w[vacuum] = 0.0
     w[target] -= (sin / cos) * a[vacuum]
-    v = _block_product(sec.lower_pinv, w, sec.dim_odd) / lower
-    u = _block_product(sec.raise_pinv, b - heavy[:, None] * v, sec.dim_even) / raising
+    v = _block_product(sec.held_lower_pinv, w, sec.dim_odd) / lower
+    rest = heavy[:, None] * v
+    np.subtract(b, rest, out=rest)
+    u = _block_product(sec.held_raise_pinv, rest, sec.dim_even, adjoint=True) / raising
 
     # the raising block's kernel is the vacuum line; its coefficient pairs the
-    # remainder with the deformed vacuum, whatever the target's form degree
-    lowered = _block_product(sec.lower_stacks, v, sec.dim_even)
-    remainder = a + lower * lowered - u
-    u[vacuum] += (cos * remainder[vacuum] + sin * remainder[target]) / cos
+    # remainder with the deformed vacuum, whatever the target's form degree.
+    # Both lie in the merged block, so only its rows of L v are formed
+    lowered = _block_product(sec.merged_stack, v, len(sec.merged_lower))[sec.merged_pair]
+    pair = [vacuum, target]
+    remainder = a[pair] + lower * lowered - u[pair]
+    u[vacuum] += (cos * remainder[0] + sin * remainder[1]) / cos
     return u, v
 
 
@@ -312,19 +366,21 @@ def invert_comparison_model(chirality: str, cfg: ModelConfig, rhs) -> tuple:
 def _guarded_draws(rng, sec: _SectorData, count: int) -> tuple:
     """``count`` seeded unit rhs pairs on the guarded degrees, as column stacks.
 
-    One ``normal`` call draws the numbers of ``count`` single draws in their
-    order: each draw takes the real and imaginary parts of ``a``, then of ``b``.
+    Only the guarded entries are drawn; every other entry is zero.  One
+    ``standard_normal`` call draws the numbers of ``count`` single draws in
+    their order: each draw takes the real and imaginary parts of ``a`` on its
+    guarded positions, then those of ``b``.  Each draw is normalised by
+    numpy's own pairwise sum of its squares, as ``_squared_norms`` sums.
     """
-    even, odd = sec.dim_even, sec.dim_odd
-    draws = rng.normal(size=(count, 2 * (even + odd)))
-    real_a, imag_a, real_b, imag_b = np.split(draws, np.cumsum([even, even, odd]), axis=1)
-    a = real_a + 1j * imag_a
-    b = real_b + 1j * imag_b
-    a[:, ~sec.guard_even] = 0.0
-    b[:, ~sec.guard_odd] = 0.0
-    scale = np.sqrt(_squared_norms(a) + _squared_norms(b))[:, None]
-    a /= scale
-    b /= scale
+    even, odd = sec.guarded_even, sec.guarded_odd
+    draws = rng.standard_normal((count, 2 * (len(even) + len(odd))))
+    draws /= np.sqrt(np.square(draws).sum(axis=1))[:, None]
+    real_a, imag_a, real_b, imag_b = np.split(
+        draws, np.cumsum([len(even), len(even), len(odd)]), axis=1)
+    a = np.zeros((count, sec.dim_even), dtype=complex)
+    b = np.zeros((count, sec.dim_odd), dtype=complex)
+    a.real[:, even], a.imag[:, even] = real_a, imag_a
+    b.real[:, odd], b.imag[:, odd] = real_b, imag_b
     return a.T, b.T
 
 
@@ -338,7 +394,11 @@ def _squared_norms(rows: np.ndarray) -> np.ndarray:
 
 
 def random_guarded_rhs(rng, cfg: ModelConfig) -> tuple:
-    """Seeded complex unit rhs pair supported on the guarded oscillator degrees."""
+    """Seeded complex unit rhs pair supported on the guarded oscillator degrees.
+
+    Only the guarded entries are drawn, ``2 * (g_e + g_o)`` normal numbers
+    for ``g_e`` and ``g_o`` guarded states per sector.
+    """
     a, b = _guarded_draws(rng, _sectors(cfg), 1)
     return a[:, 0], b[:, 0]
 
@@ -367,24 +427,35 @@ def _rank_probes(sec: _SectorData) -> tuple:
     return a, b
 
 
-def _apply_model(chirality: str, cfg: ModelConfig, u: np.ndarray, v: np.ndarray):
+def _probe_stacks(sec: _SectorData):
+    """The deformation-rank probes in stacks of at most
+    ``spinors._STACK_ENTRIES`` sector entries: ``(columns, (a, b))`` pairs."""
+    a, b = sec.rank_probes
+    size = max(1, spinors._STACK_ENTRIES // (sec.dim_even + sec.dim_odd))
+    for start in range(0, a.shape[1], size):
+        part = slice(start, start + size)
+        yield part, (a[:, part], b[:, part])
+
+
+def _apply_model(chirality: str, cfg: ModelConfig, u: np.ndarray, v: np.ndarray, *,
+                 held: bool = False):
     """The model applied to the stacked columns ``(u, v)`` from the sector data:
     ``S u + lower (Id - 2 S) L v`` and ``raising L^H u + heavy v``, where ``S``
-    projects on the deformed vacuum ``cos * vacuum + sin * target``."""
+    projects on the deformed vacuum ``cos * vacuum + sin * target``.  With
+    ``held``, only the held label blocks are applied, which is the whole
+    model on columns that vanish on every other block."""
     sec = _sectors(cfg)
     cos, sin = _deformed_amplitudes(cfg.theta)
     lower, raising, heavy = _factors(chirality, cfg)
     vacuum, target = sec.vacuum_pos, sec.target_pos
-    top = lower * _block_product(sec.lower_stacks, v, sec.dim_even)
+    stacks = sec.held_lower if held else sec.lower_stacks
+    top = lower * _block_product(stacks, v, sec.dim_even)
     # S u + (Id - 2 S) x = x + S (u - 2 x) differs from x on two rows only
     pairing = (cos * (u[vacuum] - 2.0 * top[vacuum])
                + sin * (u[target] - 2.0 * top[target]))
     top[vacuum] += cos * pairing
     top[target] += sin * pairing
-    # L^H u = conj(L^T conj(u)), on transposed views of the lowering stacks
-    transposed = [(cols, rows, stack.transpose(0, 2, 1))
-                  for rows, cols, stack in sec.lower_stacks]
-    adjoint = _block_product(transposed, u.conj(), sec.dim_odd).conj()
+    adjoint = _block_product(_transposed(stacks), u, sec.dim_odd, adjoint=True)
     return top, raising * adjoint + heavy[:, None] * v
 
 
@@ -410,7 +481,7 @@ def _merged_block(chirality: str, cfg: ModelConfig) -> tuple:
     amplitudes = _deformed_amplitudes(cfg.theta)
     even, odd = np.flatnonzero(sec.merged_even), np.flatnonzero(sec.merged_odd)
     block = _model_blocks(_factors(chirality, cfg), sec.merged_lower[None], odd[None])[0]
-    pair = np.searchsorted(even, [sec.vacuum_pos, sec.target_pos])
+    pair = sec.merged_pair
     szego = np.outer(amplitudes, amplitudes)
     # the pair's rows of Id - 2 S, summed vacuum first (it is the first even
     # state), as the sparse product of the assembled model sums them
@@ -458,9 +529,12 @@ class _ThetaFree:
     """
 
     def __init__(self, chirality: str, plain: ModelConfig):
-        self.plain = _solve_columns(chirality, plain, *_sectors(plain).rank_probes)
-        for part in self.plain:
-            part.flags.writeable = False  # every caller shares the cached arrays
+        sec = _sectors(plain)
+        u, v = (np.empty(part.shape, dtype=complex) for part in sec.rank_probes)
+        for part, (a, b) in _probe_stacks(sec):
+            u[:, part], v[:, part] = _solve_columns(chirality, plain, a, b)
+        u.flags.writeable = v.flags.writeable = False  # every caller shares them
+        self.plain = u, v
         self.floor = _outside_floor(chirality, plain)
 
 
@@ -483,18 +557,25 @@ def deformation_block_ranks(chirality: str, cfg: ModelConfig) -> list:
     lives on the merged vacuum/target block, so the inverse is only formed
     on that block's guarded columns; one seeded probe over all the other
     blocks confirms that their difference vanishes exactly.  The zero-angle
-    solve is cached per chirality and theta-free configuration.
+    solve is cached per chirality and theta-free configuration.  The probes
+    are solved in stacks of at most ``spinors._STACK_ENTRIES`` sector
+    entries, and each stack keeps only its merged rows.
     """
     _check_parity(chirality, "chirality")
+    outside = "the deformation reaches outside the merged vacuum/target block"
     sec = _sectors(cfg)
-    deformed = _solve_columns(chirality, cfg, *sec.rank_probes)
-    plain = _theta_free(chirality, cfg).plain
-    du, dv = deformed[0] - plain[0], deformed[1] - plain[1]
-    assert not (
-        du[~sec.merged_even].any() or dv[~sec.merged_odd].any()
-        or du[:, -1].any() or dv[:, -1].any()
-    ), "the deformation reaches outside the merged vacuum/target block"
-    du, dv = du[sec.merged_even, :-1], dv[sec.merged_odd, :-1]
+    plain_u, plain_v = _theta_free(chirality, cfg).plain
+    du = np.empty((np.count_nonzero(sec.merged_even), plain_u.shape[1]), dtype=complex)
+    dv = np.empty((np.count_nonzero(sec.merged_odd), plain_v.shape[1]), dtype=complex)
+    for part, (a, b) in _probe_stacks(sec):
+        u, v = _solve_columns(chirality, cfg, a, b)
+        u -= plain_u[:, part]
+        v -= plain_v[:, part]
+        du[:, part], dv[:, part] = u[sec.merged_even], v[sec.merged_odd]
+        u[sec.merged_even] = v[sec.merged_odd] = 0.0
+        assert not (u.any() or v.any()), outside
+    assert not (du[:, -1].any() or dv[:, -1].any()), outside
+    du, dv = du[:, :-1], dv[:, :-1]
     num_even = np.count_nonzero(sec.guard_even & sec.merged_even)
     return [
         [_block_rank(du[:, :num_even]), _block_rank(du[:, num_even:])],
@@ -540,7 +621,8 @@ def certify_invertibility(chirality: str, cfg: ModelConfig, *, num_rhs: int = 16
             for start in range(0, num_rhs, size):
                 # the draws are guarded and sized by construction
                 a, b = _guarded_draws(rng, sec, min(size, num_rhs - start))
-                ta, tb = _apply_model(chirality, cfg, *_solve_columns(chirality, cfg, a, b))
+                ta, tb = _apply_model(chirality, cfg, *_solve_columns(chirality, cfg, a, b),
+                                      held=True)
                 # one contiguous row per column, so its sum does not depend on the stack
                 err = np.sqrt(_squared_norms(np.ascontiguousarray((ta - a).T))
                               + _squared_norms(np.ascontiguousarray((tb - b).T)))

@@ -14,6 +14,7 @@ import time
 
 import numpy as np
 import pytest
+from children import child_env
 
 from fockindex.errors import AdmissibilityError, IntegralityViolation
 from fockindex.fock import (
@@ -348,8 +349,8 @@ def test_criterion_9_cli_determinism():
     ]
     for args in suite:
         cmd = [sys.executable, "-m", "fockindex.cli", *args]
-        first = subprocess.run(cmd, capture_output=True, check=False)
-        second = subprocess.run(cmd, capture_output=True, check=False)
+        first = subprocess.run(cmd, capture_output=True, check=False, env=child_env())
+        second = subprocess.run(cmd, capture_output=True, check=False, env=child_env())
         assert first.returncode == 0, first.stderr.decode()
         assert second.returncode == 0
         json.loads(first.stdout.decode())  # well-formed report

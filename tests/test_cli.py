@@ -19,6 +19,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from children import child_env
 
 from fockindex import cli
 from fockindex.cli import Report, RunRequest, UsageError, main, run
@@ -476,8 +477,8 @@ def test_subprocess_entry_point_is_deterministic():
         "--seed",
         "21",
     ]
-    first = subprocess.run(args, capture_output=True, check=True)
-    second = subprocess.run(args, capture_output=True, check=True)
+    first = subprocess.run(args, capture_output=True, check=True, env=child_env())
+    second = subprocess.run(args, capture_output=True, check=True, env=child_env())
     assert first.stdout == second.stdout
     assert json.loads(first.stdout)["passed"] is True
 
@@ -491,7 +492,7 @@ def test_module_entry_point_keeps_stderr_empty():
         "--x0",
         '{"signature": 1, "euler": 2, "stein": true}',
     ]
-    result = subprocess.run(args, capture_output=True, check=True)
+    result = subprocess.run(args, capture_output=True, check=True, env=child_env())
     assert result.stderr == b""
     assert json.loads(result.stdout)["passed"] is True
 
@@ -506,7 +507,7 @@ def test_extreme_model_parameters_are_rejected_without_warnings(params):
     # an overflow or a NaN inside the certificate, in numpy or in BLAS,
     # rejects both checks, and no numpy warning reaches stderr
     args = [sys.executable, "-m", "fockindex.cli", "model-invert", *params]
-    result = subprocess.run(args, capture_output=True, check=False)
+    result = subprocess.run(args, capture_output=True, check=False, env=child_env())
     assert result.returncode == 2
     assert result.stderr == b""
     checks = _strict_json(result.stdout)["checks"]

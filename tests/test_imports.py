@@ -5,16 +5,13 @@ already imported do not hide what a cold ``fockindex`` process loads.
 """
 
 import json
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
+from children import child_env
 
 import fockindex
-
-SRC = str(Path(fockindex.__file__).resolve().parents[1])
 
 X0 = '{"signature": 1, "euler": 2, "stein": true}'
 X1 = '{"signature": 1, "euler": -2, "h02": 1}'
@@ -27,12 +24,8 @@ print(json.dumps(sorted(sys.modules)))
 
 
 def _python(*args):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [SRC] + [p for p in [env.get("PYTHONPATH")] if p]
-    )
     return subprocess.run(
-        [sys.executable, *args], capture_output=True, text=True, env=env,
+        [sys.executable, *args], capture_output=True, text=True, env=child_env(),
         check=True,
     )
 

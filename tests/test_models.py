@@ -12,14 +12,13 @@ oracle of the directly assembled model.
 """
 
 import itertools
-import os
 import subprocess
 import sys
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 import pytest
+from children import child_env
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -531,6 +530,65 @@ def test_a_column_solves_the_same_in_any_stack(chirality, theta, n, cutoff, targ
         assert np.array_equal(v[:, k], single[1][:, 0]), k
 
 
+def _held_states(sec):
+    """Whether each even, and each odd, state lies in a label block that
+    holds a guarded state."""
+    ids = np.concatenate([sec.even_ids, sec.odd_ids])
+    held = np.isin(ids, ids[np.concatenate([sec.guard_even, sec.guard_odd])])
+    return held[:sec.dim_even], held[sec.dim_even:]
+
+
+@pytest.mark.parametrize("n,cutoff,target", STACK_SIZES)
+@pytest.mark.parametrize("theta", [0.3, -0.2])
+@pytest.mark.parametrize("chirality", CHIRALITIES)
+def test_a_held_solve_equals_a_whole_stack_solve(chirality, theta, n, cutoff, target,
+                                                 monkeypatch):
+    cfg = ModelConfig(n=n, cutoff=cutoff, theta=theta, target=target, **SCALED)
+    sec = models._sectors(cfg)
+    a, b = models._guarded_draws(np.random.default_rng(n), sec, 8)
+    # and a unit column on the vacuum, and one on the (off-vacuum) target
+    a = np.concatenate([a, np.zeros((sec.dim_even, 2))], axis=1)
+    b = np.concatenate([b, np.zeros((sec.dim_odd, 2))], axis=1)
+    a[[sec.vacuum_pos, sec.target_pos], [-2, -1]] = 1.0
+    held = models._solve_columns(chirality, cfg, a, b)
+    residual = models._apply_model(chirality, cfg, *held, held=True)
+    with monkeypatch.context() as whole:
+        for name, stacks in (("held_lower", sec.lower_stacks),
+                             ("held_lower_pinv", sec.lower_pinv),
+                             ("held_raise_pinv", sec.raise_pinv)):
+            whole.setattr(sec, name, stacks)
+        for got, expected in zip(held, models._solve_columns(chirality, cfg, a, b)):
+            assert np.array_equal(got, expected)
+    applied = models._apply_model(chirality, cfg, *held)
+    for got, expected in zip(residual, applied):
+        assert np.array_equal(got, expected)
+    # every other block of the solution and of the residual is exactly zero
+    held_even, held_odd = _held_states(sec)
+    assert not (held_even.all() or held_odd.all())
+    u, v = held
+    assert not (u[~held_even].any() or v[~held_odd].any())
+    assert not ((applied[0] - a)[~held_even].any() or (applied[1] - b)[~held_odd].any())
+
+
+@pytest.mark.parametrize("n,cutoff,target", STACK_SIZES)
+def test_a_draw_is_a_unit_vector_of_guarded_numbers(n, cutoff, target):
+    cfg = ModelConfig(n=n, cutoff=cutoff, target=target)
+    sec = models._sectors(cfg)
+    even, odd = np.count_nonzero(sec.guard_even), np.count_nonzero(sec.guard_odd)
+    rng = np.random.default_rng(n)
+    a, b = random_guarded_rhs(rng, cfg)
+    assert not (a[~sec.guard_even].any() or b[~sec.guard_odd].any())
+    assert abs(np.linalg.norm(np.concatenate([a, b])) - 1.0) <= 1e-14
+    # the draw took 2 (g_e + g_o) numbers: the real and imaginary parts of a
+    # on its guarded positions, then those of b
+    numbers = np.random.default_rng(n).standard_normal(2 * (even + odd) + 1)
+    real_a, imag_a, real_b, imag_b = np.split(numbers[:-1], np.cumsum([even, even, odd]))
+    norm = np.sqrt(np.sum(numbers[:-1] ** 2))
+    assert np.allclose(a[sec.guard_even] * norm, real_a + 1j * imag_a, rtol=1e-13, atol=0)
+    assert np.allclose(b[sec.guard_odd] * norm, real_b + 1j * imag_b, rtol=1e-13, atol=0)
+    assert rng.standard_normal() == numbers[-1]
+
+
 def _entry_product(entries, x, size):
     """The product by ``x`` of the matrix with the given (rows, columns,
     values), summed entry by entry."""
@@ -565,6 +623,11 @@ def test_label_block_products_match_dense_oracle(n, cutoff, target):
         oracle = _entry_product(entries, cols, size)
         product = models._block_product(stacks, cols, size)
         assert np.abs(product - oracle).max() <= 1e-13 * np.abs(oracle).max()
+    # the solver applies raise_pinv, transposed views of lower_pinv, as their adjoint
+    rows, cols, values = _stack_entries(sec.raise_pinv)
+    oracle = _entry_product((rows, cols, values.conj()), x[:odd], even)
+    product = models._block_product(sec.raise_pinv, x[:odd], even, adjoint=True)
+    assert np.abs(product - oracle).max() <= 1e-13 * np.abs(oracle).max()
     # the residual's model, applied from the sector data, against the assembled one
     for chirality, theta, scales in itertools.product(CHIRALITIES, (0.0, 0.3, -0.2),
                                                       ({}, SCALED)):
@@ -693,6 +756,46 @@ def test_a_warm_certificate_draws_only_its_right_hand_sides(entries, monkeypatch
     monkeypatch.setattr(spinors, "_STACK_ENTRIES", entries)
     certify_invertibility(EVEN, replace(cfg, theta=0.4), num_rhs=16)
     assert calls == [min(size, 16 - start) for start in range(0, 16, size)]
+
+
+@pytest.mark.parametrize("entries", [2**18, 2000, 1])
+def test_a_warm_certificate_reads_only_held_members(entries, monkeypatch):
+    cfg = ModelConfig(n=4, cutoff=6, theta=0.3)
+    certify_invertibility(EVEN, cfg, num_rhs=16)
+    sec = models._sectors(cfg)
+    # the lowering blocks with entries, and those of them that hold a guarded state
+    _, held_odd = _held_states(sec)
+    blocks = np.concatenate([cols[:, 0] for _, cols, stack in sec.lower_stacks if stack.size])
+    assert 0 < np.count_nonzero(held_odd[blocks]) < len(blocks)
+    calls = []
+    product = models._block_product
+    monkeypatch.setattr(models, "_block_product", lambda stacks, *args, **kwargs:
+                        calls.append(sum(len(stack) for *_, stack in stacks))
+                        or product(stacks, *args, **kwargs))
+    monkeypatch.setattr(spinors, "_STACK_ENTRIES", entries)
+    certify_invertibility(EVEN, replace(cfg, theta=0.4), num_rhs=16)
+    # the held members, or the merged block alone for the vacuum coefficient
+    assert set(calls) == {np.count_nonzero(held_odd[blocks]), 1}
+
+
+@pytest.mark.parametrize("chirality", CHIRALITIES)
+def test_rank_probes_solve_the_same_one_at_a_time(chirality, monkeypatch):
+    cfg = ModelConfig(n=3, cutoff=8, theta=0.3, target=GradedBasisIndex((0, 1), (1, 2)))
+    models._theta_free_data.cache_clear()
+    plain = models._theta_free(chirality, cfg).plain
+    ranks = deformation_block_ranks(chirality, cfg)
+    widths = []
+    solve = models._solve_columns
+    monkeypatch.setattr(models, "_solve_columns", lambda chirality, cfg, a, b:
+                        widths.append(a.shape[1]) or solve(chirality, cfg, a, b))
+    monkeypatch.setattr(spinors, "_STACK_ENTRIES", 1)
+    models._theta_free_data.cache_clear()
+    again = models._theta_free(chirality, cfg).plain
+    for got, expected in zip(again, plain):
+        assert np.array_equal(got, expected)
+    assert deformation_block_ranks(chirality, cfg) == ranks
+    # the zero-angle solve, then the deformed one, one probe per stack
+    assert widths == [1] * 2 * models._sectors(cfg).rank_probes[0].shape[1]
 
 
 @pytest.mark.parametrize("count", [1, 5, 16])
@@ -835,12 +938,14 @@ def test_block_pseudo_inverses_match_dense_oracle(n, cutoff):
     config, even_idx, odd_idx, _ = _sector_helpers(cfg)
     dirac = dirac_plus(config).toarray()
     sec = models._sectors(cfg)
-    for block, pinv in (
-        (dirac[np.ix_(even_idx, odd_idx)], sec.lower_pinv),
-        (dirac[np.ix_(odd_idx, even_idx)], sec.raise_pinv),
+    # raise_pinv holds the transposed views of lower_pinv, the conjugate of
+    # the raising block's pseudo-inverse
+    for block, pinv, stored in (
+        (dirac[np.ix_(even_idx, odd_idx)], sec.lower_pinv, lambda dense: dense),
+        (dirac[np.ix_(odd_idx, even_idx)], sec.raise_pinv, np.conj),
     ):
         dense = np.linalg.pinv(block, rcond=1e-10)
-        assert np.abs(_dense(pinv, dense.shape) - dense).max() <= 1e-12
+        assert np.abs(stored(_dense(pinv, dense.shape)) - dense).max() <= 1e-12
 
 
 def _whole_difference_ranks(chirality, cfg):
@@ -891,12 +996,9 @@ def test_a_certificate_does_not_depend_on_the_blas_thread_count():
     # at n = 2, cutoff 10000 a sector holds 10001 states, the smallest count
     # past OpenBLAS's threading threshold for a complex dot product (10000),
     # where a threaded np.vdot would sum in another order on two threads
-    src = str(Path(models.__file__).resolve().parents[1])
     outputs = []
     for threads in ("1", "2"):
-        path = [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join(path))
+        env = child_env(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
         outputs.append(subprocess.run([sys.executable, "-c", _CERTIFY_HEX], env=env,
                                       capture_output=True, text=True, check=True).stdout)
     assert len(outputs[0].split()) == 4
