@@ -117,12 +117,13 @@ _SEED = _Param("seed", int, 0, minimum=0)
 
 # The graded Fock space of verify-algebra and model-invert has
 # 2**v * C(cutoff + v, v) states on v oscillator variables.  A run peaks at
-# about 0.51 KB (verify-algebra: 255 MB at 496 128 states, n = 5) to 0.65 KB
-# (model-invert: 238 MB at 366 080 states, n = 10) per state.  At its largest
-# admitted size for each n from 1 to 9, verify-algebra peaks at 138 to
-# 255 MB, and for each n from 2 to 10 model-invert at 199 to 277 MB, so this
-# many states stays within 0.5 GB.  A subcommand's v is its n less
-# the offset here:
+# about 0.51 KB (verify-algebra: 253 MB at 497 568 states, n = 3) to 0.64 KB
+# (model-invert: 235 MB at 366 080 states, n = 10) per state.  At its largest
+# admitted size for each n from 1 to 9, verify-algebra peaks at 132 to
+# 253 MB, and for each n from 2 to 10 model-invert at 198 to 296 MB (under
+# glibc's default malloc, whose peak moves by up to 20 MB with the heap's
+# layout), so this many states stays within 0.5 GB.  A subcommand's v is its
+# n less the offset here:
 _MAX_STATES = 500_000
 _STATE_VARIABLE_OFFSET = {"verify-algebra": 0, "model-invert": 1}
 

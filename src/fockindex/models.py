@@ -24,7 +24,8 @@ pseudo-inverse are held as label-block stacks (the dense blocks of one shape
 in one array, with their positions), applied by one batched ``np.matmul``
 and cached per ``(n, cutoff, target)``; adjoints are applied through
 transposed views.  A guarded rhs and its solution vanish on every block
-that holds no guarded state, so the solver reads only the held blocks.
+that holds no guarded state, so only the held blocks, those with a guarded
+state, are gathered.
 Outside the merged block the model is ``L`` and ``L^H`` times factors beside
 a diagonal, so a certificate never assembles it: it applies the model
 through the stacks of ``L``, builds the merged block from a cached dense
@@ -160,11 +161,9 @@ class _SectorData:
     ``rank_probes`` are the deformation-rank probes, read-only.  No sparse
     matrix is kept.
 
-    The held blocks, those with a guarded state, are numbered first, so the
-    held members lead every stack.  A guarded rhs, its solution and its
-    residual vanish on every other block, so the solver reads only
-    ``held_lower``, ``held_lower_pinv`` and ``held_raise_pinv``: prefix views
-    of the held members of each stack that has one.
+    The stacks hold the held blocks alone, those with a guarded state:
+    ``_label_stacks`` gathers them by the guard masks.  A guarded rhs, its
+    solution and its residual vanish on every other block.
     """
 
     def __init__(self, n: int, cutoff: int, target: GradedBasisIndex):
@@ -186,19 +185,14 @@ class _SectorData:
         self.target_pos = int(np.searchsorted(even_idx, target))
         ids = _label_ids(config)
         ids[ids == ids[target]] = ids[vac_graded]
-        # number the held blocks, those with a guarded state, first (each
-        # group in its old order), so the held members of every stack come first
-        held = np.zeros(ids.max() + 1, dtype=bool)
-        held[ids[even_idx[self.guarded_even]]] = held[ids[odd_idx[self.guarded_odd]]] = True
-        num_held = np.count_nonzero(held)
-        ids = (np.where(held, np.cumsum(held), num_held + np.cumsum(~held)) - 1)[ids]
         self.merged = ids[vac_graded]
         self.even_ids = ids[even_idx]
         self.odd_ids = ids[odd_idx]
         self.merged_even = self.even_ids == self.merged
         self.merged_odd = self.odd_ids == self.merged
         self.lower_stacks = list(_label_stacks((lower.rows(), lower.indices, lower.data),
-                                               self.even_ids, self.odd_ids))
+                                               self.even_ids, self.odd_ids,
+                                               self.guard_even, self.guard_odd))
         rows, cols = np.flatnonzero(self.merged_even), np.flatnonzero(self.merged_odd)
         self.merged_lower = lower[rows, :][:, cols].toarray()
         # the same block as a one-member stack on its rows, numbered locally
@@ -208,9 +202,6 @@ class _SectorData:
         # dirac_plus is exactly self-adjoint, so the raising block's
         # pseudo-inverse is lower_pinv^H, held as the views lower_pinv^T
         self.raise_pinv = _transposed(self.lower_pinv)
-        self.held_lower = _held(self.lower_stacks, self.even_ids, num_held)
-        self.held_lower_pinv = _held(self.lower_pinv, self.odd_ids, num_held)
-        self.held_raise_pinv = _transposed(self.held_lower_pinv)
         self.rank_probes = _rank_probes(self)
 
 
@@ -230,18 +221,6 @@ def _block_pinv(stacks) -> list:
     """
     return [(cols, rows, np.linalg.pinv(stack, rcond=_PINV_CUTOFF))
             for rows, cols, stack in stacks if stack.size]
-
-
-def _held(stacks, ids: np.ndarray, num_held: int) -> list:
-    """Prefix views of the held members of label-block stacks, those whose
-    first rows have a block id ``ids`` below ``num_held``.  Stacks without a
-    held member, or without entries, are dropped."""
-    views = []
-    for rows, cols, stack in stacks:
-        count = np.count_nonzero(ids[rows[:, 0]] < num_held) if stack.size else 0
-        if count:
-            views.append((rows[:count], cols[:count], stack[:count]))
-    return views
 
 
 def _transposed(stacks) -> list:
@@ -314,8 +293,9 @@ def _check_guarded(sec: _SectorData, a: np.ndarray, b: np.ndarray):
 def _solve_columns(chirality: str, cfg: ModelConfig, a: np.ndarray, b: np.ndarray):
     """The explicit solution formulas, applied to stacked guarded rhs columns.
 
-    Only the held label blocks are solved: a column with support above the
-    guard would be solved wrongly, so callers pass guarded columns only.
+    Only the held label blocks are solved, the only ones the sector data
+    keeps: a column with support above the guard would be solved wrongly, so
+    callers pass guarded columns only.
     Every step acts on each column alone, so a column's solution does not
     depend on the stack it comes in.
     """
@@ -329,10 +309,10 @@ def _solve_columns(chirality: str, cfg: ModelConfig, a: np.ndarray, b: np.ndarra
     w = a.copy()
     w[vacuum] = 0.0
     w[target] -= (sin / cos) * a[vacuum]
-    v = _block_product(sec.held_lower_pinv, w, sec.dim_odd) / lower
+    v = _block_product(sec.lower_pinv, w, sec.dim_odd) / lower
     rest = heavy[:, None] * v
     np.subtract(b, rest, out=rest)
-    u = _block_product(sec.held_raise_pinv, rest, sec.dim_even, adjoint=True) / raising
+    u = _block_product(sec.raise_pinv, rest, sec.dim_even, adjoint=True) / raising
 
     # the raising block's kernel is the vacuum line; its coefficient pairs the
     # remainder with the deformed vacuum, whatever the target's form degree.
@@ -431,31 +411,27 @@ def _probe_stacks(sec: _SectorData):
     """The deformation-rank probes in stacks of at most
     ``spinors._STACK_ENTRIES`` sector entries: ``(columns, (a, b))`` pairs."""
     a, b = sec.rank_probes
-    size = max(1, spinors._STACK_ENTRIES // (sec.dim_even + sec.dim_odd))
-    for start in range(0, a.shape[1], size):
-        part = slice(start, start + size)
+    for part in spinors._chunks(a.shape[1], sec.dim_even + sec.dim_odd):
         yield part, (a[:, part], b[:, part])
 
 
-def _apply_model(chirality: str, cfg: ModelConfig, u: np.ndarray, v: np.ndarray, *,
-                 held: bool = False):
+def _apply_model(chirality: str, cfg: ModelConfig, u: np.ndarray, v: np.ndarray):
     """The model applied to the stacked columns ``(u, v)`` from the sector data:
     ``S u + lower (Id - 2 S) L v`` and ``raising L^H u + heavy v``, where ``S``
-    projects on the deformed vacuum ``cos * vacuum + sin * target``.  With
-    ``held``, only the held label blocks are applied, which is the whole
-    model on columns that vanish on every other block."""
+    projects on the deformed vacuum ``cos * vacuum + sin * target``.  Only the
+    held label blocks are applied, so columns must vanish on every other
+    block, as a guarded rhs and its solution do."""
     sec = _sectors(cfg)
     cos, sin = _deformed_amplitudes(cfg.theta)
     lower, raising, heavy = _factors(chirality, cfg)
     vacuum, target = sec.vacuum_pos, sec.target_pos
-    stacks = sec.held_lower if held else sec.lower_stacks
-    top = lower * _block_product(stacks, v, sec.dim_even)
+    top = lower * _block_product(sec.lower_stacks, v, sec.dim_even)
     # S u + (Id - 2 S) x = x + S (u - 2 x) differs from x on two rows only
     pairing = (cos * (u[vacuum] - 2.0 * top[vacuum])
                + sin * (u[target] - 2.0 * top[target]))
     top[vacuum] += cos * pairing
     top[target] += sin * pairing
-    adjoint = _block_product(_transposed(stacks), u, sec.dim_odd, adjoint=True)
+    adjoint = _block_product(_transposed(sec.lower_stacks), u, sec.dim_odd, adjoint=True)
     return top, raising * adjoint + heavy[:, None] * v
 
 
@@ -499,24 +475,21 @@ def _outside_floor(chirality: str, cfg: ModelConfig) -> float:
     one SVD per chunk of at most ``spinors._STACK_ENTRIES`` block entries.
     """
     sec, factors = _sectors(cfg), _factors(chirality, cfg)
-    unheld = np.concatenate([sec.guard_even & ~sec.merged_even, sec.guard_odd & ~sec.merged_odd])
+    missed = np.concatenate([sec.guard_even & ~sec.merged_even, sec.guard_odd & ~sec.merged_odd])
     smallest = math.inf
     for rows, cols, stack in sec.lower_stacks:
         members = np.flatnonzero(sec.odd_ids[cols[:, 0]] != sec.merged)
-        unheld[rows[members]] = unheld[sec.dim_even + cols[members]] = False
+        missed[rows[members]] = missed[sec.dim_even + cols[members]] = False
         guard = np.concatenate([sec.guard_even[rows], sec.guard_odd[cols]], axis=1)
         members = members[np.lexsort(guard[members].T)]
         runs = np.flatnonzero(np.diff(guard[members], axis=0).any(axis=1)) + 1
-        chunk = max(1, spinors._STACK_ENTRIES // sum(stack.shape[1:]) ** 2)
         for run in np.split(members, runs):
-            # the run's guarded columns; an empty run (no members) has none
+            # the run's guarded columns; an empty run (no members) takes no chunk
             picked = np.flatnonzero(guard[run[:1]].any(axis=0))
-            if not len(picked):
-                continue
-            for group in np.split(run, range(chunk, len(run), chunk)):
-                block = _model_blocks(factors, stack[group], cols[group])[:, :, picked]
+            for part in spinors._chunks(len(run), sum(stack.shape[1:]) ** 2):
+                block = _model_blocks(factors, stack[run[part]], cols[run[part]])[:, :, picked]
                 smallest = min(smallest, float(np.linalg.svd(block, compute_uv=False).min()))
-    assert not unheld.any(), "a guarded state lies outside every lowering block"
+    assert not missed.any(), "a guarded state lies outside every lowering block"
     return smallest
 
 
@@ -617,12 +590,10 @@ def certify_invertibility(chirality: str, cfg: ModelConfig, *, num_rhs: int = 16
                 np.linalg.svd(block[:, guard[merged]], compute_uv=False).min()))
             rng = np.random.default_rng(seed)
             worst = 0.0
-            size = max(1, spinors._STACK_ENTRIES // (sec.dim_even + sec.dim_odd))
-            for start in range(0, num_rhs, size):
+            for part in spinors._chunks(num_rhs, sec.dim_even + sec.dim_odd):
                 # the draws are guarded and sized by construction
-                a, b = _guarded_draws(rng, sec, min(size, num_rhs - start))
-                ta, tb = _apply_model(chirality, cfg, *_solve_columns(chirality, cfg, a, b),
-                                      held=True)
+                a, b = _guarded_draws(rng, sec, part.stop - part.start)
+                ta, tb = _apply_model(chirality, cfg, *_solve_columns(chirality, cfg, a, b))
                 # one contiguous row per column, so its sum does not depend on the stack
                 err = np.sqrt(_squared_norms(np.ascontiguousarray((ta - a).T))
                               + _squared_norms(np.ascontiguousarray((tb - b).T)))

@@ -9,8 +9,10 @@ both the oscillator degree and the form degree.
 state ``(k, s)``, so it is block-diagonal over the label blocks, each of at
 most ``2^num_vars`` states.  The label map lives here: ``_label_ids`` numbers
 the blocks and ``_label_stacks`` gathers the dense blocks of a
-label-conserving matrix, stacked by shape.  The square identity reads those
-stacks, and the comparison model of :mod:`fockindex.models` is solved on them.
+label-conserving matrix, stacked by shape: only those that hold a row or a
+column its masks keep.  The square identity and the comparison model of
+:mod:`fockindex.models` pass their guard masks, so both read only the blocks
+that hold a guarded state, and ``_chunks`` splits every stack they work on.
 """
 
 from __future__ import annotations
@@ -61,8 +63,8 @@ __all__ = [
 PAIRING_FLOOR = 1e-3
 
 # A stack of label blocks or of sector vectors is worked on in chunks of at
-# most this many entries (here and in the models), so its memory stays that
-# of the operator.
+# most this many entries (``_chunks``, here and in the models), so its memory
+# stays that of the operator.
 _STACK_ENTRIES = 2**18
 
 
@@ -233,33 +235,42 @@ def _group(ids: np.ndarray, num: int):
     return order, start, count, local
 
 
-def _label_stacks(entries, row_ids: np.ndarray, col_ids: np.ndarray):
-    """The label blocks of a block-diagonal sparse matrix, stacked by shape.
+def _label_stacks(entries, row_ids: np.ndarray, col_ids: np.ndarray,
+                  row_keep: np.ndarray, col_keep: np.ndarray):
+    """The label blocks of a block-diagonal sparse matrix that hold a kept row
+    or column, stacked by shape.
 
     ``entries`` holds the rows, columns and values of the matrix's entries,
-    and ``row_ids`` and ``col_ids`` give the block of every row and column.
-    Yields ``(rows, cols, stack)`` for each block shape with columns, in
-    increasing order of ``(rows, columns)``: ``stack[g]`` is the dense block
-    at rows ``rows[g]`` and columns ``cols[g]`` of the matrix, and its
-    members are in increasing order of block id.
+    ``row_ids`` and ``col_ids`` give the block of every row and column, and
+    the masks ``row_keep`` and ``col_keep`` mark the kept rows and columns.
+    Yields ``(rows, cols, stack)`` for each shape with columns of the blocks
+    that hold a kept row or column, in increasing order of ``(rows,
+    columns)``: ``stack[g]`` is the dense block at rows ``rows[g]`` and
+    columns ``cols[g]`` of the matrix, and its members are in increasing
+    order of block id.  No other block is gathered.
     """
     entry_rows, entry_cols, values = entries
     blocks = row_ids[entry_rows]
     assert np.array_equal(blocks, col_ids[entry_cols]), "entry crosses a label block"
     num = int(max(row_ids.max(initial=-1), col_ids.max(initial=-1))) + 1
+    kept = np.zeros(num, dtype=bool)
+    kept[row_ids[row_keep]] = kept[col_ids[col_keep]] = True
     row_group = _group(row_ids, num)
     # a square matrix's rows and columns share one grouping
     col_group = row_group if col_ids is row_ids else _group(col_ids, num)
     row_order, row_start, row_count, row_local = row_group
     col_order, col_start, col_count, col_local = col_group
-    # the blocks grouped by shape, and each block's place in its shape's stack
+    # the kept blocks grouped by shape, and each one's place in its shape's stack
     shape_key = row_count * (col_count.max(initial=0) + 1) + col_count
-    by_shape = np.argsort(shape_key, kind="stable")
+    by_shape = np.flatnonzero(kept)[np.argsort(shape_key[kept], kind="stable")]
+    del kept  # a generator holds its locals while it yields
     bounds = np.flatnonzero(np.diff(shape_key[by_shape], prepend=-1, append=-1))
-    shape = np.empty(num, dtype=np.int16 if len(bounds) <= 2**15 else np.intp)
+    # every other block takes the shape past the last, whose entries are never read
+    shape = np.full(num, len(bounds) - 1,
+                    dtype=np.int16 if len(bounds) <= 2**15 else np.intp)
     shape[by_shape] = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
     slot = np.empty(num, dtype=np.intp)
-    slot[by_shape] = np.arange(num) - bounds[shape[by_shape]]
+    slot[by_shape] = np.arange(len(by_shape)) - bounds[shape[by_shape]]
     # the entries grouped by their block's shape (a radix sort of small ints)
     entry_shape = shape[blocks]
     entry_order = np.argsort(entry_shape, kind="stable")
@@ -283,27 +294,31 @@ def square_identity_residual(d: CSR, config: FockSpaceConfig) -> float:
 
     The square must act diagonally as twice the oscillator degree plus twice
     the form degree.  ``d`` conserves the labels, so its square is the
-    square of each label block: the blocks that hold a guarded column are
-    squared by one batched ``np.matmul`` per shape, in chunks of at most
-    ``_STACK_ENTRIES`` block entries.  The sparse ``d @ d`` is the test
-    oracle.
+    square of each label block: only the blocks that hold a guarded state
+    are gathered, and they are squared by one batched ``np.matmul`` per
+    shape, in chunks of at most ``_STACK_ENTRIES`` block entries.  The sparse
+    ``d @ d`` is the test oracle.
     """
     expected = 2.0 * graded_osc_degrees(config) + 2.0 * graded_form_degrees(config)
     guard = graded_guard_mask(config)
     ids = _label_ids(config)
     worst = 0.0
-    for _, cols, stack in _label_stacks((d.rows(), d.indices, d.data), ids, ids):
+    for _, cols, stack in _label_stacks((d.rows(), d.indices, d.data), ids, ids, guard, guard):
         # a block's rows are its columns, in the same order
         size = stack.shape[1]
-        members = np.flatnonzero(guard[cols].any(axis=1))
-        chunk = max(1, _STACK_ENTRIES // size**2)
-        for group in np.split(members, range(chunk, len(members), chunk)):
-            square = _squares(stack[group])
+        for part in _chunks(len(stack), size**2):
+            square = _squares(stack[part])
             # the diagonal of each square, as a strided view
-            square.reshape(len(group), size * size)[:, ::size + 1] -= expected[cols[group]]
-            guarded = np.where(guard[cols[group]][:, None, :], np.abs(square), 0.0)
+            square.reshape(len(square), size * size)[:, ::size + 1] -= expected[cols[part]]
+            guarded = np.where(guard[cols[part]][:, None, :], np.abs(square), 0.0)
             worst = max(worst, float(guarded.max(initial=0.0)))
     return worst
+
+
+def _chunks(count: int, entries: int) -> list:
+    """Slices of ``count`` items of ``entries`` entries: ``_STACK_ENTRIES`` or one item each."""
+    size = max(1, _STACK_ENTRIES // entries)
+    return [slice(start, min(start + size, count)) for start in range(0, count, size)]
 
 
 def _squares(blocks: np.ndarray) -> np.ndarray:

@@ -538,6 +538,20 @@ def _held_states(sec):
     return held[:sec.dim_even], held[sec.dim_even:]
 
 
+def _whole_stacks(cfg):
+    """The lowering block gathered over every label block, its pseudo-inverse
+    and that one's transposed views: the sector data's three stack lists, had
+    they held every block."""
+    config, even_idx, odd_idx, _ = _sector_helpers(cfg)
+    sec = models._sectors(cfg)
+    lower = dirac_plus(config)[even_idx, :][:, odd_idx]
+    stacks = list(spinors._label_stacks(
+        (lower.rows(), lower.indices, lower.data), sec.even_ids, sec.odd_ids,
+        np.ones(sec.dim_even, dtype=bool), np.ones(sec.dim_odd, dtype=bool)))
+    pinv = models._block_pinv(stacks)
+    return stacks, pinv, models._transposed(pinv)
+
+
 @pytest.mark.parametrize("n,cutoff,target", STACK_SIZES)
 @pytest.mark.parametrize("theta", [0.3, -0.2])
 @pytest.mark.parametrize("chirality", CHIRALITIES)
@@ -551,15 +565,14 @@ def test_a_held_solve_equals_a_whole_stack_solve(chirality, theta, n, cutoff, ta
     b = np.concatenate([b, np.zeros((sec.dim_odd, 2))], axis=1)
     a[[sec.vacuum_pos, sec.target_pos], [-2, -1]] = 1.0
     held = models._solve_columns(chirality, cfg, a, b)
-    residual = models._apply_model(chirality, cfg, *held, held=True)
+    residual = models._apply_model(chirality, cfg, *held)
     with monkeypatch.context() as whole:
-        for name, stacks in (("held_lower", sec.lower_stacks),
-                             ("held_lower_pinv", sec.lower_pinv),
-                             ("held_raise_pinv", sec.raise_pinv)):
+        for name, stacks in zip(("lower_stacks", "lower_pinv", "raise_pinv"),
+                                _whole_stacks(cfg)):
             whole.setattr(sec, name, stacks)
         for got, expected in zip(held, models._solve_columns(chirality, cfg, a, b)):
             assert np.array_equal(got, expected)
-    applied = models._apply_model(chirality, cfg, *held)
+        applied = models._apply_model(chirality, cfg, *held)
     for got, expected in zip(residual, applied):
         assert np.array_equal(got, expected)
     # every other block of the solution and of the residual is exactly zero
@@ -568,6 +581,21 @@ def test_a_held_solve_equals_a_whole_stack_solve(chirality, theta, n, cutoff, ta
     u, v = held
     assert not (u[~held_even].any() or v[~held_odd].any())
     assert not ((applied[0] - a)[~held_even].any() or (applied[1] - b)[~held_odd].any())
+
+
+@pytest.mark.parametrize("n,cutoff,target", STACK_SIZES)
+def test_the_sector_stacks_hold_only_blocks_with_a_guarded_state(n, cutoff, target):
+    sec = models._sectors(ModelConfig(n=n, cutoff=cutoff, target=target))
+    guards = (sec.guard_even, sec.guard_odd)
+    for stacks, (row_guard, col_guard) in ((sec.lower_stacks, guards),
+                                           (sec.lower_pinv, guards[::-1]),
+                                           (sec.raise_pinv, guards)):
+        assert stacks
+        for rows, cols, stack in stacks:
+            assert (row_guard[rows].any(axis=1) | col_guard[cols].any(axis=1)).all()
+    # and every guarded odd state is a column of a lowering block
+    cols = np.concatenate([cols.ravel() for _, cols, _ in sec.lower_stacks])
+    assert np.isin(sec.guarded_odd, cols).all()
 
 
 @pytest.mark.parametrize("n,cutoff,target", STACK_SIZES)
@@ -615,8 +643,11 @@ def test_label_block_products_match_dense_oracle(n, cutoff, target):
     x = rng.normal(size=(even + odd, 5)) + 1j * rng.normal(size=(even + odd, 5))
     config, even_idx, odd_idx, _ = _sector_helpers(cfg)
     lower = dirac_plus(config)[even_idx, :][:, odd_idx]
+    whole_lower, whole_pinv, whole_raise = _whole_stacks(cfg)
     for stacks, entries, cols, size in (
-        (sec.lower_stacks, (lower.rows(), lower.indices, lower.data), x[:odd], even),
+        (whole_lower, (lower.rows(), lower.indices, lower.data), x[:odd], even),
+        (whole_pinv, _stack_entries(whole_pinv), x[:even], odd),
+        (whole_raise, _stack_entries(whole_raise), x[:odd], even),
         (sec.lower_pinv, _stack_entries(sec.lower_pinv), x[:even], odd),
         (sec.raise_pinv, _stack_entries(sec.raise_pinv), x[:odd], even),
     ):
@@ -624,11 +655,14 @@ def test_label_block_products_match_dense_oracle(n, cutoff, target):
         product = models._block_product(stacks, cols, size)
         assert np.abs(product - oracle).max() <= 1e-13 * np.abs(oracle).max()
     # the solver applies raise_pinv, transposed views of lower_pinv, as their adjoint
-    rows, cols, values = _stack_entries(sec.raise_pinv)
-    oracle = _entry_product((rows, cols, values.conj()), x[:odd], even)
-    product = models._block_product(sec.raise_pinv, x[:odd], even, adjoint=True)
-    assert np.abs(product - oracle).max() <= 1e-13 * np.abs(oracle).max()
-    # the residual's model, applied from the sector data, against the assembled one
+    for stacks in (whole_raise, sec.raise_pinv):
+        rows, cols, values = _stack_entries(stacks)
+        oracle = _entry_product((rows, cols, values.conj()), x[:odd], even)
+        product = models._block_product(stacks, x[:odd], even, adjoint=True)
+        assert np.abs(product - oracle).max() <= 1e-13 * np.abs(oracle).max()
+    # the residual's model, applied from the sector data to columns that
+    # vanish off the held blocks, against the assembled one
+    x[~np.concatenate(_held_states(sec))] = 0.0
     for chirality, theta, scales in itertools.product(CHIRALITIES, (0.0, 0.3, -0.2),
                                                       ({}, SCALED)):
         cfg = ModelConfig(n=n, cutoff=cutoff, theta=theta, target=target, **scales)
@@ -765,7 +799,8 @@ def test_a_warm_certificate_reads_only_held_members(entries, monkeypatch):
     sec = models._sectors(cfg)
     # the lowering blocks with entries, and those of them that hold a guarded state
     _, held_odd = _held_states(sec)
-    blocks = np.concatenate([cols[:, 0] for _, cols, stack in sec.lower_stacks if stack.size])
+    whole_lower = _whole_stacks(cfg)[0]
+    blocks = np.concatenate([cols[:, 0] for _, cols, stack in whole_lower if stack.size])
     assert 0 < np.count_nonzero(held_odd[blocks]) < len(blocks)
     calls = []
     product = models._block_product
@@ -938,14 +973,19 @@ def test_block_pseudo_inverses_match_dense_oracle(n, cutoff):
     config, even_idx, odd_idx, _ = _sector_helpers(cfg)
     dirac = dirac_plus(config).toarray()
     sec = models._sectors(cfg)
+    held_even, held_odd = _held_states(sec)
     # raise_pinv holds the transposed views of lower_pinv, the conjugate of
-    # the raising block's pseudo-inverse
-    for block, pinv, stored in (
-        (dirac[np.ix_(even_idx, odd_idx)], sec.lower_pinv, lambda dense: dense),
-        (dirac[np.ix_(odd_idx, even_idx)], sec.raise_pinv, np.conj),
+    # the raising block's pseudo-inverse.  Both hold the held blocks only; a
+    # block-diagonal matrix's pseudo-inverse is block-diagonal, so their rows
+    # are the dense one's held rows
+    for block, pinv, stored, held in (
+        (dirac[np.ix_(even_idx, odd_idx)], sec.lower_pinv, lambda dense: dense, held_odd),
+        (dirac[np.ix_(odd_idx, even_idx)], sec.raise_pinv, np.conj, held_even),
     ):
         dense = np.linalg.pinv(block, rcond=1e-10)
-        assert np.abs(stored(_dense(pinv, dense.shape)) - dense).max() <= 1e-12
+        gathered = stored(_dense(pinv, dense.shape))
+        assert not gathered[~held].any()
+        assert np.abs(gathered[held] - dense[held]).max() <= 1e-12
 
 
 def _whole_difference_ranks(chirality, cfg):

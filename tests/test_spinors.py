@@ -249,6 +249,83 @@ def test_label_codes_at_the_overflow_guard(radix, dtype):
     assert np.array_equal(ids, np.unique(digits, axis=0, return_inverse=True)[1].reshape(-1))
 
 
+def _label_cases(nv, cutoff):
+    """``dirac_plus`` with the label ids and guard of its rows and columns,
+    then its lowering block (even rows, odd columns) with theirs."""
+    config = FockSpaceConfig(nv, cutoff)
+    d = dirac_plus(config)
+    ids = spinors._label_ids(config)
+    guard = graded_guard_mask(config)
+    even, odd = sector_indices(config, EVEN), sector_indices(config, ODD)
+    yield d, ids, ids, guard, guard
+    yield d[even, :][:, odd], ids[even], ids[odd], guard[even], guard[odd]
+
+
+def _gather(matrix, row_ids, col_ids, row_keep, col_keep):
+    entries = (matrix.rows(), matrix.indices, matrix.data)
+    return list(spinors._label_stacks(entries, row_ids, col_ids, row_keep, col_keep))
+
+
+def _dense_label_blocks(matrix, row_ids, col_ids):
+    """Every label block with columns, read block by block from the dense
+    matrix: ``(rows, cols, block)`` lists per shape, in increasing order of
+    shape and, within a shape, of block id."""
+    dense = matrix.toarray()
+    shapes = {}
+    for block in range(max(row_ids.max(), col_ids.max()) + 1):
+        rows, cols = np.flatnonzero(row_ids == block), np.flatnonzero(col_ids == block)
+        if len(cols):
+            shapes.setdefault((len(rows), len(cols)), []).append(
+                (rows, cols, dense[np.ix_(rows, cols)]))
+    return [shapes[shape] for shape in sorted(shapes)]
+
+
+@pytest.mark.parametrize("nv, cutoff", [(1, 6), (2, 5), (3, 4), (4, 4)])
+def test_label_stacks_with_every_state_kept_gather_every_block(nv, cutoff):
+    for matrix, row_ids, col_ids, _, _ in _label_cases(nv, cutoff):
+        every_row = np.ones(len(row_ids), dtype=bool)
+        every_col = np.ones(len(col_ids), dtype=bool)
+        whole = _gather(matrix, row_ids, col_ids, every_row, every_col)
+        oracle = _dense_label_blocks(matrix, row_ids, col_ids)
+        assert len(whole) == len(oracle)
+        for (rows, cols, stack), members in zip(whole, oracle):
+            expected_rows, expected_cols, blocks = zip(*members)
+            assert np.array_equal(rows, np.array(expected_rows).reshape(rows.shape))
+            assert np.array_equal(cols, np.array(expected_cols))
+            assert np.array_equal(stack, np.array(blocks).reshape(stack.shape))
+        # no kept state, no block
+        assert _gather(matrix, row_ids, col_ids, ~every_row, ~every_col) == []
+
+
+@pytest.mark.parametrize("nv, cutoff", [(1, 6), (2, 5), (3, 4), (4, 4)])
+def test_label_stacks_gather_only_the_blocks_with_a_kept_state(nv, cutoff):
+    rng = np.random.default_rng(nv * 100 + cutoff)
+    for matrix, row_ids, col_ids, guard_rows, guard_cols in _label_cases(nv, cutoff):
+        every_row = np.ones(len(row_ids), dtype=bool)
+        whole = _gather(matrix, row_ids, col_ids, every_row, np.ones(len(col_ids), dtype=bool))
+        total = sum(len(stack) for *_, stack in whole)
+        for row_keep, col_keep in ((guard_rows, guard_cols),
+                                   (guard_rows, np.zeros(len(col_ids), dtype=bool)),
+                                   (~every_row, guard_cols),
+                                   (rng.random(len(row_ids)) < 0.1,
+                                    rng.random(len(col_ids)) < 0.1)):
+            # the whole gather's members that hold a kept row or column, in order
+            expected = []
+            for rows, cols, stack in whole:
+                members = row_keep[rows].any(axis=1) | col_keep[cols].any(axis=1)
+                if members.any():
+                    expected.append((rows[members], cols[members], stack[members]))
+            got = _gather(matrix, row_ids, col_ids, row_keep, col_keep)
+            assert len(got) == len(expected)
+            for parts, expected_parts in zip(got, expected):
+                for part, expected_part in zip(parts, expected_parts):
+                    assert np.array_equal(part, expected_part)
+        # the guard keeps some blocks and drops others
+        guarded = sum(len(stack) for *_, stack in _gather(matrix, row_ids, col_ids,
+                                                           guard_rows, guard_cols))
+        assert 0 < guarded < total
+
+
 @pytest.mark.parametrize("nv, cutoff", [(1, 6), (2, 5), (3, 4)])
 def test_dirac_plus_matches_the_scipy_kron_assembly(nv, cutoff):
     sp = pytest.importorskip("scipy.sparse")
