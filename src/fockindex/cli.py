@@ -71,7 +71,7 @@ class _Param(NamedTuple):
 # pass.  The other minimums are the library's own preconditions (a cutoff
 # leaves room for the two-level guard band); each maximum keeps a request
 # within about 0.5 GB, measured as peak RSS: verify-symbols at n = 7 peaks
-# at 44 MB (n = 8: 61 MB), relindex at dim 1024 at 0.44 GB (20 trials; a
+# at 44 MB (n = 8: 61 MB), relindex at dim 1024 at 0.37 GB (20 trials; a
 # stack there holds one trial), and toeplitz at window 1024, which forms no
 # dense matrix, at 28 MB.
 _PARAMS = {
@@ -653,6 +653,10 @@ def _run_relindex(params: dict, seeds: list, checks: tuple):
                     drawn.append(pair)
             yield drawn, matrices[0], matrices[1], smoothing
 
+    # the parametrix is T*, which needs no SVD: T is the identity plus a
+    # compact operator, and so is T*, and Tr(P K2 P) - Tr(R K1 R) is
+    # rank P - rank R for every parametrix.  Its remainders round like
+    # dim * eps * ||T||^2, and ||T|| <= 1 for the orthogonal P, R drawn here.
     def trace_indices(p, r, t, u):
         return pairs._trace_index(p, r, pairs._remainder(t, u), pairs._remainder(u, t)).index
 
@@ -663,7 +667,7 @@ def _run_relindex(params: dict, seeds: list, checks: tuple):
         for drawn, p, r, _ in stacks(seeds[0]):
             expected = pairs._trace_rank(p) - pairs._trace_rank(r)
             t = pairs._comparison_matrix(p, r)
-            traced = trace_indices(p, r, t, pairs._truncated_pinv(t))
+            traced = trace_indices(p, r, t, pairs._adjoint(t))
             for (one_p, one_r), want, got in zip(drawn, expected, traced):
                 agree = (
                     pairs.kernel_index(one_p, one_r) == want
@@ -689,7 +693,7 @@ def _run_relindex(params: dict, seeds: list, checks: tuple):
         mismatches = 0
         for _, p, r, noise in stacks(seeds[2], noise=True):
             t = pairs._comparison_matrix(p, r)
-            u = pairs._truncated_pinv(t)
+            u = pairs._adjoint(t)
             # the smoothing perturbs the parametrix only: T is reused
             base = trace_indices(p, r, t, u)
             mismatches += int(np.count_nonzero(trace_indices(p, r, t, u + noise) != base))

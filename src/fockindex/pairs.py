@@ -16,6 +16,17 @@ coordinate projectors.  The trace and rank routes are dense, and their
 helpers broadcast over leading axes: a pair holds T and its parametrix U and
 derives K1 = I - TU and K2 = I - UT when first read, and the relindex runner
 evaluates the dense routes of its trials as stacks of matrices.
+
+``ProjectorPair.from_projectors`` takes the truncated pseudo-inverse of T as
+its parametrix; the relindex runner takes T* and factors nothing.  Both are
+sound: T = I + (R-P)(2P-I) is the identity plus a compact operator when R - P
+is compact, and then so is T*, so I - T*T and I - TT* are compact.  For
+orthogonal P and R, T* = PR + (I-P)(I-R) is the comparison operator of the
+reversed pair (Avron, Seiler and Simon, "The index of a pair of
+projections", 1994).  The remainders of T* round like dim * eps * ||T||^2:
+nothing for orthogonal P and R, where ||T|| <= 1, the runner's draws, but
+enough to reach the integrality gate for oblique pairs of large norm, which
+is why a pair keeps the pseudo-inverse.
 """
 
 from __future__ import annotations
@@ -235,9 +246,9 @@ def _check_same_space(*projectors: Projector) -> None:
 
 
 def _comparison_matrix(p: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """T = RP + (I - R)(I - P), over leading axes."""
-    eye = np.eye(p.shape[-1])
-    return r @ p + (eye - r) @ (eye - p)
+    """T = RP + (I - R)(I - P), over leading axes, formed with one product
+    as 2RP + I - R - P (the two agree for any square matrices)."""
+    return 2 * (r @ p) + np.eye(p.shape[-1]) - r - p
 
 
 def _remainder(a: np.ndarray, b: np.ndarray) -> np.ndarray:

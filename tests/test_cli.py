@@ -45,6 +45,7 @@ GOLDEN_RUNS = [
     ("readme-topo", ["topo", "--x0", X0, "--x1", X1], 0),
     ("verify-symbols-n3", ["verify-symbols", "--n", "3"], 0),
     ("relindex-ranks", ["relindex", "--rank-p", "5", "--rank-r", "9"], 0),
+    ("relindex-dim32", ["relindex", "--dim", "32", "--trials", "20", "--seed", "4"], 0),
     ("model-invert-n3", ["model-invert", "--chirality", "both", "--n", "3"], 0),
     ("topo-spinc", ["topo", "--x0", X0, "--spinc", SPINC], 0),
     ("topo-spinc-rejected", ["topo", "--x0", X0, "--spinc", SPINC_OFF], 2),
@@ -674,7 +675,11 @@ def test_relindex_report_does_not_depend_on_the_stack_size(entries, monkeypatch)
         traced.extend(zip(found.index.tolist(), found.raw.tolist()))
         return found
 
+    def refuse(*args):
+        raise AssertionError("the relindex runner takes T* as its parametrix")
+
     monkeypatch.setattr(pairs, "_trace_index", recording)
+    monkeypatch.setattr(pairs, "_truncated_pinv", refuse)
     requests = [RunRequest("relindex", {"dim": 8, "trials": 30}, seed=6),
                 RunRequest("relindex", {"dim": 8, "trials": 7, "rank_p": 8, "rank_r": 0}, seed=2)]
     whole = [run(request).to_json() for request in requests]

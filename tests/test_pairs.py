@@ -34,7 +34,9 @@ from fockindex.pairs import (
     toeplitz_winding,
 )
 from fockindex.pairs import (
+    _EPS,
     _IDEMPOTENT_TOL,
+    _adjoint,
     _comparison_matrix,
     _gap_checked_rank,
     _idempotency_tolerance,
@@ -518,8 +520,7 @@ def test_smoothed_pair_matches_a_rebuilt_pair(draw):
     noise = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     reused = ProjectorPair.from_projectors(p, r).with_smoothing(noise)
     # the same pair assembled by hand, with T and U formed afresh
-    eye = np.eye(dim)
-    t = r.matrix @ p.matrix + (eye - r.matrix) @ (eye - p.matrix)
+    t = 2 * (r.matrix @ p.matrix) + np.eye(dim) - r.matrix - p.matrix
     rebuilt = ProjectorPair(p, r, t, _truncated_pinv(t) + noise)
     for name in ("comparison", "parametrix", "k1", "k2"):
         assert np.array_equal(getattr(reused, name), getattr(rebuilt, name)), name
@@ -660,3 +661,61 @@ def test_stacked_dense_routes_equal_the_single_pair_routes(draw):
         single = relative_index_trace(pair)
         assert traced.index[k] == single.index == ranks[k]
         assert traced.raw[k] == single.raw
+
+
+@settings(max_examples=30, deadline=None)
+@given(draw=_stacked_draws, scale=st.floats(0.1, 10.0))
+def test_one_product_comparison_matches_the_two_product_form(draw, scale):
+    dim, sides, seed = draw
+    rng = np.random.default_rng(seed)
+    # oblique sides from _conjugated, whose norm can pass 1e4
+    drawn = [
+        [_conjugated(rng, dim, rank, scale) if oblique else random_projector(rng, dim, rank)
+         for rank, oblique in ((rank_p, oblique_p), (rank_r, oblique_r))]
+        for rank_p, rank_r, oblique_p, oblique_r in sides
+    ]
+    p = np.array([one_p.matrix for one_p, _ in drawn])
+    r = np.array([one_r.matrix for _, one_r in drawn])
+    eye = np.eye(dim)
+    two_products = r @ p + (eye - r) @ (eye - p)
+
+    def norm(m):
+        return np.linalg.norm(m, 2, axis=(-2, -1))
+
+    # each entry of a computed product A B is off by at most about
+    # dim * eps * ||A|| ||B||, and each sum by eps times its size
+    size = (norm(r) * norm(p) + norm(eye - r) * norm(eye - p)
+            + norm(r) + norm(p) + 1)
+    bound = 4 * (dim + 3) * _EPS * size
+    gap = np.abs(_comparison_matrix(p, r) - two_products).max(axis=(-2, -1))
+    assert (gap <= bound).all(), (gap, bound)
+
+
+def test_adjoint_parametrix_matches_the_library_route():
+    """The relindex runner's trace route, with T* as the parametrix, against
+    ``ProjectorPair.from_projectors`` and its truncated pseudo-inverse.
+
+    For orthogonal P and R, the runner's draws, ||T|| <= 1 and the raw trace
+    lies within 1e-10 of rank P - rank R.  For oblique ones the rounding of
+    I - TT* and I - T*T grows like dim * eps * ||T||^2; at dimension 256
+    ||T|| can pass 1e4 and that rounding the integrality gate, which is why
+    the library's parametrix stays the pseudo-inverse.
+    """
+    rng = np.random.default_rng(26)
+    for dim in [*range(1, 80), 256]:
+        for self_adjoint in (True, False):
+            p, r = (random_projector(rng, dim, int(rng.integers(0, dim + 1)),
+                                     self_adjoint=self_adjoint) for _ in range(2))
+            expected = p.rank - r.rank
+            library = relative_index_trace(ProjectorPair.from_projectors(p, r))
+            assert library.index == expected, (dim, self_adjoint)
+            assert abs(library.raw - expected) <= 1e-10, (dim, self_adjoint)
+            t = _comparison_matrix(p.matrix, r.matrix)
+            u = _adjoint(t)
+            k1, k2 = _remainder(t, u), _remainder(u, t)
+            # the raw value of _trace_index, without its integrality gate
+            raw = (k2 * p.matrix.T).sum().real - (k1 * r.matrix.T).sum().real
+            growth = max(1.0, np.linalg.norm(t, 2)) ** 2
+            assert abs(raw - expected) <= 1e-10 * growth, (dim, self_adjoint)
+            if self_adjoint:
+                assert _trace_index(p.matrix, r.matrix, k1, k2) == (expected, raw)
