@@ -2,10 +2,11 @@
 
 The comparison operator couples a rank-one (possibly deformed) projector
 block on the even-form sector with the chiral halves of the coupled
-raising/lowering operator and the oscillator Hamiltonian.  It is assembled
-directly; the tests check it against the graded combination
-``R P + (Id - R)(Id - P)`` of the projector models, in which each block keeps
-only the summand of highest declared order.
+raising/lowering operator and the oscillator Hamiltonian.  It is never
+assembled here, only applied through label-block stacks; the tests assemble
+it as a sparse 2x2 block operator and check that against the graded
+combination ``R P + (Id - R)(Id - P)`` of the projector models, in which
+each block keeps only the summand of highest declared order.
 
 All model matrices act on the two form-parity sectors stacked even-first.
 Right-hand sides for the inverse formulas must be supported on oscillator
@@ -32,10 +33,10 @@ through the stacks of ``L``, builds the merged block from a cached dense
 block of ``L`` and the deformed vacuum's amplitudes ``cos(theta)`` and
 ``sin(theta)``, takes the smallest singular value outside it from the
 stacks once per chirality and theta-free configuration, and builds no
-sparse matrix and no dense sector-sized one.  Sparse matrices are the
-format of assembly (the lowering block is sliced from ``dirac_plus``) and
-of the test oracle: the assembled model and the dense route (``pinv`` and
-SVD of whole sectors).
+sparse matrix and no dense sector-sized one.  The one sparse matrix read
+is ``dirac_plus``, from which the lowering block is sliced; the assembled
+model and the dense route (``pinv`` and SVD of whole sectors) are the test
+oracle.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import sparse, spinors
+from . import spinors
 from .errors import GuardViolationError, PairingFloorError
 from .fock import GUARD, FockSpaceConfig
 from .spinors import (
@@ -58,7 +59,6 @@ from .spinors import (
     _deformed_amplitudes,
     _label_ids,
     _label_stacks,
-    deformed_szego,
     dirac_plus,
     graded_index,
     graded_osc_degrees,
@@ -68,8 +68,6 @@ from .spinors import (
 
 __all__ = [
     "ModelConfig",
-    "BlockOperator",
-    "build_comparison_model",
     "invert_comparison_model",
     "certify_invertibility",
     "deformation_block_ranks",
@@ -96,12 +94,15 @@ class ModelConfig:
     def __post_init__(self):
         if self.n < 2:
             raise ValueError(f"need n >= 2, got n = {self.n}")
+        if self.beta is None:
+            object.__setattr__(self, "beta", float(self.n - 1))
+        for name in ("alpha", "beta", "theta", "tol"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.alpha <= 0:
             raise ValueError(f"alpha must be positive, got {self.alpha}")
         if self.tol <= 0:
             raise ValueError(f"tol must be positive, got {self.tol}")
-        if self.beta is None:
-            object.__setattr__(self, "beta", float(self.n - 1))
         if self.target is None:
             excited = (1,) + (0,) * (self.n - 2)
             object.__setattr__(self, "target", GradedBasisIndex(excited, ()))
@@ -113,34 +114,6 @@ class ModelConfig:
     @property
     def deformed(self) -> bool:
         return self.theta != 0.0
-
-
-@dataclass(frozen=True)
-class BlockOperator:
-    """2x2 block matrix over the form-parity sectors.
-
-    ``blocks[i][j]`` is a sparse matrix or ``None`` (an exactly-zero block).
-    The first slot is always the even-form sector.
-    """
-
-    blocks: tuple
-    row_dims: tuple
-    col_dims: tuple
-
-    def block(self, i: int, j: int) -> sparse.CSR:
-        entry = self.blocks[i][j]
-        if entry is None:
-            return sparse.zeros((self.row_dims[i], self.col_dims[j]))
-        return entry
-
-    def matrix(self) -> sparse.CSR:
-        """The assembled two-sector matrix."""
-        parts = [(block.rows() + (0, self.row_dims[0])[i],
-                  block.indices + (0, self.col_dims[0])[j], block.data)
-                 for i, j in np.ndindex(2, 2) for block in [self.block(i, j)]]
-        rows, cols, values = (np.concatenate(part) for part in zip(*parts))
-        return sparse.from_triples(rows, cols, values,
-                                   (sum(self.row_dims), sum(self.col_dims)))
 
 
 class _SectorData:
@@ -255,26 +228,6 @@ def _factors(chirality: str, cfg: ModelConfig) -> tuple:
     sign = -1.0 if chirality == EVEN else 1.0
     heavy = cfg.alpha**2 * (_sectors(cfg).h0_odd + sign * cfg.beta)
     return sign * cfg.alpha, -sign * cfg.alpha, heavy
-
-
-def build_comparison_model(chirality: str, cfg: ModelConfig) -> BlockOperator:
-    """The comparison-operator model, assembled directly.
-
-    Equals the graded combination ``R P + (Id - R)(Id - P)`` of the boundary
-    and one-sided projector models, blockwise and exactly.
-    """
-    _check_parity(chirality, "chirality")
-    config = cfg.fock_config
-    even, odd = sector_indices(config, EVEN), sector_indices(config, ODD)
-    dirac = dirac_plus(config)
-    szego = deformed_szego(config, cfg.theta, cfg.target)[even, :][:, even]
-    lower, raising, heavy = _factors(chirality, cfg)
-    top_right = ((sparse.diagonal(np.ones(len(even))) - 2.0 * szego)
-                 @ (lower * dirac[even, :][:, odd]))
-    blocks = ((szego, top_right),
-              (raising * dirac[odd, :][:, even], sparse.diagonal(heavy)))
-    dims = (len(even), len(odd))
-    return BlockOperator(blocks, dims, dims)
 
 
 def _check_guarded(sec: _SectorData, a: np.ndarray, b: np.ndarray):
@@ -460,7 +413,8 @@ def _merged_block(chirality: str, cfg: ModelConfig) -> tuple:
     pair = sec.merged_pair
     szego = np.outer(amplitudes, amplitudes)
     # the pair's rows of Id - 2 S, summed vacuum first (it is the first even
-    # state), as the sparse product of the assembled model sums them
+    # state), as the sparse product (Id - 2 S) @ (lower L) of the tests'
+    # assembled model sums them
     reflect, top = np.eye(2) - 2.0 * szego, block[pair, len(even):]
     block[pair, len(even):] = reflect[:, :1] * top[0] + reflect[:, 1:] * top[1]
     block[np.ix_(pair, pair)] = szego

@@ -55,7 +55,6 @@ __all__ = [
     "dirac_plus",
     "vacuum_index",
     "basis_vector",
-    "deformed_szego",
     "square_identity_residual",
 ]
 
@@ -187,26 +186,6 @@ def _deformed_amplitudes(theta: float) -> tuple:
         raise PairingFloorError(f"vacuum pairing |cos(theta)| = {abs(cos):.3e} below "
                                 f"floor {PAIRING_FLOOR}")
     return cos, math.sin(theta)
-
-
-def deformed_szego(config: FockSpaceConfig, theta: float,
-                   target: GradedBasisIndex) -> CSR:
-    """Rank-one projection onto cos(theta) * vacuum + sin(theta) * target.
-
-    The target must be a basis state of even form degree distinct from the
-    vacuum; the deformation is admissible only while the overlap with the
-    vacuum stays above ``PAIRING_FLOOR``.  Only the assembled comparison
-    model reads this matrix; the solver and certificate read the amplitudes.
-    """
-    _check_target(config, target)
-    amps = np.array(_deformed_amplitudes(theta))
-    # the projector's only nonzeros sit on the vacuum and target coordinates
-    coords = [graded_index(config, vacuum_index(config)), graded_index(config, target)]
-    dim = graded_dimension(config)
-    values = np.outer(amps, amps).ravel()
-    keep = values != 0
-    return from_triples(np.repeat(coords, 2)[keep], np.tile(coords, 2)[keep],
-                        values[keep], (dim, dim))
 
 
 def _label_ids(config: FockSpaceConfig) -> np.ndarray:

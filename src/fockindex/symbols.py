@@ -267,6 +267,10 @@ class HessianData:
         a = np.asarray(self.a, dtype=complex)
         b = np.asarray(self.b, dtype=complex)
         alpha = np.asarray(self.alpha, dtype=float)
+        for name, value in (("alpha", alpha), ("a", a), ("b", b)):
+            bad = value[~np.isfinite(value)]
+            if bad.size:
+                raise ValueError(f"{name} must be finite, got {bad.flat[0]}")
         if (alpha <= 0).any():
             raise ValueError(f"alpha must be positive, got {alpha[alpha <= 0].flat[0]}")
         if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.size == 0 or b.shape != a.shape:

@@ -6,9 +6,11 @@ at zero deformation angle, direct residuals through the assembled model,
 and rank counts of the deformation difference.  The label-block route is
 cross-checked against the dense one: dense pseudo-inverses of the sector
 blocks, a dense SVD of the guarded columns, and ranks of the whole
-deformation difference.  The block calculus with declared orders, and the
-projector models it combines into the comparison model, live here as the
-oracle of the directly assembled model.
+deformation difference.  The library holds the model only as label-block
+stacks.  Its oracle lives here: the directly assembled sparse model and the
+deformed vacuum projector it reads, and the block calculus with declared
+orders with the projector models it combines into
+``R P + (Id - R)(Id - P)``.
 """
 
 import itertools
@@ -24,10 +26,9 @@ from hypothesis import strategies as st
 
 from fockindex import models, sparse, spinors
 from fockindex.errors import GuardViolationError, PairingFloorError
+from fockindex.fock import FockSpaceConfig
 from fockindex.models import (
-    BlockOperator,
     ModelConfig,
-    build_comparison_model,
     certify_invertibility,
     deformation_block_ranks,
     invert_comparison_model,
@@ -38,9 +39,12 @@ from fockindex.spinors import (
     ODD,
     GradedBasisIndex,
     _check_parity,
-    deformed_szego,
+    _check_target,
+    _deformed_amplitudes,
+    basis_vector,
     dirac_plus,
     graded_basis,
+    graded_dimension,
     graded_form_degrees,
     graded_index,
     graded_osc_degrees,
@@ -58,31 +62,40 @@ SCALED = {"alpha": 0.6, "beta": 2.25}
 
 
 @dataclass(frozen=True)
-class GradedOperator(BlockOperator):
-    """A block operator whose blocks carry declared orders.
+class GradedOperator:
+    """2x2 block matrix over the form-parity sectors, with declared orders.
 
-    ``heisenberg_orders[i][j]`` is the declared order of ``blocks[i][j]``,
-    ``None`` for zero blocks.
+    ``blocks[i][j]`` is a sparse matrix or ``None`` (an exactly-zero block),
+    and ``heisenberg_orders[i][j]`` its declared order, ``None`` for zero
+    blocks.  The first slot is always the even-form sector.
     """
 
+    blocks: tuple
+    row_dims: tuple
+    col_dims: tuple
     heisenberg_orders: tuple
 
-    def adjoint(self) -> "GradedOperator":
-        def flip(entry):
-            return None if entry is None else entry.adjoint()
+    def block(self, i: int, j: int) -> sparse.CSR:
+        entry = self.blocks[i][j]
+        if entry is None:
+            return sparse.zeros((self.row_dims[i], self.col_dims[j]))
+        return entry
 
-        return GradedOperator(
-            blocks=(
-                (flip(self.blocks[0][0]), flip(self.blocks[1][0])),
-                (flip(self.blocks[0][1]), flip(self.blocks[1][1])),
-            ),
-            heisenberg_orders=(
-                (self.heisenberg_orders[0][0], self.heisenberg_orders[1][0]),
-                (self.heisenberg_orders[0][1], self.heisenberg_orders[1][1]),
-            ),
-            row_dims=self.col_dims,
-            col_dims=self.row_dims,
-        )
+    def matrix(self) -> sparse.CSR:
+        """The assembled two-sector matrix."""
+        parts = [(block.rows() + (0, self.row_dims[0])[i],
+                  block.indices + (0, self.col_dims[0])[j], block.data)
+                 for i, j in np.ndindex(2, 2) for block in [self.block(i, j)]]
+        rows, cols, values = (np.concatenate(part) for part in zip(*parts))
+        return sparse.from_triples(rows, cols, values,
+                                   (sum(self.row_dims), sum(self.col_dims)))
+
+    def adjoint(self) -> "GradedOperator":
+        """Blockwise adjoint: block ``(i, j)`` is block ``(j, i)``'s, with its order."""
+        blocks = tuple(tuple(None if entry is None else entry.adjoint() for entry in column)
+                       for column in zip(*self.blocks))
+        orders = tuple(zip(*self.heisenberg_orders))
+        return GradedOperator(blocks, self.col_dims, self.row_dims, orders)
 
     def compose(self, other: "GradedOperator") -> "GradedOperator":
         """Plain block product; each order is the best declared sum."""
@@ -170,6 +183,25 @@ def build_calderon_model(chirality: str, complement: bool, cfg: ModelConfig) -> 
     return GradedOperator(blocks, dims, dims, orders)
 
 
+def deformed_szego(config: FockSpaceConfig, theta: float,
+                   target: GradedBasisIndex) -> sparse.CSR:
+    """Rank-one projection onto cos(theta) * vacuum + sin(theta) * target.
+
+    The target must be a basis state of even form degree distinct from the
+    vacuum, and the vacuum pairing must stay above ``PAIRING_FLOOR``: the
+    library's sector data and amplitudes refuse the rest.
+    """
+    _check_target(config, target)
+    amps = np.array(_deformed_amplitudes(theta))
+    # the projector's only nonzeros sit on the vacuum and target coordinates
+    coords = [graded_index(config, vacuum_index(config)), graded_index(config, target)]
+    dim = graded_dimension(config)
+    values = np.outer(amps, amps).ravel()
+    keep = values != 0
+    return sparse.from_triples(np.repeat(coords, 2)[keep], np.tile(coords, 2)[keep],
+                               values[keep], (dim, dim))
+
+
 def build_boundary_model(chirality: str, cfg: ModelConfig) -> GradedOperator:
     """Model of the generalized projector side condition.
 
@@ -189,10 +221,23 @@ def build_boundary_model(chirality: str, cfg: ModelConfig) -> GradedOperator:
     return GradedOperator(blocks, dims, dims, orders)
 
 
-def _declared_comparison_model(chirality, cfg):
-    """The directly assembled comparison model, with its declared orders."""
-    model = build_comparison_model(chirality, cfg)
-    return GradedOperator(model.blocks, model.row_dims, model.col_dims, COMPARISON_ORDERS)
+def build_comparison_model(chirality: str, cfg: ModelConfig) -> GradedOperator:
+    """The comparison model, assembled directly, with its declared orders.
+
+    Equals the graded combination ``R P + (Id - R)(Id - P)`` of the boundary
+    and one-sided projector models, blockwise and exactly.  Its factors are
+    the library's ``models._factors``.
+    """
+    _check_parity(chirality, "chirality")
+    config, even, odd, _ = _sector_helpers(cfg)
+    dirac = dirac_plus(config)
+    szego = deformed_szego(config, cfg.theta, cfg.target)[even, :][:, even]
+    lower, raising, heavy = models._factors(chirality, cfg)
+    top_right = (_identity(even) - 2.0 * szego) @ (lower * dirac[even, :][:, odd])
+    blocks = ((szego, top_right),
+              (raising * dirac[odd, :][:, even], sparse.diagonal(heavy)))
+    dims = (len(even), len(odd))
+    return GradedOperator(blocks, dims, dims, COMPARISON_ORDERS)
 
 
 def _identity(positions):
@@ -239,6 +284,13 @@ def test_model_config_defaults_and_validation():
         ModelConfig(n=2, tol=-1.0)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("field", ["alpha", "beta", "theta", "tol"])
+def test_model_config_refuses_a_non_finite_parameter_by_name(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        ModelConfig(n=2, cutoff=8, **{field: value})
+
+
 def test_calderon_model_corners_and_complement():
     cfg = ModelConfig(n=3, cutoff=8)
     config, even_idx, odd_idx, osc = _sector_helpers(cfg)
@@ -276,6 +328,31 @@ def test_calderon_model_odd_chirality_layout():
     total = proj.graded_add(build_calderon_model(ODD, True, cfg))
     dim = sum(proj.row_dims)
     assert np.abs(total.matrix().toarray() - np.eye(dim)).max() == 0.0
+
+
+def test_deformed_szego_properties():
+    config = FockSpaceConfig(2, 5)
+    target = GradedBasisIndex((1, 0), ())
+    p = deformed_szego(config, 0.3, target).toarray()
+    assert np.max(np.abs(p @ p - p)) <= 1e-14
+    assert np.max(np.abs(p.conj().T - p)) <= 1e-14
+    assert np.linalg.matrix_rank(p) == 1
+    # theta = 0 reduces exactly to the vacuum projector
+    p0 = deformed_szego(config, 0.0, target).toarray()
+    z0 = basis_vector(config, vacuum_index(config))
+    assert np.array_equal(p0, np.outer(z0, z0.conj()))
+    # even-degree non-oscillator target is admissible too
+    deformed_szego(config, 0.2, GradedBasisIndex((0, 0), (1, 2)))
+
+
+def test_deformed_szego_matches_dense_outer_product():
+    config = FockSpaceConfig(2, 5)
+    vacuum = basis_vector(config, vacuum_index(config))
+    for target in (GradedBasisIndex((1, 0), ()), GradedBasisIndex((0, 1), (1, 2))):
+        for theta in (0.0, 0.3, -1.2):
+            vec = np.cos(theta) * vacuum + np.sin(theta) * basis_vector(config, target)
+            p = deformed_szego(config, theta, target).toarray()
+            assert np.array_equal(p, np.outer(vec, vec.conj()))
 
 
 def test_boundary_model_fixes_deformed_vacuum():
@@ -330,9 +407,8 @@ def test_comparison_equals_graded_projector_combination(chirality, theta, n):
     p = build_calderon_model(chirality, False, cfg)
     p_comp = build_calderon_model(chirality, True, cfg)
     combined = r.compose(p).graded_add(r_comp.compose(p_comp))
-    direct = _declared_comparison_model(chirality, cfg)
+    direct = build_comparison_model(chirality, cfg)
     assert combined.heisenberg_orders == COMPARISON_ORDERS
-    assert direct.heisenberg_orders == COMPARISON_ORDERS
     for i in range(2):
         for j in range(2):
             diff = (combined.block(i, j) - direct.block(i, j)).toarray()
@@ -350,7 +426,7 @@ def test_comparison_odd_top_right_sign_flips():
 @pytest.mark.parametrize("n", [2, 3])
 def test_adjoint_relation_at_zero_angle(n):
     cfg = ModelConfig(n=n, cutoff=8)
-    even_adj = _declared_comparison_model(EVEN, cfg).adjoint()
+    even_adj = build_comparison_model(EVEN, cfg).adjoint()
     odd = build_comparison_model(ODD, cfg)
     for i, j in ((0, 0), (0, 1), (1, 0)):
         diff = (even_adj.block(i, j) - odd.block(i, j)).toarray()
@@ -735,7 +811,6 @@ def test_a_certificate_assembles_no_model(chirality, monkeypatch):
     def refuse(*args):
         raise AssertionError("a certificate assembled the comparison model")
 
-    monkeypatch.setattr(models, "build_comparison_model", refuse)
     monkeypatch.setattr(sparse.CSR, "__matmul__", refuse)
     for cache in (models._sector_data, models._theta_free_data):
         cache.cache_clear()
@@ -923,10 +998,15 @@ def test_an_inadmissible_target_is_refused_before_sector_data_is_built(target):
 
 def test_invalid_chirality_rejected():
     cfg = ModelConfig(n=2, cutoff=8)
-    with pytest.raises(ValueError):
-        build_comparison_model("sideways", cfg)
-    with pytest.raises(ValueError):
-        build_boundary_model("sideways", cfg)
+    rhs = random_guarded_rhs(np.random.default_rng(0), cfg)
+    # the library's entry points, then the oracle's builders
+    for call in (lambda: invert_comparison_model("sideways", cfg, rhs),
+                 lambda: certify_invertibility("sideways", cfg),
+                 lambda: deformation_block_ranks("sideways", cfg),
+                 lambda: build_comparison_model("sideways", cfg),
+                 lambda: build_boundary_model("sideways", cfg)):
+        with pytest.raises(ValueError, match="chirality must be"):
+            call()
 
 
 @pytest.mark.parametrize("num_rhs", [0, -3])

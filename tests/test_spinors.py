@@ -12,16 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fockindex import sparse, spinors
-from fockindex.errors import PairingFloorError
 from fockindex.fock import FockSpaceConfig, _radix_codes, max_abs_on_guard, multi_indices
 from fockindex.sparse import _distinct
 from fockindex.spinors import (
     EVEN,
     ODD,
     GradedBasisIndex,
-    basis_vector,
     contract_matrix,
-    deformed_szego,
     dirac_plus,
     form_subsets,
     graded_basis,
@@ -372,39 +369,3 @@ def test_even_restriction_kernel_is_vacuum_on_guard():
         kernel = vh[-1].conj()
         z0_pos = np.nonzero(guarded_cols == graded_index(config, vacuum_index(config)))[0]
         assert abs(abs(kernel[z0_pos[0]]) - 1.0) < 1e-12
-
-
-def test_deformed_szego_properties():
-    config = FockSpaceConfig(2, 5)
-    target = GradedBasisIndex((1, 0), ())
-    p = deformed_szego(config, 0.3, target).toarray()
-    assert np.max(np.abs(p @ p - p)) <= 1e-14
-    assert np.max(np.abs(p.conj().T - p)) <= 1e-14
-    assert np.linalg.matrix_rank(p) == 1
-    # theta = 0 reduces exactly to the vacuum projector
-    p0 = deformed_szego(config, 0.0, target).toarray()
-    z0 = basis_vector(config, vacuum_index(config))
-    assert np.array_equal(p0, np.outer(z0, z0.conj()))
-    # even-degree non-oscillator target is admissible too
-    deformed_szego(config, 0.2, GradedBasisIndex((0, 0), (1, 2)))
-
-
-def test_deformed_szego_matches_dense_outer_product():
-    config = FockSpaceConfig(2, 5)
-    vacuum = basis_vector(config, vacuum_index(config))
-    for target in (GradedBasisIndex((1, 0), ()), GradedBasisIndex((0, 1), (1, 2))):
-        for theta in (0.0, 0.3, -1.2):
-            vec = np.cos(theta) * vacuum + np.sin(theta) * basis_vector(config, target)
-            p = deformed_szego(config, theta, target).toarray()
-            assert np.array_equal(p, np.outer(vec, vec.conj()))
-
-
-def test_deformed_szego_admissibility():
-    config = FockSpaceConfig(2, 5)
-    target = GradedBasisIndex((1, 0), ())
-    with pytest.raises(PairingFloorError):
-        deformed_szego(config, np.pi / 2 - 1e-5, target)
-    with pytest.raises(ValueError):
-        deformed_szego(config, 0.3, GradedBasisIndex((0, 0), (1,)))  # odd degree
-    with pytest.raises(ValueError):
-        deformed_szego(config, 0.3, vacuum_index(config))

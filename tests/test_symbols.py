@@ -339,6 +339,16 @@ def test_hessian_data_refuses_bad_parts():
             HessianData(alpha, eye, zero)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("field", ["alpha", "a", "b"])
+def test_hessian_data_refuses_a_non_finite_part_by_name(field, value):
+    # NaN passes the positivity and the Hermitian and symmetric gates
+    parts = {"alpha": 1.0, "a": np.eye(2), "b": np.zeros((2, 2))}
+    parts[field] = value if field == "alpha" else np.diag([1.0, value])
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        HessianData(**parts)
+
+
 def _stacked(items):
     """The Hessian data of ``items`` as one stack."""
     return HessianData(*(np.array([getattr(h, name) for h in items])
