@@ -71,7 +71,7 @@ class _Param(NamedTuple):
 # pass.  The other minimums are the library's own preconditions (a cutoff
 # leaves room for the two-level guard band); each maximum keeps a request
 # within about 0.5 GB, measured as peak RSS: verify-symbols at n = 7 peaks
-# at 44 MB (n = 8: 61 MB), relindex at dim 1024 at 0.37 GB (20 trials; a
+# at 44 MB (n = 8: 61 MB), relindex at dim 1024 at 0.34 GB (20 trials; a
 # stack there holds one trial), and toeplitz at window 1024, which forms no
 # dense matrix, at 28 MB.
 _PARAMS = {
@@ -460,6 +460,13 @@ def _run_verify_algebra(params: dict, seeds: list, checks: tuple):
 _STACK_ENTRIES = 2**14
 
 
+def _stack_ranges(total: int, entries: int):
+    """``total`` items, of ``entries`` entries each, as consecutive ranges
+    that hold at most _STACK_ENTRIES entries (and at least one item)."""
+    size = max(1, _STACK_ENTRIES // entries)
+    return [range(start, min(start + size, total)) for start in range(0, total, size)]
+
+
 def _run_verify_symbols(params: dict, seeds: list, checks: tuple):
     """boundary symbol identities"""
     import numpy as np
@@ -470,15 +477,13 @@ def _run_verify_symbols(params: dict, seeds: list, checks: tuple):
     n, samples = params["n"], params["samples"]
     dim = symbols.symbol_dimension(n)
     eye = np.eye(dim)
-    stack_size = max(1, _STACK_ENTRIES // dim**2)
 
     def stacks(seed, boundary):
         # a stack holds the covectors of one draw per covector, so the
         # samples do not depend on the stack size
         rng = np.random.default_rng(seed)
-        for start in range(0, samples, stack_size):
-            count = min(stack_size, samples - start)
-            yield symbols.random_covectors(rng, n, count, boundary=boundary)
+        for stack in _stack_ranges(samples, dim**2):
+            yield symbols.random_covectors(rng, n, len(stack), boundary=boundary)
 
     worst = 0.0
     for xi in stacks(seeds[0], boundary=False):
@@ -536,15 +541,14 @@ def _run_verify_symbols(params: dict, seeds: list, checks: tuple):
         return symbols.HessianData(*(np.array([getattr(h, name) for h in items])
                                      for name in ("alpha", "a", "b")))
 
-    # an instance holds its matrices and, per covector, 2n weights at each node
-    quad_stack = max(1, _STACK_ENTRIES // max(dim**2, symbols.QUADRATURE_NODES * 2 * n))
     # errors and their estimates relative to the closed forms, the projector's absolute
     worst_rel = worst_est = 0.0
-    for start in range(0, quad_samples, quad_stack):
+    # an instance holds its matrices and, per covector, 2n weights at each node
+    for stack in _stack_ranges(quad_samples, max(dim**2, symbols.QUADRATURE_NODES * 2 * n)):
         # the instances draw in turn, as one at a time would, so the draws do
         # not depend on the stack size
         draws = []
-        for instance in range(start, min(start + quad_stack, quad_samples)):
+        for instance in stack:
             xp = symbols.random_covector(rng, n, boundary=True)
             hess = (
                 symbols.HessianData.kahler(n)
@@ -627,48 +631,30 @@ def _run_relindex(params: dict, seeds: list, checks: tuple):
     agreement, logarithmic, invariance = checks
     dim, trials = params["dim"], params["trials"]
     details = {"trials": trials, "dimension": dim}
-    # a stack holds at most _STACK_ENTRIES entries of each of its matrices
-    stack_size = max(1, _STACK_ENTRIES // dim**2)
 
     def stacks(seed, noise=False):
         # a stack's trials draw in turn, as one at a time would (the rank,
         # then P, then R, then the noise), so the draws do not depend on the
-        # stack size.  Yields the drawn pairs, except where the noise is drawn
-        # (that check reads the matrices alone), and the stacks of P, R and
-        # the noise.
+        # stack size.  Yields the stack's projectors P and R, and its noise.
         rng = np.random.default_rng(seed)
-        for start in range(0, trials, stack_size):
-            count = min(stack_size, trials - start)
-            drawn = []
-            matrices = np.empty((2, count, dim, dim), dtype=complex)
-            smoothing = np.empty((count, dim, dim), dtype=complex) if noise else None
-            for k in range(count):
-                pair = [pairs.random_projector(rng, dim, _draw_rank(rng, dim, params[name]))
-                        for name in ("rank_p", "rank_r")]
-                for side, projector in enumerate(pair):
-                    matrices[side, k] = projector.matrix
+        for stack in _stack_ranges(trials, dim**2):
+            p, r = [], []
+            smoothing = np.empty((len(stack), dim, dim), dtype=complex) if noise else None
+            for k in range(len(stack)):
+                for side, name in ((p, "rank_p"), (r, "rank_r")):
+                    side.append(pairs.random_projector(rng, dim, _draw_rank(rng, dim, params[name])))
                 if noise:
                     smoothing[k] = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-                else:
-                    drawn.append(pair)
-            yield drawn, matrices[0], matrices[1], smoothing
-
-    # the parametrix is T*, which needs no SVD: T is the identity plus a
-    # compact operator, and so is T*, and Tr(P K2 P) - Tr(R K1 R) is
-    # rank P - rank R for every parametrix.  Its remainders round like
-    # dim * eps * ||T||^2, and ||T|| <= 1 for the orthogonal P, R drawn here.
-    def trace_indices(p, r, t, u):
-        return pairs._trace_index(p, r, pairs._remainder(t, u), pairs._remainder(u, t)).index
+            yield p, r, smoothing
 
     # each check counts its mismatches in a function of its own, so what a
     # check holds is freed before the next one draws
     def agreement_mismatches():
         mismatches = 0
-        for drawn, p, r, _ in stacks(seeds[0]):
-            expected = pairs._trace_rank(p) - pairs._trace_rank(r)
-            t = pairs._comparison_matrix(p, r)
-            traced = trace_indices(p, r, t, pairs._adjoint(t))
-            for (one_p, one_r), want, got in zip(drawn, expected, traced):
+        for p, r, _ in stacks(seeds[0]):
+            expected = pairs.relative_index_rank(p, r)
+            traced = pairs.relative_index_trace(pairs.ProjectorPair.from_projectors(p, r)).index
+            for one_p, one_r, want, got in zip(p, r, expected, traced):
                 agree = (
                     pairs.kernel_index(one_p, one_r) == want
                     and got == want
@@ -691,12 +677,13 @@ def _run_relindex(params: dict, seeds: list, checks: tuple):
 
     def invariance_mismatches():
         mismatches = 0
-        for _, p, r, noise in stacks(seeds[2], noise=True):
-            t = pairs._comparison_matrix(p, r)
-            u = pairs._adjoint(t)
+        for p, r, noise in stacks(seeds[2], noise=True):
+            pair = pairs.ProjectorPair.from_projectors(p, r)
+            del p[:], r[:]  # the pair holds their matrices: free the projectors
+            base = pairs.relative_index_trace(pair).index
             # the smoothing perturbs the parametrix only: T is reused
-            base = trace_indices(p, r, t, u)
-            mismatches += int(np.count_nonzero(trace_indices(p, r, t, u + noise) != base))
+            smoothed = pairs.relative_index_trace(pair.with_smoothing(noise)).index
+            mismatches += int(np.count_nonzero(smoothed != base))
         return mismatches
 
     yield agreement, float(agreement_mismatches()), details

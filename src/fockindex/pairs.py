@@ -12,21 +12,20 @@ A projector is held as orthonormal bases of its four subspaces, taken from
 the one factorisation that made it, and its complement swaps them.  The
 kernel route then needs one SVD of the small overlap coimage(R)* image(P),
 whose singular values are cosines of principal angles, and none for two
-coordinate projectors.  The trace and rank routes are dense, and their
-helpers broadcast over leading axes: a pair holds T and its parametrix U and
-derives K1 = I - TU and K2 = I - UT when first read, and the relindex runner
-evaluates the dense routes of its trials as stacks of matrices.
+coordinate projectors.  The trace and rank routes are dense, and take one
+pair or a stack of pairs: a pair holds the matrices of P and R, T and its
+parametrix U, and derives K1 = I - TU and K2 = I - UT on each read.
 
-``ProjectorPair.from_projectors`` takes the truncated pseudo-inverse of T as
-its parametrix; the relindex runner takes T* and factors nothing.  Both are
+The parametrix is T* when every projector of the pair, or of the stack, is
+self-adjoint, and the truncated pseudo-inverse of T otherwise.  Both are
 sound: T = I + (R-P)(2P-I) is the identity plus a compact operator when R - P
 is compact, and then so is T*, so I - T*T and I - TT* are compact.  For
 orthogonal P and R, T* = PR + (I-P)(I-R) is the comparison operator of the
 reversed pair (Avron, Seiler and Simon, "The index of a pair of
-projections", 1994).  The remainders of T* round like dim * eps * ||T||^2:
-nothing for orthogonal P and R, where ||T|| <= 1, the runner's draws, but
-enough to reach the integrality gate for oblique pairs of large norm, which
-is why a pair keeps the pseudo-inverse.
+projections", 1994), and it needs no factorisation.  Its remainders round
+like dim * eps * ||T||^2: nothing for orthogonal P and R, where ||T|| <= 1,
+but enough to reach the integrality gate for oblique pairs of large norm,
+which take the pseudo-inverse.
 """
 
 from __future__ import annotations
@@ -238,11 +237,25 @@ class TraceIndex(NamedTuple):
 
 
 def _check_same_space(*projectors: Projector) -> None:
-    dims = [projector.dimension for projector in projectors]
-    if len(set(dims)) > 1:
+    dims = dict.fromkeys(projector.dimension for projector in projectors)
+    if len(dims) > 1:
         raise DimensionMismatchError(
             "projectors act on different spaces: " + " vs ".join(map(str, dims))
         )
+
+
+def _matrices(p, r) -> tuple:
+    """The matrices of two projectors, or the stacked matrices of two
+    equal-length sequences of them, and whether every one is self-adjoint."""
+    if isinstance(p, Projector):
+        _check_same_space(p, r)
+        return p.matrix, r.matrix, p.self_adjoint and r.self_adjoint
+    p, r = list(p), list(r)
+    if not p or len(p) != len(r):
+        raise DimensionMismatchError(f"cannot pair {len(p)} projectors with {len(r)}")
+    _check_same_space(*p, *r)
+    self_adjoint = all(projector.self_adjoint for projector in p + r)
+    return np.stack([q.matrix for q in p]), np.stack([q.matrix for q in r]), self_adjoint
 
 
 def _comparison_matrix(p: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -258,24 +271,26 @@ def _remainder(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ProjectorPair:
-    """A projector pair, its comparison operator T, and a parametrix U of T.
+    """A projector pair's matrices, its comparison operator T, and a
+    parametrix U of T: each one matrix, or a stack of them.
 
-    The remainders K1 = I - TU and K2 = I - UT are computed from T and U on
-    first use and cached (``cached_property`` writes to the instance dict,
-    which the frozen dataclass leaves writable).
+    The remainders K1 = I - TU and K2 = I - UT are computed from T and U
+    each time they are read, so a pair that outlives its trace holds none.
     """
 
-    p: Projector
-    r: Projector
+    p: np.ndarray
+    r: np.ndarray
     comparison: np.ndarray
     parametrix: np.ndarray
 
     @classmethod
-    def from_projectors(cls, p: Projector, r: Projector) -> "ProjectorPair":
-        """T formed once, with its truncated pseudo-inverse as parametrix."""
-        _check_same_space(p, r)
-        t = _comparison_matrix(p.matrix, r.matrix)
-        return cls(p, r, t, _truncated_pinv(t))
+    def from_projectors(cls, p, r) -> "ProjectorPair":
+        """T formed once from two projectors, or from two equal-length
+        sequences of them; its parametrix is T* when every projector is
+        self-adjoint, and its truncated pseudo-inverse otherwise."""
+        p, r, self_adjoint = _matrices(p, r)
+        t = _comparison_matrix(p, r)
+        return cls(p, r, t, _adjoint(t) if self_adjoint else _truncated_pinv(t))
 
     def with_smoothing(self, smoothing) -> "ProjectorPair":
         """The same pair with ``smoothing`` added to its parametrix.
@@ -291,17 +306,13 @@ class ProjectorPair:
             )
         return ProjectorPair(self.p, self.r, self.comparison, self.parametrix + extra)
 
-    @cached_property
+    @property
     def k1(self) -> np.ndarray:
         return _remainder(self.comparison, self.parametrix)
 
-    @cached_property
+    @property
     def k2(self) -> np.ndarray:
         return _remainder(self.parametrix, self.comparison)
-
-    @property
-    def dimension(self) -> int:
-        return self.p.dimension
 
 
 def _overlap(a: Projector, b: Projector) -> np.ndarray:
@@ -346,10 +357,11 @@ def relative_index_trace(pair: ProjectorPair) -> TraceIndex:
     """Relative index through the parametrix remainder traces.
 
     The raw value Tr(P K2 P) - Tr(R K1 R) must round to an integer within
-    1e-6; anything else signals an invalid parametrix.
+    1e-6; anything else signals an invalid parametrix.  A stack of pairs
+    gives arrays, one pair an ``int`` and a ``float``.
     """
-    index, raw = _trace_index(pair.p.matrix, pair.r.matrix, pair.k1, pair.k2)
-    return TraceIndex(int(index), float(raw))
+    index, raw = _trace_index(pair.p, pair.r, pair.k1, pair.k2)
+    return TraceIndex(index, raw) if np.ndim(raw) else TraceIndex(int(index), float(raw))
 
 
 def _trace_index(p, r, k1, k2) -> TraceIndex:
@@ -380,16 +392,13 @@ def _nearest_integer(value, what: str) -> np.ndarray:
     return nearest.astype(int)
 
 
-def _trace_rank(matrix: np.ndarray) -> np.ndarray:
-    """The rounded traces of idempotent matrices, over leading axes: an
-    idempotent's trace is its rank."""
-    return _nearest_integer(np.trace(matrix, axis1=-2, axis2=-1).real, "projector trace")
-
-
-def relative_index_rank(p: Projector, r: Projector) -> int:
-    """Dense oracle: rank P minus rank R, each the trace of its matrix."""
-    _check_same_space(p, r)
-    return int(_trace_rank(p.matrix) - _trace_rank(r.matrix))
+def relative_index_rank(p, r):
+    """Dense oracle: rank P minus rank R, each the rounded trace of its
+    matrix (an idempotent's trace is its rank); an ``int`` for two
+    projectors, an array for two sequences of them."""
+    p, r = (_nearest_integer(np.trace(m, axis1=-2, axis2=-1).real, "projector trace")
+            for m in _matrices(p, r)[:2])
+    return p - r if np.ndim(p) else int(p - r)
 
 
 def logarithmic_property(p: Projector, q: Projector, r: Projector) -> dict:

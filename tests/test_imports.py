@@ -4,9 +4,11 @@ Every test runs a fresh interpreter, so the modules this test session has
 already imported do not hide what a cold ``fockindex`` process loads.
 """
 
+import ast
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from children import child_env
@@ -196,3 +198,41 @@ def test_every_name_in_all_resolves(module):
     submodule = getattr(fockindex, module)
     missing = [name for name in submodule.__all__ if not hasattr(submodule, name)]
     assert not missing, missing
+
+
+def _private_reach_ins(source: str) -> list:
+    """Private names of ``fockindex`` modules that ``source`` reads: as
+    ``module._name`` attributes, or imported ``from .module``."""
+    tree = ast.parse(source)
+    modules, found = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module == "fockindex"):
+            names = [alias.name for alias in node.names]
+            if node.module in (None, "fockindex"):  # from . import pairs
+                modules.update(alias.asname or alias.name for alias in node.names)
+            else:  # from .pairs import name
+                found += [f"{node.module}.{name}" for name in names if name.startswith("_")]
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and node.attr.startswith("_")
+                and not node.attr.startswith("__")):
+            found.append(f"{node.value.id}.{node.attr}")
+    return found
+
+
+def test_private_reach_ins_are_found():
+    source = (
+        "from . import pairs, symbols as sym\n"
+        "from .errors import _hidden, UsageError\n"
+        "import numpy as np\n"
+        "pairs._trace_index(np._private, sym._nodes, pairs.kernel_index, pairs.__all__)\n"
+    )
+    assert _private_reach_ins(source) == ["errors._hidden", "pairs._trace_index", "sym._nodes"]
+
+
+def test_the_cli_reads_only_public_library_names():
+    # each runner reaches a library layer through its public names, so the
+    # check the CLI reports is the one the library and its tests define
+    from fockindex import cli
+
+    assert _private_reach_ins(Path(cli.__file__).read_text()) == []

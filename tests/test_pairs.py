@@ -43,8 +43,6 @@ from fockindex.pairs import (
     _rank_with_gap,
     _remainder,
     _restricted_kernel_dims,
-    _trace_index,
-    _trace_rank,
     _truncated_pinv,
 )
 
@@ -138,14 +136,23 @@ def test_square_comparison_has_index_zero():
 
 
 def test_exact_inverse_parametrix_means_equal_ranks():
-    """An invertible comparison forces rank P = rank R; remainders vanish."""
+    """An invertible comparison forces rank P = rank R; the remainders of its
+    truncated pseudo-inverse, the parametrix of oblique pairs, vanish."""
     rng = np.random.default_rng(13)
     p = random_projector(rng, 16, 6)
     r = random_projector(rng, 16, 6)
     pair = ProjectorPair.from_projectors(p, r)
-    assert np.abs(pair.k1).max() < 1e-9
-    assert np.abs(pair.k2).max() < 1e-9
+    u = _truncated_pinv(pair.comparison)
+    assert np.abs(_remainder(pair.comparison, u)).max() < 1e-9
+    assert np.abs(_remainder(u, pair.comparison)).max() < 1e-9
     assert relative_index_trace(pair).index == 0 == kernel_index(p, r)
+    # an oblique pair of equal ranks holds that pseudo-inverse itself
+    p, r = (random_projector(rng, 16, 6, self_adjoint=False) for _ in range(2))
+    oblique = ProjectorPair.from_projectors(p, r)
+    assert np.array_equal(oblique.parametrix, _truncated_pinv(oblique.comparison))
+    assert np.abs(oblique.k1).max() < 1e-9
+    assert np.abs(oblique.k2).max() < 1e-9
+    assert relative_index_trace(oblique).index == 0 == kernel_index(p, r)
 
 
 def test_degenerate_orthogonal_rank_ones_warn_and_give_zero():
@@ -289,7 +296,7 @@ def test_non_integer_trace_is_refused():
     r = random_projector(rng, 8, 5)
     good = ProjectorPair.from_projectors(p, r)
     drifted = SimpleNamespace(
-        p=p, r=r, k1=good.k1, k2=good.k2 + 0.01 * np.eye(8)
+        p=good.p, r=good.r, k1=good.k1, k2=good.k2 + 0.01 * np.eye(8)
     )
     with pytest.raises(NonIntegerTraceError):
         relative_index_trace(drifted)
@@ -519,9 +526,10 @@ def test_smoothed_pair_matches_a_rebuilt_pair(draw):
     r = random_projector(rng, dim, rank_r)
     noise = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     reused = ProjectorPair.from_projectors(p, r).with_smoothing(noise)
-    # the same pair assembled by hand, with T and U formed afresh
+    # the same pair assembled by hand, with T and its parametrix T* (the
+    # draws are self-adjoint) formed afresh
     t = 2 * (r.matrix @ p.matrix) + np.eye(dim) - r.matrix - p.matrix
-    rebuilt = ProjectorPair(p, r, t, _truncated_pinv(t) + noise)
+    rebuilt = ProjectorPair(p.matrix, r.matrix, t, t.conj().T + noise)
     for name in ("comparison", "parametrix", "k1", "k2"):
         assert np.array_equal(getattr(reused, name), getattr(rebuilt, name)), name
     assert relative_index_trace(reused) == relative_index_trace(rebuilt)
@@ -646,21 +654,65 @@ def test_stacked_dense_routes_equal_the_single_pair_routes(draw):
          random_projector(rng, dim, rank_r, self_adjoint=not oblique_r))
         for rank_p, rank_r, oblique_p, oblique_r in sides
     ]
-    p = np.array([one_p.matrix for one_p, _ in drawn])
-    r = np.array([one_r.matrix for _, one_r in drawn])
-    ranks = _trace_rank(p) - _trace_rank(r)
-    t = _comparison_matrix(p, r)
-    u = _truncated_pinv(t)
-    traced = _trace_index(p, r, _remainder(t, u), _remainder(u, t))
-    for k, (one_p, one_r) in enumerate(drawn):
-        assert ranks[k] == relative_index_rank(one_p, one_r)
-        pair = ProjectorPair.from_projectors(one_p, one_r)
-        # the public route is a stack of one: the same bits
-        assert np.array_equal(t[k], pair.comparison)
-        assert np.array_equal(u[k], pair.parametrix)
-        single = relative_index_trace(pair)
-        assert traced.index[k] == single.index == ranks[k]
-        assert traced.raw[k] == single.raw
+    # two homogeneous stacks, the pairs that take T* and those that take the
+    # pseudo-inverse: each member has the bits of the same pair on its own
+    for oblique in (False, True):
+        group = [pair for pair in drawn
+                 if oblique != (pair[0].self_adjoint and pair[1].self_adjoint)]
+        if not group:
+            continue
+        p, r = zip(*group)
+        stack = ProjectorPair.from_projectors(p, r)
+        ranks = relative_index_rank(p, r)
+        traced = relative_index_trace(stack)
+        for k, (one_p, one_r) in enumerate(group):
+            assert ranks[k] == relative_index_rank(one_p, one_r)
+            pair = ProjectorPair.from_projectors(one_p, one_r)
+            assert np.array_equal(stack.comparison[k], pair.comparison)
+            assert np.array_equal(stack.parametrix[k], pair.parametrix)
+            single = relative_index_trace(pair)
+            assert traced.index[k] == single.index == ranks[k]
+            assert traced.raw[k] == single.raw
+
+
+def test_the_projectors_choose_the_parametrix_of_a_stack(monkeypatch):
+    import fockindex.pairs as pairs
+
+    shapes = []
+    original = pairs._truncated_pinv
+
+    def counting(t):
+        shapes.append(t.shape)
+        return original(t)
+
+    monkeypatch.setattr(pairs, "_truncated_pinv", counting)
+    rng = np.random.default_rng(28)
+    p = [random_projector(rng, 12, rank) for rank in (0, 3, 7, 12)]
+    r = [random_projector(rng, 12, rank) for rank in (5, 3, 12, 1)]
+    orthogonal = ProjectorPair.from_projectors(p, r)
+    # every projector is self-adjoint: T*, and no SVD
+    assert shapes == []
+    assert np.array_equal(orthogonal.parametrix, _adjoint(orthogonal.comparison))
+    # one oblique member sends the whole stack to the pseudo-inverse
+    r[2] = random_projector(rng, 12, 6, self_adjoint=False)
+    assert not r[2].self_adjoint
+    mixed = ProjectorPair.from_projectors(p, r)
+    assert shapes == [(4, 12, 12)]
+    assert np.array_equal(mixed.parametrix, original(mixed.comparison))
+    for stack, ranks in ((orthogonal, [-5, 0, -5, 11]), (mixed, [-5, 0, 1, 11])):
+        traced = relative_index_trace(stack)
+        assert isinstance(traced.index, np.ndarray) and isinstance(traced.raw, np.ndarray)
+        assert traced.index.tolist() == ranks
+    assert relative_index_rank(p, r).tolist() == [-5, 0, 1, 11]
+    # one pair gives Python numbers
+    single = relative_index_trace(ProjectorPair.from_projectors(p[2], r[2]))
+    assert type(single.index) is int and type(single.raw) is float
+    assert type(relative_index_rank(p[2], r[2])) is int
+    assert single.index == relative_index_rank(p[2], r[2]) == 1
+    with pytest.raises(DimensionMismatchError, match="cannot pair 4 projectors with 3"):
+        ProjectorPair.from_projectors(p, r[:3])
+    with pytest.raises(DimensionMismatchError, match="different spaces"):
+        relative_index_rank(p, [*r[:3], random_projector(rng, 11, 2)])
 
 
 @settings(max_examples=30, deadline=None)
@@ -692,14 +744,15 @@ def test_one_product_comparison_matches_the_two_product_form(draw, scale):
 
 
 def test_adjoint_parametrix_matches_the_library_route():
-    """The relindex runner's trace route, with T* as the parametrix, against
-    ``ProjectorPair.from_projectors`` and its truncated pseudo-inverse.
+    """The relindex runner and the library take one trace route.
 
-    For orthogonal P and R, the runner's draws, ||T|| <= 1 and the raw trace
-    lies within 1e-10 of rank P - rank R.  For oblique ones the rounding of
-    I - TT* and I - T*T grows like dim * eps * ||T||^2; at dimension 256
-    ||T|| can pass 1e4 and that rounding the integrality gate, which is why
-    the library's parametrix stays the pseudo-inverse.
+    For orthogonal P and R, the runner's draws, ``ProjectorPair`` takes T*
+    as the parametrix, bit for bit the remainders formed here by hand, and
+    ||T|| <= 1 keeps the raw trace within 1e-10 of rank P - rank R.  For
+    oblique ones the rounding of I - TT* and I - T*T grows like
+    dim * eps * ||T||^2; at dimension 256 ||T|| can pass 1e4 and that
+    rounding the integrality gate, which is why oblique pairs take the
+    pseudo-inverse.
     """
     rng = np.random.default_rng(26)
     for dim in [*range(1, 80), 256]:
@@ -707,15 +760,18 @@ def test_adjoint_parametrix_matches_the_library_route():
             p, r = (random_projector(rng, dim, int(rng.integers(0, dim + 1)),
                                      self_adjoint=self_adjoint) for _ in range(2))
             expected = p.rank - r.rank
-            library = relative_index_trace(ProjectorPair.from_projectors(p, r))
+            pair = ProjectorPair.from_projectors(p, r)
+            library = relative_index_trace(pair)
             assert library.index == expected, (dim, self_adjoint)
             assert abs(library.raw - expected) <= 1e-10, (dim, self_adjoint)
             t = _comparison_matrix(p.matrix, r.matrix)
-            u = _adjoint(t)
+            u = t.conj().T
             k1, k2 = _remainder(t, u), _remainder(u, t)
-            # the raw value of _trace_index, without its integrality gate
+            # the raw trace through T*, without the integrality gate
             raw = (k2 * p.matrix.T).sum().real - (k1 * r.matrix.T).sum().real
             growth = max(1.0, np.linalg.norm(t, 2)) ** 2
             assert abs(raw - expected) <= 1e-10 * growth, (dim, self_adjoint)
-            if self_adjoint:
-                assert _trace_index(p.matrix, r.matrix, k1, k2) == (expected, raw)
+            if p.self_adjoint and r.self_adjoint:
+                assert np.array_equal(pair.parametrix, u)
+                assert np.array_equal(pair.k1, k1) and np.array_equal(pair.k2, k2)
+                assert library == (expected, raw)
