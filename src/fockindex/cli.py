@@ -426,8 +426,8 @@ def _run_verify_algebra(params: dict, seeds: list, checks: tuple):
     for j, up in enumerate(raising):
         for k, down in enumerate(lowering):
             comm = up @ down - down @ up
-            expected = -2.0 if j == k else 0.0
-            diff = comm - expected * eye
+            # [C_j, A_k] = -2 delta_jk I
+            diff = comm + 2.0 * eye if j == k else comm
             worst = max(worst, fock.max_abs_on_guard(diff, config))
     details = {"num_vars": config.num_vars, "cutoff": config.cutoff}
     yield commutators, worst, details
@@ -652,8 +652,11 @@ def _run_relindex(params: dict, seeds: list, checks: tuple):
     def agreement_mismatches():
         mismatches = 0
         for p, r, _ in stacks(seeds[0]):
-            expected = pairs.relative_index_rank(p, r)
-            traced = pairs.relative_index_trace(pairs.ProjectorPair.from_projectors(p, r)).index
+            pair = pairs.ProjectorPair.from_projectors(p, r)
+            # the rank oracle reads the matrices the pair holds
+            expected = pairs.relative_index_rank(pair)
+            traced = pairs.relative_index_trace(pair).index
+            del pair
             for one_p, one_r, want, got in zip(p, r, expected, traced):
                 agree = (
                     pairs.kernel_index(one_p, one_r) == want

@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .sparse import CSR, diagonal, from_triples, zeros
+from .sparse import CSR, diagonal, from_triples
 
 __all__ = [
     "GUARD",
@@ -207,12 +207,11 @@ def oscillator_identity_residuals(config: FockSpaceConfig,
     if raising is None:
         raising = [creation(config, j) for j in range(1, config.num_vars + 1)]
     h = harmonic_oscillator(config)
-    dim = config.dimension
-    lower = upper = zeros((dim, dim))
+    lower = upper = None  # each sum starts from its first product
     for c in raising:
         a = c.adjoint()
-        lower = lower + a @ c
-        upper = upper + c @ a
+        lower = a @ c if lower is None else lower + a @ c
+        upper = c @ a if upper is None else upper + c @ a
     eye = identity(config)
     nv = config.num_vars
     res1 = max_abs_on_guard(lower - nv * eye - h, config)

@@ -255,7 +255,14 @@ def _matrices(p, r) -> tuple:
         raise DimensionMismatchError(f"cannot pair {len(p)} projectors with {len(r)}")
     _check_same_space(*p, *r)
     self_adjoint = all(projector.self_adjoint for projector in p + r)
-    return np.stack([q.matrix for q in p]), np.stack([q.matrix for q in r]), self_adjoint
+    return np.stack([_formed(q) for q in p]), np.stack([_formed(q) for q in r]), self_adjoint
+
+
+def _formed(projector: Projector) -> np.ndarray:
+    """The projector's matrix; one it does not hold yet is formed without
+    being cached, so that a stack of matrices holds the only copy."""
+    held = vars(projector).get("matrix")
+    return Projector.matrix.func(projector) if held is None else held
 
 
 def _comparison_matrix(p: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -392,12 +399,14 @@ def _nearest_integer(value, what: str) -> np.ndarray:
     return nearest.astype(int)
 
 
-def relative_index_rank(p, r):
+def relative_index_rank(p, r=None):
     """Dense oracle: rank P minus rank R, each the rounded trace of its
     matrix (an idempotent's trace is its rank); an ``int`` for two
-    projectors, an array for two sequences of them."""
+    projectors, an array for two sequences of them.  A ``ProjectorPair``
+    passed alone gives the same from the matrices it holds."""
+    matrices = (p.p, p.r) if isinstance(p, ProjectorPair) else _matrices(p, r)[:2]
     p, r = (_nearest_integer(np.trace(m, axis1=-2, axis2=-1).real, "projector trace")
-            for m in _matrices(p, r)[:2])
+            for m in matrices)
     return p - r if np.ndim(p) else int(p - r)
 
 
@@ -493,22 +502,26 @@ def agranovich_dynin_shadow(s1: Projector, s2: Projector) -> dict:
 def random_projector(rng, dimension: int, rank: int, *, self_adjoint: bool = True) -> Projector:
     """Haar-random orthogonal projector of the given rank.
 
-    The whole dim x dim Gaussian is drawn, so the generator's stream does
-    not depend on the rank, but only the ``rank`` columns that are kept are
-    factored: their complete QR gives the image (Householder QR's first k
-    columns depend only on the first k inputs) and the kernel.  The image
-    is gated on max |U*U - I|, the k x k form of max |P^2 - P| for P = U U*.
+    Only the ``rank`` columns that are kept are drawn, so the generator
+    advances by 2 * dimension * rank normals (and dimension^2 more for the
+    mix of an oblique draw).  The complete QR of the drawn columns gives the
+    image (Householder QR's first k columns depend only on the first k
+    inputs, so they are those of any square whose first k columns were
+    drawn) and the kernel.  The image is gated on max |U*U - I|, the k x k
+    form of max |P^2 - P| for P = U U*, against the fixed floor: an
+    orthonormal basis has no large entries to scale it.
     """
     if not 0 <= rank <= dimension:
         raise AdmissibilityError(
             f"rank {rank} out of range for dimension {dimension}"
         )
-    # one call draws the numbers of two, real part first
-    real, imag = rng.normal(size=(2, dimension, dimension))
-    q, _ = np.linalg.qr(real[:, :rank] + 1j * imag[:, :rank], mode="complete")
+    # one call draws the numbers of two, real part first.  ``normal``, as
+    # the other draws, not ``standard_normal``: the same numbers, but a cold
+    # relindex process that calls the latter peaks about 0.1 MB higher
+    real, imag = rng.normal(size=(2, dimension, rank))
+    q, _ = np.linalg.qr(real + 1j * imag, mode="complete")
     image = q[:, :rank]
-    gram = image.conj().T @ image
-    _check_defect(gram - np.eye(rank), _idempotency_tolerance(gram), "U*U - I")
+    _check_defect(image.conj().T @ image - np.eye(rank), _IDEMPOTENT_TOL, "U*U - I")
     projector = Projector._held(image=image, kernel=q[:, rank:])
     if self_adjoint:
         return projector

@@ -32,7 +32,10 @@ Each sum and each product is one pass over the whole matrices: a sum holds
 the entries of both operands at once, and a product every (row, middle,
 column) path it adds.  The state cap of the command line bounds both; the
 ladder maps store at most one entry per row, so a product of them expands
-at most one path per row.
+at most one path per row.  When no row of a product adds more than one
+path, each path is its row's entry: the product keeps the paths in row
+order and drops exact zeros, and skips the sort and the sums that gather
+an entry's paths, with the same bits.
 """
 
 from __future__ import annotations
@@ -196,6 +199,12 @@ def _times(parts, b) -> np.ndarray:
     return products
 
 
+def _one_path_per_row(bounds) -> bool:
+    """Whether no product row adds more than one path, for ``bounds`` the
+    first path of each row and the end."""
+    return bool(np.diff(bounds).max(initial=0) <= 1)
+
+
 def _product(a: CSR, b: CSR) -> CSR:
     """``a @ b`` in scipy's storage order."""
     if a.shape[1] != b.shape[0]:
@@ -205,18 +214,25 @@ def _product(a: CSR, b: CSR) -> CSR:
     rows = np.repeat(a.rows(), lengths)
     cols = b.indices[paths]
     values = _times(_parts(np.repeat(a.data, lengths)), b.data[paths])
-    touched, entry = _distinct(rows * b.shape[1] + cols)
-    sums = np.empty(len(touched), dtype=np.complex128)  # added in path order
-    sums.real = np.bincount(entry, values.real, minlength=len(touched))
-    sums.imag = np.bincount(entry, values.imag, minlength=len(touched))
-    # scipy lists a row's entries last-touched first: reflect each entry's
-    # first path within its row's paths, and list the entries by that
     bounds = np.concatenate(([0], np.cumsum(lengths)))[a.indptr]
-    row = rows[touched]
-    place = np.full(len(paths), -1)
-    place[bounds[row] + bounds[row + 1] - 1 - touched] = np.arange(len(touched))
-    emit = place[place >= 0]
-    emit = emit[sums[emit] != 0]
-    counts = np.bincount(row[emit], minlength=a.shape[0])
-    return CSR(sums[emit], cols[touched[emit]], np.concatenate(([0], np.cumsum(counts))),
+    if _one_path_per_row(bounds):
+        # each path is its row's one entry, in path order; + 0.0 turns a
+        # -0.0 component to +0.0, as the sums below start from it
+        sums, row, col = values + 0.0, rows, cols
+    else:
+        touched, entry = _distinct(rows * b.shape[1] + cols)
+        sums = np.empty(len(touched), dtype=np.complex128)  # added in path order
+        sums.real = np.bincount(entry, values.real, minlength=len(touched))
+        sums.imag = np.bincount(entry, values.imag, minlength=len(touched))
+        # scipy lists a row's entries last-touched first: reflect each
+        # entry's first path within its row's paths, and list the entries
+        # by that
+        row = rows[touched]
+        place = np.full(len(paths), -1)
+        place[bounds[row] + bounds[row + 1] - 1 - touched] = np.arange(len(touched))
+        emit = place[place >= 0]
+        sums, row, col = sums[emit], row[emit], cols[touched[emit]]
+    keep = sums != 0
+    counts = np.bincount(row[keep], minlength=a.shape[0])
+    return CSR(sums[keep], col[keep], np.concatenate(([0], np.cumsum(counts))),
                (a.shape[0], b.shape[1]))

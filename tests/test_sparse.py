@@ -7,10 +7,14 @@ of magnitude, so a product that rounds differently from scipy's (numpy's
 complex multiply may fuse a multiply-add, scipy's does not) shows.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fockindex import sparse
+from fockindex import cli, fock, sparse, spinors
 
 sp = pytest.importorskip("scipy.sparse")
 
@@ -173,3 +177,90 @@ def test_stored_arrays_are_read_only():
     for array in (m.data, m.indices, m.indptr):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 1
+
+
+# --------------------------------------------------------------------------
+# a product whose rows add at most one path each skips the gathering sums
+
+
+def _gathered(a, b):
+    """``a @ b`` through the route that sorts and sums the paths of each entry."""
+    with mock.patch.object(sparse, "_one_path_per_row", lambda bounds: False):
+        return a @ b
+
+
+def _same_bits(ours, other):
+    """Same shape, pattern and stored values, bit for bit (so -0.0 != 0.0)."""
+    return (
+        ours.shape == other.shape
+        and np.array_equal(ours.indptr, other.indptr)
+        and ours.indices.dtype == other.indices.dtype
+        and np.array_equal(ours.indices, other.indices)
+        and np.array_equal(ours.data.view(np.uint64), other.data.view(np.uint64))
+    )
+
+
+# values with both parts nonzero, a -0.0 component, and pairs whose
+# products underflow to exact zero
+_EDGE_VALUES = [1.0, -2.5, 3j, 0.75 - 1.25j, complex(-0.0, 1.5), complex(2.0, -0.0),
+                complex(-0.0, -0.0), 1e-200, 1e-200j, complex(1e-170, -3e-180)]
+_values = st.sampled_from(_EDGE_VALUES) | st.complex_numbers(
+    max_magnitude=1e6, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _one_entry_per_row(draw, shape):
+    """A matrix of ``shape`` with at most one entry in each row."""
+    rows, cols = shape
+    entries = [(row, draw(st.integers(0, cols - 1)), draw(_values))
+               for row in range(rows) if cols and draw(st.booleans())]
+    held = np.array([row for row, _, _ in entries], dtype=np.int64)
+    columns = np.array([col for _, col, _ in entries], dtype=np.int64)
+    values = np.array([value for _, _, value in entries], dtype=complex)
+    return sparse.from_triples(held, columns, values, shape)
+
+
+_one_path_operands = st.tuples(*[st.integers(0, 7)] * 3).flatmap(
+    lambda sizes: st.tuples(_one_entry_per_row(sizes[:2]), _one_entry_per_row(sizes[1:])))
+
+
+@settings(max_examples=200, deadline=None)
+@given(operands=_one_path_operands)
+def test_one_path_products_match_the_gathering_route(operands):
+    a, b = operands
+    assert _same_bits(a @ b, _gathered(a, b))
+
+
+def test_one_path_product_edge_values():
+    # rows: a -0.0 component, a product that underflows to zero, both parts
+    # nonzero (multiplied as two parts), an empty row; five columns
+    a = sparse.from_triples([0, 1, 2], [0, 1, 2], [1.0, 1e-200, 0.5 + 0.25j], (4, 3))
+    b = sparse.from_triples([0, 1, 2], [2, 0, 1], [complex(-0.0, 2.0), 1e-200, 3.0 - 1.0j],
+                            (3, 5))
+    product = a @ b
+    assert _same_bits(product, _gathered(a, b))
+    assert product.indptr.tolist() == [0, 1, 1, 2, 2]
+    assert product.indices.tolist() == [2, 1]
+    assert product.data.tolist() == [2j, 1.75 + 0.25j]
+    assert not np.signbit(product.data[0].real)  # the -0.0 comes out +0.0
+
+
+def test_ladder_products_take_the_one_path_route():
+    route = []
+    one_path = sparse._one_path_per_row
+
+    def spy(bounds):
+        route.append(one_path(bounds))
+        return route[-1]
+
+    with mock.patch.object(sparse, "_one_path_per_row", spy):
+        report = cli.run(cli.RunRequest("verify-algebra", {"n": 3, "cutoff": 8}))
+        assert report.passed
+        # the n^2 commutators take two products each, and the two
+        # factorizations one per variable each: all are ladder products
+        assert route == [True] * (2 * 3**2 + 2 * 3)
+        route.clear()
+        config = fock.FockSpaceConfig(3, 8)
+        dirac = spinors.dirac_plus(config)
+        dirac @ dirac
+        assert route == [False]
