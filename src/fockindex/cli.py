@@ -242,8 +242,14 @@ def _check_param(param: _Param, value, label: str) -> None:
         raise UsageError(
             f"{label} must be {kind}, got {json.dumps(value, default=repr)}"
         )
-    if param.type is float and not math.isfinite(value):
-        raise UsageError(f"{label} must be finite, got {value}")
+    if param.type is float:
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:
+            raise UsageError(f"{label} must be finite, got an integer too large "
+                             "for a float") from None
+        if not finite:
+            raise UsageError(f"{label} must be finite, got {value}")
     if param.minimum is not None and value < param.minimum:
         raise UsageError(f"{label} must be at least {param.minimum}, got {value}")
     if param.above is not None and value <= param.above:
@@ -462,9 +468,10 @@ _STACK_ENTRIES = 2**14
 
 def _stack_ranges(total: int, entries: int):
     """``total`` items, of ``entries`` entries each, as consecutive ranges
-    that hold at most _STACK_ENTRIES entries (and at least one item)."""
+    that hold at most _STACK_ENTRIES entries (and at least one item), made
+    one at a time."""
     size = max(1, _STACK_ENTRIES // entries)
-    return [range(start, min(start + size, total)) for start in range(0, total, size)]
+    return (range(start, min(start + size, total)) for start in range(0, total, size))
 
 
 def _run_verify_symbols(params: dict, seeds: list, checks: tuple):

@@ -413,7 +413,7 @@ def _merged_block(chirality: str, cfg: ModelConfig) -> tuple:
     pair = sec.merged_pair
     szego = np.outer(amplitudes, amplitudes)
     # the pair's rows of Id - 2 S, summed vacuum first (it is the first even
-    # state), as the sparse product (Id - 2 S) @ (lower L) of the tests'
+    # state), as scipy's product (Id - 2 S) @ (lower L) in the tests'
     # assembled model sums them
     reflect, top = np.eye(2) - 2.0 * szego, block[pair, len(even):]
     block[pair, len(even):] = reflect[:, :1] * top[0] + reflect[:, 1:] * top[1]

@@ -3,46 +3,40 @@
 A ``CSR`` holds the three arrays of the compressed-row layout: ``indptr``
 (where each row starts), ``indices`` (the column of each stored entry) and
 ``data`` (its complex128 value).  A row holds each column at most once,
-and the arrays are read-only: operations build new matrices.  Matrices
-built from triples, and all sums, differences, adjoints and slices, list
-each row's columns in increasing order.
+and the arrays are read-only: operations build new matrices.  Every matrix
+the operations build lists each row's columns in increasing order.
+
+The module holds only what the other layers use.  The products they form
+are of ladder maps, weighted index maps that store at most one entry per
+row, of their adjoints and of products of them, so each row of a product
+adds at most one (row, middle, column) path.  ``a @ b`` multiplies only
+such operands: a product with a row of two or more paths is a
+``ValueError``.  The tests form general products, such as the square of
+the coupled operator, through scipy.
 
 Every operation does the floating-point operations scipy.sparse does, in
 the same order, so for finite values the results agree with scipy's bit for
 bit:
 
 - ``a @ b``, of two sparse matrices (a dense operand is a ``TypeError``),
-  sums the products of each output entry in traversal order (a row of
-  ``a`` in storage order, and for each of its entries the matching row of
-  ``b`` in storage order), drops exact zeros, and lists each row's
-  columns last-touched first, the order in which scipy's SMMP routine emits
-  them, so a later ``@`` by the product also sums in scipy's order;
+  stores each row's one path, added to zero as scipy's sums start from it,
+  and drops exact zeros;
 - ``a + b`` and ``a - b`` apply the operation once per position, with zero
   standing in for a missing entry, and drop exact zeros;
 - ``s * m`` multiplies the stored values by the scalar;
 - a product of two complex numbers is formed as ``_times`` forms it,
   without the fused multiply-add numpy's complex multiply may use.
 
-One storage order differs: a sum lists each row's columns in increasing
-order, while scipy keeps its first-touch order when an operand's rows are
-not sorted, as a product's are not.  The values agree; a later ``@`` by
-such a sum may add its rows in another order than scipy.
-
 Each sum and each product is one pass over the whole matrices: a sum holds
-the entries of both operands at once, and a product every (row, middle,
-column) path it adds.  The state cap of the command line bounds both; the
-ladder maps store at most one entry per row, so a product of them expands
-at most one path per row.  When no row of a product adds more than one
-path, each path is its row's entry: the product keeps the paths in row
-order and drops exact zeros, and skips the sort and the sums that gather
-an entry's paths, with the same bits.
+the entries of both operands at once, and a product one path per row.  The
+state cap of the command line bounds both.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["CSR", "from_triples", "diagonal", "zeros"]
+__all__ = ["CSR", "from_triples", "diagonal"]
 
 
 class CSR:
@@ -141,11 +135,6 @@ def diagonal(values) -> CSR:
     return from_triples(where, where, values[where], (len(values), len(values)))
 
 
-def zeros(shape) -> CSR:
-    return CSR(np.zeros(0, np.complex128), np.zeros(0, np.int64),
-               np.zeros(shape[0] + 1, np.int64), shape)
-
-
 def _combine(a: CSR, b: CSR, op) -> CSR:
     """``op`` at every position stored in ``a`` or ``b``, each row's columns in
     increasing order; exact zeros dropped."""
@@ -199,40 +188,21 @@ def _times(parts, b) -> np.ndarray:
     return products
 
 
-def _one_path_per_row(bounds) -> bool:
-    """Whether no product row adds more than one path, for ``bounds`` the
-    first path of each row and the end."""
-    return bool(np.diff(bounds).max(initial=0) <= 1)
-
-
 def _product(a: CSR, b: CSR) -> CSR:
-    """``a @ b`` in scipy's storage order."""
+    """``a @ b``, for operands whose product adds at most one path per row."""
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"cannot multiply shapes {a.shape} and {b.shape}")
     lengths = np.diff(b.indptr)[a.indices]
+    widths = np.diff(np.concatenate(([0], np.cumsum(lengths)))[a.indptr])
+    if widths.max(initial=0) > 1:
+        raise ValueError(f"row {int(widths.argmax())} of a sparse product adds "
+                         f"{int(widths.max())} paths; a product adds at most one per row")
     paths = _segments(b.indptr[a.indices], lengths)
     rows = np.repeat(a.rows(), lengths)
-    cols = b.indices[paths]
-    values = _times(_parts(np.repeat(a.data, lengths)), b.data[paths])
-    bounds = np.concatenate(([0], np.cumsum(lengths)))[a.indptr]
-    if _one_path_per_row(bounds):
-        # each path is its row's one entry, in path order; + 0.0 turns a
-        # -0.0 component to +0.0, as the sums below start from it
-        sums, row, col = values + 0.0, rows, cols
-    else:
-        touched, entry = _distinct(rows * b.shape[1] + cols)
-        sums = np.empty(len(touched), dtype=np.complex128)  # added in path order
-        sums.real = np.bincount(entry, values.real, minlength=len(touched))
-        sums.imag = np.bincount(entry, values.imag, minlength=len(touched))
-        # scipy lists a row's entries last-touched first: reflect each
-        # entry's first path within its row's paths, and list the entries
-        # by that
-        row = rows[touched]
-        place = np.full(len(paths), -1)
-        place[bounds[row] + bounds[row + 1] - 1 - touched] = np.arange(len(touched))
-        emit = place[place >= 0]
-        sums, row, col = sums[emit], row[emit], cols[touched[emit]]
-    keep = sums != 0
-    counts = np.bincount(row[keep], minlength=a.shape[0])
-    return CSR(sums[keep], col[keep], np.concatenate(([0], np.cumsum(counts))),
+    # each path is its row's one entry; + 0.0 turns a -0.0 component to
+    # +0.0, as scipy's sums start from it
+    values = _times(_parts(np.repeat(a.data, lengths)), b.data[paths]) + 0.0
+    keep = values != 0
+    counts = np.bincount(rows[keep], minlength=a.shape[0])
+    return CSR(values[keep], b.indices[paths[keep]], np.concatenate(([0], np.cumsum(counts))),
                (a.shape[0], b.shape[1]))

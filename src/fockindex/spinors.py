@@ -275,8 +275,8 @@ def square_identity_residual(d: CSR, config: FockSpaceConfig) -> float:
     the form degree.  ``d`` conserves the labels, so its square is the
     square of each label block: only the blocks that hold a guarded state
     are gathered, and they are squared by one batched ``np.matmul`` per
-    shape, in chunks of at most ``_STACK_ENTRIES`` block entries.  The sparse
-    ``d @ d`` is the test oracle.
+    shape, in chunks of at most ``_STACK_ENTRIES`` block entries.  scipy's
+    sparse ``d @ d`` is the test oracle.
     """
     expected = 2.0 * graded_osc_degrees(config) + 2.0 * graded_form_degrees(config)
     guard = graded_guard_mask(config)
@@ -294,10 +294,11 @@ def square_identity_residual(d: CSR, config: FockSpaceConfig) -> float:
     return worst
 
 
-def _chunks(count: int, entries: int) -> list:
-    """Slices of ``count`` items of ``entries`` entries: ``_STACK_ENTRIES`` or one item each."""
+def _chunks(count: int, entries: int):
+    """Slices of ``count`` items of ``entries`` entries: ``_STACK_ENTRIES`` or
+    one item each, made one at a time."""
     size = max(1, _STACK_ENTRIES // entries)
-    return [slice(start, min(start + size, count)) for start in range(0, count, size)]
+    return (slice(start, min(start + size, count)) for start in range(0, count, size))
 
 
 def _squares(blocks: np.ndarray) -> np.ndarray:

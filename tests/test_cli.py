@@ -12,6 +12,7 @@ with ``PYTHONPATH=src python3 tests/test_cli.py``.
 
 import contextlib
 import io
+import itertools
 import json
 import math
 import subprocess
@@ -250,6 +251,27 @@ def test_non_finite_input_values_are_usage_errors(tmp_path, capsys):
     path.write_text('{"theta": NaN}')
     code, out, err = _invoke(["model-invert", "--input", str(path)], capsys)
     assert (code, out, err) == (1, "", "error: theta must be finite, got nan\n")
+
+
+@pytest.mark.parametrize("name", ["theta", "alpha", "beta", "tol"])
+def test_integers_too_large_for_a_float_are_usage_errors(name, tmp_path, capsys):
+    # JSON admits an integer of any size, and one of 401 digits has no float
+    message = f"{name} must be finite, got an integer too large for a float"
+    with pytest.raises(UsageError, match=message):
+        RunRequest("model-invert", {name: 10**400})
+    path = tmp_path / "params.json"
+    path.write_text(f'{{"{name}": 1{"0" * 400}}}')
+    code, out, err = _invoke(["model-invert", "--input", str(path)], capsys)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+    assert "Traceback" not in err
+
+
+def test_stack_ranges_are_made_one_at_a_time():
+    # a list of the ranges of 10**18 items would not fit in memory
+    size = cli._STACK_ENTRIES // 4
+    first = list(itertools.islice(cli._stack_ranges(10**18, 4), 2))
+    assert first == [range(0, size), range(size, 2 * size)]
+    assert list(cli._stack_ranges(5, 2 * size)) == [range(0, 2), range(2, 4), range(4, 5)]
 
 
 @pytest.mark.parametrize(

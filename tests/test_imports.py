@@ -200,9 +200,9 @@ def test_every_name_in_all_resolves(module):
     assert not missing, missing
 
 
-def _private_reach_ins(source: str) -> list:
-    """Private names of ``fockindex`` modules that ``source`` reads: as
-    ``module._name`` attributes, or imported ``from .module``."""
+def _library_reads(source: str) -> list:
+    """Names of ``fockindex`` modules that ``source`` reads, dunders aside:
+    as ``module.name`` attributes, or imported ``from .module``."""
     tree = ast.parse(source)
     modules, found = set(), []
     for node in ast.walk(tree):
@@ -211,13 +211,17 @@ def _private_reach_ins(source: str) -> list:
             if node.module in (None, "fockindex"):  # from . import pairs
                 modules.update(alias.asname or alias.name for alias in node.names)
             else:  # from .pairs import name
-                found += [f"{node.module}.{name}" for name in names if name.startswith("_")]
+                found += [f"{node.module}.{name}" for name in names]
     for node in ast.walk(tree):
         if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-                and node.value.id in modules and node.attr.startswith("_")
-                and not node.attr.startswith("__")):
+                and node.value.id in modules and not node.attr.startswith("__")):
             found.append(f"{node.value.id}.{node.attr}")
     return found
+
+
+def _private_reach_ins(source: str) -> list:
+    """The private names among ``_library_reads(source)``."""
+    return [name for name in _library_reads(source) if name.split(".")[-1].startswith("_")]
 
 
 def test_private_reach_ins_are_found():
@@ -236,3 +240,13 @@ def test_the_cli_reads_only_public_library_names():
     from fockindex import cli
 
     assert _private_reach_ins(Path(cli.__file__).read_text()) == []
+
+
+def test_every_public_sparse_name_has_a_library_caller():
+    # sparse holds only what the other layers use: a public name that no
+    # other module of the package reads is code no caller needs
+    package = Path(fockindex.__file__).parent
+    reads = {name for path in package.glob("*.py") if path.stem != "sparse"
+             for name in _library_reads(path.read_text())}
+    unread = [name for name in fockindex.sparse.__all__ if f"sparse.{name}" not in reads]
+    assert not unread, unread

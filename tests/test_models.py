@@ -10,7 +10,8 @@ deformation difference.  The library holds the model only as label-block
 stacks.  Its oracle lives here: the directly assembled sparse model and the
 deformed vacuum projector it reads, and the block calculus with declared
 orders with the projector models it combines into
-``R P + (Id - R)(Id - P)``.
+``R P + (Id - R)(Id - P)``.  Their sparse products are scipy's, so the
+tests that build them skip without scipy.
 """
 
 import itertools
@@ -23,6 +24,7 @@ import pytest
 from children import child_env
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy_oracle import product
 
 from fockindex import models, sparse, spinors
 from fockindex.errors import GuardViolationError, PairingFloorError
@@ -78,7 +80,9 @@ class GradedOperator:
     def block(self, i: int, j: int) -> sparse.CSR:
         entry = self.blocks[i][j]
         if entry is None:
-            return sparse.zeros((self.row_dims[i], self.col_dims[j]))
+            rows, cols = self.row_dims[i], self.col_dims[j]
+            return sparse.CSR(np.zeros(0, complex), np.zeros(0, int),
+                              np.zeros(rows + 1, int), (rows, cols))
         return entry
 
     def matrix(self) -> sparse.CSR:
@@ -98,7 +102,7 @@ class GradedOperator:
         return GradedOperator(blocks, self.col_dims, self.row_dims, orders)
 
     def compose(self, other: "GradedOperator") -> "GradedOperator":
-        """Plain block product; each order is the best declared sum."""
+        """Plain block product, through scipy; each order is the best declared sum."""
         if self.col_dims != other.row_dims:
             raise ValueError("block operators have incompatible sector dimensions")
         blocks, orders = [], []
@@ -110,7 +114,7 @@ class GradedOperator:
                     left, right = self.blocks[i][k], other.blocks[k][j]
                     if left is None or right is None:
                         continue
-                    term = left @ right
+                    term = product(left, right)
                     total = term if total is None else total + term
                     lo = self.heisenberg_orders[i][k]
                     ro = other.heisenberg_orders[k][j]
@@ -233,7 +237,7 @@ def build_comparison_model(chirality: str, cfg: ModelConfig) -> GradedOperator:
     dirac = dirac_plus(config)
     szego = deformed_szego(config, cfg.theta, cfg.target)[even, :][:, even]
     lower, raising, heavy = models._factors(chirality, cfg)
-    top_right = (_identity(even) - 2.0 * szego) @ (lower * dirac[even, :][:, odd])
+    top_right = product(_identity(even) - 2.0 * szego, lower * dirac[even, :][:, odd])
     blocks = ((szego, top_right),
               (raising * dirac[odd, :][:, even], sparse.diagonal(heavy)))
     dims = (len(even), len(odd))

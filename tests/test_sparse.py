@@ -4,7 +4,9 @@ Every operation is compared with scipy's result bit for bit: the stored
 pattern (``indptr`` and ``indices``, in storage order) and the values, with
 ``np.array_equal``.  The values are general complex numbers over six orders
 of magnitude, so a product that rounds differently from scipy's (numpy's
-complex multiply may fuse a multiply-add, scipy's does not) shows.
+complex multiply may fuse a multiply-add, scipy's does not) shows.  A
+product's operands add at most one path per row, as the library's do; a
+product with a row of more paths is refused.
 """
 
 from unittest import mock
@@ -13,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy_oracle import to_scipy
 
 from fockindex import cli, fock, sparse, spinors
 
@@ -21,20 +24,48 @@ sp = pytest.importorskip("scipy.sparse")
 SHAPES = [(1, 1), (1, 7), (7, 1), (6, 6), (13, 9), (40, 40), (57, 31)]
 
 
-def _random(rng, shape, density, kind="mixed"):
-    """The same random matrix twice: as a ``sparse.CSR`` and as scipy's CSR."""
-    m, n = shape
-    count = int(round(density * m * n))
-    rows, cols = np.divmod(rng.choice(m * n, size=count, replace=False), n)
+def _random_values(rng, count, kind):
+    """``count`` random values of ``kind``: mixed, real or imaginary."""
     values = rng.normal(size=count) + 1j * rng.normal(size=count)
     values *= 10.0 ** rng.integers(-3, 4, size=count)
     if kind == "real":
         values = values.real.astype(complex)
     elif kind == "imaginary":
         values = 1j * values.imag
+    return values
+
+
+def _both(rows, cols, values, shape):
+    """The matrix of the triples as a ``sparse.CSR`` and as scipy's CSR."""
     ours = sparse.from_triples(rows, cols, values, shape)
     theirs = sp.csr_matrix((values, (rows, cols)), shape=shape)
     return ours, theirs
+
+
+def _random(rng, shape, density, kind="mixed"):
+    """The same random matrix twice: as a ``sparse.CSR`` and as scipy's CSR."""
+    m, n = shape
+    count = int(round(density * m * n))
+    rows, cols = np.divmod(rng.choice(m * n, size=count, replace=False), n)
+    return _both(rows, cols, _random_values(rng, count, kind), shape)
+
+
+def _one_path_factors(rng, rows, inner, cols, kind="mixed"):
+    """Random ``a`` (``rows x inner``) and ``b`` (``inner x cols``), each as
+    ours and scipy's, whose product adds at most one path per row: ``b``
+    holds at most one entry per row, and a row of ``a`` meets at most one
+    row of ``b`` that holds one.  Rows of ``a`` hold up to ``inner`` entries."""
+    held = rng.random(inner) < 0.6 if cols else np.zeros(inner, dtype=bool)
+    b_rows = np.flatnonzero(held)
+    b = _both(b_rows, rng.integers(0, cols, size=len(b_rows)),
+              _random_values(rng, len(b_rows), kind), (inner, cols))
+    pattern = (rng.random((rows, inner)) < 0.5) & ~held
+    for row in range(rows):
+        if held.any() and rng.random() < 0.7:
+            pattern[row, rng.choice(b_rows)] = True
+    a_rows, a_cols = np.nonzero(pattern)
+    a = _both(a_rows, a_cols, _random_values(rng, len(a_rows), kind), (rows, inner))
+    return a, b
 
 
 def _same(ours, theirs, sort=False):
@@ -68,7 +99,8 @@ def test_repeated_positions_are_refused():
 def test_diagonal_and_zeros():
     values = np.array([1.5, 0.0, -2.0, 3j, 0.0])
     assert _same(sparse.diagonal(values), sp.diags(values).tocsr())
-    assert _same(sparse.zeros((4, 3)), sp.csr_matrix((4, 3), dtype=complex))
+    # a diagonal of zeros stores nothing
+    assert _same(sparse.diagonal(np.zeros(4)), sp.csr_matrix((4, 4), dtype=complex))
 
 
 @pytest.mark.parametrize("shape", SHAPES)
@@ -114,31 +146,31 @@ def test_sums_and_differences(shape, overlap):
     rows, cols = np.nonzero(mixed)
     c = sparse.from_triples(rows, cols, mixed[rows, cols], shape)
     c_sp = sp.csr_matrix((mixed[rows, cols], (rows, cols)), shape=shape)
-    # a product operand lists its rows last-touched first, and scipy's sum
-    # keeps that order of touch: the sum's rows are sorted, scipy's once sorted
-    e, e_sp = _random(rng, (shape[1], shape[1]), 0.3)
-    p, p_sp = a @ e, a_sp @ e_sp
-    for left, left_sp in ((a, a_sp), (c, c_sp), (p, p_sp)):
-        for right, right_sp in ((b, b_sp), (c, c_sp), (a, a_sp), (p, p_sp)):
-            assert _same(left + right, left_sp + right_sp, sort=True)
-            assert _same(left - right, left_sp - right_sp, sort=True)
+    # products, one of each value kind
+    operands = [(a, a_sp), (c, c_sp)]
+    for kind in ("mixed", "real", "imaginary"):
+        (f, f_sp), (g, g_sp) = _one_path_factors(rng, shape[0], 5, shape[1], kind)
+        operands.append((f @ g, f_sp @ g_sp))
+    for left, left_sp in operands:
+        for right, right_sp in [(b, b_sp), *operands]:
+            assert _same(left + right, left_sp + right_sp)
+            assert _same(left - right, left_sp - right_sp)
     with pytest.raises(ValueError):
-        a + sparse.zeros((shape[0] + 1, shape[1]))
+        a + sparse.diagonal(np.ones(shape[0] + 1))
 
 
 @pytest.mark.parametrize("inner", [1, 5, 23])
 @pytest.mark.parametrize("kind", ["mixed", "real", "imaginary"])
 def test_products_keep_scipys_storage_order(inner, kind):
     rng = np.random.default_rng(5)
-    a, a_sp = _random(rng, (19, inner), 0.5, kind)
-    b, b_sp = _random(rng, (inner, 14), 0.5)
-    c, c_sp = _random(rng, (14, 9), 0.4)
+    (a, a_sp), (b, b_sp) = _one_path_factors(rng, 19, inner, 14, kind)
     ab, ab_sp = a @ b, a_sp @ b_sp
     assert _same(ab, ab_sp)
-    # a left factor whose rows are not sorted is traversed in storage order
+    # a product holds at most one entry per row, so it is again a left factor
+    c, c_sp = _one_path_factors(rng, 0, 14, 9)[1]
     assert _same(ab @ c, ab_sp @ c_sp)
-    big, big_sp = _random(rng, (60, 50), 0.3, kind)
-    d, d_sp = _random(rng, (50, 40), 0.3)
+    (big, big_sp), (d, d_sp) = _one_path_factors(rng, 60, 50, 40, kind)
+    assert big.nnz > 60  # rows of several entries, one of them on a path
     assert _same(big @ d, big_sp @ d_sp)
     with pytest.raises(ValueError):
         a @ c
@@ -180,13 +212,7 @@ def test_stored_arrays_are_read_only():
 
 
 # --------------------------------------------------------------------------
-# a product whose rows add at most one path each skips the gathering sums
-
-
-def _gathered(a, b):
-    """``a @ b`` through the route that sorts and sums the paths of each entry."""
-    with mock.patch.object(sparse, "_one_path_per_row", lambda bounds: False):
-        return a @ b
+# a product adds at most one path per row, and is refused otherwise
 
 
 def _same_bits(ours, other):
@@ -220,25 +246,42 @@ def _one_entry_per_row(draw, shape):
     return sparse.from_triples(held, columns, values, shape)
 
 
-_one_path_operands = st.tuples(*[st.integers(0, 7)] * 3).flatmap(
-    lambda sizes: st.tuples(_one_entry_per_row(sizes[:2]), _one_entry_per_row(sizes[1:])))
+@st.composite
+def _one_path_operands(draw):
+    """``a`` and ``b`` whose product adds at most one path per row: ``b``
+    holds at most one entry per row, and each row of ``a`` holds at most one
+    entry in a column whose row of ``b`` holds one, and any number in the
+    others."""
+    rows, inner, cols = (draw(st.integers(0, 7)) for _ in range(3))
+    b = draw(_one_entry_per_row((inner, cols)))
+    held = np.diff(b.indptr) > 0
+    empty = np.flatnonzero(~held).tolist()
+    entries = []
+    for row in range(rows):
+        picked = draw(st.lists(st.sampled_from(empty), unique=True)) if empty else []
+        if held.any() and draw(st.booleans()):
+            picked.append(draw(st.sampled_from(np.flatnonzero(held).tolist())))
+        entries += [(row, col, draw(_values)) for col in picked]
+    a_rows, a_cols, values = zip(*entries) if entries else ((), (), ())
+    a = sparse.from_triples(np.array(a_rows, dtype=np.int64), np.array(a_cols, dtype=np.int64),
+                            np.array(values, dtype=complex), (rows, inner))
+    return a, b
 
 
 @settings(max_examples=200, deadline=None)
-@given(operands=_one_path_operands)
-def test_one_path_products_match_the_gathering_route(operands):
+@given(operands=_one_path_operands())
+def test_one_path_products_match_scipy(operands):
     a, b = operands
-    assert _same_bits(a @ b, _gathered(a, b))
+    assert _same_bits(a @ b, to_scipy(a) @ to_scipy(b))
 
 
 def test_one_path_product_edge_values():
     # rows: a -0.0 component, a product that underflows to zero, both parts
     # nonzero (multiplied as two parts), an empty row; five columns
-    a = sparse.from_triples([0, 1, 2], [0, 1, 2], [1.0, 1e-200, 0.5 + 0.25j], (4, 3))
-    b = sparse.from_triples([0, 1, 2], [2, 0, 1], [complex(-0.0, 2.0), 1e-200, 3.0 - 1.0j],
-                            (3, 5))
+    a, a_sp = _both([0, 1, 2], [0, 1, 2], [1.0, 1e-200, 0.5 + 0.25j], (4, 3))
+    b, b_sp = _both([0, 1, 2], [2, 0, 1], [complex(-0.0, 2.0), 1e-200, 3.0 - 1.0j], (3, 5))
     product = a @ b
-    assert _same_bits(product, _gathered(a, b))
+    assert _same_bits(product, a_sp @ b_sp)
     assert product.indptr.tolist() == [0, 1, 1, 2, 2]
     assert product.indices.tolist() == [2, 1]
     assert product.data.tolist() == [2j, 1.75 + 0.25j]
@@ -246,21 +289,39 @@ def test_one_path_product_edge_values():
 
 
 def test_ladder_products_take_the_one_path_route():
-    route = []
-    one_path = sparse._one_path_per_row
-
-    def spy(bounds):
-        route.append(one_path(bounds))
-        return route[-1]
-
-    with mock.patch.object(sparse, "_one_path_per_row", spy):
+    with mock.patch.object(sparse, "_product", wraps=sparse._product) as spy:
         report = cli.run(cli.RunRequest("verify-algebra", {"n": 3, "cutoff": 8}))
-        assert report.passed
-        # the n^2 commutators take two products each, and the two
-        # factorizations one per variable each: all are ladder products
-        assert route == [True] * (2 * 3**2 + 2 * 3)
-        route.clear()
-        config = fock.FockSpaceConfig(3, 8)
-        dirac = spinors.dirac_plus(config)
+    assert report.passed
+    # the n^2 commutators take two products each, and the two
+    # factorizations one per variable each: all are ladder products
+    assert spy.call_count == 2 * 3**2 + 2 * 3
+
+
+def test_products_with_a_row_of_two_paths_are_refused():
+    # row 1 of a holds two entries, each meeting an entry of b; then a row
+    # of a meets a row of b holding two
+    a = sparse.from_triples([1, 1], [0, 1], [1.0, 2.0], (2, 2))
+    with pytest.raises(ValueError, match="row 1 of a sparse product adds 2 paths"):
+        a @ sparse.diagonal(np.ones(2))
+    with pytest.raises(ValueError, match="row 1 of a sparse product adds 2 paths"):
+        sparse.diagonal(np.ones(2)) @ a
+    # the square of the coupled operator sums over the form factor
+    dirac = spinors.dirac_plus(fock.FockSpaceConfig(3, 8))
+    with pytest.raises(ValueError, match="paths; a product adds at most one per row"):
         dirac @ dirac
-        assert route == [False]
+
+
+@settings(max_examples=100, deadline=None)
+@given(shape=st.tuples(st.integers(0, 9), st.integers(0, 9)), seed=st.integers(0, 2**32 - 1),
+       scalar=st.sampled_from([2.5, -1.0, 0.0, 1j, 0.3 - 1.7j]))
+def test_built_matrices_list_each_rows_columns_in_increasing_order(shape, seed, scalar):
+    rng = np.random.default_rng(seed)
+    a, _ = _random(rng, shape, rng.random())
+    b, _ = _random(rng, shape, rng.random())
+    (f, _), (g, _) = _one_path_factors(rng, shape[0], 4, shape[1])
+    rows = rng.permutation(shape[0])[:rng.integers(0, shape[0] + 1)]
+    cols = rng.permutation(shape[1])[:rng.integers(0, shape[1] + 1)]
+    for m in (a, a + b, a - b, scalar * a, a * scalar, a.adjoint(), a[rows, :], a[:, cols],
+              f @ g, f @ g - a):
+        keys = m.rows() * m.shape[1] + m.indices
+        assert np.all(keys[1:] > keys[:-1])

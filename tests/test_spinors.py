@@ -2,14 +2,17 @@
 
 Wedge signs are pinned by an independent oracle that sorts the inserted
 label into place and counts transpositions explicitly.  The square of the
-coupled operator is compared against a diagonal built directly from the
-basis enumeration.
+coupled operator, formed through scipy, is compared against a diagonal
+built directly from the basis enumeration.
 """
+
+import itertools
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy_oracle import product, to_scipy
 
 from fockindex import sparse, spinors
 from fockindex.fock import FockSpaceConfig, _radix_codes, max_abs_on_guard, multi_indices
@@ -146,7 +149,7 @@ def test_square_identity_oracle_diagonal():
     # same identity, rhs assembled in-test straight from the enumeration
     config = FockSpaceConfig(2, 5)
     d = dirac_plus(config)
-    sq = (d @ d).toarray()
+    sq = product(d, d).toarray()
     expected = np.diag(
         [2.0 * sum(b.osc) + 2.0 * len(b.form) for b in graded_basis(config)]
     )
@@ -155,9 +158,9 @@ def test_square_identity_oracle_diagonal():
 
 
 def _sparse_square_residual(d, config):
-    """The oracle: the guarded columns of the sparse ``d @ d`` minus the diagonal."""
+    """The oracle: the guarded columns of scipy's sparse ``d @ d`` minus the diagonal."""
     expected = 2.0 * graded_osc_degrees(config) + 2.0 * graded_form_degrees(config)
-    diff = d @ d - sparse.diagonal(expected)
+    diff = product(d, d) - sparse.diagonal(expected)
     return max_abs_on_guard(diff, config, mask=graded_guard_mask(config))
 
 
@@ -190,7 +193,7 @@ def test_square_residual_matches_scipy(nv, cutoff):
     expected = 2.0 * graded_osc_degrees(config) + 2.0 * graded_form_degrees(config)
     guarded = np.flatnonzero(graded_guard_mask(config))
     for matrix in (d, scrambled):
-        m = sp.csr_matrix((matrix.data, matrix.indices, matrix.indptr), shape=matrix.shape)
+        m = to_scipy(matrix)
         square = (m @ m - sp.diags(expected.astype(np.complex128))).tocsr()
         oracle = float(np.abs(square[:, guarded].data).max())
         assert _sparse_square_residual(matrix, config) == oracle
@@ -212,6 +215,16 @@ def test_block_square_identity_matches_the_sparse_oracle(nv, cutoffs, monkeypatc
             with monkeypatch.context() as patch:
                 patch.setattr(spinors, "_STACK_ENTRIES", 1)
                 assert square_identity_residual(matrix, config) == blocks
+
+
+def test_chunks_are_made_one_at_a_time():
+    # a list of the slices of 10**18 items would not fit in memory
+    size = spinors._STACK_ENTRIES // 4
+    first = list(itertools.islice(spinors._chunks(10**18, 4), 2))
+    assert first == [slice(0, size), slice(size, 2 * size)]
+    # past the budget a chunk holds one item
+    chunks = spinors._chunks(3, spinors._STACK_ENTRIES + 1)
+    assert list(chunks) == [slice(0, 1), slice(1, 2), slice(2, 3)]
 
 
 def _unique_label_ids(config):
