@@ -15,7 +15,6 @@ __all__ = [
     "fock",
     "models",
     "pairs",
-    "sparse",
     "spinors",
     "symbols",
     "topo",

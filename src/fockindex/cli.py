@@ -16,8 +16,10 @@ tolerance.  A runner only computes errors and details; ``run`` judges them
 against the check table.
 
 Each runner imports the library layers it uses when it first runs, so
-``topo`` loads no numpy, and no subcommand loads scipy: the sparse operators
-of ``verify-algebra`` and ``model-invert`` are numpy arrays (``sparse``).
+``topo`` loads no numpy, and no subcommand loads scipy: ``verify-algebra``
+composes ladder maps held as numpy arrays (``fock.IndexMap``), and it and
+``model-invert`` read the coupled operator as the numpy arrays of its
+entries.
 
 Parameters are checked before anything is built: a value below its row's
 minimum or not above its strict bound, a float that is not finite, or a
@@ -440,9 +442,7 @@ def _run_verify_algebra(params: dict, seeds: list, checks: tuple):
 
     worst = 0.0
     for up, down in zip(raising, lowering):
-        diff = up.adjoint() - down
-        if diff.nnz:
-            worst = max(worst, _max_abs(diff.data))
+        worst = max(worst, _max_abs((up.adjoint() - down).weight))
     yield adjointness, worst
 
     yield factorization, max(fock.oscillator_identity_residuals(config, raising))
@@ -452,9 +452,10 @@ def _run_verify_algebra(params: dict, seeds: list, checks: tuple):
 
     # the vacuum row on the odd columns and the vacuum column on the odd rows
     vac = spinors.graded_index(config, spinors.vacuum_index(config))
-    odd = spinors.sector_indices(config, spinors.ODD)
-    row, col = dirac[[vac], :][:, odd], dirac[odd, :][:, [vac]]
-    yield vacuum, _max_abs(np.concatenate(([0.0], row.data, col.data)))
+    odd = spinors.graded_form_degrees(config) % 2 == 1
+    rows, cols, values = dirac
+    edges = ((rows == vac) & odd[cols]) | ((cols == vac) & odd[rows])
+    yield vacuum, _max_abs(np.concatenate(([0.0], values[edges])))
 
 
 # A stack holds at most this many entries of each of its arrays: in

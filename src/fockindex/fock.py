@@ -5,8 +5,10 @@ degree at most ``cutoff``, enumerated in graded lexicographic order.
 Operators are hard projections: matrix entries that would leave the
 truncated basis are dropped, and algebraic identities are therefore only
 asserted on states whose degree stays ``GUARD`` levels below the cutoff.
-Every operator is a ``sparse.CSR`` matrix over the truncated basis; compose
-with ``a @ b`` and take adjoints with ``a.adjoint()``.
+Every operator here sends each basis state to at most one basis state, so
+it is an ``IndexMap``: a target state and a weight per state.  Compose with
+``a @ b``, take adjoints with ``a.adjoint()``, and add maps that agree on
+their targets.
 """
 
 from __future__ import annotations
@@ -17,11 +19,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .sparse import CSR, diagonal, from_triples
-
 __all__ = [
     "GUARD",
     "FockSpaceConfig",
+    "IndexMap",
     "multi_indices",
     "basis_index",
     "degrees",
@@ -61,6 +62,86 @@ class FockSpaceConfig:
     @property
     def dimension(self) -> int:
         return math.comb(self.cutoff + self.num_vars, self.num_vars)
+
+
+class IndexMap:
+    """An operator that sends each basis state to at most one basis state.
+
+    State ``s`` goes to ``target[s]`` with the finite coefficient
+    ``weight[s]``; a state with no image has target -1 and weight zero.  As
+    a matrix, column ``s`` holds ``weight[s]`` in row ``target[s]``.  The
+    arrays are read-only: operations build new maps.
+
+    ``a @ b`` composes (``b`` first), ``s * a`` scales, and ``a + b`` and
+    ``a - b`` add weights state by state, with zero for a state that one
+    operand sends nowhere.  A sum whose operands send one state to two
+    different states is not an index map: it is a ``ValueError``.  Each
+    weight of a composite is the product of the two weights plus 0.0, the
+    operations a sparse product summing from zero does.
+    """
+
+    __slots__ = ("target", "weight")
+    __array_ufunc__ = None  # numpy defers to the operators below
+
+    def __init__(self, target: np.ndarray, weight: np.ndarray):
+        if target.shape != weight.shape or target.ndim != 1:
+            raise ValueError("an index map holds one target and one weight per state")
+        self.target, self.weight = target, weight
+        for array in (target, weight):
+            array.flags.writeable = False  # maps share their arrays
+
+    def _check_size(self, other: IndexMap):
+        if len(self.target) != len(other.target):
+            raise ValueError(f"index maps on {len(self.target)} and {len(other.target)} "
+                             "states")
+
+    def adjoint(self) -> IndexMap:
+        """The conjugate transpose; no two states may share a target."""
+        sources = np.flatnonzero(self.target >= 0)
+        targets = self.target[sources]
+        target = np.full(len(self.target), -1, dtype=self.target.dtype)
+        target[targets] = sources
+        if not np.array_equal(target[targets], sources):
+            raise ValueError("the adjoint of a map that joins two states is not an index map")
+        weight = np.zeros_like(self.weight)
+        weight[targets] = self.weight[sources].conj()
+        return IndexMap(target, weight)
+
+    def __matmul__(self, other: IndexMap) -> IndexMap:
+        if not isinstance(other, IndexMap):
+            return NotImplemented
+        self._check_size(other)
+        # a state other sends nowhere reads the last entry of self, times
+        # its weight 0.0; + 0.0 turns a -0.0 product to +0.0, as a sum from
+        # zero does
+        target = np.where(other.target >= 0, self.target[other.target], -1)
+        return IndexMap(target, self.weight[other.target] * other.weight + 0.0)
+
+    def __mul__(self, scalar) -> IndexMap:
+        if not np.isscalar(scalar):
+            return NotImplemented
+        return IndexMap(self.target, self.weight * scalar)
+
+    __rmul__ = __mul__
+
+    def __add__(self, other: IndexMap) -> IndexMap:
+        return self._combine(other, np.add)
+
+    def __sub__(self, other: IndexMap) -> IndexMap:
+        return self._combine(other, np.subtract)
+
+    def _combine(self, other, op) -> IndexMap:
+        if not isinstance(other, IndexMap):
+            return NotImplemented
+        self._check_size(other)
+        apart = (self.target != other.target) & (self.target >= 0) & (other.target >= 0)
+        if apart.any():
+            state = int(np.flatnonzero(apart)[0])
+            raise ValueError(f"state {state} goes to {self.target[state]} and to "
+                             f"{other.target[state]}: a sum of index maps sends each "
+                             "state to one state")
+        # the weight of a state with no image is zero
+        return IndexMap(np.maximum(self.target, other.target), op(self.weight, other.weight))
 
 
 @lru_cache(maxsize=None)
@@ -145,13 +226,13 @@ def guard_mask(config: FockSpaceConfig) -> np.ndarray:
     return degrees(config) <= config.cutoff - GUARD
 
 
-def _ladder(config: FockSpaceConfig, j: int, step: int) -> CSR:
+def _ladder(config: FockSpaceConfig, j: int, step: int) -> IndexMap:
     """The ladder map in variable ``j``: ``step`` +1 raises, -1 lowers.
 
-    A weighted index map: it sends the basis state ``k`` to the state with
-    ``k_j`` moved by ``step``, with weight ``sqrt(2 m)`` for ``m`` the
-    larger of the two occupations.  States it would send past the cutoff,
-    or below zero, have no image.
+    It sends the basis state ``k`` to the state with ``k_j`` moved by
+    ``step``, with weight ``sqrt(2 m)`` for ``m`` the larger of the two
+    occupations.  States it would send past the cutoff, or below zero,
+    have no image.
     """
     if not 1 <= j <= config.num_vars:
         raise ValueError(f"variable index {j} out of range 1..{config.num_vars}")
@@ -159,16 +240,18 @@ def _ladder(config: FockSpaceConfig, j: int, step: int) -> CSR:
     basis = _basis_array(nv, cutoff)
     codes = _basis_codes(nv, cutoff)
     occupation = basis[:, j - 1]
-    cols = np.nonzero(degrees(config) < cutoff if step > 0 else occupation > 0)[0]
+    sources = np.nonzero(degrees(config) < cutoff if step > 0 else occupation > 0)[0]
     # one more (or one less) in the degree digit and in the digit of variable j
     radix = cutoff + 1
-    rows = np.searchsorted(codes, codes[cols] + step * (radix**nv + radix ** (nv - j)))
-    vals = np.sqrt(2.0 * (occupation[cols] + (step > 0)))
-    dim = config.dimension
-    return from_triples(rows, cols, vals, (dim, dim))
+    moved = codes[sources] + step * (radix**nv + radix ** (nv - j))
+    target = np.full(config.dimension, -1, dtype=np.intp)
+    target[sources] = np.searchsorted(codes, moved)
+    weight = np.zeros(config.dimension)
+    weight[sources] = np.sqrt(2.0 * (occupation[sources] + (step > 0)))
+    return IndexMap(target, weight)
 
 
-def creation(config: FockSpaceConfig, j: int) -> CSR:
+def creation(config: FockSpaceConfig, j: int) -> IndexMap:
     """Raising operator in variable ``j`` (1-based).
 
     Maps the basis state ``k`` to ``sqrt(2 (k_j + 1))`` times the state with
@@ -177,7 +260,7 @@ def creation(config: FockSpaceConfig, j: int) -> CSR:
     return _ladder(config, j, +1)
 
 
-def annihilation(config: FockSpaceConfig, j: int) -> CSR:
+def annihilation(config: FockSpaceConfig, j: int) -> IndexMap:
     """Lowering operator in variable ``j``: exactly the adjoint of creation.
 
     Built as its own index map, so comparing it with the adjoint of
@@ -186,13 +269,13 @@ def annihilation(config: FockSpaceConfig, j: int) -> CSR:
     return _ladder(config, j, -1)
 
 
-def harmonic_oscillator(config: FockSpaceConfig) -> CSR:
+def harmonic_oscillator(config: FockSpaceConfig) -> IndexMap:
     """Diagonal operator with entry 2|k| + num_vars on each basis state."""
-    return diagonal(2.0 * degrees(config) + config.num_vars)
+    return IndexMap(np.arange(config.dimension), 2.0 * degrees(config) + config.num_vars)
 
 
-def identity(config: FockSpaceConfig) -> CSR:
-    return diagonal(np.ones(config.dimension))
+def identity(config: FockSpaceConfig) -> IndexMap:
+    return IndexMap(np.arange(config.dimension), np.ones(config.dimension))
 
 
 def oscillator_identity_residuals(config: FockSpaceConfig,
@@ -219,14 +302,6 @@ def oscillator_identity_residuals(config: FockSpaceConfig,
     return res1, res2
 
 
-def max_abs_on_guard(matrix, config: FockSpaceConfig,
-                     mask: np.ndarray | None = None) -> float:
-    """Largest |entry| over columns indexed by guarded basis states.
-
-    ``mask`` overrides the default oscillator-degree mask (used by graded
-    spaces whose column layout differs from the plain oscillator basis).
-    """
-    if mask is None:
-        mask = guard_mask(config)
-    values = matrix.data[mask[matrix.indices]]
-    return float(np.abs(values).max()) if values.size else 0.0
+def max_abs_on_guard(matrix: IndexMap, config: FockSpaceConfig) -> float:
+    """Largest |entry| over columns indexed by guarded basis states."""
+    return float(np.abs(matrix.weight[guard_mask(config)]).max(initial=0.0))

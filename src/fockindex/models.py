@@ -33,10 +33,10 @@ through the stacks of ``L``, builds the merged block from a cached dense
 block of ``L`` and the deformed vacuum's amplitudes ``cos(theta)`` and
 ``sin(theta)``, takes the smallest singular value outside it from the
 stacks once per chirality and theta-free configuration, and builds no
-sparse matrix and no dense sector-sized one.  The one sparse matrix read
-is ``dirac_plus``, from which the lowering block is sliced; the assembled
-model and the dense route (``pinv`` and SVD of whole sectors) are the test
-oracle.
+sparse matrix and no dense sector-sized one.  The one operator read is
+``dirac_plus``, whose entries with even rows and odd columns are the
+lowering block; the assembled model and the dense route (``pinv`` and SVD
+of whole sectors) are the test oracle.
 """
 
 from __future__ import annotations
@@ -97,7 +97,12 @@ class ModelConfig:
         if self.beta is None:
             object.__setattr__(self, "beta", float(self.n - 1))
         for name in ("alpha", "beta", "theta", "tol"):
-            if not math.isfinite(getattr(self, name)):
+            try:
+                finite = math.isfinite(getattr(self, name))
+            except OverflowError:
+                raise ValueError(f"{name} must be finite, got an integer too large "
+                                 "for a float") from None
+            if not finite:
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.alpha <= 0:
             raise ValueError(f"alpha must be positive, got {self.alpha}")
@@ -126,13 +131,13 @@ class _SectorData:
     block (even rows, odd columns of ``dirac_plus``) and ``lower_pinv`` its
     pseudo-inverse as label-block stacks; ``raise_pinv`` holds the transposed
     views of ``lower_pinv``, the conjugate of the raising block's
-    pseudo-inverse.  ``merged_lower`` is the lowering block's dense block on
+    pseudo-inverse.  ``merged_lower`` is the member of ``lower_stacks`` on
     the merged positions, ``merged_stack`` the same block as a one-member
     stack on local rows, and ``merged_pair`` the local rows of the vacuum and
     the target.  ``guard_even`` and ``guard_odd`` mark the guarded
     states, and ``guarded_even`` and ``guarded_odd`` list their positions.
-    ``rank_probes`` are the deformation-rank probes, read-only.  No sparse
-    matrix is kept.
+    ``rank_probes`` are the deformation-rank probes, read-only.  No entries
+    of ``dirac_plus`` are kept.
 
     The stacks hold the held blocks alone, those with a guarded state:
     ``_label_stacks`` gathers them by the guard masks.  A guarded rhs, its
@@ -145,7 +150,6 @@ class _SectorData:
         _check_target(config, target)
         even_idx, odd_idx = sector_indices(config, EVEN), sector_indices(config, ODD)
         self.dim_even, self.dim_odd = len(even_idx), len(odd_idx)
-        lower = dirac_plus(config)[even_idx, :][:, odd_idx]
         osc = graded_osc_degrees(config)
         self.h0_odd = 2.0 * osc[odd_idx] + config.num_vars
         self.guard_even = osc[even_idx] <= cutoff - GUARD
@@ -163,11 +167,13 @@ class _SectorData:
         self.odd_ids = ids[odd_idx]
         self.merged_even = self.even_ids == self.merged
         self.merged_odd = self.odd_ids == self.merged
-        self.lower_stacks = list(_label_stacks((lower.rows(), lower.indices, lower.data),
+        self.lower_stacks = list(_label_stacks(_lowering_entries(config, even_idx, odd_idx),
                                                self.even_ids, self.odd_ids,
                                                self.guard_even, self.guard_odd))
-        rows, cols = np.flatnonzero(self.merged_even), np.flatnonzero(self.merged_odd)
-        self.merged_lower = lower[rows, :][:, cols].toarray()
+        # the merged block holds the (guarded) vacuum, so a stack holds it
+        ((rows, cols, self.merged_lower),) = (
+            (rows[k], cols[k], stack[k]) for rows, cols, stack in self.lower_stacks
+            for k in np.flatnonzero(self.odd_ids[cols[:, 0]] == self.merged))
         # the same block as a one-member stack on its rows, numbered locally
         self.merged_stack = [(np.arange(len(rows))[None], cols[None], self.merged_lower[None])]
         self.merged_pair = np.searchsorted(rows, [self.vacuum_pos, self.target_pos])
@@ -176,6 +182,20 @@ class _SectorData:
         # pseudo-inverse is lower_pinv^H, held as the views lower_pinv^T
         self.raise_pinv = _transposed(self.lower_pinv)
         self.rank_probes = _rank_probes(self)
+
+
+def _lowering_entries(config: FockSpaceConfig, even_idx: np.ndarray,
+                      odd_idx: np.ndarray) -> tuple:
+    """The entries of ``dirac_plus`` with even rows and odd columns, numbered
+    by their positions in the sectors ``even_idx`` and ``odd_idx``."""
+    rows, cols, values = dirac_plus(config)
+    even_pos = np.full(len(even_idx) + len(odd_idx), -1)
+    odd_pos = even_pos.copy()
+    even_pos[even_idx] = np.arange(len(even_idx))
+    odd_pos[odd_idx] = np.arange(len(odd_idx))
+    rows, cols = even_pos[rows], odd_pos[cols]
+    keep = (rows >= 0) & (cols >= 0)
+    return rows[keep], cols[keep], values[keep]
 
 
 @lru_cache(maxsize=8)

@@ -28,6 +28,7 @@ from .errors import PairingFloorError
 from .fock import (
     GUARD,
     FockSpaceConfig,
+    IndexMap,
     _basis,
     _basis_array,
     _radix_codes,
@@ -35,7 +36,6 @@ from .fock import (
     creation,
     degrees,
 )
-from .sparse import CSR, _distinct, from_triples
 
 __all__ = [
     "EVEN",
@@ -127,19 +127,21 @@ def sector_indices(config: FockSpaceConfig, parity: str) -> np.ndarray:
     return np.nonzero(graded_form_degrees(config) % 2 == rem)[0]
 
 
-def dirac_plus(config: FockSpaceConfig, raising=None) -> CSR:
-    """The coupled operator i * sum_j (C_j contract_j - C_j^* wedge_j).
+def dirac_plus(config: FockSpaceConfig, raising: list[IndexMap] | None = None) -> tuple:
+    """The coupled operator i * sum_j (C_j contract_j - C_j^* wedge_j), as the
+    ``(rows, cols, values)`` of its entries.
 
     Exchanges the even/odd form sectors while preserving total degree; its
     matrix is exactly self-adjoint under the hard truncation.  Its chiral
-    halves are slices by ``sector_indices``: odd rows by even columns, and
-    even rows by odd columns.  ``raising`` may pass the maps
+    halves are its entries with odd rows and even columns, and with even
+    rows and odd columns.  ``raising`` may pass the maps
     ``creation(config, j)`` for j = 1..num_vars when the caller has built
     them already.
 
     Each term ``C_j contract_j`` sends a graded state to at most one state,
     and ``C_j^* wedge_j`` is its adjoint, so the terms are assembled as index
-    maps on the oscillator-major, form-minor layout.
+    maps on the oscillator-major, form-minor layout.  No two terms share a
+    position, and the entries are listed term by term.
     """
     nv = config.num_vars
     nf = 2**nv
@@ -149,16 +151,14 @@ def dirac_plus(config: FockSpaceConfig, raising=None) -> CSR:
     for j, up in enumerate(raising, start=1):
         form = contract_matrix(nv, j)
         form_rows, form_cols = np.nonzero(form)
-        term_rows = (up.rows()[:, None] * nf + form_rows).ravel()
-        term_cols = (up.indices[:, None].astype(np.int64) * nf + form_cols).ravel()
-        term_vals = (up.data.real[:, None] * form[form_rows, form_cols]).ravel()
+        sources = np.flatnonzero(up.target >= 0)
+        term_rows = (up.target[sources, None] * nf + form_rows).ravel()
+        term_cols = (sources[:, None] * nf + form_cols).ravel()
+        term_vals = (up.weight[sources, None] * form[form_rows, form_cols]).ravel()
         rows += [term_rows, term_cols]
         cols += [term_cols, term_rows]
         vals += [term_vals, -term_vals]
-    rows, cols, vals = np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
-    dim = graded_dimension(config)
-    total = from_triples(rows, cols, vals, (dim, dim))
-    return CSR(1j * total.data, total.indices, total.indptr, total.shape)
+    return np.concatenate(rows), np.concatenate(cols), 1j * np.concatenate(vals)
 
 
 def vacuum_index(config: FockSpaceConfig) -> GradedBasisIndex:
@@ -201,7 +201,7 @@ def _label_ids(config: FockSpaceConfig) -> np.ndarray:
     osc = _radix_codes(_basis_array(nv, config.cutoff), radix)
     # the form digits add to the oscillator ones without a carry
     codes = osc[:, None] + _radix_codes(member, radix)
-    return _distinct(codes.reshape(-1))[1]
+    return np.unique(codes.reshape(-1), return_inverse=True)[1]
 
 
 def _group(ids: np.ndarray, num: int):
@@ -268,8 +268,9 @@ def _label_stacks(entries, row_ids: np.ndarray, col_ids: np.ndarray,
         yield rows, cols, stack.reshape(len(members), r, c)
 
 
-def square_identity_residual(d: CSR, config: FockSpaceConfig) -> float:
-    """Max guarded-column error of the square of ``d = dirac_plus(config)``.
+def square_identity_residual(d: tuple, config: FockSpaceConfig) -> float:
+    """Max guarded-column error of the square of ``d = dirac_plus(config)``,
+    given as the ``(rows, cols, values)`` of its entries.
 
     The square must act diagonally as twice the oscillator degree plus twice
     the form degree.  ``d`` conserves the labels, so its square is the
@@ -282,7 +283,7 @@ def square_identity_residual(d: CSR, config: FockSpaceConfig) -> float:
     guard = graded_guard_mask(config)
     ids = _label_ids(config)
     worst = 0.0
-    for _, cols, stack in _label_stacks((d.rows(), d.indices, d.data), ids, ids, guard, guard):
+    for _, cols, stack in _label_stacks(d, ids, ids, guard, guard):
         # a block's rows are its columns, in the same order
         size = stack.shape[1]
         for part in _chunks(len(stack), size**2):

@@ -264,13 +264,18 @@ class HessianData:
     matrix_a: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        a = np.asarray(self.a, dtype=complex)
-        b = np.asarray(self.b, dtype=complex)
-        alpha = np.asarray(self.alpha, dtype=float)
-        for name, value in (("alpha", alpha), ("a", a), ("b", b)):
+        checked = []
+        for name, dtype in (("alpha", float), ("a", complex), ("b", complex)):
+            try:
+                value = np.asarray(getattr(self, name), dtype=dtype)
+            except OverflowError:
+                raise ValueError(f"{name} must be finite, got an integer too large "
+                                 "for a float") from None
             bad = value[~np.isfinite(value)]
             if bad.size:
                 raise ValueError(f"{name} must be finite, got {bad.flat[0]}")
+            checked.append(value)
+        alpha, a, b = checked
         if (alpha <= 0).any():
             raise ValueError(f"alpha must be positive, got {alpha[alpha <= 0].flat[0]}")
         if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.size == 0 or b.shape != a.shape:

@@ -90,7 +90,7 @@ def test_verify_symbols_loads_no_fock_space_code():
             "--quadrature-samples", "1", "--seed", "3"]
     loaded = _modules_after(_main_code(argv))
     assert "fockindex.symbols" in loaded
-    assert not loaded & {"fockindex.fock", "fockindex.sparse", "fockindex.spinors"}
+    assert not loaded & {"fockindex.fock", "fockindex.spinors"}
 
 
 def test_model_invert_does_not_load_numpy_ma():
@@ -190,7 +190,7 @@ def test_cli_chirality_names_match_the_spinor_sectors():
 
 
 @pytest.mark.parametrize(
-    "module", ["cli", "fock", "spinors", "symbols", "models", "pairs", "topo", "sparse"]
+    "module", ["cli", "fock", "spinors", "symbols", "models", "pairs", "topo"]
 )
 def test_every_name_in_all_resolves(module):
     # the benchmark tracer calls getattr on each name, so a stale entry
@@ -242,11 +242,21 @@ def test_the_cli_reads_only_public_library_names():
     assert _private_reach_ins(Path(cli.__file__).read_text()) == []
 
 
-def test_every_public_sparse_name_has_a_library_caller():
-    # sparse holds only what the other layers use: a public name that no
-    # other module of the package reads is code no caller needs
+def test_every_public_index_map_name_has_a_library_caller():
+    # the index map holds only what the library uses: a public method or
+    # field that no code outside the class reads is code no caller needs
+    from fockindex.fock import IndexMap
+
     package = Path(fockindex.__file__).parent
-    reads = {name for path in package.glob("*.py") if path.stem != "sparse"
-             for name in _library_reads(path.read_text())}
-    unread = [name for name in fockindex.sparse.__all__ if f"sparse.{name}" not in reads]
+    reads = set()
+    for path in package.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        inside = {id(node) for cls in ast.walk(tree)
+                  if isinstance(cls, ast.ClassDef) and cls.name == "IndexMap"
+                  for node in ast.walk(cls)}
+        reads |= {node.attr for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and id(node) not in inside}
+    public = [name for name in dir(IndexMap) if not name.startswith("_")]
+    assert public
+    unread = [name for name in public if name not in reads]
     assert not unread, unread

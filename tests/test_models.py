@@ -10,8 +10,8 @@ deformation difference.  The library holds the model only as label-block
 stacks.  Its oracle lives here: the directly assembled sparse model and the
 deformed vacuum projector it reads, and the block calculus with declared
 orders with the projector models it combines into
-``R P + (Id - R)(Id - P)``.  Their sparse products are scipy's, so the
-tests that build them skip without scipy.
+``R P + (Id - R)(Id - P)``.  Their blocks are scipy's sparse matrices, so
+the tests that build them skip without scipy.
 """
 
 import itertools
@@ -24,11 +24,11 @@ import pytest
 from children import child_env
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy_oracle import product
+from scipy_oracle import dense, to_scipy
 
-from fockindex import models, sparse, spinors
+from fockindex import models, spinors
 from fockindex.errors import GuardViolationError, PairingFloorError
-from fockindex.fock import FockSpaceConfig
+from fockindex.fock import FockSpaceConfig, IndexMap
 from fockindex.models import (
     ModelConfig,
     certify_invertibility,
@@ -67,7 +67,7 @@ SCALED = {"alpha": 0.6, "beta": 2.25}
 class GradedOperator:
     """2x2 block matrix over the form-parity sectors, with declared orders.
 
-    ``blocks[i][j]`` is a sparse matrix or ``None`` (an exactly-zero block),
+    ``blocks[i][j]`` is a scipy CSR matrix or ``None`` (an exactly-zero block),
     and ``heisenberg_orders[i][j]`` its declared order, ``None`` for zero
     blocks.  The first slot is always the even-form sector.
     """
@@ -77,26 +77,21 @@ class GradedOperator:
     col_dims: tuple
     heisenberg_orders: tuple
 
-    def block(self, i: int, j: int) -> sparse.CSR:
+    def block(self, i: int, j: int):
         entry = self.blocks[i][j]
         if entry is None:
-            rows, cols = self.row_dims[i], self.col_dims[j]
-            return sparse.CSR(np.zeros(0, complex), np.zeros(0, int),
-                              np.zeros(rows + 1, int), (rows, cols))
+            return _scipy().csr_matrix((self.row_dims[i], self.col_dims[j]), dtype=complex)
         return entry
 
-    def matrix(self) -> sparse.CSR:
+    def matrix(self):
         """The assembled two-sector matrix."""
-        parts = [(block.rows() + (0, self.row_dims[0])[i],
-                  block.indices + (0, self.col_dims[0])[j], block.data)
-                 for i, j in np.ndindex(2, 2) for block in [self.block(i, j)]]
-        rows, cols, values = (np.concatenate(part) for part in zip(*parts))
-        return sparse.from_triples(rows, cols, values,
-                                   (sum(self.row_dims), sum(self.col_dims)))
+        return _scipy().bmat([[self.block(i, j) for j in range(2)] for i in range(2)],
+                             format="csr")
 
     def adjoint(self) -> "GradedOperator":
         """Blockwise adjoint: block ``(i, j)`` is block ``(j, i)``'s, with its order."""
-        blocks = tuple(tuple(None if entry is None else entry.adjoint() for entry in column)
+        blocks = tuple(tuple(None if entry is None else entry.conj().T.tocsr()
+                             for entry in column)
                        for column in zip(*self.blocks))
         orders = tuple(zip(*self.heisenberg_orders))
         return GradedOperator(blocks, self.col_dims, self.row_dims, orders)
@@ -114,7 +109,7 @@ class GradedOperator:
                     left, right = self.blocks[i][k], other.blocks[k][j]
                     if left is None or right is None:
                         continue
-                    term = product(left, right)
+                    term = left @ right
                     total = term if total is None else total + term
                     lo = self.heisenberg_orders[i][k]
                     ro = other.heisenberg_orders[k][j]
@@ -168,7 +163,7 @@ def build_calderon_model(chirality: str, complement: bool, cfg: ModelConfig) -> 
     """
     _check_parity(chirality, "chirality")
     config, even_idx, odd_idx, osc = _sector_helpers(cfg)
-    dirac = dirac_plus(config)
+    dirac = to_scipy(dirac_plus(config), graded_dimension(config))
     alpha, beta = cfg.alpha, cfg.beta
     sign = -1.0 if complement else 1.0
     shift = beta if complement else -beta
@@ -176,7 +171,7 @@ def build_calderon_model(chirality: str, complement: bool, cfg: ModelConfig) -> 
     down = sign * alpha * dirac[even_idx, :][:, odd_idx]
     heavy_parity = ODD if (chirality == EVEN) != complement else EVEN
     h0 = 2.0 * osc[odd_idx if heavy_parity == ODD else even_idx] + config.num_vars
-    heavy = alpha**2 * sparse.diagonal(h0 + shift)
+    heavy = alpha**2 * _diagonal(h0 + shift)
     if heavy_parity == ODD:
         blocks = ((_identity(even_idx), down), (up, heavy))
         orders = ((0, -1), (-1, -2))
@@ -188,7 +183,7 @@ def build_calderon_model(chirality: str, complement: bool, cfg: ModelConfig) -> 
 
 
 def deformed_szego(config: FockSpaceConfig, theta: float,
-                   target: GradedBasisIndex) -> sparse.CSR:
+                   target: GradedBasisIndex):
     """Rank-one projection onto cos(theta) * vacuum + sin(theta) * target.
 
     The target must be a basis state of even form degree distinct from the
@@ -202,8 +197,8 @@ def deformed_szego(config: FockSpaceConfig, theta: float,
     dim = graded_dimension(config)
     values = np.outer(amps, amps).ravel()
     keep = values != 0
-    return sparse.from_triples(np.repeat(coords, 2)[keep], np.tile(coords, 2)[keep],
-                               values[keep], (dim, dim))
+    return _scipy().csr_matrix(
+        (values[keep], (np.repeat(coords, 2)[keep], np.tile(coords, 2)[keep])), shape=(dim, dim))
 
 
 def build_boundary_model(chirality: str, cfg: ModelConfig) -> GradedOperator:
@@ -234,19 +229,30 @@ def build_comparison_model(chirality: str, cfg: ModelConfig) -> GradedOperator:
     """
     _check_parity(chirality, "chirality")
     config, even, odd, _ = _sector_helpers(cfg)
-    dirac = dirac_plus(config)
+    dirac = to_scipy(dirac_plus(config), graded_dimension(config))
     szego = deformed_szego(config, cfg.theta, cfg.target)[even, :][:, even]
     lower, raising, heavy = models._factors(chirality, cfg)
-    top_right = product(_identity(even) - 2.0 * szego, lower * dirac[even, :][:, odd])
+    top_right = (_identity(even) - 2.0 * szego) @ (lower * dirac[even, :][:, odd])
     blocks = ((szego, top_right),
-              (raising * dirac[odd, :][:, even], sparse.diagonal(heavy)))
+              (raising * dirac[odd, :][:, even], _diagonal(heavy)))
     dims = (len(even), len(odd))
     return GradedOperator(blocks, dims, dims, COMPARISON_ORDERS)
 
 
+def _scipy():
+    return pytest.importorskip("scipy.sparse")
+
+
+def _diagonal(values):
+    """The sparse diagonal matrix holding the nonzero ``values``."""
+    matrix = _scipy().diags(np.asarray(values, dtype=complex), format="csr")
+    matrix.eliminate_zeros()
+    return matrix
+
+
 def _identity(positions):
     """The sparse identity on a sector."""
-    return sparse.diagonal(np.ones(len(positions)))
+    return _diagonal(np.ones(len(positions)))
 
 
 def _sector_helpers(cfg):
@@ -293,6 +299,12 @@ def test_model_config_defaults_and_validation():
 def test_model_config_refuses_a_non_finite_parameter_by_name(field, value):
     with pytest.raises(ValueError, match=f"^{field} must be finite"):
         ModelConfig(n=2, cutoff=8, **{field: value})
+
+
+@pytest.mark.parametrize("field", ["alpha", "beta", "theta", "tol"])
+def test_model_config_refuses_an_integer_too_large_for_a_float_by_name(field):
+    with pytest.raises(ValueError, match=f"^{field} must be finite, got an integer too large"):
+        ModelConfig(n=2, cutoff=8, **{field: 10**400})
 
 
 def test_calderon_model_corners_and_complement():
@@ -467,7 +479,7 @@ def test_closed_form_inverse_matches_formula_solver():
     config, even_idx, odd_idx, osc = _sector_helpers(cfg)
     from fockindex.spinors import dirac_plus
 
-    dirac = dirac_plus(config).toarray()
+    dirac = dense(dirac_plus(config), graded_dimension(config))
     lower = dirac[np.ix_(even_idx, odd_idx)]
     raise_ = dirac[np.ix_(odd_idx, even_idx)]
     lower_inv = np.linalg.pinv(lower, rcond=1e-10)
@@ -618,15 +630,21 @@ def _held_states(sec):
     return held[:sec.dim_even], held[sec.dim_even:]
 
 
+def _lowering_block(config, even_idx, odd_idx):
+    """The even rows and odd columns of scipy's ``dirac_plus``, as COO."""
+    dirac = to_scipy(dirac_plus(config), graded_dimension(config))
+    return dirac[even_idx, :][:, odd_idx].tocoo()
+
+
 def _whole_stacks(cfg):
     """The lowering block gathered over every label block, its pseudo-inverse
     and that one's transposed views: the sector data's three stack lists, had
     they held every block."""
     config, even_idx, odd_idx, _ = _sector_helpers(cfg)
     sec = models._sectors(cfg)
-    lower = dirac_plus(config)[even_idx, :][:, odd_idx]
+    lower = _lowering_block(config, even_idx, odd_idx)
     stacks = list(spinors._label_stacks(
-        (lower.rows(), lower.indices, lower.data), sec.even_ids, sec.odd_ids,
+        (lower.row, lower.col, lower.data), sec.even_ids, sec.odd_ids,
         np.ones(sec.dim_even, dtype=bool), np.ones(sec.dim_odd, dtype=bool)))
     pinv = models._block_pinv(stacks)
     return stacks, pinv, models._transposed(pinv)
@@ -661,6 +679,33 @@ def test_a_held_solve_equals_a_whole_stack_solve(chirality, theta, n, cutoff, ta
     u, v = held
     assert not (u[~held_even].any() or v[~held_odd].any())
     assert not ((applied[0] - a)[~held_even].any() or (applied[1] - b)[~held_odd].any())
+
+
+@pytest.mark.parametrize("n,cutoff,theta,target", [
+    (3, 16, 0.0, None), (4, 7, 0.0, None), (5, 4, 0.0, None), (2, 40, 0.0, None),
+    (6, 6, 0.0, None),
+    (6, 4, 0.3, None),  # the deformed model of model-invert-n6-deformed.json
+    (3, 8, 0.3, GradedBasisIndex((0, 1), (1, 2))),
+])
+def test_the_merged_block_is_the_merged_member_of_the_lowering_stacks(n, cutoff, theta, target):
+    cfg = ModelConfig(n=n, cutoff=cutoff, theta=theta, target=target)
+    config, even_idx, odd_idx, _ = _sector_helpers(cfg)
+    sec = models._sectors(cfg)
+    rows, cols = np.flatnonzero(sec.merged_even), np.flatnonzero(sec.merged_odd)
+    # the entries of dirac_plus on the merged positions, placed in a dense block
+    entry_rows, entry_cols, values = dirac_plus(config)
+    even_rows, odd_cols = even_idx[rows], odd_idx[cols]
+    pick = np.isin(entry_rows, even_rows) & np.isin(entry_cols, odd_cols)
+    oracle = np.zeros((len(rows), len(cols)), dtype=complex)
+    oracle[np.searchsorted(even_rows, entry_rows[pick]),
+           np.searchsorted(odd_cols, entry_cols[pick])] = values[pick]
+    merged = np.ascontiguousarray(sec.merged_lower)
+    assert merged.dtype == oracle.dtype and merged.shape == oracle.shape
+    assert np.array_equal(merged.view(np.uint64), oracle.view(np.uint64))
+    (local_rows, stack_cols, stack), = sec.merged_stack
+    assert np.array_equal(stack_cols, cols[None]) and np.array_equal(stack[0], merged)
+    assert np.array_equal(local_rows, np.arange(len(rows))[None])
+    assert rows[sec.merged_pair].tolist() == [sec.vacuum_pos, sec.target_pos]
 
 
 @pytest.mark.parametrize("n,cutoff,target", STACK_SIZES)
@@ -722,10 +767,10 @@ def test_label_block_products_match_dense_oracle(n, cutoff, target):
     rng = np.random.default_rng(n)
     x = rng.normal(size=(even + odd, 5)) + 1j * rng.normal(size=(even + odd, 5))
     config, even_idx, odd_idx, _ = _sector_helpers(cfg)
-    lower = dirac_plus(config)[even_idx, :][:, odd_idx]
+    lower = _lowering_block(config, even_idx, odd_idx)
     whole_lower, whole_pinv, whole_raise = _whole_stacks(cfg)
     for stacks, entries, cols, size in (
-        (whole_lower, (lower.rows(), lower.indices, lower.data), x[:odd], even),
+        (whole_lower, (lower.row, lower.col, lower.data), x[:odd], even),
         (whole_pinv, _stack_entries(whole_pinv), x[:even], odd),
         (whole_raise, _stack_entries(whole_raise), x[:odd], even),
         (sec.lower_pinv, _stack_entries(sec.lower_pinv), x[:even], odd),
@@ -747,8 +792,8 @@ def test_label_block_products_match_dense_oracle(n, cutoff, target):
                                                       ({}, SCALED)):
         cfg = ModelConfig(n=n, cutoff=cutoff, theta=theta, target=target, **scales)
         product = np.concatenate(models._apply_model(chirality, cfg, x[:even], x[even:]))
-        model = build_comparison_model(chirality, cfg).matrix()
-        oracle = _entry_product((model.rows(), model.indices, model.data), x, even + odd)
+        model = build_comparison_model(chirality, cfg).matrix().tocoo()
+        oracle = _entry_product((model.row, model.col, model.data), x, even + odd)
         assert np.abs(product - oracle).max() <= 1e-13 * np.abs(oracle).max()
 
 
@@ -815,7 +860,7 @@ def test_a_certificate_assembles_no_model(chirality, monkeypatch):
     def refuse(*args):
         raise AssertionError("a certificate assembled the comparison model")
 
-    monkeypatch.setattr(sparse.CSR, "__matmul__", refuse)
+    monkeypatch.setattr(IndexMap, "__matmul__", refuse)
     for cache in (models._sector_data, models._theta_free_data):
         cache.cache_clear()
     # cold, then warm
@@ -828,16 +873,17 @@ def test_a_warm_certificate_builds_no_sparse_matrix(monkeypatch):
     cfg = ModelConfig(n=3, cutoff=8, theta=0.3, target=target, **SCALED)
     for chirality in CHIRALITIES:
         certify_invertibility(chirality, cfg, num_rhs=4, seed=2)
-    assert not any(isinstance(value, sparse.CSR) for value in vars(models._sectors(cfg)).values())
+    assert not any(isinstance(value, IndexMap) for value in vars(models._sectors(cfg)).values())
     fresh = replace(cfg, theta=-0.45)
 
-    def refuse(*args):
-        raise AssertionError("a warm certificate built a sparse matrix")
+    def refuse(*args, **kwargs):
+        raise AssertionError("a warm certificate built an operator")
 
     with monkeypatch.context() as patched:
-        patched.setattr(sparse, "from_triples", refuse)
-        for method in ("__init__", "__getitem__", "__matmul__"):
-            patched.setattr(sparse.CSR, method, refuse)
+        patched.setattr(models, "dirac_plus", refuse)
+        patched.setattr(spinors, "dirac_plus", refuse)
+        for method in ("__init__", "__matmul__", "adjoint"):
+            patched.setattr(IndexMap, method, refuse)
         got = [certify_invertibility(chirality, fresh, num_rhs=4, seed=2)
                for chirality in CHIRALITIES]
     assert got == [certify_invertibility(chirality, fresh, num_rhs=4, seed=2)
@@ -1055,7 +1101,7 @@ def test_comparison_model_stays_in_merged_label_blocks(chirality, target):
 def test_block_pseudo_inverses_match_dense_oracle(n, cutoff):
     cfg = ModelConfig(n=n, cutoff=cutoff)
     config, even_idx, odd_idx, _ = _sector_helpers(cfg)
-    dirac = dirac_plus(config).toarray()
+    dirac = dense(dirac_plus(config), graded_dimension(config))
     sec = models._sectors(cfg)
     held_even, held_odd = _held_states(sec)
     # raise_pinv holds the transposed views of lower_pinv, the conjugate of
@@ -1063,13 +1109,13 @@ def test_block_pseudo_inverses_match_dense_oracle(n, cutoff):
     # block-diagonal matrix's pseudo-inverse is block-diagonal, so their rows
     # are the dense one's held rows
     for block, pinv, stored, held in (
-        (dirac[np.ix_(even_idx, odd_idx)], sec.lower_pinv, lambda dense: dense, held_odd),
+        (dirac[np.ix_(even_idx, odd_idx)], sec.lower_pinv, lambda oracle: oracle, held_odd),
         (dirac[np.ix_(odd_idx, even_idx)], sec.raise_pinv, np.conj, held_even),
     ):
-        dense = np.linalg.pinv(block, rcond=1e-10)
-        gathered = stored(_dense(pinv, dense.shape))
+        oracle = np.linalg.pinv(block, rcond=1e-10)
+        gathered = stored(_dense(pinv, oracle.shape))
         assert not gathered[~held].any()
-        assert np.abs(gathered[held] - dense[held]).max() <= 1e-12
+        assert np.abs(gathered[held] - oracle[held]).max() <= 1e-12
 
 
 def _whole_difference_ranks(chirality, cfg):

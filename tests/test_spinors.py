@@ -12,11 +12,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy_oracle import product, to_scipy
+from scipy_oracle import dense, to_scipy
 
-from fockindex import sparse, spinors
-from fockindex.fock import FockSpaceConfig, _radix_codes, max_abs_on_guard, multi_indices
-from fockindex.sparse import _distinct
+from fockindex import spinors
+from fockindex.fock import FockSpaceConfig, _radix_codes, multi_indices
 from fockindex.spinors import (
     EVEN,
     ODD,
@@ -120,11 +119,16 @@ def test_sector_indices_partition():
 def test_dirac_annihilates_vacuum_exactly():
     config = FockSpaceConfig(2, 5)
     vacuum = graded_index(config, vacuum_index(config))
-    assert np.max(np.abs(dirac_plus(config)[:, [vacuum]].toarray())) == 0.0
+    assert np.max(np.abs(_dense(dirac_plus(config), config)[:, [vacuum]])) == 0.0
 
 
-def _slice(d, rows, cols):
-    return d[rows, :][:, cols].toarray()
+def _dense(d, config):
+    """The dense matrix of the entries ``d`` of an operator on the graded space."""
+    return dense(d, graded_dimension(config))
+
+
+def _slice(d, config, rows, cols):
+    return _dense(d, config)[np.ix_(rows, cols)]
 
 
 def test_vacuum_block_annihilation_is_exact():
@@ -135,8 +139,8 @@ def test_vacuum_block_annihilation_is_exact():
         d = dirac_plus(config)
         vac = [graded_index(config, vacuum_index(config))]
         odd = sector_indices(config, ODD)
-        assert np.all(_slice(d, vac, odd) == 0.0)
-        assert np.all(_slice(d, odd, vac) == 0.0)
+        assert np.all(_slice(d, config, vac, odd) == 0.0)
+        assert np.all(_slice(d, config, odd, vac) == 0.0)
 
 
 def test_square_identity_on_guarded_states():
@@ -148,8 +152,8 @@ def test_square_identity_on_guarded_states():
 def test_square_identity_oracle_diagonal():
     # same identity, rhs assembled in-test straight from the enumeration
     config = FockSpaceConfig(2, 5)
-    d = dirac_plus(config)
-    sq = product(d, d).toarray()
+    d = to_scipy(dirac_plus(config), graded_dimension(config))
+    sq = (d @ d).toarray()
     expected = np.diag(
         [2.0 * sum(b.osc) + 2.0 * len(b.form) for b in graded_basis(config)]
     )
@@ -159,45 +163,43 @@ def test_square_identity_oracle_diagonal():
 
 def _sparse_square_residual(d, config):
     """The oracle: the guarded columns of scipy's sparse ``d @ d`` minus the diagonal."""
+    sp = pytest.importorskip("scipy.sparse")
+    m = to_scipy(d, graded_dimension(config))
     expected = 2.0 * graded_osc_degrees(config) + 2.0 * graded_form_degrees(config)
-    diff = product(d, d) - sparse.diagonal(expected)
-    return max_abs_on_guard(diff, config, mask=graded_guard_mask(config))
+    square = (m @ m - sp.diags(expected.astype(np.complex128))).tocsc()
+    return float(np.abs(square[:, np.flatnonzero(graded_guard_mask(config))].data).max())
 
 
 def _rounding_gap(d):
     """A bound on how far two summation orders of an entry of ``d @ d`` can
     differ: each entry sums at most ``width`` products of at most ``top``."""
-    width = int(np.diff(d.indptr).max())
-    top = float(np.abs(d.data).max()) ** 2
+    rows, _, values = d
+    width = int(np.bincount(rows).max())
+    top = float(np.abs(values).max()) ** 2
     return 4 * width**2 * np.finfo(float).eps * top
 
 
 def _scrambled(d, seed):
-    """The values of ``d`` times complex Gaussians: the same pattern, whose
-    off-diagonal sums do not cancel."""
+    """The values of ``d`` times complex Gaussians, drawn in row order: the
+    same pattern, whose off-diagonal sums do not cancel."""
+    rows, cols, values = d
     rng = np.random.default_rng(seed)
-    values = (rng.normal(size=d.nnz) + 1j * rng.normal(size=d.nnz)) * d.data
-    return sparse.CSR(values, d.indices, d.indptr, d.shape)
+    noise = np.empty(len(values), dtype=complex)
+    noise[np.lexsort((cols, rows))] = (rng.normal(size=len(values))
+                                       + 1j * rng.normal(size=len(values)))
+    return rows, cols, noise * values
 
 
 @pytest.mark.parametrize("nv, cutoff", [(1, 4), (1, 13), (2, 9), (3, 6), (4, 5)])
 def test_square_residual_matches_scipy(nv, cutoff):
-    # the sparse oracle reads scipy's d @ d - diag to the bit, also for
-    # values of d (same pattern) whose off-diagonal sums do not cancel; the
-    # label blocks sum each entry in another order, so they match it to
-    # rounding
-    sp = pytest.importorskip("scipy.sparse")
+    # scipy's d @ d - diag, also for values of d (same pattern) whose
+    # off-diagonal sums do not cancel; the label blocks sum each entry in
+    # another order, so they match it to rounding
     config = FockSpaceConfig(nv, cutoff)
     d = dirac_plus(config)
     scrambled = _scrambled(d, nv * 100 + cutoff)
-    expected = 2.0 * graded_osc_degrees(config) + 2.0 * graded_form_degrees(config)
-    guarded = np.flatnonzero(graded_guard_mask(config))
     for matrix in (d, scrambled):
-        m = to_scipy(matrix)
-        square = (m @ m - sp.diags(expected.astype(np.complex128))).tocsr()
-        oracle = float(np.abs(square[:, guarded].data).max())
-        assert _sparse_square_residual(matrix, config) == oracle
-        gap = abs(square_identity_residual(matrix, config) - oracle)
+        gap = abs(square_identity_residual(matrix, config) - _sparse_square_residual(matrix, config))
         assert gap <= _rounding_gap(matrix)
     assert square_identity_residual(scrambled, config) > 1.0
 
@@ -255,7 +257,8 @@ def test_label_codes_at_the_overflow_guard(radix, dtype):
     codes = _radix_codes(digits, radix)
     assert codes.dtype == dtype
     assert max(codes) == radix**3 - 1
-    ids = _distinct(codes)[1]
+    # _label_ids numbers its codes so
+    ids = np.unique(codes, return_inverse=True)[1]
     assert np.array_equal(ids, np.unique(digits, axis=0, return_inverse=True)[1].reshape(-1))
 
 
@@ -263,7 +266,7 @@ def _label_cases(nv, cutoff):
     """``dirac_plus`` with the label ids and guard of its rows and columns,
     then its lowering block (even rows, odd columns) with theirs."""
     config = FockSpaceConfig(nv, cutoff)
-    d = dirac_plus(config)
+    d = to_scipy(dirac_plus(config), graded_dimension(config))
     ids = spinors._label_ids(config)
     guard = graded_guard_mask(config)
     even, odd = sector_indices(config, EVEN), sector_indices(config, ODD)
@@ -272,7 +275,8 @@ def _label_cases(nv, cutoff):
 
 
 def _gather(matrix, row_ids, col_ids, row_keep, col_keep):
-    entries = (matrix.rows(), matrix.indices, matrix.data)
+    coo = matrix.tocoo()
+    entries = (coo.row, coo.col, coo.data)
     return list(spinors._label_stacks(entries, row_ids, col_ids, row_keep, col_keep))
 
 
@@ -344,7 +348,7 @@ def test_dirac_plus_matches_the_scipy_kron_assembly(nv, cutoff):
     config = FockSpaceConfig(nv, cutoff)
     total = None
     for j in range(1, nv + 1):
-        up = creation(config, j).toarray()
+        up = dense(creation(config, j))
         term = sp.kron(sp.csr_matrix(up), sp.csr_matrix(contract_matrix(nv, j))) - sp.kron(
             sp.csr_matrix(up).conj().T, sp.csr_matrix(wedge_matrix(nv, j))
         )
@@ -352,7 +356,7 @@ def test_dirac_plus_matches_the_scipy_kron_assembly(nv, cutoff):
     oracle = (1j * total).tocsr()
     oracle.sum_duplicates()
     oracle.sort_indices()
-    d = dirac_plus(config)
+    d = to_scipy(dirac_plus(config), graded_dimension(config))
     assert np.array_equal(d.indptr, oracle.indptr)
     assert np.array_equal(d.indices, oracle.indices)
     assert np.array_equal(d.data.view(np.int64), oracle.data.view(np.int64))
@@ -362,10 +366,10 @@ def test_chiral_restrictions_are_exact_adjoints():
     config = FockSpaceConfig(2, 5)
     d = dirac_plus(config)
     even, odd = sector_indices(config, EVEN), sector_indices(config, ODD)
-    assert np.array_equal(_slice(d, odd, even).conj().T, _slice(d, even, odd))
+    assert np.array_equal(_slice(d, config, odd, even).conj().T, _slice(d, config, even, odd))
     # the two halves are all of it: no even-to-even or odd-to-odd entries
-    assert np.all(_slice(d, even, even) == 0.0)
-    assert np.all(_slice(d, odd, odd) == 0.0)
+    assert np.all(_slice(d, config, even, even) == 0.0)
+    assert np.all(_slice(d, config, odd, odd) == 0.0)
 
 
 def test_even_restriction_kernel_is_vacuum_on_guard():
@@ -374,7 +378,7 @@ def test_even_restriction_kernel_is_vacuum_on_guard():
         rows = sector_indices(config, ODD)
         cols = sector_indices(config, EVEN)
         guarded_cols = cols[graded_guard_mask(config)[cols]]
-        block = _slice(dirac_plus(config), rows, guarded_cols)
+        block = _slice(dirac_plus(config), config, rows, guarded_cols)
         s = np.linalg.svd(block, compute_uv=False)
         null_dim = int(np.sum(s < 1e-10))
         assert null_dim == 1

@@ -349,6 +349,14 @@ def test_hessian_data_refuses_a_non_finite_part_by_name(field, value):
         HessianData(**parts)
 
 
+@pytest.mark.parametrize("field", ["alpha", "a", "b"])
+def test_hessian_data_refuses_an_integer_too_large_for_a_float_by_name(field):
+    parts = {"alpha": 1.0, "a": [[1, 0], [0, 1]], "b": [[0, 0], [0, 0]]}
+    parts[field] = 10**400 if field == "alpha" else [[10**400, 0], [0, 1]]
+    with pytest.raises(ValueError, match=f"^{field} must be finite, got an integer too large"):
+        HessianData(**parts)
+
+
 def _stacked(items):
     """The Hessian data of ``items`` as one stack."""
     return HessianData(*(np.array([getattr(h, name) for h in items])
