@@ -20,10 +20,6 @@ class PairingFloorError(AdmissibilityError):
     """Deformed vacuum pairs with the reference vacuum below the floor."""
 
 
-class GuardViolationError(AdmissibilityError):
-    """Right-hand side has support outside the guarded degree range."""
-
-
 class ZeroCovectorError(AdmissibilityError):
     """Symbol evaluation requested at the zero covector."""
 

@@ -23,7 +23,6 @@ __all__ = [
     "GUARD",
     "FockSpaceConfig",
     "IndexMap",
-    "multi_indices",
     "basis_index",
     "degrees",
     "guard_mask",
@@ -145,27 +144,24 @@ class IndexMap:
 
 
 @lru_cache(maxsize=None)
-def _basis(num_vars: int, cutoff: int) -> tuple[tuple[int, ...], ...]:
-    """All multi-indices with |k| <= cutoff in graded lexicographic order."""
-
-    def _compositions(total, parts):
-        if parts == 1:
-            yield (total,)
-            return
-        for first in range(total + 1):
-            for rest in _compositions(total - first, parts - 1):
-                yield (first,) + rest
-
-    out = []
-    for degree in range(cutoff + 1):
-        out.extend(sorted(_compositions(degree, num_vars)))
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
 def _basis_array(num_vars: int, cutoff: int) -> np.ndarray:
-    """The basis as a read-only ``(dimension, num_vars)`` integer array."""
-    out = np.array(_basis(num_vars, cutoff), dtype=np.int64).reshape(-1, num_vars)
+    """All multi-indices with |k| <= cutoff in graded lexicographic order,
+    as a read-only ``(dimension, num_vars)`` integer array.
+
+    The rows are built in lexicographic order, one variable at a time: each
+    row of degree ``d`` is repeated once for every value ``0..cutoff - d``
+    of the next variable.  A stable sort by degree then keeps that order
+    within each degree.
+    """
+    rows = np.arange(cutoff + 1, dtype=np.int64)[:, None]
+    degree = rows[:, 0]
+    for _ in range(num_vars - 1):
+        count = cutoff - degree + 1
+        first = np.repeat(np.cumsum(count) - count, count)
+        value = np.arange(len(first)) - first
+        rows = np.column_stack([np.repeat(rows, count, axis=0), value])
+        degree = np.repeat(degree, count) + value
+    out = rows[np.argsort(degree, kind="stable")]
     out.setflags(write=False)
     return out
 
@@ -196,11 +192,6 @@ def _basis_codes(num_vars: int, cutoff: int) -> np.ndarray:
     assert np.all(codes[1:] > codes[:-1]), "basis codes must increase"
     codes.setflags(write=False)
     return codes
-
-
-def multi_indices(config: FockSpaceConfig) -> tuple[tuple[int, ...], ...]:
-    """Basis enumeration (graded lexicographic) for the given truncation."""
-    return _basis(config.num_vars, config.cutoff)
 
 
 def basis_index(config: FockSpaceConfig, index: tuple[int, ...]) -> int:

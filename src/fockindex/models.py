@@ -48,7 +48,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import spinors
-from .errors import GuardViolationError, PairingFloorError
+from .errors import PairingFloorError
 from .fock import GUARD, FockSpaceConfig
 from .spinors import (
     EVEN,
@@ -60,6 +60,7 @@ from .spinors import (
     _label_ids,
     _label_stacks,
     dirac_plus,
+    graded_dimension,
     graded_index,
     graded_osc_degrees,
     sector_indices,
@@ -68,10 +69,8 @@ from .spinors import (
 
 __all__ = [
     "ModelConfig",
-    "invert_comparison_model",
     "certify_invertibility",
     "deformation_block_ranks",
-    "random_guarded_rhs",
 ]
 
 _RANK_CUTOFF = 1e-8
@@ -189,7 +188,7 @@ def _lowering_entries(config: FockSpaceConfig, even_idx: np.ndarray,
     """The entries of ``dirac_plus`` with even rows and odd columns, numbered
     by their positions in the sectors ``even_idx`` and ``odd_idx``."""
     rows, cols, values = dirac_plus(config)
-    even_pos = np.full(len(even_idx) + len(odd_idx), -1)
+    even_pos = np.full(graded_dimension(config), -1)
     odd_pos = even_pos.copy()
     even_pos[even_idx] = np.arange(len(even_idx))
     odd_pos[odd_idx] = np.arange(len(odd_idx))
@@ -250,19 +249,6 @@ def _factors(chirality: str, cfg: ModelConfig) -> tuple:
     return sign * cfg.alpha, -sign * cfg.alpha, heavy
 
 
-def _check_guarded(sec: _SectorData, a: np.ndarray, b: np.ndarray):
-    if a.shape[0] != sec.dim_even or b.shape[0] != sec.dim_odd:
-        raise ValueError(
-            f"rhs sectors must have lengths {sec.dim_even} and {sec.dim_odd}, "
-            f"got {a.shape[0]} and {b.shape[0]}"
-        )
-    if np.concatenate([a[~sec.guard_even], b[~sec.guard_odd]]).any():
-        raise GuardViolationError(
-            "rhs has support above oscillator degree cutoff-2; the inverse "
-            "formulas are only exact away from the truncation edge"
-        )
-
-
 def _solve_columns(chirality: str, cfg: ModelConfig, a: np.ndarray, b: np.ndarray):
     """The explicit solution formulas, applied to stacked guarded rhs columns.
 
@@ -297,25 +283,6 @@ def _solve_columns(chirality: str, cfg: ModelConfig, a: np.ndarray, b: np.ndarra
     return u, v
 
 
-def invert_comparison_model(chirality: str, cfg: ModelConfig, rhs) -> tuple:
-    """Solve the comparison model by the explicit solution formulas.
-
-    ``rhs`` is the pair ``(a, b)`` of even/odd sector vectors, supported on
-    oscillator degree ``cutoff - 2`` or lower.  Returns ``(u, v)``.  The
-    ``v``-component is read off from ``a`` alone, so the (2,2) block of the
-    inverse vanishes identically.
-    """
-    _check_parity(chirality, "chirality")
-    sec = _sectors(cfg)
-    a = np.asarray(rhs[0], dtype=complex)
-    b = np.asarray(rhs[1], dtype=complex)
-    if a.ndim != 1 or b.ndim != 1:
-        raise ValueError("rhs must be a pair of one-dimensional sector vectors")
-    _check_guarded(sec, a, b)
-    u, v = _solve_columns(chirality, cfg, a[:, None], b[:, None])
-    return u[:, 0], v[:, 0]
-
-
 def _guarded_draws(rng, sec: _SectorData, count: int) -> tuple:
     """``count`` seeded unit rhs pairs on the guarded degrees, as column stacks.
 
@@ -344,16 +311,6 @@ def _squared_norms(rows: np.ndarray) -> np.ndarray:
     rows or on the BLAS thread count, as a threaded ``np.vdot`` does.
     """
     return (rows.real**2 + rows.imag**2).sum(axis=1)
-
-
-def random_guarded_rhs(rng, cfg: ModelConfig) -> tuple:
-    """Seeded complex unit rhs pair supported on the guarded oscillator degrees.
-
-    Only the guarded entries are drawn, ``2 * (g_e + g_o)`` normal numbers
-    for ``g_e`` and ``g_o`` guarded states per sector.
-    """
-    a, b = _guarded_draws(rng, _sectors(cfg), 1)
-    return a[:, 0], b[:, 0]
 
 
 def _block_rank(matrix: np.ndarray) -> int:
@@ -576,7 +533,7 @@ def certify_invertibility(chirality: str, cfg: ModelConfig, *, num_rhs: int = 16
                 if not (np.isfinite(err).all() and math.isfinite(smallest)):
                     raise FloatingPointError
                 worst = max(worst, float(err.max()))
-    except (PairingFloorError, GuardViolationError) as exc:
+    except PairingFloorError as exc:
         return {"passed": False, "error": str(exc)}
     except (FloatingPointError, OverflowError):
         return {

@@ -18,7 +18,6 @@ that hold a guarded state, and ``_chunks`` splits every stack they work on.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -29,7 +28,6 @@ from .fock import (
     GUARD,
     FockSpaceConfig,
     IndexMap,
-    _basis,
     _basis_array,
     _radix_codes,
     basis_index,
@@ -45,7 +43,6 @@ __all__ = [
     "form_subsets",
     "wedge_matrix",
     "contract_matrix",
-    "graded_basis",
     "graded_dimension",
     "graded_index",
     "graded_osc_degrees",
@@ -54,7 +51,6 @@ __all__ = [
     "sector_indices",
     "dirac_plus",
     "vacuum_index",
-    "basis_vector",
     "square_identity_residual",
 ]
 
@@ -74,28 +70,13 @@ class GradedBasisIndex(NamedTuple):
     form: tuple[int, ...]
 
 
-@lru_cache(maxsize=None)
-def _graded_basis(num_vars: int, cutoff: int) -> tuple[GradedBasisIndex, ...]:
-    osc = _basis(num_vars, cutoff)
-    forms = form_subsets(num_vars)
-    return tuple(GradedBasisIndex(k, s) for k in osc for s in forms)
-
-
-def graded_basis(config: FockSpaceConfig) -> tuple[GradedBasisIndex, ...]:
-    """Tensor-product enumeration, oscillator-major / form-minor."""
-    return _graded_basis(config.num_vars, config.cutoff)
-
-
 def graded_dimension(config: FockSpaceConfig) -> int:
     return config.dimension * 2**config.num_vars
 
 
 def graded_index(config: FockSpaceConfig, index: GradedBasisIndex) -> int:
-    """Position of a graded basis element in the enumeration.
-
-    Found from the oscillator-major layout, without building the graded
-    basis (at the state cap, half a million tuples).
-    """
+    """Position of a graded basis element in the tensor-product enumeration,
+    oscillator-major and form-minor."""
     try:
         osc_pos = basis_index(config, tuple(index.osc))
         forms = form_subsets(config.num_vars)
@@ -163,12 +144,6 @@ def dirac_plus(config: FockSpaceConfig, raising: list[IndexMap] | None = None) -
 
 def vacuum_index(config: FockSpaceConfig) -> GradedBasisIndex:
     return GradedBasisIndex((0,) * config.num_vars, ())
-
-
-def basis_vector(config: FockSpaceConfig, index: GradedBasisIndex) -> np.ndarray:
-    vec = np.zeros(graded_dimension(config), dtype=np.complex128)
-    vec[graded_index(config, index)] = 1.0
-    return vec
 
 
 def _check_target(config: FockSpaceConfig, target: GradedBasisIndex):

@@ -4,10 +4,11 @@ Symbols act on the ``2^(n-1)``-dimensional form space of ``n - 1``
 tangential labels, with the basis reordered so the even-degree block comes
 first; every matrix then splits into four ``2^(n-2)``-sized blocks.  The
 first-order factor ``d1`` is linear in the covector, so it is represented by
-``2n`` constant gradient matrices.  The interior symbols ``q_symbol`` and the
-Hessian-trace term are the gradient weighted by ``2n`` scalar functions of
-the covector that do not depend on the chirality, so a contour integral of
-one of them is ``2n`` scalar trapezoid sums combined with the gradient once.
+``2n`` constant gradient matrices.  The interior symbols of orders -1 and
+-2 and the Hessian-trace term, the integrands of the contour integrals, are
+the gradient weighted by ``2n`` scalar functions of the covector that do not
+depend on the chirality, so a contour integral of one of them is ``2n``
+scalar trapezoid sums combined with the gradient once.
 
 A covector is a real array of shape ``(..., 2n)`` with components laid out as
 ``(xi1, xi_2..xi_n, xi_contact, xi_{n+2}..xi_{2n})``: ``xi_contact`` is the
@@ -47,14 +48,12 @@ __all__ = [
     "boundary_isomorphism",
     "calderon_symbol0",
     "comparison_symbol0",
-    "q_symbol",
     "q_symbol_integrand",
     "trace_term_integrand",
     "QUADRATURE_NODES",
     "contour_integral",
     "closed_form_trace_contour",
     "closed_form_contact_contour",
-    "calderon_symbol_minus1",
 ]
 
 
@@ -390,7 +389,15 @@ def _hessian_product(matrix: np.ndarray, comps: np.ndarray) -> np.ndarray:
 
 
 def _q_weights(order: int, comps: np.ndarray, hess: HessianData | None) -> np.ndarray:
-    """The ``2n`` gradient weights of :func:`q_symbol` at complex covectors."""
+    """The ``2n`` gradient weights of the interior symbol of order ``order``
+    at complex covectors: ``d1`` of them is the symbol.
+
+    ``order = -1`` gives the leading inverse ``2 d1 / |xi|^2``, and
+    ``order = -2`` its Hessian correction ``2 i xi1 alpha (-tr(A) d1 / |xi|^4
+    + 4 <A xi, xi> d1 / |xi|^6 - 2 d1(A xi) / |xi|^4)``, which is linear in
+    the Hessian data; a Hessian stack broadcasts against the covectors.
+    ``|xi|^2`` is the plain sum of squares, continued to complex ``xi1``.
+    """
     norm_sq = _xi_square(comps)[..., None]
     if (norm_sq == 0).any():
         raise ZeroCovectorError("q-symbol undefined at the zero covector")
@@ -399,28 +406,11 @@ def _q_weights(order: int, comps: np.ndarray, hess: HessianData | None) -> np.nd
     if order == -2:
         if hess is None:
             raise ValueError("order -2 requires Hessian data")
-        _half_length(comps, hess)  # refuses Hessian data of another n
         a_xi = _hessian_product(hess.matrix_a, comps)
         a_xi_xi = (a_xi * comps).sum(axis=-1)[..., None]
         bracket = (4.0 * a_xi_xi / norm_sq - hess.trace[..., None]) * comps - 2.0 * a_xi
         return (2j * hess.alpha[..., None]) * comps[..., :1] / norm_sq**2 * bracket
     raise ValueError(f"order must be -1 or -2, got {order}")
-
-
-def q_symbol(order: int, chirality: str, xi,
-             hess: HessianData | None = None) -> np.ndarray:
-    """Interior expansion symbols: the leading inverse and its Hessian correction.
-
-    ``order = -1`` gives ``2 d1 / |xi|^2``; ``order = -2`` the correction
-    ``2 i xi1 alpha (-tr(A) d1 / |xi|^4 + 4 <A xi, xi> d1 / |xi|^6
-    - 2 d1(A xi) / |xi|^4)``, which is linear in the Hessian data; a Hessian
-    stack broadcasts against the covectors.  Both are the ``d1`` gradient
-    weighted by scalar functions of the covector.
-    Kept as the interior parametrix: ``d1(ODD) @ q_symbol(-1, EVEN) = I``.
-    """
-    comps = np.asarray(xi, dtype=complex)
-    weights = _q_weights(order, comps, hess)
-    return _contract(weights, d1_gradient(chirality, _half_length(comps)))
 
 
 def _integrand(weights, chirality: str, xi_prime, hess: HessianData | None):
@@ -448,8 +438,14 @@ def _integrand(weights, chirality: str, xi_prime, hess: HessianData | None):
 
 def q_symbol_integrand(order: int, chirality: str, xi_prime,
                        hess: HessianData | None = None):
-    """Callable ``xi1 -> q_symbol(order, chirality, ., hess)`` for contour
-    integration in the first slot of the boundary covectors ``xi_prime``."""
+    """Callable ``xi1 -> q``, the interior symbol of order ``order`` (-1 or
+    -2) at ``xi_prime`` with ``xi1`` in its first slot, for contour
+    integration; the weights of ``q`` are documented at :func:`_q_weights`.
+
+    At order -1 it is the interior parametrix: ``d1`` of the other
+    chirality times ``q`` is the identity.  The order -2 symbol needs the
+    Hessian data ``hess``, whose stack axes the covectors must carry.
+    """
     return _integrand(partial(_q_weights, order, hess=hess), chirality, xi_prime, hess)
 
 
@@ -562,15 +558,3 @@ def closed_form_contact_contour(chirality: str, hess: HessianData,
         raise ZeroCovectorError("contact covector must be nonzero")
     weight = (hess.alpha * hess.beta)[..., None, None]
     return -1j * (weight / ell) * d1_gradient(chirality, n)[0]
-
-
-def calderon_symbol_minus1(chirality: str, side: int, hess: HessianData,
-                           xi_prime) -> np.ndarray:
-    """Order(-1) correction of the boundary projector on the contact line.
-
-    The opposite-chirality contour value composed with the boundary
-    isomorphism; its matrix is a multiple of the identity.
-    Kept as the order -1 term of the Calderon projector, whose two sides cancel.
-    """
-    core = closed_form_contact_contour(_other(chirality), hess, xi_prime)
-    return core * np.diagonal(boundary_isomorphism(chirality, side, _half_length(xi_prime)))

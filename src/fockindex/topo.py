@@ -6,7 +6,10 @@ special cases where the general gluing formula collapses to arithmetic:
 Stein fillings, deformations of the complex structure, and co-disk
 bundles over surfaces.  Everything here is exact integer arithmetic —
 non-integral intermediate values signal inadmissible geometric data and
-are rejected with a diagnostic rather than returned as rationals.
+are rejected with a diagnostic rather than returned as rationals.  The
+contact degree of a mapping torus over a 3-dimensional contact boundary is
+taken to vanish, as it does in dimension 3 (not recomputed here), so
+callers with higher-dimensional data must account for it themselves.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ from dataclasses import dataclass
 from .errors import AdmissibilityError, IntegralityViolation
 
 __all__ = [
-    "DEFAULT_CONTACT_DEGREE",
     "FillingDescriptor",
     "SpinCNumbers",
     "rind_weinstein",
@@ -29,16 +31,8 @@ __all__ = [
     "seiberg_witten_dim_reversed",
     "coball_descriptor",
     "fio_index_surfaces",
-    "rind_bundle_coefficients",
     "random_spinc_numbers",
 ]
-
-#: Contact degree of a mapping torus over a 3-dimensional contact boundary.
-#: This quantity is accepted as an input-level datum (it vanishes in
-#: dimension 3 by an assertion we do not recompute); callers supplying
-#: higher-dimensional data must provide their own value.
-DEFAULT_CONTACT_DEGREE = 0
-
 
 def _as_int(name: str, value) -> int:
     try:
@@ -245,19 +239,6 @@ def fio_index_surfaces(base0_euler: int, base1_euler: int) -> int:
         )
     return glued_double_index(
         coball_descriptor(base0_euler), coball_descriptor(base1_euler)
-    )
-
-
-def rind_bundle_coefficients(ind_glued: int, bterm0: int, bterm1: int) -> int:
-    """Arithmetic shell of the vector-bundle gluing formula.
-
-    With both boundary terms zero (Stein base) the glued index passes
-    through, which is the Toeplitz-index reduction.
-    """
-    return (
-        _as_int("ind_glued", ind_glued)
-        - _as_int("bterm0", bterm0)
-        + _as_int("bterm1", bterm1)
     )
 
 

@@ -20,7 +20,7 @@ from fockindex.fock import (
     GUARD,
     FockSpaceConfig,
     IndexMap,
-    _basis,
+    _basis_array,
     annihilation,
     basis_index,
     creation,
@@ -29,9 +29,9 @@ from fockindex.fock import (
     harmonic_oscillator,
     identity,
     max_abs_on_guard,
-    multi_indices,
     oscillator_identity_residuals,
 )
+from library_oracle import multi_indices
 from scipy_oracle import dense, entries, same_bits, to_scipy
 
 # Frozen from the quadrature oracle below: sqrt(2 (m + 1)) for m = 0..4.
@@ -101,24 +101,45 @@ def test_multivariate_entry_matches_oracle():
 
 
 def test_enumeration_is_graded_lexicographic():
-    assert _basis(2, 2) == (
-        (0, 0),
-        (0, 1),
-        (1, 0),
-        (0, 2),
-        (1, 1),
-        (2, 0),
-    )
+    graded_lex = ((0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0))
+    assert multi_indices(2, 2) == graded_lex
+    assert _basis_array(2, 2).tolist() == [list(k) for k in graded_lex]
 
 
 @settings(max_examples=40, deadline=None)
 @given(nv=st.integers(1, 4), cutoff=st.integers(2, 9))
 def test_dimension_formula(nv, cutoff):
-    assert len(_basis(nv, cutoff)) == math.comb(cutoff + nv, nv)
+    assert len(_basis_array(nv, cutoff)) == math.comb(cutoff + nv, nv)
     if cutoff >= GUARD + 2:
         config = FockSpaceConfig(nv, cutoff)
-        assert len(multi_indices(config)) == math.comb(cutoff + nv, nv)
         assert config.dimension == math.comb(cutoff + nv, nv)
+
+
+def _same_basis(nv, cutoff):
+    basis = _basis_array(nv, cutoff)
+    oracle = np.array(multi_indices(nv, cutoff), dtype=np.int64).reshape(-1, nv)
+    return basis.dtype == oracle.dtype and np.array_equal(basis, oracle)
+
+
+@pytest.mark.parametrize("nv, cutoff", [(1, 4), (2, 2), (2, 16), (3, 7), (4, 4), (3, 20),
+                                        (5, 12), (6, 15), (2, 498), (1, 249_999)])
+def test_basis_array_is_the_enumeration_of_compositions(nv, cutoff):
+    # (2, 498) and (1, 249 999) are the state caps of model-invert --n 3 and 2
+    assert _same_basis(nv, cutoff)
+
+
+@settings(max_examples=60, deadline=None)
+@given(nv=st.integers(1, 6), cutoff=st.integers(0, 9))
+def test_basis_array_is_the_enumeration_of_compositions_at_small_sizes(nv, cutoff):
+    assert _same_basis(nv, cutoff)
+
+
+def test_basis_array_is_read_only_and_cached():
+    basis = _basis_array(3, 7)
+    assert basis is _basis_array(3, 7)
+    assert not basis.flags.writeable
+    with pytest.raises(ValueError):
+        basis[0, 0] = 1
 
 
 def test_basis_index_rejects_invalid_indices():
@@ -147,7 +168,7 @@ def test_canonical_commutation_relations(nv, cutoff):
 
 def _creation_by_dict(config, j):
     """Reference raising map: one dict lookup per basis state."""
-    basis = multi_indices(config)
+    basis = multi_indices(config.num_vars, config.cutoff)
     index = {k: i for i, k in enumerate(basis)}
     target = np.full(len(basis), -1)
     weight = np.zeros(len(basis))

@@ -242,21 +242,149 @@ def test_the_cli_reads_only_public_library_names():
     assert _private_reach_ins(Path(cli.__file__).read_text()) == []
 
 
+# The declared entry points: the console command's module and what it offers
+# in process, and the package's version.
+_ENTRY_POINTS = ("fockindex.cli", "cli.main", "cli.run", "cli.RunRequest", "cli.Report",
+                 "fockindex.__version__")
+
+
+def _top_level_names(tree) -> list:
+    """The names a module's own statements define."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [target.id for target in targets if isinstance(target, ast.Name)]
+    return names
+
+
+def _unread(modules: dict, users: list, public: list) -> list:
+    """The names of ``public`` that no source reads outside their own
+    definition and ``__all__``.
+
+    ``modules`` maps the name of each module of the package (``fockindex``
+    for the package itself) to its source, and ``users`` holds the sources
+    of other code that runs it, such as the demos.  ``public`` holds
+    ``fockindex.module`` for a module, ``module.name`` for a module's names,
+    and ``module.Class.name`` for a class's attributes.
+
+    A source reads a module by importing it or from it, and a module's name
+    as ``module.name`` or by the name it imported ``from`` the module; a
+    module reads its own names directly.  A name that a module imports from
+    another is the other's.  Any attribute access of that name outside the
+    class reads a class's attribute.
+    """
+    reads, attributes, alias = set(), set(), {}
+    for module, source in [*modules.items(), *((None, source) for source in users)]:
+        tree = ast.parse(source)
+        # each local name, and the package name it binds (a module's has no dot)
+        bound = {name: f"{module}.{name}" for name in _top_level_names(tree)} if module else {}
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.ImportFrom)
+                    and (node.level or (node.module or "").split(".")[0] == "fockindex")):
+                continue
+            origin = (node.module or "").removeprefix("fockindex").lstrip(".")
+            for item in node.names:
+                local = item.asname or item.name
+                if origin:  # from .pairs import name
+                    bound[local] = f"{origin}.{item.name}"
+                    if module:
+                        alias[f"{module}.{local}"] = bound[local]
+                else:  # from . import pairs
+                    bound[local] = item.name
+                reads.add(f"fockindex.{origin or item.name}")
+        for statement in tree.body:
+            own = bound.get(getattr(statement, "name", None))
+            for node in ast.walk(statement):
+                name = None
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    name = bound.get(node.id)
+                elif isinstance(node, ast.Attribute):
+                    attributes.add((node.attr, own))
+                    target = bound.get(getattr(node.value, "id", None), ".")
+                    name = None if "." in target else f"{target}.{node.attr}"
+                if name and name != own:
+                    reads.add(name)
+
+    def canonical(name):
+        while name in alias:
+            name = alias[name]
+        return name
+
+    reads = {canonical(name) for name in reads}
+    unread = []
+    for name in public:
+        owner, _, attribute = name.rpartition(".")
+        if owner.count("."):  # an attribute of the class owner
+            used = any(attr == attribute and cls != owner for attr, cls in attributes)
+        else:
+            used = canonical(name) in reads
+        if not used:
+            unread.append(name)
+    return unread
+
+
+def test_unread_public_names_are_found():
+    modules = {
+        "fockindex": '__all__ = ["geo", "shapes", "stale", "__version__"]\n__version__ = "1"\n',
+        "geo": (
+            '__all__ = ["ORIGIN", "area", "scale", "unused", "Box"]\n'
+            "ORIGIN = 0\n"
+            "def area(box): return box.width * box.height\n"
+            "def scale(x): return scale(x)\n"
+            "def unused(): pass\n"
+            "class Box:\n"
+            "    width = height = depth = 1\n"
+            "    def grow(self): return self.depth\n"
+        ),
+        "shapes": ("from .geo import area, Box\nfrom . import geo\n"
+                   '__all__ = ["area", "size"]\n'
+                   "def size(): return area(Box()) + geo.ORIGIN\n"),
+    }
+    demo = "from fockindex.shapes import area\nprint(area)\n"
+    public = ["fockindex.geo", "fockindex.shapes", "fockindex.stale", "fockindex.__version__",
+              "geo.ORIGIN", "geo.area", "geo.scale", "geo.unused", "geo.Box", "geo.Box.width",
+              "geo.Box.height", "geo.Box.depth", "geo.Box.grow", "shapes.area", "shapes.size"]
+    # a recursive call, a read inside the class, and __all__ read nothing; a
+    # re-exported name is read through its source module
+    assert _unread(modules, [demo], public) == [
+        "fockindex.stale", "fockindex.__version__", "geo.scale", "geo.unused",
+        "geo.Box.depth", "geo.Box.grow", "shapes.size"]
+
+
+def _package_sources() -> tuple:
+    """The package's modules, by name, and the demos' sources."""
+    package = Path(fockindex.__file__).parent
+    modules = {("fockindex" if path.stem == "__init__" else path.stem): path.read_text()
+               for path in package.glob("*.py")}
+    demos = package.parents[1] / "demos"
+    return modules, [path.read_text() for path in sorted(demos.glob("*.py"))]
+
+
+def test_every_public_name_has_a_library_caller():
+    # src/ holds what a command or a demo runs: each name in a module's
+    # __all__ is read by the package or a demo, or is a declared entry point
+    modules, demos = _package_sources()
+    public = [f"fockindex.{name}" for name in fockindex.__all__]
+    for module in fockindex.__all__:
+        if not module.startswith("__"):
+            names = getattr(getattr(fockindex, module), "__all__", None)
+            if names is None:  # the public names of a module without __all__
+                names = [name for name in _top_level_names(ast.parse(modules[module]))
+                         if not name.startswith("_")]
+            public += [f"{module}.{name}" for name in names]
+    assert "errors.AdmissibilityError" in public and "fock.IndexMap" in public
+    unread = [name for name in _unread(modules, demos, public) if name not in _ENTRY_POINTS]
+    assert not unread, unread
+
+
 def test_every_public_index_map_name_has_a_library_caller():
     # the index map holds only what the library uses: a public method or
     # field that no code outside the class reads is code no caller needs
     from fockindex.fock import IndexMap
 
-    package = Path(fockindex.__file__).parent
-    reads = set()
-    for path in package.glob("*.py"):
-        tree = ast.parse(path.read_text())
-        inside = {id(node) for cls in ast.walk(tree)
-                  if isinstance(cls, ast.ClassDef) and cls.name == "IndexMap"
-                  for node in ast.walk(cls)}
-        reads |= {node.attr for node in ast.walk(tree)
-                  if isinstance(node, ast.Attribute) and id(node) not in inside}
-    public = [name for name in dir(IndexMap) if not name.startswith("_")]
+    public = [f"fock.IndexMap.{name}" for name in dir(IndexMap) if not name.startswith("_")]
     assert public
-    unread = [name for name in public if name not in reads]
-    assert not unread, unread
+    assert not _unread(*_package_sources(), public)

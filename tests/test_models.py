@@ -11,7 +11,10 @@ stacks.  Its oracle lives here: the directly assembled sparse model and the
 deformed vacuum projector it reads, and the block calculus with declared
 orders with the projector models it combines into
 ``R P + (Id - R)(Id - P)``.  Their blocks are scipy's sparse matrices, so
-the tests that build them skip without scipy.
+the tests that build them skip without scipy.  The inverse of one
+right-hand side, with its refusal of support above the guard, and the seeded
+right-hand sides come from ``library_oracle``: they solve and draw through
+the column routines that a certificate runs.
 """
 
 import itertools
@@ -24,18 +27,18 @@ import pytest
 from children import child_env
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy_oracle import dense, to_scipy
-
-from fockindex import models, spinors
-from fockindex.errors import GuardViolationError, PairingFloorError
-from fockindex.fock import FockSpaceConfig, IndexMap
-from fockindex.models import (
-    ModelConfig,
-    certify_invertibility,
-    deformation_block_ranks,
+from library_oracle import (
+    basis_vector,
+    graded_basis,
     invert_comparison_model,
     random_guarded_rhs,
 )
+from scipy_oracle import dense, to_scipy
+
+from fockindex import models, spinors
+from fockindex.errors import AdmissibilityError, PairingFloorError
+from fockindex.fock import FockSpaceConfig, IndexMap
+from fockindex.models import ModelConfig, certify_invertibility, deformation_block_ranks
 from fockindex.spinors import (
     EVEN,
     ODD,
@@ -43,9 +46,7 @@ from fockindex.spinors import (
     _check_parity,
     _check_target,
     _deformed_amplitudes,
-    basis_vector,
     dirac_plus,
-    graded_basis,
     graded_dimension,
     graded_form_degrees,
     graded_index,
@@ -575,7 +576,7 @@ def test_guard_violation_is_rejected():
     config, even_idx, odd_idx, osc = _sector_helpers(cfg)
     a = np.zeros(len(even_idx), dtype=complex)
     a[np.argmax(osc[even_idx])] = 1.0  # top-degree state
-    with pytest.raises(GuardViolationError):
+    with pytest.raises(AdmissibilityError, match="above oscillator degree cutoff-2"):
         invert_comparison_model(EVEN, cfg, (a, np.zeros(len(odd_idx), dtype=complex)))
 
 

@@ -12,10 +12,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from library_oracle import graded_basis, multi_indices
 from scipy_oracle import dense, to_scipy
 
 from fockindex import spinors
-from fockindex.fock import FockSpaceConfig, _radix_codes, multi_indices
+from fockindex.fock import FockSpaceConfig, _radix_codes
 from fockindex.spinors import (
     EVEN,
     ODD,
@@ -23,7 +24,6 @@ from fockindex.spinors import (
     contract_matrix,
     dirac_plus,
     form_subsets,
-    graded_basis,
     graded_dimension,
     graded_form_degrees,
     graded_guard_mask,
@@ -232,7 +232,7 @@ def test_chunks_are_made_one_at_a_time():
 def _unique_label_ids(config):
     """The label ids as ``np.unique`` numbers the label rows."""
     nv = config.num_vars
-    osc = np.array(multi_indices(config), dtype=int).reshape(-1, nv)
+    osc = np.array(multi_indices(nv, config.cutoff), dtype=int).reshape(-1, nv)
     member = np.array(
         [[j in s for j in range(1, nv + 1)] for s in form_subsets(nv)], dtype=int
     )

@@ -4,11 +4,15 @@ The n = 2 symbols are small enough to derive by hand; those frozen 2x2
 matrices pin every sign convention.  The contour quadrature is checked
 against closed forms obtained independently by residue calculus, and the
 closed forms are cross-checked against each other through the boundary
-isomorphism.
+isomorphism.  The interior symbols, which the library forms only as contour
+integrands, are checked against their formulas, restated from ``d1`` and the
+Hessian data in ``library_oracle``; the order -1 Calderon term is composed
+there from the contact closed form and the boundary isomorphism.
 """
 
 import numpy as np
 import pytest
+from library_oracle import calderon_symbol_minus1, q_symbol
 
 from fockindex.errors import (
     OffContactLineError,
@@ -23,7 +27,6 @@ from fockindex.symbols import (
     boundary_isomorphism,
     boundary_norm,
     calderon_symbol0,
-    calderon_symbol_minus1,
     closed_form_contact_contour,
     closed_form_trace_contour,
     comparison_symbol0,
@@ -33,7 +36,6 @@ from fockindex.symbols import (
     d1_gradient,
     norm,
     perp_norm,
-    q_symbol,
     q_symbol_integrand,
     random_covector,
     random_covectors,
@@ -50,6 +52,14 @@ SIDES = (+1, -1)
 
 def _contact_ray(n, contact):
     return covector(0.0, contact, (0.0,) * (2 * (n - 1)))
+
+
+def _interior_q(order, chirality, xi, hess=None):
+    """The library's interior symbol at the covectors ``xi``: the integrand
+    at their boundary parts, evaluated at their first components."""
+    xi_prime = np.array(xi, dtype=float)
+    xi_prime[..., 0] = 0.0
+    return q_symbol_integrand(order, chirality, xi_prime, hess)(np.asarray(xi)[..., 0])
 
 
 def test_covector_layout_and_norms():
@@ -282,8 +292,8 @@ def test_q_minus1_is_right_inverse_of_d1():
         eye = np.eye(symbol_dimension(n))
         for _ in range(20):
             xi = random_covector(rng, n)
-            assert np.abs(d1(ODD, xi) @ q_symbol(-1, EVEN, xi) - eye).max() < 1e-12
-            assert np.abs(d1(EVEN, xi) @ q_symbol(-1, ODD, xi) - eye).max() < 1e-12
+            assert np.abs(d1(ODD, xi) @ _interior_q(-1, EVEN, xi) - eye).max() < 1e-12
+            assert np.abs(d1(EVEN, xi) @ _interior_q(-1, ODD, xi) - eye).max() < 1e-12
 
 
 def test_q_minus2_scaling_and_hessian_linearity():
@@ -293,16 +303,36 @@ def test_q_minus2_scaling_and_hessian_linearity():
     hess = random_hessian(rng, n)
     none = HessianData(hess.alpha, np.zeros((n, n)), np.zeros((n, n)))
     for ch in CHIRALITIES:
-        base = q_symbol(-2, ch, xi, hess)
-        scaled = q_symbol(-2, ch, 1.7 * xi, hess)
+        base = _interior_q(-2, ch, xi, hess)
+        scaled = _interior_q(-2, ch, 1.7 * xi, hess)
         assert np.abs(scaled - base / 1.7**2).max() < 1e-12
-        assert np.abs(q_symbol(-2, ch, xi, none)).max() == 0.0
-    with pytest.raises(ValueError):
-        q_symbol(-3, EVEN, xi, hess)
-    with pytest.raises(ValueError):
-        q_symbol(-2, EVEN, xi)
+        assert np.abs(_interior_q(-2, ch, xi, none)).max() == 0.0
+    with pytest.raises(ValueError, match="order must be -1 or -2"):
+        _interior_q(-3, EVEN, xi, hess)
+    with pytest.raises(ValueError, match="order -2 requires Hessian data"):
+        _interior_q(-2, EVEN, xi)
+    # |xi|^2 continued to complex xi1 vanishes at the poles xi1 = +-i |xi'|
     with pytest.raises(ZeroCovectorError):
-        q_symbol(-1, EVEN, covector(0.0, 0.0, (0.0,) * 4))
+        q_symbol_integrand(-1, EVEN, _contact_ray(n, 1.0))(1j)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_the_interior_symbols_match_their_formulas(n):
+    rng = np.random.default_rng(61 + n)
+    for _ in range(10):
+        xp = random_covector(rng, n, boundary=True)
+        hess = random_hessian(rng, n, contact_adapted=False)
+        # a node of a contour integral: on the circle of radius |xi'|/2
+        # around i |xi'|
+        ell = boundary_norm(xp)
+        xi1 = 1j * ell + 0.5 * ell * np.exp(2j * np.pi * rng.uniform())
+        xi = xp.astype(complex)
+        xi[0] = xi1
+        for ch in CHIRALITIES:
+            for order, data in ((-1, None), (-2, hess)):
+                ours = q_symbol_integrand(order, ch, xp, data)(xi1)
+                oracle = q_symbol(order, ch, xi, data)
+                assert np.abs(ours - oracle).max() <= 1e-13 * np.abs(oracle).max()
 
 
 def test_hessian_data_structure_and_beta():
@@ -387,7 +417,7 @@ def test_a_hessian_stack_refuses_what_its_items_refuse():
     for call in (lambda: trace_term_integrand(EVEN, xp, stack),
                  lambda: closed_form_trace_contour(EVEN, stack, xp),
                  lambda: closed_form_contact_contour(EVEN, stack, _contact_ray(2, 1.0)),
-                 lambda: q_symbol(-2, EVEN, xp + 0.3, stack)):
+                 lambda: q_symbol_integrand(-2, EVEN, xp, stack)(0.3)):
         with pytest.raises(ValueError, match="Hessian is for n = 3, covector for n = 2"):
             call()
     # an integrand's covectors carry the stack's axes, ahead of the nodes
@@ -412,9 +442,7 @@ def test_a_hessian_stack_gives_the_values_of_its_items_alone(n):
             lambda h, i: closed_form_trace_contour(ch, h, boundary[i]),
             lambda h, i: closed_form_contact_contour(ch, h, contact[i]),
             lambda h, i: calderon_symbol_minus1(ch, -1, h, contact[i]),
-            lambda h, i: q_symbol(-2, ch, free[i], h),
-            # one covector for every item of the stack
-            lambda h, i: q_symbol(-2, ch, free[0], h),
+            lambda h, i: _interior_q(-2, ch, free[i], h),
         ]
         for side in SIDES:
             values += [
@@ -518,7 +546,6 @@ def test_a_hessian_for_another_n_is_refused():
         lambda: trace_term_integrand(EVEN, xp, hess),
         lambda: closed_form_trace_contour(EVEN, hess, xp),
         lambda: closed_form_contact_contour(EVEN, hess, _contact_ray(2, 1.0)),
-        lambda: q_symbol(-2, EVEN, covector(0.3, 1.0, (0.5, 0.0)), hess),
         lambda: q_symbol_integrand(-2, EVEN, xp, hess)(0.5j),
     )
     for call in calls:
@@ -685,8 +712,8 @@ def test_a_stack_gives_the_matrices_of_its_rows(n):
     for ch in CHIRALITIES:
         symbols += [
             (free, lambda xi, ch=ch: d1(ch, xi)),
-            (free, lambda xi, ch=ch: q_symbol(-1, ch, xi)),
-            (free, lambda xi, ch=ch: q_symbol(-2, ch, xi, hess)),
+            (free, lambda xi, ch=ch: _interior_q(-1, ch, xi)),
+            (free, lambda xi, ch=ch: _interior_q(-2, ch, xi, hess)),
             (boundary, lambda xi, ch=ch: comparison_symbol0(ch, xi)),
         ]
         for side in SIDES:

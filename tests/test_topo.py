@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from fockindex.errors import AdmissibilityError, IntegralityViolation
 from fockindex.topo import (
-    DEFAULT_CONTACT_DEGREE,
     FillingDescriptor,
     SpinCNumbers,
     coball_descriptor,
@@ -17,7 +16,6 @@ from fockindex.topo import (
     ind_from_c2,
     random_spinc_numbers,
     rind_3d,
-    rind_bundle_coefficients,
     rind_weinstein,
     seiberg_witten_dim,
     seiberg_witten_dim_reversed,
@@ -205,12 +203,13 @@ def test_fio_vanishes_on_all_admissible_surfaces(euler):
     assert fio_index_surfaces(chi, chi) == 0
 
 
-def test_rind_bundle_coefficients():
-    assert rind_bundle_coefficients(7, 3, 3) == 7
-    assert rind_bundle_coefficients(5, 2, 1) == 4
-    # Stein base: both boundary terms vanish
-    assert rind_bundle_coefficients(9, 0, 0) == 9
+def test_rind_weinstein_with_set_boundary_terms():
+    # the boundary terms are the fillings' chi_prime, set directly as for
+    # higher-dimensional data: glued index - chi'(X0) + chi'(X1)
+    def filling(chi_prime):
+        return FillingDescriptor(0, 0, chi_prime=chi_prime)
 
-
-def test_contact_degree_default():
-    assert DEFAULT_CONTACT_DEGREE == 0
+    assert rind_weinstein(7, filling(3), filling(3)) == 7
+    assert rind_weinstein(5, filling(2), filling(1)) == 4
+    # a Stein base: both boundary terms vanish
+    assert rind_weinstein(9, filling(0), filling(0)) == 9
