@@ -43,7 +43,6 @@ import time
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-from . import topo
 from .errors import AdmissibilityError
 
 __all__ = ["RunRequest", "Report", "run", "main"]
@@ -118,14 +117,13 @@ _PARAMS = {
 _SEED = _Param("seed", int, 0, minimum=0)
 
 # The graded Fock space of verify-algebra and model-invert has
-# 2**v * C(cutoff + v, v) states on v oscillator variables.  A run peaks at
-# about 0.51 KB (verify-algebra: 253 MB at 497 568 states, n = 3) to 0.64 KB
-# (model-invert: 235 MB at 366 080 states, n = 10) per state.  At its largest
-# admitted size for each n from 1 to 9, verify-algebra peaks at 132 to
-# 253 MB, and for each n from 2 to 10 model-invert at 198 to 296 MB (under
-# glibc's default malloc, whose peak moves by up to 20 MB with the heap's
-# layout), so this many states stays within 0.5 GB.  A subcommand's v is its
-# n less the offset here:
+# 2**v * C(cutoff + v, v) states on v oscillator variables.  At its largest
+# admitted size for each n, verify-algebra (n = 1 to 9) peaks at 134 to
+# 240 MB, 0.30 to 0.54 KB per state, and model-invert (n = 2 to 10) at 141
+# to 217 MB: 0.28 KB per state at n = 2, 0.30 at n = 3, 0.44 at n = 6 and
+# 0.50 at n = 10 (under glibc's default malloc, whose peak moves by up to
+# 20 MB with the heap's layout).  So this many states stays within 0.5 GB.
+# A subcommand's v is its n less the offset here:
 _MAX_STATES = 500_000
 _STATE_VARIABLE_OFFSET = {"verify-algebra": 0, "model-invert": 1}
 
@@ -739,6 +737,8 @@ def _quantity(check: _Check, formula, *args) -> tuple:
 
 def _run_topo(params: dict, seeds: list, checks: tuple):
     """glued-boundary integer formulas"""
+    from . import topo
+
     (filling_x0, reversed_dim, filling_x1, glued_dim, glued_index, rind_3d,
      rind_glued, characteristic, from_c1, from_c2) = checks
     try:

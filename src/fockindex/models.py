@@ -76,6 +76,7 @@ __all__ = [
 _RANK_CUTOFF = 1e-8
 _PINV_CUTOFF = 1e-10
 _DEFORMATION_RANK_BOUND = 4
+_OUTSIDE = "a probe's solve reaches outside the merged vacuum/target block"
 
 
 @dataclass(frozen=True)
@@ -135,8 +136,11 @@ class _SectorData:
     stack on local rows, and ``merged_pair`` the local rows of the vacuum and
     the target.  ``guard_even`` and ``guard_odd`` mark the guarded
     states, and ``guarded_even`` and ``guarded_odd`` list their positions.
-    ``rank_probes`` are the deformation-rank probes, read-only.  No entries
-    of ``dirac_plus`` are kept.
+    The deformation-rank probes are a unit column on each guarded state of
+    the merged block, whose positions in the stacked sectors (even first)
+    are ``units``, and ``draw``, one seeded guarded draw with the merged
+    block's rows zeroed, a read-only stacked column.  No entries of
+    ``dirac_plus`` are kept.
 
     The stacks hold the held blocks alone, those with a guarded state:
     ``_label_stacks`` gathers them by the guard masks.  A guarded rhs, its
@@ -180,7 +184,11 @@ class _SectorData:
         # dirac_plus is exactly self-adjoint, so the raising block's
         # pseudo-inverse is lower_pinv^H, held as the views lower_pinv^T
         self.raise_pinv = _transposed(self.lower_pinv)
-        self.rank_probes = _rank_probes(self)
+        merged = np.concatenate([self.merged_even, self.merged_odd])
+        self.units = np.flatnonzero(np.concatenate([self.guard_even, self.guard_odd]) & merged)
+        self.draw = np.concatenate(_guarded_draws(np.random.default_rng(0), self, 1))
+        self.draw[merged] = 0.0
+        self.draw.flags.writeable = False  # every certificate shares it
 
 
 def _lowering_entries(config: FockSpaceConfig, even_idx: np.ndarray,
@@ -320,29 +328,32 @@ def _block_rank(matrix: np.ndarray) -> int:
     return int(np.sum(svals > _RANK_CUTOFF * svals[0]))
 
 
-def _rank_probes(sec: _SectorData) -> tuple:
-    """The deformation-rank probes: a unit column on each guarded state of the
-    merged block, then one seeded draw with the merged block's rows zeroed."""
-    cols_even = np.flatnonzero(sec.guard_even & sec.merged_even)
-    cols_odd = np.flatnonzero(sec.guard_odd & sec.merged_odd)
-    num_even, num_cols = len(cols_even), len(cols_even) + len(cols_odd)
-    a = np.zeros((sec.dim_even, num_cols + 1), dtype=complex)
-    b = np.zeros((sec.dim_odd, num_cols + 1), dtype=complex)
-    a[cols_even, np.arange(num_even)] = 1.0
-    b[cols_odd, np.arange(num_even, num_cols)] = 1.0
-    a[:, -1:], b[:, -1:] = _guarded_draws(np.random.default_rng(0), sec, 1)
-    a[sec.merged_even, -1] = 0.0
-    b[sec.merged_odd, -1] = 0.0
-    a.flags.writeable = b.flags.writeable = False  # every certificate shares them
-    return a, b
-
-
 def _probe_stacks(sec: _SectorData):
-    """The deformation-rank probes in stacks of at most
-    ``spinors._STACK_ENTRIES`` sector entries: ``(columns, (a, b))`` pairs."""
-    a, b = sec.rank_probes
-    for part in spinors._chunks(a.shape[1], sec.dim_even + sec.dim_odd):
-        yield part, (a[:, part], b[:, part])
+    """The deformation-rank probes, a unit column on each of ``sec.units`` and
+    then ``sec.draw``, built one stack of at most ``spinors._STACK_ENTRIES``
+    sector entries at a time: ``(columns, (a, b))`` pairs."""
+    for part in spinors._chunks(len(sec.units) + 1, sec.dim_even + sec.dim_odd):
+        probes = np.zeros((sec.dim_even + sec.dim_odd, part.stop - part.start), dtype=complex)
+        probes[sec.units[part], np.arange(len(sec.units[part]))] = 1.0
+        if part.stop > len(sec.units):
+            probes[:, -1:] = sec.draw
+        yield part, np.split(probes, [sec.dim_even])
+
+
+def _probe_solves(chirality: str, cfg: ModelConfig) -> tuple:
+    """The merged rows of the probes' solves, as ``(u, v)``, and the draw's
+    solve with its merged rows zeroed, as a stacked column.  A unit probe
+    lies in the merged block, so its solve must vanish outside it."""
+    sec = _sectors(cfg)
+    merged = []
+    for part, (a, b) in _probe_stacks(sec):
+        u, v = _solve_columns(chirality, cfg, a, b)
+        merged.append((u[sec.merged_even], v[sec.merged_odd]))
+        u[sec.merged_even] = v[sec.merged_odd] = 0.0
+        unit = slice(len(sec.units) - part.start)  # the stack's columns but the draw
+        assert not (u[:, unit].any() or v[:, unit].any()), _OUTSIDE
+    draw = np.concatenate([u[:, -1], v[:, -1]])
+    return [np.concatenate(rows, axis=1) for rows in zip(*merged)], draw
 
 
 def _apply_model(chirality: str, cfg: ModelConfig, u: np.ndarray, v: np.ndarray):
@@ -427,18 +438,15 @@ def _outside_floor(chirality: str, cfg: ModelConfig) -> float:
 class _ThetaFree:
     """What a certificate reads that the deformation angle does not change.
 
-    ``plain`` is the zero-angle solve of the deformation-rank probes,
-    read-only, and ``floor`` the smallest singular value of the model's
-    guarded columns outside the merged block.
+    ``merged`` and ``draw`` are the zero-angle ``_probe_solves``, read-only,
+    and ``floor`` the smallest singular value of the model's guarded columns
+    outside the merged block.
     """
 
     def __init__(self, chirality: str, plain: ModelConfig):
-        sec = _sectors(plain)
-        u, v = (np.empty(part.shape, dtype=complex) for part in sec.rank_probes)
-        for part, (a, b) in _probe_stacks(sec):
-            u[:, part], v[:, part] = _solve_columns(chirality, plain, a, b)
-        u.flags.writeable = v.flags.writeable = False  # every caller shares them
-        self.plain = u, v
+        self.merged, self.draw = _probe_solves(chirality, plain)
+        for part in (*self.merged, self.draw):
+            part.flags.writeable = False  # every caller shares them
         self.floor = _outside_floor(chirality, plain)
 
 
@@ -459,31 +467,23 @@ def deformation_block_ranks(chirality: str, cfg: ModelConfig) -> list:
     between the two vacua, so every block has small finite rank and the
     (2,2) block is untouched (exactly zero difference).  The difference
     lives on the merged vacuum/target block, so the inverse is only formed
-    on that block's guarded columns; one seeded probe over all the other
-    blocks confirms that their difference vanishes exactly.  The zero-angle
-    solve is cached per chirality and theta-free configuration.  The probes
-    are solved in stacks of at most ``spinors._STACK_ENTRIES`` sector
-    entries, and each stack keeps only its merged rows.
+    on that block's guarded columns, whose solves must vanish outside it;
+    one seeded probe over all the other blocks must solve exactly as at
+    zero angle.  Per chirality and theta-free configuration, the merged
+    rows of the zero-angle solves and the probe's zero-angle solve are
+    cached.  The probes are solved in stacks of at most
+    ``spinors._STACK_ENTRIES`` sector entries.
     """
     _check_parity(chirality, "chirality")
-    outside = "the deformation reaches outside the merged vacuum/target block"
     sec = _sectors(cfg)
-    plain_u, plain_v = _theta_free(chirality, cfg).plain
-    du = np.empty((np.count_nonzero(sec.merged_even), plain_u.shape[1]), dtype=complex)
-    dv = np.empty((np.count_nonzero(sec.merged_odd), plain_v.shape[1]), dtype=complex)
-    for part, (a, b) in _probe_stacks(sec):
-        u, v = _solve_columns(chirality, cfg, a, b)
-        u -= plain_u[:, part]
-        v -= plain_v[:, part]
-        du[:, part], dv[:, part] = u[sec.merged_even], v[sec.merged_odd]
-        u[sec.merged_even] = v[sec.merged_odd] = 0.0
-        assert not (u.any() or v.any()), outside
-    assert not (du[:, -1].any() or dv[:, -1].any()), outside
-    du, dv = du[:, :-1], dv[:, :-1]
-    num_even = np.count_nonzero(sec.guard_even & sec.merged_even)
+    held = _theta_free(chirality, cfg)
+    (du, dv), draw = _probe_solves(chirality, cfg)
+    du, dv = du - held.merged[0], dv - held.merged[1]
+    assert not (du[:, -1].any() or dv[:, -1].any() or (draw - held.draw).any()), _OUTSIDE
+    num_even = np.count_nonzero(sec.units < sec.dim_even)
     return [
-        [_block_rank(du[:, :num_even]), _block_rank(du[:, num_even:])],
-        [_block_rank(dv[:, :num_even]), _block_rank(dv[:, num_even:])],
+        [_block_rank(du[:, :num_even]), _block_rank(du[:, num_even:-1])],
+        [_block_rank(dv[:, :num_even]), _block_rank(dv[:, num_even:-1])],
     ]
 
 

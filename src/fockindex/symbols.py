@@ -400,7 +400,7 @@ def _q_weights(order: int, comps: np.ndarray, hess: HessianData | None) -> np.nd
     """
     norm_sq = _xi_square(comps)[..., None]
     if (norm_sq == 0).any():
-        raise ZeroCovectorError("q-symbol undefined at the zero covector")
+        raise ZeroCovectorError("q-symbol undefined at its poles xi1 = +-i |xi'|")
     if order == -1:
         return 2.0 * comps / norm_sq
     if order == -2:

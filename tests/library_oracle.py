@@ -8,6 +8,7 @@ library against:
 - the comparison model's blockwise inverse of one right-hand side, with its
   refusal of a right-hand side above oscillator degree ``cutoff - 2``, and
   the seeded guarded right-hand sides it is checked on;
+- the deformation-rank probes as whole-sector column matrices;
 - the interior symbols ``q`` of orders -1 and -2, from their formulas;
 - the order -1 term of the Calderon projector on the contact line.
 """
@@ -83,6 +84,23 @@ def random_guarded_rhs(rng, cfg: models.ModelConfig) -> tuple:
     draws each of its right-hand sides."""
     a, b = models._guarded_draws(rng, models._sectors(cfg), 1)
     return a[:, 0], b[:, 0]
+
+
+def rank_probes(sec) -> tuple:
+    """The deformation-rank probes of the sector data ``sec`` as ``(a, b)``
+    column matrices: a unit column on each guarded state of the merged block,
+    then one seeded draw with the merged block's rows zeroed."""
+    cols_even = np.flatnonzero(sec.guard_even & sec.merged_even)
+    cols_odd = np.flatnonzero(sec.guard_odd & sec.merged_odd)
+    num_even, num_cols = len(cols_even), len(cols_even) + len(cols_odd)
+    a = np.zeros((sec.dim_even, num_cols + 1), dtype=complex)
+    b = np.zeros((sec.dim_odd, num_cols + 1), dtype=complex)
+    a[cols_even, np.arange(num_even)] = 1.0
+    b[cols_odd, np.arange(num_even, num_cols)] = 1.0
+    a[:, -1:], b[:, -1:] = models._guarded_draws(np.random.default_rng(0), sec, 1)
+    a[sec.merged_even, -1] = 0.0
+    b[sec.merged_odd, -1] = 0.0
+    return a, b
 
 
 def q_symbol(order: int, chirality: str, xi, hess: HessianData | None = None) -> np.ndarray:

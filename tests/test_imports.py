@@ -62,6 +62,13 @@ def test_importing_the_cli_loads_neither_numpy_nor_scipy():
     assert not loaded & {"numpy", "scipy"}
 
 
+def test_importing_the_cli_loads_no_library_layer():
+    # each runner imports its layers when it first runs, topo's included
+    modules = _modules_after("import fockindex.cli")
+    package = {name for name in modules if name.split(".")[0] == "fockindex"}
+    assert package == {"fockindex", "fockindex.cli", "fockindex.errors"}
+
+
 def test_topo_loads_neither_numpy_nor_scipy():
     assert not _loaded_after_main(TOPO_ARGS) & {"numpy", "scipy"}
 

@@ -32,6 +32,7 @@ from library_oracle import (
     graded_basis,
     invert_comparison_model,
     random_guarded_rhs,
+    rank_probes,
 )
 from scipy_oracle import dense, to_scipy
 
@@ -939,11 +940,39 @@ def test_a_warm_certificate_reads_only_held_members(entries, monkeypatch):
     assert set(calls) == {np.count_nonzero(held_odd[blocks]), 1}
 
 
+@pytest.mark.parametrize("stack_entries", [None, 1, "three probes"])
+@pytest.mark.parametrize("n,cutoff,target", STACK_SIZES)
+def test_probe_stacks_are_the_columns_of_the_rank_probes(n, cutoff, target, stack_entries,
+                                                         monkeypatch):
+    sec = models._sectors(ModelConfig(n=n, cutoff=cutoff, target=target))
+    a, b = rank_probes(sec)
+    if stack_entries == "three probes":
+        stack_entries = 3 * (sec.dim_even + sec.dim_odd)
+    if stack_entries is not None:  # else the default budget
+        monkeypatch.setattr(spinors, "_STACK_ENTRIES", stack_entries)
+    parts = []
+    for part, (stack_a, stack_b) in models._probe_stacks(sec):
+        assert np.array_equal(stack_a, a[:, part]) and np.array_equal(stack_b, b[:, part])
+        parts.append(part)
+    assert parts == list(spinors._chunks(a.shape[1], sec.dim_even + sec.dim_odd))
+    if stack_entries == 1:  # one probe a stack
+        assert len(parts) == a.shape[1]
+
+
 @pytest.mark.parametrize("chirality", CHIRALITIES)
 def test_rank_probes_solve_the_same_one_at_a_time(chirality, monkeypatch):
     cfg = ModelConfig(n=3, cutoff=8, theta=0.3, target=GradedBasisIndex((0, 1), (1, 2)))
+    sec = models._sectors(cfg)
     models._theta_free_data.cache_clear()
-    plain = models._theta_free(chirality, cfg).plain
+    held = models._theta_free(chirality, cfg)
+    # the held zero-angle data: the merged rows of the whole probes' solve,
+    # and the draw's solve outside the merged block
+    u, v = models._solve_columns(chirality, replace(cfg, theta=0.0), *rank_probes(sec))
+    draw = np.concatenate([u[:, -1], v[:, -1]])
+    draw[np.concatenate([sec.merged_even, sec.merged_odd])] = 0.0
+    for got, expected in zip((*held.merged, held.draw),
+                             (u[sec.merged_even], v[sec.merged_odd], draw)):
+        assert np.array_equal(got, expected)
     ranks = deformation_block_ranks(chirality, cfg)
     widths = []
     solve = models._solve_columns
@@ -951,12 +980,68 @@ def test_rank_probes_solve_the_same_one_at_a_time(chirality, monkeypatch):
                         widths.append(a.shape[1]) or solve(chirality, cfg, a, b))
     monkeypatch.setattr(spinors, "_STACK_ENTRIES", 1)
     models._theta_free_data.cache_clear()
-    again = models._theta_free(chirality, cfg).plain
-    for got, expected in zip(again, plain):
+    again = models._theta_free(chirality, cfg)
+    for got, expected in zip((*again.merged, again.draw), (*held.merged, held.draw)):
         assert np.array_equal(got, expected)
     assert deformation_block_ranks(chirality, cfg) == ranks
     # the zero-angle solve, then the deformed one, one probe per stack
-    assert widths == [1] * 2 * models._sectors(cfg).rank_probes[0].shape[1]
+    assert widths == [1] * 2 * (len(sec.units) + 1)
+
+
+def _sector_columns(held, sec) -> int:
+    """The complex columns of a sector's length that ``held``'s attributes
+    hold, in arrays, tuples or lists, counted once per sector they span."""
+    sides = {sec.dim_even: 1, sec.dim_odd: 1, sec.dim_even + sec.dim_odd: 2}
+    count, todo = 0, list(vars(held).values())
+    while todo:
+        value = todo.pop()
+        if isinstance(value, (tuple, list)):
+            todo.extend(value)
+        elif (isinstance(value, np.ndarray) and np.iscomplexobj(value)
+              and value.shape[:1] and value.shape[0] in sides):
+            count += sides[value.shape[0]] * (value.size // value.shape[0])
+    return count
+
+
+@pytest.mark.parametrize("n,cutoff,target", [(3, 10, None), (4, 6, None),
+                                             (3, 8, GradedBasisIndex((0, 1), (1, 2)))])
+def test_the_caches_hold_one_sector_column_per_side(n, cutoff, target):
+    cfg = ModelConfig(n=n, cutoff=cutoff, theta=0.3, target=target)
+    for chirality in CHIRALITIES:
+        assert certify_invertibility(chirality, cfg, num_rhs=4)["passed"]
+    sec = models._sectors(cfg)
+    # the probes' solves keep their merged rows, more than one column each
+    assert len(sec.units) > 1
+    assert not hasattr(sec, "rank_probes")
+    assert _sector_columns(sec, sec) == 2
+    for chirality in CHIRALITIES:
+        held = models._theta_free(chirality, cfg)
+        assert not hasattr(held, "plain")
+        assert _sector_columns(held, sec) == 2
+
+
+@pytest.mark.parametrize("warm", [False, True])
+@pytest.mark.parametrize("chirality", CHIRALITIES)
+def test_a_unit_probe_whose_solve_leaks_trips_the_assertion(chirality, warm, monkeypatch):
+    cfg = ModelConfig(n=3, cutoff=8, theta=0.3)
+    sec = models._sectors(cfg)
+    models._theta_free_data.cache_clear()
+    if warm:
+        models._theta_free(chirality, cfg)
+    leak = np.flatnonzero(sec.guard_odd & ~sec.merged_odd)[0]
+    solve = models._solve_columns
+
+    def leaky(chirality, cfg, a, b):
+        # each unit probe leaks the same at every angle, so its deformed
+        # solve minus its zero-angle one vanishes outside the merged block
+        u, v = solve(chirality, cfg, a, b)
+        v[leak] += a[sec.merged_even].sum(axis=0) + b[sec.merged_odd].sum(axis=0)
+        return u, v
+
+    monkeypatch.setattr(models, "_solve_columns", leaky)
+    with pytest.raises(AssertionError, match="reaches outside the merged"):
+        deformation_block_ranks(chirality, cfg)
+    models._theta_free_data.cache_clear()
 
 
 @pytest.mark.parametrize("count", [1, 5, 16])

@@ -316,6 +316,20 @@ def test_q_minus2_scaling_and_hessian_linearity():
         q_symbol_integrand(-1, EVEN, _contact_ray(n, 1.0))(1j)
 
 
+@pytest.mark.parametrize("side", SIDES)
+@pytest.mark.parametrize("order", [-1, -2])
+def test_the_q_symbol_names_the_pole_it_is_evaluated_at(order, side):
+    # |xi|^2 continued to complex xi1 vanishes at xi1 = +-i |xi'| for a
+    # nonzero boundary covector, never at the zero covector
+    rng = np.random.default_rng(5)
+    xp = covector(0.0, 1.5, (0.0, 2.0, 0.0, 0.0))
+    integrand = q_symbol_integrand(order, EVEN, xp, random_hessian(rng, 3))
+    with pytest.raises(ZeroCovectorError, match=r"poles xi1 = \+-i \|xi'\|") as caught:
+        integrand(side * 2.5j)
+    assert "zero covector" not in str(caught.value)
+    assert np.isfinite(integrand(side * 2.4j)).all()
+
+
 @pytest.mark.parametrize("n", [2, 3, 5])
 def test_the_interior_symbols_match_their_formulas(n):
     rng = np.random.default_rng(61 + n)
